@@ -29,12 +29,17 @@ from .enumeration import (
     asep_distribution,
     catalan,
     chain_stationary,
+    count_shapes,
     count_table,
     decorated_count,
     formula_report,
     no_free_cell_count,
+    shape_words,
     symmetric_tableaux,
+    weight_poly,
+    weight_poly_by_fillings,
 )
+from .errors import DomainError
 from .permutations import (
     from_permutation,
     perm_stats,
@@ -184,6 +189,13 @@ def count_checks(n_max: int) -> list[FormulaCheck]:
                 "" if counts[n] == math.factorial(n + 1) else f"expected {math.factorial(n + 1)}",
             )
         )
+    for n in range(n_max + 1):
+        checks.append(
+            FormulaCheck(
+                f"corner-recursion count table equals enumeration at n={n}",
+                tables[n].counts == count_shapes(n, shape_words(n)),
+            )
+        )
     for n in range(min(n_max, 5) + 1):
         same = set(all_tableaux(n)) == set(all_via_perm(n))
         checks.append(FormulaCheck(f"generator sets agree at n={n}", same))
@@ -245,6 +257,15 @@ def series_checks(n_max: int) -> list[FormulaCheck]:
 def asep_checks(n_max: int) -> list[FormulaCheck]:
     checks = []
     for n in range(n_max + 1):
+        checks.append(
+            _all_hold(
+                f"corner-recursion weights equal enumeration at n={n}",
+                (
+                    (weight_poly(w) == weight_poly_by_fillings(w), f"fails on shape {w}")
+                    for w in shape_words(n)
+                ),
+            )
+        )
         for q, alpha, beta in ASEP_TRIPLES:
             p = AsepParams(n, q, alpha, beta)
             weights = asep_distribution(p)
@@ -268,6 +289,8 @@ SUITES = {
 
 
 def run_suite(suite: str, n_max: int) -> list[FormulaCheck]:
+    if n_max < 0:
+        raise DomainError("bad-size", f"negative size {n_max}")
     if suite == "all":
         out = []
         for fn in SUITES.values():

@@ -190,7 +190,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    table = count_table(args.n, jobs=args.jobs)
+    table = count_table(args.n)
     for (i, j, k), c in sorted(table.counts.items()):
         print(f"{args.n}\t{i}\t{j}\t{k}\t{c}")
     for (i, j), c in sorted(table.by_free().items()):
@@ -213,7 +213,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_asep(args) -> int:
-    params = AsepParams(args.n, Fraction(args.q), Fraction(args.alpha), Fraction(args.beta))
+    params = AsepParams(args.n, args.q, args.alpha, args.beta)
     dist = asep_distribution(params)
     for state, prob in dist.items():
         print(f"{state} {prob} [{float(prob):.6f}]")
@@ -230,6 +230,23 @@ def cmd_render(args) -> int:
     else:
         print(render_arcs(arc_diagram(t)))
     return 0
+
+
+def _rate(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _size(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"size must be non-negative, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,18 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("count", cmd_count, help="counts by free rows, free columns and rows")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="partition the shapes for counting")
 
     p = add("verify", cmd_verify, help="run a verification suite")
     p.add_argument("--suite", choices=("bijections", "counts", "series", "asep", "all"),
                    required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
 
     p = add("asep", cmd_asep, help="exact stationary distribution on n sites")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", default="1")
-    p.add_argument("--alpha", default="1")
-    p.add_argument("--beta", default="1")
+    p.add_argument("--q", type=_rate, default=Fraction(1))
+    p.add_argument("--alpha", type=_rate, default=Fraction(1))
+    p.add_argument("--beta", type=_rate, default=Fraction(1))
 
     p = add("render", cmd_render, help="ASCII rendering of a tableau")
     p.add_argument("--style", choices=("grid", "forest", "arcs"), default="grid")

@@ -1,12 +1,21 @@
 """Exhaustive generation, refined counting, stationary distributions, and
 exact verification of the counting formulas.
 
+Weights, counts and exclusion-process laws come from the corner recursion of
+the matrix ansatz, ``DE = qED + D + E``: the corner cell of a ``DE`` step
+holds a left arrow (drop the row), an up arrow (drop the column) or is an
+empty free cell (weight ``q``, swap the step), and a shape ``E^a D^b`` has no
+cells.  Over all 2^n shapes of one size the memo holds at most 2^(n+1)
+words, so the cost per shape is polynomial instead of one step per filling.
+
 The backtracking generator walks every shape word in lexicographic order and
 fills cells leftmost column first, top to bottom, trying empty, then a left
 arrow, then an up arrow; arrows are only placed when every cell they point at
 is already known to be empty, so each produced filling is valid by
 construction.  A second generator reaches the same set through the
-permutation bijection, giving an independent oracle.
+permutation bijection, giving an independent oracle.  Enumeration is the
+oracle the recursion is tested against (``count_shapes``,
+``weight_poly_by_fillings``).
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .core import AltTableau, Arrow, PermTableau, free_stats, relabel, transpose
 from .decomposition import divide, merge
@@ -25,21 +34,29 @@ from .errors import DomainError, ResourceLimitError
 from .permutations import from_permutation
 from .series import Poly3, Series, geometric, neg_log_one_minus_z
 
-DEFAULT_MAX_N = 9
-DEFAULT_MAX_CHAIN_N = 6
+# Size caps, one per workload, each overridable by its environment variable
+# or by ``cap=``.  Enumeration visits (n+1)! tableaux; the corner recursion
+# keeps a memo of up to 2^(n+1) shapes (about 30 MB of count polynomials at
+# n = 12); the chain solve is a dense 2^n linear system.
+ENUMERATION_CAP = ("ALTAB_MAX_N", 9)
+WEIGHT_CAP = ("ALTAB_MAX_WEIGHT_N", 12)
+CHAIN_CAP = ("ALTAB_MAX_CHAIN_N", 6)
 
 PARTICLE = "*"
 HOLE = "o"
 
-
-def _max_n() -> int:
-    return int(os.environ.get("ALTAB_MAX_N", DEFAULT_MAX_N))
+V = TypeVar("V")
 
 
-def _check_cap(n: int, cap: int | None, what: str) -> None:
-    limit = cap if cap is not None else _max_n()
+def _check_cap(
+    n: int, cap: int | None, what: str, setting: tuple[str, int] = ENUMERATION_CAP
+) -> None:
+    var, default = setting
+    limit = cap if cap is not None else int(os.environ.get(var, default))
     if n > limit:
-        raise ResourceLimitError(f"{what} for n={n} exceeds the cap {limit}")
+        raise ResourceLimitError(
+            f"{what} for n={n} exceeds the cap {limit}; set {var} or pass cap= to raise it"
+        )
     if n < 0:
         raise DomainError("bad-size", f"negative size {n}")
 
@@ -144,6 +161,55 @@ def all_perm_tableaux(n: int, cap: int | None = None) -> Iterator[PermTableau]:
 
 
 # ---------------------------------------------------------------------------
+# The corner recursion
+
+
+def _corner_sums(
+    words: Iterable[str], leaf: Callable[[int, int], V], times_q: Callable[[V], V]
+) -> dict[str, V]:
+    """Z(word) for each word: the sum of a filling weight over every filling.
+
+    Z(X.DE.Y) = q.Z(X.ED.Y) + Z(X.E.Y) + Z(X.D.Y) at the first ``DE`` corner,
+    and Z(E^a D^b) = leaf(a, b).  ``times_q`` multiplies a value by q.  The
+    memo is shared by the given words and dropped on return; an explicit
+    stack keeps the n + n^2/4 levels of a long word off the call stack.
+    """
+    memo: dict[str, V] = {}
+    out: dict[str, V] = {}
+    for word in words:
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in memo:
+                stack.pop()
+                continue
+            k = w.find("DE")
+            if k < 0:
+                a = w.count("E")
+                memo[w] = leaf(a, len(w) - a)
+                stack.pop()
+                continue
+            head, tail = w[:k], w[k + 2 :]
+            swapped, no_row, no_col = head + "ED" + tail, head + "E" + tail, head + "D" + tail
+            missing = [c for c in (swapped, no_row, no_col) if c not in memo]
+            if missing:
+                stack.extend(missing)
+            else:
+                memo[w] = times_q(memo[swapped]) + memo[no_row] + memo[no_col]
+                stack.pop()
+        out[word] = memo[word]
+    return out
+
+
+def _poly_leaf(a: int, b: int) -> Poly3:
+    return Poly3.monomial(0, a, b)
+
+
+def _poly_times_q(p: Poly3) -> Poly3:
+    return Poly3({(eq + 1, ex, ey): c for (eq, ex, ey), c in p.coeffs.items()})
+
+
+# ---------------------------------------------------------------------------
 # Refined counts
 
 
@@ -180,7 +246,8 @@ class CountTable:
 
 
 def count_shapes(n: int, words: Iterable[str]) -> dict[tuple[int, int, int], int]:
-    """Count fillings of the given shapes by (frow, fcol, rows); associative piece."""
+    """Count fillings of the given shapes by (frow, fcol, rows) by enumeration;
+    the oracle for ``count_table``."""
     counts: dict[tuple[int, int, int], int] = {}
     labels = tuple(range(1, n + 1))
     for word in words:
@@ -192,29 +259,16 @@ def count_shapes(n: int, words: Iterable[str]) -> dict[tuple[int, int, int], int
     return counts
 
 
-def merge_counts(parts: Iterable[dict[tuple[int, int, int], int]]) -> dict[tuple[int, int, int], int]:
-    out: dict[tuple[int, int, int], int] = {}
-    for part in parts:
-        for key, c in part.items():
-            out[key] = out.get(key, 0) + c
-    return out
-
-
-def count_table(n: int, cap: int | None = None, jobs: int = 1) -> CountTable:
-    """Exact count table; ``jobs`` partitions the shapes and combines by addition."""
-    _check_cap(n, cap, "counting")
-    words = list(shape_words(n))
-    if jobs <= 1:
-        return CountTable(n, count_shapes(n, words))
-    chunks = [words[k::jobs] for k in range(jobs)]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(count_shapes, [n] * len(chunks), chunks))
-    except OSError:
-        parts = [count_shapes(n, chunk) for chunk in chunks]
-    return CountTable(n, merge_counts(parts))
+def count_table(n: int, cap: int | None = None) -> CountTable:
+    """Exact count table from the corner recursion at q = 1, where "times q"
+    is the identity and each shape's polynomial holds x^fcol y^frow terms."""
+    _check_cap(n, cap, "counting", WEIGHT_CAP)
+    counts: dict[tuple[int, int, int], int] = {}
+    for word, poly in _corner_sums(shape_words(n), _poly_leaf, lambda p: p).items():
+        k = word.count("D")
+        for (_, fcol, frow), c in poly.coeffs.items():
+            counts[(frow, fcol, k)] = counts.get((frow, fcol, k), 0) + c
+    return CountTable(n, counts)
 
 
 def product_formula(n: int) -> Poly3:
@@ -230,8 +284,16 @@ def product_formula(n: int) -> Poly3:
 # Weights and the exclusion process
 
 
-def weight_poly(word: str) -> Poly3:
+def weight_poly(word: str, cap: int | None = None) -> Poly3:
     """Sum of q^fcell x^fcol y^frow over all fillings of the shape."""
+    _check_cap(len(word), cap, "weight polynomial", WEIGHT_CAP)
+    if set(word) - {"D", "E"}:
+        raise DomainError("bad-word", f"border word {word!r} is not over D and E")
+    return _corner_sums([word], _poly_leaf, _poly_times_q)[word]
+
+
+def weight_poly_by_fillings(word: str) -> Poly3:
+    """``weight_poly`` by enumerating every filling; the oracle for the recursion."""
     labels = tuple(range(1, len(word) + 1))
     total = Poly3()
     for arrows in fillings(word):
@@ -271,14 +333,19 @@ def shape_of_state(state: str) -> str:
 
 def asep_distribution(p: AsepParams, cap: int | None = None) -> dict[str, Fraction]:
     """Stationary law from tableau weights: P(s) proportional to the weight
-    polynomial of the state's shape at x=1/alpha, y=1/beta."""
-    _check_cap(p.n, cap, "stationary distribution")
+    polynomial of the state's shape at x=1/alpha, y=1/beta, summed by the
+    corner recursion directly on rationals."""
+    _check_cap(p.n, cap, "stationary distribution", WEIGHT_CAP)
     if p.alpha == 0 or p.beta == 0:
         raise DomainError("degenerate-params", "alpha and beta must be positive")
-    x, y = 1 / p.alpha, 1 / p.beta
-    weights = {s: weight_poly(shape_of_state(s)).evaluate(p.q, x, y) for s in states(p.n)}
+    # Fraction() keeps integer or float rates exact.
+    q, x, y = Fraction(p.q), 1 / Fraction(p.alpha), 1 / Fraction(p.beta)
+    names = list(states(p.n))
+    weights = _corner_sums(
+        map(shape_of_state, names), lambda a, b: x**a * y**b, lambda v: q * v
+    )
     z = sum(weights.values())
-    return {s: w / z for s, w in weights.items()}
+    return {s: weights[shape_of_state(s)] / z for s in names}
 
 
 def transition_matrix(p: AsepParams) -> list[list[Fraction]]:
@@ -338,9 +405,7 @@ def solve_stationary(m: list[list[Fraction]]) -> list[Fraction]:
 
 def chain_stationary(p: AsepParams, cap: int | None = None) -> dict[str, Fraction]:
     """Independent oracle: build the chain and solve it exactly."""
-    limit = cap if cap is not None else int(os.environ.get("ALTAB_MAX_N", DEFAULT_MAX_CHAIN_N))
-    if p.n > limit:
-        raise ResourceLimitError(f"chain solve for n={p.n} exceeds the cap {limit}")
+    _check_cap(p.n, cap, "chain solve", CHAIN_CAP)
     pi = solve_stationary(transition_matrix(p))
     return dict(zip(states(p.n), pi))
 
@@ -490,7 +555,7 @@ def _compare_counts(name: str, series: Series, counts: Sequence[int], n_max: int
 
 def formula_report(n_max: int = 7, cap: int | None = None) -> FormulaReport:
     """Check every counting identity coefficientwise up to ``n_max``, exactly."""
-    _check_cap(n_max, cap, "formula verification")
+    _check_cap(n_max, cap, "formula verification", WEIGHT_CAP)
     order = n_max + 2
     tables = [count_table(n, cap) for n in range(n_max + 1)]
     totals = [t.total() for t in tables]

@@ -53,4 +53,5 @@ class DomainError(TableauError):
 
 
 class ResourceLimitError(TableauError):
-    """A size cap was exceeded (see ALTAB_MAX_N in the README)."""
+    """A size cap was exceeded; the message names the cap and the environment
+    variable that overrides it (see "Resource caps" in the README)."""

@@ -31,12 +31,13 @@ from alttab.enumeration import (
     all_via_perm,
     asep_distribution,
     chain_stationary,
+    count_table,
     decorated_bijection,
     decorated_bijection_inv,
     product_formula,
     shape_words,
     symmetric_tableaux,
-    weight_poly,
+    weight_poly_by_fillings,
 )
 from alttab.permutations import (
     from_signed_permutation,
@@ -295,11 +296,11 @@ def test_12_commutation_transport(small):
                 if word[k : k + 2] != "DE":
                     continue
                 u, v = word[:k], word[k + 2 :]
-                lhs = weight_poly(word)
+                lhs = weight_poly_by_fillings(word)
                 rhs = (
-                    q * weight_poly(u + "ED" + v)
-                    + weight_poly(u + "D" + v)
-                    + weight_poly(u + "E" + v)
+                    q * weight_poly_by_fillings(u + "ED" + v)
+                    + weight_poly_by_fillings(u + "D" + v)
+                    + weight_poly_by_fillings(u + "E" + v)
                 )
                 ok = ok and lhs == rhs
     report(12, "weight polynomials satisfy the commutation identity", ok)
@@ -327,3 +328,8 @@ def test_14_corpus_fidelity(t0):
     ok = ok and to_permutation(t0) == SIGMA0
     ok = ok and render_tableau(t0) == T0_COMPACT
     report(14, "corpus tableau reproduces the worked examples", ok)
+
+
+def test_15_recursion_counts(scan):
+    ok = all(count_table(n).counts == scan.tables[n] for n in range(MAX_N + 1))
+    report(15, "corner-recursion count tables equal enumeration, n <= 8", ok)

@@ -166,10 +166,9 @@ class TestEnumerateCount:
         assert "2\t0\t1\t1\t1" in lines
         assert "#total\t2\t6" in lines
 
-    def test_count_jobs(self, capsys, monkeypatch):
-        code1, out1, _ = run(capsys, monkeypatch, ["count", "--n", "4"])
-        code2, out2, _ = run(capsys, monkeypatch, ["count", "--n", "4", "--jobs", "3"])
-        assert code1 == code2 == 0 and out1 == out2
+    def test_count_beyond_the_enumeration_cap(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["count", "--n", "12"])
+        assert code == 0 and out.splitlines()[-1] == "#total\t12\t6227020800"
 
     def test_cap_exits_one(self, capsys, monkeypatch):
         monkeypatch.setenv("ALTAB_MAX_N", "3")
@@ -193,6 +192,12 @@ class TestVerify:
     def test_asep_suite(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["verify", "--suite", "asep", "--n", "2"])
         assert code == 0 and "FAIL" not in out
+        assert "corner-recursion weights equal enumeration at n=2 PASS" in out
+
+    def test_negative_size_is_a_usage_error(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, monkeypatch, ["verify", "--suite", "all", "--n", "-1"])
+        assert exc.value.code == 2
 
 
 class TestAsepRender:
@@ -206,6 +211,13 @@ class TestAsepRender:
         assert code == 0
         assert lines[0] == "o 2/5 [0.400000]"
         assert lines[1] == "* 3/5 [0.600000]"
+
+    @pytest.mark.parametrize("flag", ("--q", "--alpha", "--beta"))
+    def test_asep_bad_rate_is_a_usage_error(self, capsys, monkeypatch, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, monkeypatch, ["asep", "--n", "2", flag, "1/0"])
+        assert exc.value.code == 2
+        assert "not a rational number" in capsys.readouterr().err
 
     def test_render_grid(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["render", "--style", "grid"], "DE|L1,2")

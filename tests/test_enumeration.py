@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alttab.core import (
     free_stats,
@@ -31,7 +33,6 @@ from alttab.enumeration import (
     decorated_bijection_inv,
     decorated_count,
     formula_report,
-    merge_counts,
     no_free_cell_count,
     product_formula,
     shape_words,
@@ -40,6 +41,7 @@ from alttab.enumeration import (
     symmetric_tableaux,
     transition_matrix,
     weight_poly,
+    weight_poly_by_fillings,
 )
 from alttab.errors import DomainError, ResourceLimitError
 from alttab.series import Poly3
@@ -82,9 +84,11 @@ class TestGenerators:
 
     def test_resource_cap(self, monkeypatch):
         monkeypatch.setenv("ALTAB_MAX_N", "3")
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_N"):
             list(all_tableaux(4))
         assert sum(1 for _ in all_tableaux(4, cap=9)) == 120
+        # Counting runs on the recursion and has its own cap.
+        assert count_table(4).total() == 120
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_perm_tableaux_counted_by_factorial(self, n):
@@ -138,16 +142,30 @@ class TestCountTable:
                 counts[(i, j, k)] == counts.get((j, i, n - k), 0) for (i, j, k) in counts
             )
 
-    def test_partitioned_counting_is_order_independent(self):
-        n = 5
-        words = list(shape_words(n))
-        whole = count_shapes(n, words)
-        for parts in (2, 3, 7):
-            chunks = [words[k::parts] for k in range(parts)]
-            assert merge_counts(count_shapes(n, c) for c in chunks) == whole
+    @pytest.mark.parametrize("n", range(8))
+    def test_recursion_matches_enumeration(self, n):
+        assert count_table(n).counts == count_shapes(n, shape_words(n))
 
-    def test_jobs_parameter(self):
-        assert count_table(4, jobs=2).counts == count_table(4).counts
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_beyond_enumeration(self, n):
+        table = count_table(n)
+        assert table.total() == math.factorial(n + 1)
+        assert sum(c for (i, _, _), c in table.counts.items() if i == 0) == math.factorial(n)
+        assert table.free_poly() == product_formula(n)
+        counts = table.counts
+        assert all(counts[(i, j, k)] == counts.get((j, i, n - k), 0) for (i, j, k) in counts)
+
+    def test_weight_cap(self, monkeypatch):
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_WEIGHT_N"):
+            count_table(13)
+        monkeypatch.setenv("ALTAB_MAX_WEIGHT_N", "3")
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_WEIGHT_N"):
+            count_table(4)
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_WEIGHT_N"):
+            weight_poly("DEDE")
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_WEIGHT_N"):
+            asep_distribution(AsepParams(4, Fraction(1), Fraction(1), Fraction(1)))
+        assert count_table(4, cap=4).total() == 120
 
     @pytest.mark.parametrize("n", range(5))
     def test_cardinality_chain(self, n):
@@ -167,6 +185,16 @@ class TestWeights:
         assert weight_poly("D") == y
         assert weight_poly("E") == x
 
+    def test_rejects_letters_other_than_d_and_e(self):
+        with pytest.raises(DomainError) as err:
+            weight_poly("DX")
+        assert err.value.code == "bad-word"
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_recursion_matches_enumeration(self, n):
+        for word in shape_words(n):
+            assert weight_poly(word) == weight_poly_by_fillings(word), word
+
     def test_total_weight_counts_fillings(self):
         one = Fraction(1)
         for n in range(6):
@@ -178,18 +206,19 @@ class TestWeights:
     @pytest.mark.parametrize("length", range(2, 7))
     def test_commutation_identity(self, length):
         # Weight of u.DE.v equals q * weight(u.ED.v) + weight(u.D.v) + weight(u.E.v)
-        # for every placement inside every word.
+        # for every placement inside every word.  Checked on the enumerated
+        # weights: weight_poly is built from this identity.
         q = Poly3.var("q")
         for word in shape_words(length):
             for k in range(length - 1):
                 if word[k : k + 2] != "DE":
                     continue
                 u, v = word[:k], word[k + 2 :]
-                lhs = weight_poly(word)
+                lhs = weight_poly_by_fillings(word)
                 rhs = (
-                    q * weight_poly(u + "ED" + v)
-                    + weight_poly(u + "D" + v)
-                    + weight_poly(u + "E" + v)
+                    q * weight_poly_by_fillings(u + "ED" + v)
+                    + weight_poly_by_fillings(u + "D" + v)
+                    + weight_poly_by_fillings(u + "E" + v)
                 )
                 assert lhs == rhs, word
 
@@ -210,6 +239,11 @@ class TestAsep:
                 dist = asep_distribution(AsepParams(1, q, alpha, beta))
                 assert dist["*"] == alpha / (alpha + beta)
                 assert dist["o"] == beta / (alpha + beta)
+
+    def test_integer_rates_stay_exact(self):
+        dist = asep_distribution(AsepParams(2, 1, 1, 1))
+        assert all(isinstance(v, Fraction) for v in dist.values())
+        assert dist == chain_stationary(AsepParams(2, 1, 1, 1))
 
     def test_symmetric_two_state(self):
         dist = chain_stationary(AsepParams(1, Fraction(1), Fraction(1, 2), Fraction(1, 2)))
@@ -233,6 +267,40 @@ class TestAsep:
             solved = chain_stationary(p)
             assert dist == solved
             assert sum(dist.values()) == 1
+
+    def test_chain_cap_is_its_own(self, monkeypatch):
+        # Raising the enumeration cap must not raise the dense 2^n solve.
+        monkeypatch.setenv("ALTAB_MAX_N", "9")
+        p = AsepParams(7, Fraction(1), Fraction(1), Fraction(1))
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_CHAIN_N"):
+            chain_stationary(p)
+        monkeypatch.setenv("ALTAB_MAX_CHAIN_N", "1")
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_CHAIN_N"):
+            chain_stationary(AsepParams(2, Fraction(1), Fraction(1), Fraction(1)))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.integers(min_value=7, max_value=10),
+        q=st.fractions(min_value=0, max_value=1, max_denominator=12),
+        alpha=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(bool),
+        beta=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(bool),
+    )
+    def test_global_balance_beyond_the_chain_solve(self, n, q, alpha, beta):
+        # Inflow equals outflow at every state, from the sparse list of moves.
+        pi = asep_distribution(AsepParams(n, q, alpha, beta))
+        assert sum(pi.values()) == 1 and all(v > 0 for v in pi.values())
+        flow = dict.fromkeys(pi, Fraction(0))
+        for s, p_s in pi.items():
+            moves = [(s[:i] + "o*" + s[i + 2 :], 1) for i in range(n - 1) if s[i : i + 2] == "*o"]
+            moves += [(s[:i] + "*o" + s[i + 2 :], q) for i in range(n - 1) if s[i : i + 2] == "o*"]
+            if s[0] == "o":
+                moves.append(("*" + s[1:], alpha))
+            if s[-1] == "*":
+                moves.append((s[:-1] + "o", beta))
+            for target, rate in moves:
+                flow[s] -= p_s * rate
+                flow[target] += p_s * rate
+        assert all(f == 0 for f in flow.values())
 
     def test_stationarity_directly(self):
         p = AsepParams(3, Fraction(1, 2), Fraction(2, 3), Fraction(1, 2))
