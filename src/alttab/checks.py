@@ -22,7 +22,11 @@ from .core import (
 )
 from .decomposition import merge_all, split
 from .enumeration import (
+    CHAIN_CAP,
+    ENUMERATION_CAP,
+    WEIGHT_CAP,
     AsepParams,
+    _check_cap,
     FormulaCheck,
     all_tableaux,
     all_via_perm,
@@ -39,7 +43,6 @@ from .enumeration import (
     weight_poly,
     weight_poly_by_fillings,
 )
-from .errors import DomainError
 from .permutations import (
     from_permutation,
     perm_stats,
@@ -287,13 +290,22 @@ SUITES = {
     "asep": asep_checks,
 }
 
+# The caps each suite runs into, all checked before any suite starts, so an
+# oversized size is refused at once instead of after every smaller one.
+SUITE_CAPS = {
+    "bijections": (ENUMERATION_CAP,),
+    "counts": (ENUMERATION_CAP, WEIGHT_CAP),
+    "series": (WEIGHT_CAP,),
+    "asep": (ENUMERATION_CAP, WEIGHT_CAP, CHAIN_CAP),
+}
+
 
 def run_suite(suite: str, n_max: int) -> list[FormulaCheck]:
-    if n_max < 0:
-        raise DomainError("bad-size", f"negative size {n_max}")
-    if suite == "all":
-        out = []
-        for fn in SUITES.values():
-            out.extend(fn(n_max))
-        return out
-    return SUITES[suite](n_max)
+    names = list(SUITES) if suite == "all" else [suite]
+    for name in names:
+        for setting in SUITE_CAPS[name]:
+            _check_cap(n_max, None, f"verify suite {name}", setting)
+    out = []
+    for name in names:
+        out.extend(SUITES[name](n_max))
+    return out

@@ -55,7 +55,7 @@ def _check_cap(
     limit = cap if cap is not None else int(os.environ.get(var, default))
     if n > limit:
         raise ResourceLimitError(
-            f"{what} for n={n} exceeds the cap {limit}; set {var} or pass cap= to raise it"
+            f"{what} for n={n} exceeds the cap {limit}; set {var} to raise it"
         )
     if n < 0:
         raise DomainError("bad-size", f"negative size {n}")
@@ -248,6 +248,7 @@ class CountTable:
 def count_shapes(n: int, words: Iterable[str]) -> dict[tuple[int, int, int], int]:
     """Count fillings of the given shapes by (frow, fcol, rows) by enumeration;
     the oracle for ``count_table``."""
+    _check_cap(n, None, "enumerative counting")
     counts: dict[tuple[int, int, int], int] = {}
     labels = tuple(range(1, n + 1))
     for word in words:
@@ -284,11 +285,16 @@ def product_formula(n: int) -> Poly3:
 # Weights and the exclusion process
 
 
-def weight_poly(word: str, cap: int | None = None) -> Poly3:
-    """Sum of q^fcell x^fcol y^frow over all fillings of the shape."""
-    _check_cap(len(word), cap, "weight polynomial", WEIGHT_CAP)
+def weight_poly(word: str) -> Poly3:
+    """Sum of q^fcell x^fcol y^frow over all fillings of the shape.
+
+    Leading E steps and trailing D steps bound no cell and are only carried to
+    the leaves, so the cap applies to the steps between them.
+    """
     if set(word) - {"D", "E"}:
         raise DomainError("bad-word", f"border word {word!r} is not over D and E")
+    core = len(word.lstrip("E").rstrip("D"))
+    _check_cap(core, None, "weight polynomial (steps from the first D to the last E)", WEIGHT_CAP)
     return _corner_sums([word], _poly_leaf, _poly_times_q)[word]
 
 

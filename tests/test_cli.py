@@ -199,6 +199,26 @@ class TestVerify:
             run(capsys, monkeypatch, ["verify", "--suite", "all", "--n", "-1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "suite, n, var",
+        (
+            ("counts", "10", "ALTAB_MAX_N"),
+            ("all", "10", "ALTAB_MAX_N"),
+            ("asep", "7", "ALTAB_MAX_CHAIN_N"),
+            ("series", "13", "ALTAB_MAX_WEIGHT_N"),
+        ),
+    )
+    def test_oversized_suite_is_refused_before_any_work(
+        self, capsys, monkeypatch, suite, n, var
+    ):
+        def no_enumeration(word):
+            raise AssertionError(f"enumerated shape {word} before refusing")
+
+        monkeypatch.setattr("alttab.enumeration.fillings", no_enumeration)
+        monkeypatch.setattr("alttab.enumeration._corner_sums", no_enumeration)
+        code, out, err = run(capsys, monkeypatch, ["verify", "--suite", suite, "--n", n])
+        assert code == 1 and out == "" and var in err
+
 
 class TestAsepRender:
     def test_asep_output(self, capsys, monkeypatch):

@@ -167,6 +167,18 @@ class TestCountTable:
             asep_distribution(AsepParams(4, Fraction(1), Fraction(1), Fraction(1)))
         assert count_table(4, cap=4).total() == 120
 
+    def test_weight_cap_counts_only_steps_that_bound_cells(self, monkeypatch):
+        # Leading E and trailing D steps bound no cell, so they cost nothing.
+        assert weight_poly("E" * 13) == Poly3.monomial(0, 13, 0)
+        assert weight_poly("E" * 12 + "D") == Poly3.monomial(0, 12, 1)
+        assert weight_poly("E" * 3 + "DE" + "D" * 9) == weight_poly_by_fillings("EEEDEDDDDDDDDD")
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_WEIGHT_N"):
+            weight_poly("D" * 7 + "E" * 6)
+        monkeypatch.setenv("ALTAB_MAX_WEIGHT_N", "3")
+        assert weight_poly("EEEEDEEDDDD") == weight_poly_by_fillings("EEEEDEEDDDD")
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_WEIGHT_N"):
+            weight_poly("EDEDED")
+
     @pytest.mark.parametrize("n", range(5))
     def test_cardinality_chain(self, n):
         # Cutting an extremal line relates the counts two sizes apart.
