@@ -50,6 +50,8 @@ from .permutations import (
     to_permutation_by_insertion,
 )
 from .trees import (
+    _binary_pair_by_divide,
+    _to_forest_by_cut,
     arc_diagram,
     arcs_to_forest,
     binary_pair,
@@ -98,6 +100,11 @@ def bijection_checks(n_max: int) -> list[FormulaCheck]:
             lambda t: from_forest(to_forest(t)) == t,
         ),
         _per_tableau(
+            "forest equals the cut/split construction",
+            n_max,
+            lambda t: to_forest(t) == _to_forest_by_cut(t),
+        ),
+        _per_tableau(
             "arc diagram agrees with the forest route",
             n_max,
             lambda t: arc_diagram(t) == forest_to_arcs(to_forest(t)),
@@ -136,6 +143,11 @@ def bijection_checks(n_max: int) -> list[FormulaCheck]:
             "binary-tree pair round trip",
             min(n_max, 5),
             lambda t: binary_pair_inv(binary_pair(t)) == t,
+        ),
+        _per_tableau(
+            "binary pair equals the divide construction",
+            min(n_max, 5),
+            lambda t: binary_pair(t) == _binary_pair_by_divide(t),
         ),
         _per_tableau(
             "free cells equal arc out-crossings",

@@ -62,10 +62,17 @@ from .trees import (
 REPS = ("alt", "permtab", "forest", "arcs", "bintrees", "perm", "signedperm")
 
 
+class UsageError(Exception):
+    """Bad command-line input that argparse cannot see, such as an unreadable file."""
+
+
 def _read_input(path: str | None) -> str:
     if path and path != "-":
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
     return sys.stdin.read()
 
 
@@ -315,6 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except TableauError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

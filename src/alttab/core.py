@@ -19,6 +19,7 @@ each column holds a 1 and no 0 has a 1 above it and a 1 to its left.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -64,10 +65,15 @@ class AltTableau:
 
     def __post_init__(self) -> None:
         bad = _check_labels_word(self.labels, self.word)
+        arrows = tuple(Arrow(*a) for a in self.arrows)
+        bad.extend(
+            Violation("bad-arrow-kind", f"{a.kind!r} at ({a.row},{a.col})")
+            for a in arrows
+            if a.kind not in (LEFT, UP)
+        )
         if bad:
             raise ValidationError(bad)
-        arrows = tuple(sorted(Arrow(*a) for a in self.arrows))
-        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "arrows", tuple(sorted(arrows)))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -112,9 +118,25 @@ def validate_alt(
     labels: Sequence[int], word: str, arrows: Sequence[tuple[int, int, str]]
 ) -> AltTableau:
     """Check candidate data and return the tableau, or raise listing every violation."""
-    bad = _check_labels_word(labels, word)
+    bad = _alt_violations(labels, word, arrows)
     if bad:
         raise ValidationError(bad)
+    return AltTableau(tuple(labels), word, tuple(Arrow(i, j, k) for i, j, k in arrows))
+
+
+def _check_valid(t: AltTableau) -> None:
+    """Raise the violations :func:`validate_alt` would report for ``t``'s data."""
+    bad = _alt_violations(t.labels, t.word, t.arrows)
+    if bad:
+        raise ValidationError(bad)
+
+
+def _alt_violations(
+    labels: Sequence[int], word: str, arrows: Sequence[tuple[int, int, str]]
+) -> list[Violation]:
+    bad = _check_labels_word(labels, word)
+    if bad:
+        return bad
     rows = {l for l, c in zip(labels, word) if c == "D"}
     cols = {l for l, c in zip(labels, word) if c == "E"}
     seen: dict[tuple[int, int], str] = {}
@@ -129,12 +151,29 @@ def validate_alt(
             bad.append(Violation("duplicate-cell", f"two arrows on cell ({i},{j})"))
             continue
         seen[(i, j)] = kind
-    # Emptiness: cells pointed at by an arrow must not be occupied.
-    for (i, j), kind in sorted(seen.items()):
+    # Emptiness: cells pointed at by an arrow must not be occupied.  In
+    # row-major order each row's occupied cells come by increasing column and
+    # each column's by increasing row, so a left arrow points at a suffix of
+    # its row's list and an up arrow at a prefix of its column's.  Each
+    # arrow's hits are listed in the iteration order of the line sets.
+    row_rank = {i: k for k, i in enumerate(rows)}
+    col_rank = {j: k for k, j in enumerate(cols)}
+    cells = sorted(seen)
+    in_row: dict[int, list[int]] = {}
+    in_col: dict[int, list[int]] = {}
+    for i, j in cells:
+        in_row.setdefault(i, []).append(j)
+        in_col.setdefault(j, []).append(i)
+    for i, j in cells:
+        kind = seen[(i, j)]
         if kind == LEFT:
-            hit = [(i, j2) for j2 in cols if j2 > j and (i, j2) in seen]
+            line = in_row[i]
+            hits = sorted(line[bisect_right(line, j) :], key=col_rank.__getitem__)
+            hit = [(i, j2) for j2 in hits]
         else:
-            hit = [(i2, j) for i2 in rows if i2 < i and (i2, j) in seen]
+            line = in_col[j]
+            hits = sorted(line[: bisect_left(line, i)], key=row_rank.__getitem__)
+            hit = [(i2, j) for i2 in hits]
         for cell in hit:
             bad.append(
                 Violation(
@@ -142,9 +181,7 @@ def validate_alt(
                     f"{kind} arrow at ({i},{j}) points at occupied cell {cell}",
                 )
             )
-    if bad:
-        raise ValidationError(bad)
-    return AltTableau(tuple(labels), word, tuple(Arrow(i, j, k) for i, j, k in arrows))
+    return bad
 
 
 @dataclass(frozen=True)
@@ -345,6 +382,8 @@ def from_perm_tableau(p: PermTableau) -> AltTableau:
 
     Non-superfluous 1s become up arrows and each row's rightmost restricted 0
     becomes a left arrow; the top row is then removed together with its label.
+    A 1 is superfluous, and a 0 restricted, when its column has a 1 in a row
+    above it, that is, when the column's topmost 1 lies higher.
     """
     if not p.labels:
         raise DomainError("nothing-to-cut", "permutation tableau has no top row")
@@ -352,20 +391,16 @@ def from_perm_tableau(p: PermTableau) -> AltTableau:
     if p.word[0] != "D":
         raise DomainError("bad-top-row", "smallest label does not label a row")
     rows, cols = p.rows, p.columns
+    row_set = set(rows)
     ones = set(p.ones)
-    arrows = []
+    topmost: dict[int, int] = {}
     for i, j in ones:
-        if i == top:
-            continue
-        if not any((i2, j) in ones for i2 in rows if i2 < i):
-            arrows.append(Arrow(i, j, UP))
-    for i in rows:
-        if i == top:
-            continue
+        if i in row_set and i < topmost.get(j, i + 1):
+            topmost[j] = i
+    arrows = [Arrow(i, j, UP) for i, j in ones if i != top and not topmost.get(j, i) < i]
+    for i in rows[1:]:  # rows[0] is the top row
         restricted = [
-            j
-            for j in cols
-            if i < j and (i, j) not in ones and any((i2, j) in ones for i2 in rows if i2 < i)
+            j for j in cols if i < j and (i, j) not in ones and topmost.get(j, i) < i
         ]
         if restricted:
             arrows.append(Arrow(i, min(restricted), LEFT))  # smallest label = rightmost cell

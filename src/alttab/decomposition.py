@@ -5,14 +5,20 @@ with n-1 arrows), one per free row or column, over a partition of its label
 set; ``merge_all`` reassembles them.  ``cut``/``block`` remove or insert an
 extremal row/column, and ``divide`` groups the components into a rows-only
 part and a columns-only part.
+
+The components are the trees of the tableau's plane alternative forest,
+which reads straight off the arrows (:func:`_arrow_forest`): its edges are
+the arrow cells and its roots the free lines.  ``split`` and ``divide`` group
+the labels by tree in one pass; the closure-and-restrict constructions of the
+paper stay as the oracles ``_split_by_closure`` and ``_divide_by_closure``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from typing import Hashable, Iterable, Literal, Mapping
 
-from .core import LEFT, UP, AltTableau, Arrow, free_stats, validate_alt
-from .errors import DomainError, ValidationError
+from .core import LEFT, UP, AltTableau, Arrow, _check_valid, free_stats, validate_alt
+from .errors import DomainError, ValidationError, Violation
 
 ROW_PACKED = "row"
 COL_PACKED = "col"
@@ -30,7 +36,10 @@ def packed_class(t: AltTableau) -> str:
         if len(t) > 1:
             # Consistency: the top-left cell of a column-packed tableau holds a left arrow.
             top, left = min(t.rows), max(t.columns)
-            assert t.arrow_map().get((top, left)) == LEFT
+            if t.arrow_map().get((top, left)) != LEFT:
+                raise ValidationError(
+                    [Violation("packed-corner", f"no left arrow at top-left cell ({top},{left})")]
+                )
         return COL_PACKED
     return NOT_PACKED
 
@@ -142,8 +151,81 @@ def restrict(t: AltTableau, subset: Iterable[int]) -> AltTableau:
         raise DomainError("invalid-restriction", str(exc))
 
 
+def _arrow_forest(t: AltTableau) -> tuple[dict[int, list[int]], list[int]]:
+    """The plane alternative forest of ``t``, read straight off its arrows.
+
+    An up arrow at (i, j) makes column j a child of row i, a left arrow makes
+    row i a child of column j, and the free lines are the roots.  Returns the
+    children of every label in plane order (a row's by decreasing label, a
+    column's by increasing label) and the roots in increasing order.  Raises
+    ``ValidationError`` unless ``t`` is a valid tableau.
+    """
+    _check_valid(t)
+    children: dict[int, list[int]] = {l: [] for l in t.labels}
+    child_labels = set()
+    for i, j, kind in t.arrows:  # sorted by cell, so every list grows by label
+        if kind == UP:
+            children[i].append(j)
+            child_labels.add(j)
+        else:
+            children[j].append(i)
+            child_labels.add(i)
+    for i in t.rows:
+        children[i].reverse()
+    return children, [l for l in t.labels if l not in child_labels]
+
+
+def _tableau_from_edges(kinds: Mapping[int, str], edges: Iterable[tuple[int, int]]) -> AltTableau:
+    """Inverse of :func:`_arrow_forest`: the tableau on the labels of ``kinds``
+    (``D`` row, ``E`` column) whose arrows are the forest edges (parent, child)."""
+    labels = tuple(sorted(kinds))
+    arrows = tuple(
+        Arrow(p, c, UP) if kinds[p] == "D" else Arrow(c, p, LEFT) for p, c in edges
+    )
+    return AltTableau(labels, "".join(kinds[l] for l in labels), arrows)
+
+
+def _tree_roots(t: AltTableau) -> dict[int, int]:
+    """The root of the tree each label belongs to (validates ``t``)."""
+    children, roots = _arrow_forest(t)
+    root_of: dict[int, int] = {}
+    for r in roots:
+        stack = [r]
+        while stack:
+            label = stack.pop()
+            root_of[label] = r
+            stack.extend(children[label])
+    return root_of
+
+
+def _parts(t: AltTableau, part_of: Mapping[int, Hashable]) -> dict[Hashable, AltTableau]:
+    """Sub-tableaux of ``t`` on the classes of ``part_of``, each with its arrows;
+    every arrow must join two labels of one class."""
+    labels: dict[Hashable, list[int]] = {}
+    steps: dict[Hashable, list[str]] = {}
+    arrows: dict[Hashable, list[Arrow]] = {}
+    for l, c in zip(t.labels, t.word):
+        labels.setdefault(part_of[l], []).append(l)
+        steps.setdefault(part_of[l], []).append(c)
+    for a in t.arrows:
+        arrows.setdefault(part_of[a.row], []).append(a)
+    return {
+        k: AltTableau(tuple(ls), "".join(steps[k]), tuple(arrows.get(k, ())))
+        for k, ls in labels.items()
+    }
+
+
 def split(t: AltTableau) -> tuple[AltTableau, ...]:
-    """Packed components, one per free label, ordered by smallest label."""
+    """Packed components, one per free label, ordered by smallest label.
+
+    Each component is one tree of the forest read off the arrows.
+    """
+    parts = _parts(t, _tree_roots(t))
+    return tuple(sorted(parts.values(), key=lambda p: p.labels[0]))
+
+
+def _split_by_closure(t: AltTableau) -> tuple[AltTableau, ...]:
+    """Oracle for :func:`split`: restrict to the closure of each free label."""
     stats = free_stats(t)
     parts = [restrict(t, closure(t, k)) for k in sorted(stats.free_rows | stats.free_cols)]
     return tuple(sorted(parts, key=lambda p: p.labels[0]))
@@ -172,6 +254,14 @@ def divide(t: AltTableau) -> tuple[AltTableau, AltTableau]:
     """Split into (rows part, columns part): the unions of the free-row and
     free-column components.  The first has no free columns, the second no
     free rows, and merging them restores ``t``."""
+    kinds = t.kind_of
+    parts = _parts(t, {l: kinds[r] for l, r in _tree_roots(t).items()})
+    empty = AltTableau((), "")
+    return parts.get("D", empty), parts.get("E", empty)
+
+
+def _divide_by_closure(t: AltTableau) -> tuple[AltTableau, AltTableau]:
+    """Oracle for :func:`divide`: restrict to the union of the closures."""
     stats = free_stats(t)
     row_side: set[int] = set()
     for k in stats.free_rows:

@@ -512,7 +512,10 @@ def symmetric_tableaux(size: int, cap: int | None = None) -> Iterator[AltTableau
         for u in halves:
             half = relabel(u, chosen)
             t = merge(half, relabel(transpose(half), mirror))
-            assert transpose(t) == t
+            if transpose(t) != t:
+                raise DomainError(
+                    "not-symmetric", f"tableau built on {chosen} is not transpose-fixed"
+                )
             yield t
 
 

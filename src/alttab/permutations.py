@@ -95,15 +95,14 @@ def perm_stats(word: Sequence[int]) -> PermStats:
 
 def tree_word(t: PlaneAltTree) -> Word:
     """Postorder traversal: children's words left to right, then the root."""
+    # Root first, children right to left, read backwards, is the postorder.
     out: list[int] = []
-
-    def walk(node: PlaneAltTree) -> None:
-        for c in node.children:
-            walk(c)
+    stack = [t]
+    while stack:
+        node = stack.pop()
         out.append(node.label)
-
-    walk(t)
-    return tuple(out)
+        stack.extend(node.children)
+    return tuple(reversed(out))
 
 
 def word_to_tree(word: Sequence[int], color: str) -> PlaneAltTree:
@@ -166,7 +165,7 @@ def word_to_forest(word: Sequence[int]) -> PlaneAltForest:
     w = check_word(word)
     if not w:
         raise DomainError("bad-separator", "empty word has no separator")
-    _guard_size(len(w))
+    _guard_size(len(w) - 1)  # the forest's size: every letter but the separator
     cut_at = w.index(min(w))
     before, after = w[:cut_at], w[cut_at + 1 :]
     trees: list[PlaneAltTree] = []

@@ -8,6 +8,13 @@ Three equivalent pictures of the recursive decomposition:
 * alternative arc diagrams: points 0..n+1 with one arc per arrow cell plus
   virtual arcs to 0 (free columns) and n+1 (free rows) and the arc (0, n+1);
 * binary alternative trees: left children maximal, right children minimal.
+
+All three are read straight off the arrows: the forest edges are the arrow
+cells and its roots the free lines (``decomposition._arrow_forest``), and the
+binary pair is the forest's first-child/next-sibling form.  The paper's
+recursive cut/block constructions stay as the oracles ``_to_forest_by_cut``,
+``_from_forest_by_block``, ``_binary_pair_by_divide`` and
+``_binary_pair_inv_by_block``.
 """
 
 from __future__ import annotations
@@ -15,18 +22,21 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
-from .core import AltTableau, free_stats, standardize
+from .core import AltTableau
 from .decomposition import (
     COL_PACKED,
-    NOT_PACKED,
     ROW_PACKED,
+    _arrow_forest,
+    _divide_by_closure,
+    _split_by_closure,
+    _tableau_from_edges,
     block,
     cut,
-    divide,
+    merge,
     merge_all,
     packed_class,
-    split,
 )
 from .errors import DomainError, ParseError, ResourceLimitError, ValidationError, Violation
 
@@ -36,14 +46,19 @@ BLACK = "B"
 MIN_ROOTED = "min"
 MAX_ROOTED = "max"
 
-# Recursions below descend one tree level per call; cap input size well under
-# the interpreter stack limit.
-_DEPTH_LIMIT = int(os.environ.get("ALTAB_MAX_DEPTH", "200"))
+# Tree values compare, hash and print recursively, one level per call, and so
+# do the validators and the oracles; cap object sizes well under the
+# interpreter stack limit.
+DEPTH_CAP = ("ALTAB_MAX_DEPTH", 200)
 
 
 def _guard_size(n: int) -> None:
-    if n > _DEPTH_LIMIT:
-        raise ResourceLimitError(f"object of size {n} exceeds depth limit {_DEPTH_LIMIT}")
+    var, default = DEPTH_CAP
+    limit = int(os.environ.get(var, default))
+    if n > limit:
+        raise ResourceLimitError(
+            f"tree encoding for n={n} exceeds the cap {limit}; set {var} to raise it"
+        )
 
 
 @dataclass(frozen=True)
@@ -126,6 +141,40 @@ def validate_forest(f: PlaneAltForest) -> None:
         validate_tree(t)
 
 
+def _colors(t: AltTableau) -> dict[int, str]:
+    return {l: WHITE if c == "D" else BLACK for l, c in zip(t.labels, t.word)}
+
+
+def _plane_trees(
+    roots: Iterable[int], children: Mapping[int, list[int]], color: Mapping[int, str]
+) -> tuple[PlaneAltTree, ...]:
+    """Build the trees below ``roots`` bottom-up, without recursion."""
+    order = list(roots)
+    for label in order:  # breadth first: every parent before its children
+        order.extend(children[label])
+    built: dict[int, PlaneAltTree] = {}
+    for label in reversed(order):
+        kids = tuple(built.pop(c) for c in children[label])
+        built[label] = PlaneAltTree(color[label], label, kids)
+    return tuple(built[r] for r in roots)
+
+
+def _forest_edges(
+    trees: Iterable[PlaneAltTree],
+) -> tuple[dict[int, str], list[tuple[int, int]]]:
+    """Each label's step (``D`` white, ``E`` black) and the (parent, child) edges."""
+    kinds: dict[int, str] = {}
+    edges: list[tuple[int, int]] = []
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        kinds[node.label] = "D" if node.color == WHITE else "E"
+        for c in node.children:
+            edges.append((node.label, c.label))
+            stack.append(c)
+    return kinds, edges
+
+
 def to_tree(t: AltTableau) -> PlaneAltTree:
     """Encode a packed tableau as a plane alternative tree.
 
@@ -133,47 +182,59 @@ def to_tree(t: AltTableau) -> PlaneAltTree:
     the components of the cut tableau as subtrees; column-packed dually.
     """
     _guard_size(len(t))
-    cls = packed_class(t)
-    if cls == NOT_PACKED:
+    children, roots = _arrow_forest(t)
+    if len(roots) != 1:
         raise DomainError("not-packed", "tableau is not packed")
-    return _tree_rec(t, cls)
+    return _plane_trees(roots, children, _colors(t))[0]
+
+
+def from_tree(tree: PlaneAltTree) -> AltTableau:
+    """Inverse of :func:`to_tree`: the tree edges become the arrows."""
+    validate_tree(tree)
+    return _tableau_from_edges(*_forest_edges([tree]))
+
+
+def to_forest(t: AltTableau) -> PlaneAltForest:
+    """One tree per packed component of the tableau."""
+    _guard_size(len(t))
+    children, roots = _arrow_forest(t)
+    return PlaneAltForest(_plane_trees(roots, children, _colors(t)))
+
+
+def from_forest(f: PlaneAltForest) -> AltTableau:
+    validate_forest(f)
+    return _tableau_from_edges(*_forest_edges(f.trees))
+
+
+def _to_forest_by_cut(t: AltTableau) -> PlaneAltForest:
+    """Oracle for :func:`to_forest`: cut the root line, split, recurse."""
+    return PlaneAltForest(tuple(_tree_rec(c, packed_class(c)) for c in _split_by_closure(t)))
 
 
 def _tree_rec(t: AltTableau, cls: str) -> PlaneAltTree:
     if cls == ROW_PACKED:
         root = t.labels[0]  # the free row is the topmost one
         rest = cut(t, "row")
-        kids = [_tree_rec(c, COL_PACKED) for c in split(rest)]
+        kids = [_tree_rec(c, COL_PACKED) for c in _split_by_closure(rest)]
         kids.sort(key=lambda k: -k.label)
         return PlaneAltTree(WHITE, root, tuple(kids))
     root = t.labels[-1]  # the free column is the leftmost one
     rest = cut(t, "col")
-    kids = [_tree_rec(c, ROW_PACKED) for c in split(rest)]
+    kids = [_tree_rec(c, ROW_PACKED) for c in _split_by_closure(rest)]
     kids.sort(key=lambda k: k.label)
     return PlaneAltTree(BLACK, root, tuple(kids))
 
 
-def from_tree(tree: PlaneAltTree) -> AltTableau:
-    """Inverse of :func:`to_tree`: merge the children's tableaux, then block."""
-    validate_tree(tree)
-    return _from_tree_rec(tree)
+def _from_forest_by_block(f: PlaneAltForest) -> AltTableau:
+    """Oracle for :func:`from_forest`: merge the children's tableaux, then block."""
+    validate_forest(f)
+    return merge_all(_from_tree_rec(t) for t in f.trees)
 
 
 def _from_tree_rec(tree: PlaneAltTree) -> AltTableau:
     body = merge_all(_from_tree_rec(c) for c in tree.children)
     axis = "col" if tree.color == WHITE else "row"
     return block(body, axis, tree.label)
-
-
-def to_forest(t: AltTableau) -> PlaneAltForest:
-    """One tree per packed component of the tableau."""
-    _guard_size(len(t))
-    return PlaneAltForest(tuple(_tree_rec(c, packed_class(c)) for c in split(t)))
-
-
-def from_forest(f: PlaneAltForest) -> AltTableau:
-    validate_forest(f)
-    return merge_all(_from_tree_rec(t) for t in f.trees)
 
 
 # ---------------------------------------------------------------------------
@@ -224,26 +285,31 @@ def validate_arc_diagram(d: ArcDiagram) -> None:
             bad.append(Violation("not-a-tree", "arcs do not connect all points"))
     if points:
         extremal = (points[0], points[-1])
-        for arc in d.arcs:
-            if arc == extremal:
+        right, left = _extreme_ends(d)
+        for i, j in d.arcs:
+            if (i, j) == extremal:
                 continue
-            sides = int(_topmost_left(d, arc)) + int(_topmost_right(d, arc))
+            sides = int(right[i] == j) + int(left[j] == i)
             if sides != 1:
                 bad.append(
-                    Violation("topmost", f"arc {arc} is topmost on {sides} sides, expected 1")
+                    Violation("topmost", f"arc {(i, j)} is topmost on {sides} sides, expected 1")
                 )
     if bad:
         raise ValidationError(bad)
 
 
-def _topmost_left(d: ArcDiagram, arc: tuple[int, int]) -> bool:
-    i, j = arc
-    return not any(x == i and y > j for x, y in d.arcs)
+def _extreme_ends(d: ArcDiagram) -> tuple[dict[int, int], dict[int, int]]:
+    """Each point's largest right end and smallest left end.
 
-
-def _topmost_right(d: ArcDiagram, arc: tuple[int, int]) -> bool:
-    i, j = arc
-    return not any(y == j and x < i for x, y in d.arcs)
+    An arc (i, j) is topmost at its left end when j is the largest right end
+    of i, and topmost at its right end when i is the smallest left end of j.
+    """
+    right: dict[int, int] = {}
+    left: dict[int, int] = {}
+    for i, j in d.arcs:
+        right[i] = max(right.get(i, j), j)
+        left[j] = min(left.get(j, i), i)
+    return right, left
 
 
 def arc_diagram(t: AltTableau) -> ArcDiagram:
@@ -252,32 +318,26 @@ def arc_diagram(t: AltTableau) -> ArcDiagram:
     Arrow cells give arcs, free columns attach to 0, free rows to n+1, and
     the arc (0, n+1) is always present.
     """
-    t = t if t.is_standard() else standardize(t)
+    _, roots = _arrow_forest(t)
     n = len(t)
-    stats = free_stats(t)
-    arcs = [(a.row, a.col) for a in t.arrows]
-    arcs.extend((0, j) for j in stats.free_cols)
-    arcs.extend((i, n + 1) for i in stats.free_rows)
+    rank = {l: k for k, l in enumerate(t.labels, 1)}
+    kinds = t.kind_of
+    arcs = [(rank[a.row], rank[a.col]) for a in t.arrows]
+    arcs.extend((0, rank[r]) if kinds[r] == "E" else (rank[r], n + 1) for r in roots)
     arcs.append((0, n + 1))
     return ArcDiagram(tuple(range(n + 2)), tuple(arcs))
 
 
 def forest_to_arcs(f: PlaneAltForest) -> ArcDiagram:
     """Arc encoding of a forest on labels 1..n: tree edges plus virtual arcs."""
-    labels = sorted(f.labels())
+    kinds, edges = _forest_edges(f.trees)
+    labels = sorted(kinds)
     n = len(labels)
     if labels != list(range(1, n + 1)):
         raise DomainError("label-gap", f"labels {labels} are not 1..{n}")
     arcs: list[tuple[int, int]] = [(0, n + 1)]
-
-    def edges(node: PlaneAltTree) -> None:
-        for c in node.children:
-            arcs.append(tuple(sorted((node.label, c.label))))
-            edges(c)
-
-    for t in f.trees:
-        arcs.append((0, t.label) if t.color == BLACK else (t.label, n + 1))
-        edges(t)
+    arcs.extend((0, t.label) if t.color == BLACK else (t.label, n + 1) for t in f.trees)
+    arcs.extend((min(e), max(e)) for e in edges)
     return ArcDiagram(tuple(range(n + 2)), tuple(arcs))
 
 
@@ -291,26 +351,27 @@ def arcs_to_forest(d: ArcDiagram) -> PlaneAltForest:
     if len(d.points) < 2:
         raise DomainError("bad-points", "diagram needs at least the two virtual points")
     lo, hi = d.points[0], d.points[-1]
-    inner_arcs = [a for a in d.arcs if lo not in a and hi not in a]
     roots = sorted(
         {i for i, j in d.arcs if j == hi and i != lo}
         | {j for i, j in d.arcs if i == lo and j != hi}
     )
-    neighbors: dict[int, list[int]] = {}
-    for i, j in inner_arcs:
-        neighbors.setdefault(i, []).append(j)
-        neighbors.setdefault(j, []).append(i)
-    color = {}
-    for p in d.points[1:-1]:
-        has_out = any(x == p for x, _ in d.arcs)
-        color[p] = WHITE if has_out else BLACK
-
-    def build(p: int, parent: int | None) -> PlaneAltTree:
-        kids = [build(q, p) for q in neighbors.get(p, ()) if q != parent]
-        kids.sort(key=lambda k: -k.label if color[p] == WHITE else k.label)
-        return PlaneAltTree(color[p], p, tuple(kids))
-
-    forest = PlaneAltForest(tuple(build(r, None) for r in roots))
+    color = {p: BLACK for p in d.points[1:-1]}
+    neighbors: dict[int, list[int]] = {p: [] for p in color}
+    for i, j in d.arcs:
+        if i != lo:
+            color[i] = WHITE  # i has an outgoing arc
+        if i != lo and j != hi:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+    children: dict[int, list[int]] = {}
+    seen = set(roots)
+    order = list(roots)
+    for p in order:  # breadth first from the roots orients every edge
+        kids = sorted((q for q in neighbors[p] if q not in seen), reverse=color[p] == WHITE)
+        seen.update(kids)
+        children[p] = kids
+        order.extend(kids)
+    forest = PlaneAltForest(_plane_trees(roots, children, color))
     validate_forest(forest)
     return forest
 
@@ -330,12 +391,13 @@ def out_crossings(d: ArcDiagram) -> frozenset[tuple[int, int]]:
 
     For the diagram of a tableau these are exactly the free cells.
     """
+    right, left = _extreme_ends(d)
     out = set()
     for a in d.arcs:
-        if not _topmost_right(d, a):
+        if left[a[1]] != a[0]:
             continue
         for b in d.arcs:
-            if a[0] < b[0] < a[1] < b[1] and _topmost_left(d, b):
+            if a[0] < b[0] < a[1] < b[1] and right[b[0]] == b[1]:
                 out.add((b[0], a[1]))
     return frozenset(out)
 
@@ -395,14 +457,86 @@ def to_binary_tree(t: AltTableau, kind: str) -> BinAltTree | None:
     max-rooted) subtrees.
     """
     _guard_size(len(t))
-    stats = free_stats(t)
-    if kind == MIN_ROOTED and stats.fcol != 0:
+    b_min, b_max = binary_pair(t)
+    if kind == MIN_ROOTED and b_max is not None:
         raise DomainError("wrong-class", "min-rooted encoding needs a tableau with no free columns")
-    if kind == MAX_ROOTED and stats.frow != 0:
+    if kind == MAX_ROOTED and b_min is not None:
         raise DomainError("wrong-class", "max-rooted encoding needs a tableau with no free rows")
     if kind not in (MIN_ROOTED, MAX_ROOTED):
         raise DomainError("bad-kind", f"unknown kind {kind!r}")
-    return _bin_rec(t, kind)
+    return b_min if kind == MIN_ROOTED else b_max
+
+
+def from_binary_tree(tree: BinAltTree | None, kind: str) -> AltTableau:
+    validate_bin_tree(tree, kind)
+    return _binary_tableau([tree])
+
+
+def binary_pair(t: AltTableau) -> tuple[BinAltTree | None, BinAltTree | None]:
+    """Encode any tableau as (min-rooted tree, max-rooted tree).
+
+    The pair is the first-child/next-sibling form of the forest: the white
+    trees by increasing root give the min-rooted tree and the black trees by
+    decreasing root the max-rooted one.  A white node's left child is its
+    first child and its right child its next sibling; a black node's are
+    the other way round.
+    """
+    children, roots = _arrow_forest(t)
+    kinds = t.kind_of
+    whites = [r for r in roots if kinds[r] == "D"]
+    blacks = [r for r in reversed(roots) if kinds[r] == "E"]
+    sibling: dict[int, int] = {}
+    for line in (whites, blacks, *children.values()):
+        sibling.update(zip(line, line[1:]))
+    order = whites + blacks
+    for label in order:  # breadth first: children and later siblings come after
+        order.extend(children[label])
+    built: dict[int | None, BinAltTree | None] = {None: None}
+    for label in reversed(order):
+        kids = children[label]
+        first = built[kids[0]] if kids else None
+        after = built[sibling.get(label)]
+        if kinds[label] == "D":
+            built[label] = BinAltTree(label, first, after, MIN_ROOTED)
+        else:
+            built[label] = BinAltTree(label, after, first, MAX_ROOTED)
+    return built[whites[0] if whites else None], built[blacks[0] if blacks else None]
+
+
+def binary_pair_inv(pair: tuple[BinAltTree | None, BinAltTree | None]) -> AltTableau:
+    b_min, b_max = pair
+    validate_bin_tree(b_min, MIN_ROOTED)
+    validate_bin_tree(b_max, MAX_ROOTED)
+    return _binary_tableau(pair)
+
+
+def _binary_tableau(trees: Iterable[BinAltTree | None]) -> AltTableau:
+    """The tableau of validated binary trees: each node's first child (left of
+    a min node, right of a max node) hangs below it in the forest, and its
+    next sibling (the other child) below its parent."""
+    kinds: dict[int, str] = {}
+    edges: list[tuple[int, int]] = []
+    stack: list[tuple[BinAltTree | None, int | None]] = [(b, None) for b in trees]
+    while stack:
+        node, parent = stack.pop()
+        if node is None:
+            continue
+        if node.label in kinds:
+            raise DomainError("label-collision", f"label {node.label} appears twice")
+        white = node.kind == MIN_ROOTED
+        kinds[node.label] = "D" if white else "E"
+        if parent is not None:
+            edges.append((parent, node.label))
+        first, after = (node.left, node.right) if white else (node.right, node.left)
+        stack.append((first, node.label))
+        stack.append((after, parent))
+    return _tableau_from_edges(kinds, edges)
+
+
+def _binary_pair_by_divide(t: AltTableau) -> tuple[BinAltTree | None, BinAltTree | None]:
+    """Oracle for :func:`binary_pair`: cut the root line, divide, recurse."""
+    p, q = _divide_by_closure(t)
+    return _bin_rec(p, MIN_ROOTED), _bin_rec(q, MAX_ROOTED)
 
 
 def _bin_rec(t: AltTableau, kind: str) -> BinAltTree | None:
@@ -414,18 +548,19 @@ def _bin_rec(t: AltTableau, kind: str) -> BinAltTree | None:
     else:
         root = t.labels[-1]
         rest = cut(t, "col")
-    p, q = divide(rest)
+    p, q = _divide_by_closure(rest)
     return BinAltTree(root, _bin_rec(q, MAX_ROOTED), _bin_rec(p, MIN_ROOTED), kind)
 
 
-def from_binary_tree(tree: BinAltTree | None, kind: str) -> AltTableau:
-    validate_bin_tree(tree, kind)
-    return _from_bin_rec(tree, kind)
+def _binary_pair_inv_by_block(pair: tuple[BinAltTree | None, BinAltTree | None]) -> AltTableau:
+    """Oracle for :func:`binary_pair_inv`: merge the subtrees' tableaux, then block."""
+    b_min, b_max = pair
+    validate_bin_tree(b_min, MIN_ROOTED)
+    validate_bin_tree(b_max, MAX_ROOTED)
+    return merge(_from_bin_rec(b_min, MIN_ROOTED), _from_bin_rec(b_max, MAX_ROOTED))
 
 
 def _from_bin_rec(tree: BinAltTree | None, kind: str) -> AltTableau:
-    from .decomposition import merge
-
     if tree is None:
         return AltTableau((), "")
     p = _from_bin_rec(tree.right, MIN_ROOTED)
@@ -433,21 +568,6 @@ def _from_bin_rec(tree: BinAltTree | None, kind: str) -> AltTableau:
     body = merge(p, q)
     axis = "col" if kind == MIN_ROOTED else "row"
     return block(body, axis, tree.label)
-
-
-def binary_pair(t: AltTableau) -> tuple[BinAltTree | None, BinAltTree | None]:
-    """Encode any tableau as (min-rooted tree, max-rooted tree) via divide."""
-    p, q = divide(t)
-    return _bin_rec(p, MIN_ROOTED), _bin_rec(q, MAX_ROOTED)
-
-
-def binary_pair_inv(pair: tuple[BinAltTree | None, BinAltTree | None]) -> AltTableau:
-    from .decomposition import merge
-
-    b_min, b_max = pair
-    validate_bin_tree(b_min, MIN_ROOTED)
-    validate_bin_tree(b_max, MAX_ROOTED)
-    return merge(_from_bin_rec(b_min, MIN_ROOTED), _from_bin_rec(b_max, MAX_ROOTED))
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +666,7 @@ def render_bin_pair(pair: tuple[BinAltTree | None, BinAltTree | None]) -> str:
 
 def parse_bin_pair(text: str) -> tuple[BinAltTree | None, BinAltTree | None]:
     """Parse two binary trees (min-rooted then max-rooted), ``-`` for empty."""
+    _guard_size(text.count("("))  # each node opens one parenthesis and one level
     first, idx = _parse_bin_at(text, 0, MIN_ROOTED)
     second, idx = _parse_bin_at(text, idx, MAX_ROOTED)
     if text[idx:].strip():

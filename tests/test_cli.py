@@ -139,6 +139,20 @@ class TestConvert:
         )
         assert code == 1
 
+    def test_deep_binary_pair_is_refused_by_the_depth_cap(self, capsys, monkeypatch):
+        deep = "(1 L:- R:" * 3000 + "-" + ")" * 3000 + " -"
+        code, out, err = run(
+            capsys, monkeypatch, ["convert", "--from", "bintrees", "--to", "alt"], deep
+        )
+        assert code == 1 and out == "" and "ALTAB_MAX_DEPTH" in err
+
+    def test_missing_input_file_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
+        missing = str(tmp_path / "missing")
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, monkeypatch, ["convert", "--from", "perm", "--to", "alt", missing])
+        assert exc.value.code == 2
+        assert missing in capsys.readouterr().err
+
 
 class TestSplitMerge:
     def test_split_then_merge(self, capsys, monkeypatch):

@@ -72,6 +72,22 @@ class TestValidation:
             validate_alt((2, 1), "DE", [])
         assert any(v.code == "label-order" for v in err.value.violations)
 
+    def test_violation_list(self):
+        arrows = [(3, 1, "L"), (2, 4, "U"), (1, 4, "L"), (1, 3, "U"), (2, 3, "L"), (1, 3, "L")]
+        with pytest.raises(ValidationError) as err:
+            validate_alt((1, 2, 3, 4), "DDEE", arrows)
+        assert [(v.code, v.detail) for v in err.value.violations] == [
+            ("arrow-off-shape", "L arrow on nonexistent cell (3,1)"),
+            ("duplicate-cell", "two arrows on cell (1,3)"),
+            ("pointed-cell-occupied", "L arrow at (2,3) points at occupied cell (2, 4)"),
+            ("pointed-cell-occupied", "U arrow at (2,4) points at occupied cell (1, 4)"),
+        ]
+
+    def test_constructor_rejects_unknown_arrow_kind(self):
+        with pytest.raises(ValidationError) as err:
+            AltTableau((1, 2), "DE", ((1, 2, "X"),))
+        assert [v.code for v in err.value.violations] == ["bad-arrow-kind"]
+
     def test_all_violations_reported(self):
         with pytest.raises(ValidationError) as err:
             validate_alt((1, 2, 3), "DEE", [(1, 2, "L"), (1, 3, "U"), (5, 9, "L")])

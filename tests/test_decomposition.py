@@ -7,11 +7,13 @@ import itertools
 import pytest
 from hypothesis import given
 
-from alttab.core import empty_tableau, free_stats, relabel, standard_tableau
+from alttab.core import AltTableau, empty_tableau, free_stats, relabel, standard_tableau
 from alttab.decomposition import (
     COL_PACKED,
     NOT_PACKED,
     ROW_PACKED,
+    _divide_by_closure,
+    _split_by_closure,
     block,
     closure,
     cut,
@@ -24,7 +26,7 @@ from alttab.decomposition import (
     split,
 )
 from alttab.enumeration import all_tableaux
-from alttab.errors import DomainError
+from alttab.errors import DomainError, ValidationError
 
 from conftest import tableaux
 
@@ -38,6 +40,15 @@ class TestPackedClass:
 
     def test_corpus_not_packed(self, t0):
         assert packed_class(t0) == NOT_PACKED
+
+    def test_column_packed_corner_is_checked(self):
+        # Built without validation: column 2 is the only free line, but the
+        # top-left cell (1,3) holds an up arrow.  The check is an explicit
+        # raise, so it holds under python -O too.
+        t = AltTableau((1, 2, 3), "DEE", ((1, 2, "L"), (1, 3, "U")))
+        with pytest.raises(ValidationError) as err:
+            packed_class(t)
+        assert err.value.violations[0].code == "packed-corner"
 
     def test_packed_arrow_count(self):
         # A packed tableau of length n carries exactly n-1 arrows.
@@ -212,6 +223,12 @@ class TestSplitMerge:
                 assert packed_class(p) != NOT_PACKED
                 assert len(p.arrows) == len(p) - 1
             assert merge_all(parts) == t
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_split_and_divide_equal_the_closure_construction(self, n):
+        for t in all_tableaux(n):
+            assert split(t) == _split_by_closure(t)
+            assert divide(t) == _divide_by_closure(t)
 
     def test_split_injective_small(self):
         for n in range(5):

@@ -373,6 +373,13 @@ class TestDecoratedAndSymmetric:
         filtered = sum(1 for t in all_tableaux(size) if transpose(t) == t)
         assert filtered == len(built)
 
+    def test_symmetric_construction_checks_symmetry(self, monkeypatch):
+        # The check is an explicit raise, so it holds under python -O too.
+        monkeypatch.setattr("alttab.enumeration.merge", lambda half, mirror: half)
+        with pytest.raises(DomainError) as err:
+            list(symmetric_tableaux(2))
+        assert err.value.code == "not-symmetric"
+
     def test_symmetric_odd_size_rejected(self):
         with pytest.raises(DomainError):
             list(symmetric_tableaux(3))

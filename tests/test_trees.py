@@ -5,13 +5,25 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from alttab.core import empty_tableau, free_stats, relabel, standard_tableau
-from alttab.decomposition import restrict
+from alttab.core import AltTableau, Arrow, empty_tableau, free_stats, relabel, standard_tableau
+from alttab.decomposition import _divide_by_closure, _split_by_closure, divide, restrict, split
 from alttab.enumeration import all_tableaux
-from alttab.errors import DomainError, ParseError, ValidationError
+from alttab.errors import (
+    DomainError,
+    ParseError,
+    ResourceLimitError,
+    TableauError,
+    ValidationError,
+)
+from alttab.permutations import from_permutation, to_permutation
 from alttab.trees import (
+    _binary_pair_by_divide,
+    _binary_pair_inv_by_block,
+    _from_forest_by_block,
+    _to_forest_by_cut,
     MAX_ROOTED,
     MIN_ROOTED,
     ArcDiagram,
@@ -52,6 +64,50 @@ T0_ARCS = {
     (4, 14), (11, 14), (13, 14),
     (0, 14),
 }
+
+
+def outcome(fn, arg):
+    """``fn(arg)``, or the fact that it raised a domain error."""
+    try:
+        return fn(arg)
+    except TableauError:
+        return "raised"
+
+
+_labels = st.integers(min_value=0, max_value=7)
+
+
+def forests():
+    """Small forests of any colors, labels and child orders, mostly invalid."""
+    trees = st.recursive(
+        st.builds(PlaneAltTree, st.sampled_from("WB"), _labels),
+        lambda kids: st.builds(
+            PlaneAltTree, st.sampled_from("WB"), _labels, st.lists(kids, max_size=3).map(tuple)
+        ),
+        max_leaves=6,
+    )
+    return st.lists(trees, max_size=3).map(lambda ts: PlaneAltForest(tuple(ts)))
+
+
+def bin_pairs():
+    """Pairs of small binary trees of any labels, mostly invalid; half of them
+    carry the kinds their positions require."""
+    trees = st.recursive(
+        st.none(),
+        lambda sub: st.builds(
+            BinAltTree, _labels, sub, sub, st.sampled_from((MIN_ROOTED, MAX_ROOTED))
+        ),
+        max_leaves=6,
+    )
+
+    def marked(b, kind):
+        if b is None:
+            return None
+        return BinAltTree(b.label, marked(b.left, MAX_ROOTED), marked(b.right, MIN_ROOTED), kind)
+
+    pairs = st.tuples(trees, trees)
+    kinded = pairs.map(lambda p: (marked(p[0], MIN_ROOTED), marked(p[1], MAX_ROOTED)))
+    return st.one_of(pairs, kinded)
 
 
 class TestPlaneTrees:
@@ -95,6 +151,15 @@ class TestPlaneTrees:
             validate_forest(forest)
             assert forest.size() == n
             assert from_forest(forest) == t
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_forest_equals_the_cut_split_construction(self, n):
+        for t in all_tableaux(n):
+            assert to_forest(t) == _to_forest_by_cut(t)
+
+    @given(forests())
+    def test_from_forest_agrees_with_the_block_construction(self, f):
+        assert outcome(from_forest, f) == outcome(_from_forest_by_block, f)
 
     def test_validator_rejects_wrong_order(self):
         bad = PlaneAltTree("B", 9, (PlaneAltTree("W", 7), PlaneAltTree("W", 6)))
@@ -215,6 +280,15 @@ class TestBinaryTrees:
             images.add(pair)
         assert len(images) == math.factorial(n + 1)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_pair_equals_the_divide_construction(self, n):
+        for t in all_tableaux(n):
+            assert binary_pair(t) == _binary_pair_by_divide(t)
+
+    @given(bin_pairs())
+    def test_pair_inverse_agrees_with_the_block_construction(self, pair):
+        assert outcome(binary_pair_inv, pair) == outcome(_binary_pair_inv_by_block, pair)
+
     def test_validator_rejects_bad_left_child(self):
         bad = BinAltTree(2, BinAltTree(1, kind=MAX_ROOTED), None, MIN_ROOTED)
         with pytest.raises(ValidationError):
@@ -230,10 +304,53 @@ def test_depth_guard():
         tree = PlaneAltTree("B", hi, (tree,))
         tree = PlaneAltTree("W", lo, (tree,))
         lo -= 1
-    from alttab.errors import ResourceLimitError
-
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="ALTAB_MAX_DEPTH"):
         validate_tree(tree)
+
+
+@st.composite
+def large_words_and_corruptions(draw):
+    """A random permutation of 0..n for n in 100..200, and one arrow to add
+    to its tableau that breaks validity."""
+    n = draw(st.integers(min_value=100, max_value=200))
+    word = tuple(draw(st.permutations(range(n + 1))))
+    return word, draw(st.sampled_from(("duplicate", "off-shape", "pointed"))), draw(st.randoms())
+
+
+def corrupt(t: AltTableau, how: str, rng) -> AltTableau:
+    """``t`` with one more arrow: on an occupied cell, off the shape, or on a
+    cell another arrow points at."""
+    if not t.arrows:
+        return AltTableau(t.labels, t.word, (Arrow(t.labels[-1], t.labels[0], "L"),))
+    a = rng.choice(t.arrows)
+    extra = Arrow(a.row, a.col, "U" if a.kind == "L" else "L")
+    if how == "off-shape":
+        extra = Arrow(a.col, a.row, a.kind)
+    elif how == "pointed" and a.kind == "L":
+        pointed = [j for j in t.columns if j > a.col]
+        if pointed:
+            extra = Arrow(a.row, rng.choice(pointed), "U")
+    elif how == "pointed":
+        pointed = [i for i in t.rows if i < a.row]
+        if pointed:
+            extra = Arrow(rng.choice(pointed), a.col, "L")
+    return AltTableau(t.labels, t.word, t.arrows + (extra,))
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(large_words_and_corruptions())
+def test_direct_paths_equal_the_recursive_constructions_at_large_n(drawn):
+    word, how, rng = drawn
+    t = from_permutation(word)
+    assert to_forest(t) == _to_forest_by_cut(t)
+    assert to_permutation(t) == word and from_permutation(to_permutation(t)) == t
+    pair = binary_pair(t)
+    assert pair == _binary_pair_by_divide(t) and binary_pair_inv(pair) == t
+    assert split(t) == _split_by_closure(t) and divide(t) == _divide_by_closure(t)
+    bad = corrupt(t, how, rng)
+    for direct in (to_forest, split, divide, binary_pair):
+        with pytest.raises(TableauError):
+            direct(bad)
 
 
 class TestTextFormats:
