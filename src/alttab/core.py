@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Container, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ParseError, ValidationError, Violation
 
@@ -219,17 +219,27 @@ def free_stats(t: AltTableau) -> FreeStats:
     free_cols = frozenset(j for j in cols if j not in up_in_col)
     occupied = t.arrow_map()
     free_cells = set()
-    for i, j in t.cells():
-        if (i, j) in occupied:
-            continue
-        # Pointed at by the row's left arrow when that arrow sits further right.
-        if i in left_in_row and left_in_row[i] < j:
-            continue
-        # Pointed at by the column's up arrow when that arrow sits lower down.
-        if j in up_in_col and up_in_col[j] > i:
-            continue
-        free_cells.add((i, j))
+    for i in rows:
+        # Cells right of the row's left arrow are pointed at, so only the
+        # columns from i (exclusive) to that arrow's (inclusive) can be free.
+        stop = bisect_right(cols, left_in_row[i]) if i in left_in_row else len(cols)
+        for j in cols[bisect_right(cols, i) : stop]:
+            # Cells above the column's up arrow are pointed at.
+            if (i, j) not in occupied and up_in_col.get(j, i) <= i:
+                free_cells.add((i, j))
     return FreeStats(free_rows, free_cols, frozenset(free_cells))
+
+
+def _check_arrow_labels(t: AltTableau, labels: Container[int]) -> None:
+    """Raise ``arrow-off-shape`` for every arrow of ``t`` (built without
+    validation) that names a label outside ``labels``."""
+    bad = [
+        Violation("arrow-off-shape", f"{a.kind} arrow on nonexistent cell ({a.row},{a.col})")
+        for a in t.arrows
+        if a.row not in labels or a.col not in labels
+    ]
+    if bad:
+        raise ValidationError(bad)
 
 
 def transpose(t: AltTableau) -> AltTableau:
@@ -238,8 +248,8 @@ def transpose(t: AltTableau) -> AltTableau:
     The label set is kept and the order-reversing permutation is applied
     within it; arrows move to the mirrored cell with left and up swapped.
     """
-    n = len(t)
-    rev = {t.labels[k]: t.labels[n - 1 - k] for k in range(n)}
+    rev = dict(zip(t.labels, reversed(t.labels)))
+    _check_arrow_labels(t, rev)
     word = "".join("D" if c == "E" else "E" for c in reversed(t.word))
     arrows = tuple(
         Arrow(rev[a.col], rev[a.row], UP if a.kind == LEFT else LEFT) for a in t.arrows
@@ -256,6 +266,7 @@ def relabel(t: AltTableau, new_labels: Sequence[int]) -> AltTableau:
     if bad:
         raise ValidationError(bad)
     sub = dict(zip(t.labels, new))
+    _check_arrow_labels(t, sub)
     arrows = tuple(Arrow(sub[a.row], sub[a.col], a.kind) for a in t.arrows)
     return AltTableau(new, t.word, arrows)
 
@@ -498,7 +509,10 @@ def _parse_record(text: str) -> AltTableau:
         raise ParseError("record missing 'word'", 0)
     word = fields["word"]
     if "labels" in fields and fields["labels"]:
-        labels = tuple(int(p) for p in fields["labels"].split(","))
+        try:
+            labels = tuple(int(p) for p in fields["labels"].split(","))
+        except ValueError:
+            raise ParseError(f"bad label list {fields['labels']!r}", 0)
     else:
         labels = tuple(range(1, len(word) + 1))
     arrows = []
@@ -506,7 +520,10 @@ def _parse_record(text: str) -> AltTableau:
         bits = [b.strip() for b in part.split(",")]
         if len(bits) != 3 or bits[2] not in (LEFT, UP):
             raise ParseError(f"bad arrow entry [{part}]", 0)
-        arrows.append((int(bits[0]), int(bits[1]), bits[2]))
+        try:
+            arrows.append((int(bits[0]), int(bits[1]), bits[2]))
+        except ValueError:
+            raise ParseError(f"bad arrow entry [{part}]", 0)
     return validate_alt(labels, word, arrows)
 
 

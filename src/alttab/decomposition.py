@@ -243,11 +243,21 @@ def merge(t: AltTableau, u: AltTableau) -> AltTableau:
 
 
 def merge_all(parts: Iterable[AltTableau]) -> AltTableau:
-    """Merge a collection with pairwise disjoint labels; order is irrelevant."""
-    result = AltTableau((), "")
+    """Merge a collection with pairwise disjoint labels; order is irrelevant.
+
+    One pass: a part that shares labels with the parts before it raises the
+    ``label-collision`` error :func:`merge` would raise on the merged ones.
+    """
+    kind: dict[int, str] = {}
+    arrows: list[Arrow] = []
     for part in parts:
-        result = merge(result, part)
-    return result
+        overlap = [l for l in part.labels if l in kind]
+        if overlap:
+            raise DomainError("label-collision", f"labels {sorted(overlap)} appear on both sides")
+        kind.update(zip(part.labels, part.word))
+        arrows.extend(part.arrows)
+    labels = tuple(sorted(kind))
+    return AltTableau(labels, "".join(kind[l] for l in labels), tuple(arrows))
 
 
 def divide(t: AltTableau) -> tuple[AltTableau, AltTableau]:

@@ -12,11 +12,12 @@ shifted right-to-left maxima.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import LEFT, UP, AltTableau, free_stats, relabel, transpose
-from .decomposition import divide, merge
+from .core import LEFT, UP, AltTableau, relabel, transpose
+from .decomposition import _tableau_from_edges, divide, merge
 from .errors import DomainError, ParseError
 from .trees import (
     BLACK,
@@ -24,7 +25,6 @@ from .trees import (
     PlaneAltForest,
     PlaneAltTree,
     _guard_size,
-    from_forest,
     to_forest,
 )
 
@@ -191,7 +191,46 @@ def to_permutation(t: AltTableau, separator: int = 0) -> Word:
 
 
 def from_permutation(word: Sequence[int]) -> AltTableau:
-    return from_forest(word_to_forest(word))
+    """Inverse of :func:`to_permutation`, from the word straight to the arrows.
+
+    The letters before the separator hang below a white root that stands for
+    the separator, the letters after it below a black root above every label;
+    the forest is what hangs below the two.  Read right to left, each letter
+    is the root of a new subtree of the nearest open node whose range holds
+    it: a black node's subtree holds the letters between its parent and it,
+    a white node's the letters between it and its parent.  Each letter
+    becomes the forest edge (parent, letter), an up or a left arrow.
+    :func:`word_to_forest` with :func:`~alttab.trees.from_forest` is the
+    oracle.
+    """
+    w = check_word(word)
+    if not w:
+        raise DomainError("bad-separator", "empty word has no separator")
+    _guard_size(len(w) - 1)  # the forest's size: every letter but the separator
+    cut_at = w.index(min(w))
+    kinds: dict[int, str] = {}
+    edges: list[tuple[int, int]] = []
+    for positions, root, color in (
+        (range(len(w) - 1, cut_at, -1), math.inf, BLACK),
+        (range(cut_at - 1, -1, -1), w[cut_at], WHITE),
+    ):
+        # Open nodes, innermost last: (label, color, low, high), where the
+        # node's subtree holds the letters strictly between low and high.
+        stack = [(root, color, -math.inf, math.inf)]
+        for k in positions:
+            a = w[k]
+            while not stack[-1][2] < a < stack[-1][3]:
+                stack.pop()
+            parent, parent_color = stack[-1][:2]
+            if len(stack) > 1:
+                edges.append((parent, a))
+            if parent_color == BLACK:
+                kinds[a] = "D"
+                stack.append((a, WHITE, a, parent))
+            else:
+                kinds[a] = "E"
+                stack.append((a, BLACK, parent, a))
+    return _tableau_from_edges(kinds, edges)
 
 
 def insertion_steps(t: AltTableau) -> list[Word]:
@@ -204,13 +243,13 @@ def insertion_steps(t: AltTableau) -> list[Word]:
     """
     if not t.is_standard():
         raise DomainError("non-standard-labels", "insertion needs labels 1..n")
-    stats = free_stats(t)
     up_in_col = {a.col: a.row for a in t.arrows if a.kind == UP}
     lefts_in_col: dict[int, list[int]] = {}
     for a in t.arrows:
         if a.kind == LEFT:
             lefts_in_col.setdefault(a.col, []).append(a.row)
-    word = [0] + sorted(stats.free_rows)
+    left_rows = {i for rows in lefts_in_col.values() for i in rows}
+    word = [0] + [i for i in t.rows if i not in left_rows]  # the free rows, increasing
     steps = [tuple(word)]
     for j in sorted(t.columns, reverse=True):
         target = up_in_col.get(j, 0)

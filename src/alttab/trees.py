@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .core import AltTableau
 from .decomposition import (
@@ -47,8 +47,8 @@ MIN_ROOTED = "min"
 MAX_ROOTED = "max"
 
 # Tree values compare, hash and print recursively, one level per call, and so
-# do the validators and the oracles; cap object sizes well under the
-# interpreter stack limit.
+# do the oracles; cap object sizes well under the interpreter stack limit.
+# The validators, ``size`` and ``labels`` walk the nodes without recursion.
 DEPTH_CAP = ("ALTAB_MAX_DEPTH", 200)
 
 
@@ -61,6 +61,37 @@ def _guard_size(n: int) -> None:
         )
 
 
+Node = TypeVar("Node")
+
+
+def _nodes(roots: Iterable[Node], kids: Callable[[Node], Iterable[Node]]) -> list[Node]:
+    """Every node below ``roots``, roots included, breadth first (every parent
+    before its children); a subtree shared by two parents is listed twice."""
+    order = list(roots)
+    for node in order:
+        order.extend(kids(node))
+    return order
+
+
+def _subtree_spans(
+    order: list[Node], kids: Callable[[Node], Iterable[Node]]
+) -> dict[int, tuple[int, int]]:
+    """The smallest and largest label of each node's subtree, keyed by ``id``,
+    bottom-up over ``order`` from :func:`_nodes`."""
+    span: dict[int, tuple[int, int]] = {}
+    for node in reversed(order):
+        lo = hi = node.label
+        for c in kids(node):
+            c_lo, c_hi = span[id(c)]
+            lo, hi = min(lo, c_lo), max(hi, c_hi)
+        span[id(node)] = (lo, hi)
+    return span
+
+
+def _plane_kids(node: PlaneAltTree) -> tuple[PlaneAltTree, ...]:
+    return node.children
+
+
 @dataclass(frozen=True)
 class PlaneAltTree:
     color: str  # WHITE or BLACK
@@ -68,13 +99,10 @@ class PlaneAltTree:
     children: tuple[PlaneAltTree, ...] = ()
 
     def labels(self) -> frozenset[int]:
-        out = {self.label}
-        for c in self.children:
-            out |= c.labels()
-        return frozenset(out)
+        return frozenset(node.label for node in _nodes([self], _plane_kids))
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        return len(_nodes([self], _plane_kids))
 
 
 @dataclass(frozen=True)
@@ -87,27 +115,34 @@ class PlaneAltForest:
         object.__setattr__(self, "trees", tuple(sorted(self.trees, key=lambda t: t.label)))
 
     def labels(self) -> frozenset[int]:
-        out: set[int] = set()
-        for t in self.trees:
-            out |= t.labels()
-        return frozenset(out)
+        return frozenset(node.label for node in _nodes(self.trees, _plane_kids))
 
     def size(self) -> int:
-        return sum(t.size() for t in self.trees)
+        return len(_nodes(self.trees, _plane_kids))
 
 
 def validate_tree(t: PlaneAltTree) -> None:
-    """Check colors, extremality and child ordering; raises listing violations."""
+    """Check colors, extremality and child ordering; raises listing violations.
+
+    Nodes are checked in preorder; the children of a node with a bad color
+    are not checked.
+    """
+    order = _nodes([t], _plane_kids)
+    _guard_size(len(order))
+    span = _subtree_spans(order, _plane_kids)
     bad: list[Violation] = []
     seen: set[int] = set()
-
-    def walk(node: PlaneAltTree) -> None:
+    stack = [t]
+    while stack:
+        node = stack.pop()
         if node.label in seen:
             bad.append(Violation("duplicate-label", f"label {node.label} repeats"))
         seen.add(node.label)
         if node.color not in (WHITE, BLACK):
             bad.append(Violation("bad-color", f"color {node.color!r} at {node.label}"))
-            return
+            continue
+        if not node.children:
+            continue
         child_roots = [c.label for c in node.children]
         if node.color == WHITE:
             if any(c.color != BLACK for c in node.children):
@@ -119,16 +154,12 @@ def validate_tree(t: PlaneAltTree) -> None:
                 bad.append(Violation("bad-color", f"black {node.label} has a black child"))
             if any(a >= b for a, b in zip(child_roots, child_roots[1:])):
                 bad.append(Violation("bad-order", f"children of black {node.label} not increasing"))
-        rest = [l for c in node.children for l in c.labels()]
-        if node.color == WHITE and any(l <= node.label for l in rest):
+        below = [span[id(c)] for c in node.children]
+        if node.color == WHITE and any(lo <= node.label for lo, _ in below):
             bad.append(Violation("not-minimal", f"white {node.label} is not minimal"))
-        if node.color == BLACK and any(l >= node.label for l in rest):
+        if node.color == BLACK and any(hi >= node.label for _, hi in below):
             bad.append(Violation("not-maximal", f"black {node.label} is not maximal"))
-        for c in node.children:
-            walk(c)
-
-    _guard_size(t.size())
-    walk(t)
+        stack.extend(reversed(node.children))
     if bad:
         raise ValidationError(bad)
 
@@ -414,37 +445,41 @@ class BinAltTree:
     kind: str = MIN_ROOTED  # extremality of this node within its subtree
 
     def labels(self) -> frozenset[int]:
-        out = {self.label}
-        if self.left:
-            out |= self.left.labels()
-        if self.right:
-            out |= self.right.labels()
-        return frozenset(out)
+        return frozenset(node.label for node in _nodes([self], _bin_kids))
 
     def size(self) -> int:
-        return 1 + (self.left.size() if self.left else 0) + (self.right.size() if self.right else 0)
+        return len(_nodes([self], _bin_kids))
+
+
+def _bin_kids(node: BinAltTree) -> list[BinAltTree]:
+    return [c for c in (node.left, node.right) if c]
 
 
 def validate_bin_tree(t: BinAltTree | None, kind: str) -> None:
-    """Left children must be maximal, right children minimal; the root per ``kind``."""
+    """Left children must be maximal, right children minimal; the root per ``kind``.
+
+    Nodes are checked in preorder; a node's extremality ignores descendants
+    that carry its own label.
+    """
     bad: list[Violation] = []
-
-    def walk(node: BinAltTree, want: str) -> None:
-        if node.kind != want:
-            bad.append(Violation("bad-kind", f"node {node.label} marked {node.kind}, expected {want}"))
-        rest = node.labels() - {node.label}
-        if want == MIN_ROOTED and any(l <= node.label for l in rest):
-            bad.append(Violation("not-minimal", f"node {node.label} is not minimal"))
-        if want == MAX_ROOTED and any(l >= node.label for l in rest):
-            bad.append(Violation("not-maximal", f"node {node.label} is not maximal"))
-        if node.left:
-            walk(node.left, MAX_ROOTED)
-        if node.right:
-            walk(node.right, MIN_ROOTED)
-
     if t is not None:
-        _guard_size(t.size())
-        walk(t, kind)
+        order = _nodes([t], _bin_kids)
+        _guard_size(len(order))
+        span = _subtree_spans(order, _bin_kids)
+        stack = [(t, kind)]
+        while stack:
+            node, want = stack.pop()
+            if node.kind != want:
+                bad.append(Violation("bad-kind", f"node {node.label} marked {node.kind}, expected {want}"))
+            below = [span[id(c)] for c in _bin_kids(node)]
+            if want == MIN_ROOTED and any(lo < node.label for lo, _ in below):
+                bad.append(Violation("not-minimal", f"node {node.label} is not minimal"))
+            if want == MAX_ROOTED and any(hi > node.label for _, hi in below):
+                bad.append(Violation("not-maximal", f"node {node.label} is not maximal"))
+            if node.right:
+                stack.append((node.right, MIN_ROOTED))
+            if node.left:
+                stack.append((node.left, MAX_ROOTED))
     if bad:
         raise ValidationError(bad)
 

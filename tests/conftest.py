@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from alttab.core import AltTableau, Arrow, parse_tableau
+from alttab.core import AltTableau, Arrow, FreeStats, parse_tableau
+from alttab.decomposition import merge
 
 T0_COMPACT = "EEDDEDDEEDDED|L3,5;U4,9;U6,8;L6,9;L7,9;L10,12"
 
@@ -44,3 +45,50 @@ def tableaux(draw, max_len: int = 10) -> AltTableau:
                 row_used[i] = True
                 col_used[j] = True
     return AltTableau(labels, word, tuple(arrows))
+
+
+@st.composite
+def raw_tableaux(draw) -> AltTableau:
+    """Tableau built without validation: any labels and word, and arrows of
+    either kind on any cells, on the shape or off it, possibly repeated."""
+    labels = sorted(draw(st.sets(st.integers(min_value=0, max_value=9), max_size=8)))
+    word = "".join(draw(st.sampled_from("DE")) for _ in labels)
+    cells = st.tuples(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
+    arrows = draw(st.lists(st.tuples(cells, st.sampled_from("LU")), max_size=8))
+    return AltTableau(tuple(labels), word, tuple(Arrow(i, j, k) for (i, j), k in arrows))
+
+
+def free_stats_by_grid(t: AltTableau) -> FreeStats:
+    """Reference for ``free_stats``: scan every cell of the rows x columns grid.
+
+    A row's left arrow is the last one in arrow order and a column's up arrow
+    the last one, so it is also defined on tableaux built without validation.
+    """
+    left_in_row: dict[int, int] = {}
+    up_in_col: dict[int, int] = {}
+    for a in t.arrows:
+        if a.kind == "L":
+            left_in_row[a.row] = a.col
+        else:
+            up_in_col[a.col] = a.row
+    free_rows = frozenset(i for i in t.rows if i not in left_in_row)
+    free_cols = frozenset(j for j in t.columns if j not in up_in_col)
+    occupied = t.arrow_map()
+    free_cells = set()
+    for i, j in t.cells():
+        if (i, j) in occupied:
+            continue
+        if i in left_in_row and left_in_row[i] < j:
+            continue
+        if j in up_in_col and up_in_col[j] > i:
+            continue
+        free_cells.add((i, j))
+    return FreeStats(free_rows, free_cols, frozenset(free_cells))
+
+
+def merge_by_folding(parts) -> AltTableau:
+    """Reference for ``merge_all``: fold the parts with pairwise ``merge``."""
+    result = AltTableau((), "")
+    for part in parts:
+        result = merge(result, part)
+    return result

@@ -29,6 +29,11 @@ class TestValidate:
         code, _, err = run(capsys, monkeypatch, ["validate"], "DEE|L1,2;U1,3")
         assert code == 1 and "pointed-cell-occupied" in err
 
+    @pytest.mark.parametrize("record", ["word=DE\nlabels=a,b", "word=DE\narrows=[1,x,L]"])
+    def test_bad_number_in_a_record_is_a_parse_error(self, capsys, monkeypatch, record):
+        code, out, err = run(capsys, monkeypatch, ["validate"], record)
+        assert code == 1 and out == "" and "at position" in err
+
     def test_usage_error_exits_two(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             run(capsys, monkeypatch, ["convert", "--from", "alt"])

@@ -24,9 +24,10 @@ from alttab.core import (
     validate_alt,
     validate_perm_tableau,
 )
+from alttab.enumeration import all_tableaux
 from alttab.errors import DomainError, ParseError, ValidationError
 
-from conftest import T0_COMPACT, tableaux
+from conftest import T0_COMPACT, free_stats_by_grid, raw_tableaux, tableaux
 
 
 def naive_free_cells(t: AltTableau) -> set[tuple[int, int]]:
@@ -119,6 +120,15 @@ class TestFreeStats:
     def test_matches_naive_scan(self, t):
         assert free_stats(t).free_cells == naive_free_cells(t)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_equals_the_grid_scan_exhaustive(self, n):
+        for t in all_tableaux(n):
+            assert free_stats(t) == free_stats_by_grid(t)
+
+    @given(raw_tableaux())
+    def test_equals_the_grid_scan_without_validation(self, t):
+        assert free_stats(t) == free_stats_by_grid(t)
+
 
 class TestTranspose:
     def test_single_cell(self):
@@ -157,6 +167,13 @@ class TestRelabel:
         with pytest.raises(DomainError) as err:
             relabel(standard_tableau("D"), [1, 2])
         assert err.value.code == "size-mismatch"
+
+    @pytest.mark.parametrize("op", [standardize, transpose])
+    def test_arrow_outside_the_labels_is_a_validation_error(self, op):
+        t = AltTableau((5, 7), "DE", ((1, 2, "L"),))  # built without validation
+        with pytest.raises(ValidationError) as err:
+            op(t)
+        assert [v.code for v in err.value.violations] == ["arrow-off-shape"]
 
 
 class TestPermTableauBijection:
@@ -253,3 +270,8 @@ class TestTextFormats:
     def test_parse_render_identity(self, t):
         assert parse_tableau(render_tableau(t)) == t
         assert parse_tableau(render_tableau(t, "record")) == t
+
+    @pytest.mark.parametrize("text", ["word=DE\nlabels=a,b", "word=DE\narrows=[1,x,L]"])
+    def test_record_with_a_bad_number_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_tableau(text)

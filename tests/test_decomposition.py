@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from alttab.core import AltTableau, empty_tableau, free_stats, relabel, standard_tableau
 from alttab.decomposition import (
@@ -28,7 +29,26 @@ from alttab.decomposition import (
 from alttab.enumeration import all_tableaux
 from alttab.errors import DomainError, ValidationError
 
-from conftest import tableaux
+from conftest import merge_by_folding, tableaux
+
+
+@st.composite
+def labeled_parts(draw) -> list[AltTableau]:
+    """A few valid tableaux on random label sets, which often overlap."""
+    parts = []
+    for t in draw(st.lists(tableaux(max_len=4), max_size=4)):
+        labels = draw(st.sets(st.integers(min_value=0, max_value=9), min_size=len(t), max_size=len(t)))
+        parts.append(relabel(t, sorted(labels)))
+    return parts
+
+
+def merged_or_collision(fn, parts):
+    """``fn(parts)``, or the message of the label collision it raised."""
+    try:
+        return fn(parts)
+    except DomainError as err:
+        assert err.code == "label-collision"
+        return str(err)
 
 
 class TestPackedClass:
@@ -223,6 +243,16 @@ class TestSplitMerge:
                 assert packed_class(p) != NOT_PACKED
                 assert len(p.arrows) == len(p) - 1
             assert merge_all(parts) == t
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_merge_all_equals_the_fold_of_merge_exhaustive(self, n):
+        for t in all_tableaux(n):
+            parts = split(t)
+            assert merge_all(parts) == merge_by_folding(parts) == t
+
+    @given(labeled_parts())
+    def test_merge_all_agrees_with_the_fold_of_merge(self, parts):
+        assert merged_or_collision(merge_all, parts) == merged_or_collision(merge_by_folding, parts)
 
     @pytest.mark.parametrize("n", range(8))
     def test_split_and_divide_equal_the_closure_construction(self, n):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from alttab.core import free_stats, standard_tableau
 from alttab.decomposition import restrict
 from alttab.enumeration import all_tableaux, symmetric_tableaux
-from alttab.errors import DomainError
+from alttab.errors import DomainError, ResourceLimitError
 from alttab.permutations import (
     SignedPerm,
     check_word,
@@ -32,7 +32,7 @@ from alttab.permutations import (
     word_to_forest,
     word_to_tree,
 )
-from alttab.trees import BLACK, WHITE, to_forest, to_tree
+from alttab.trees import BLACK, WHITE, from_forest, to_forest, to_tree
 
 from conftest import tableaux
 
@@ -191,6 +191,35 @@ class TestTableauBijection:
     def test_roundtrip_random(self, t):
         if t.is_standard():
             assert from_permutation(to_permutation(t)) == t
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_direct_equals_the_forest_construction(self, n):
+        for w in iter_permutations(range(n + 1)):
+            assert from_permutation(w) == from_forest(word_to_forest(w))
+
+    @pytest.mark.parametrize(
+        "word, error",
+        [
+            ((), DomainError),
+            ((2, 0, 2), DomainError),
+            ((1, -1, 0), DomainError),
+            (tuple(range(202)), ResourceLimitError),
+        ],
+    )
+    def test_errors_equal_the_forest_construction(self, word, error):
+        messages = []
+        for convert in (from_permutation, lambda w: from_forest(word_to_forest(w))):
+            with pytest.raises(error) as err:
+                convert(word)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_chain_at_the_depth_cap(self):
+        # The postorder word of the path 1 - 200 - 2 - 199 - ... - 100 - 101.
+        chain = [label for k in range(100) for label in (1 + k, 200 - k)]
+        word = (0,) + tuple(reversed(chain))
+        t = from_permutation(word)
+        assert t == from_forest(word_to_forest(word)) and len(t.arrows) == 199
 
 
 class TestInsertion:

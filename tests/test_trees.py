@@ -9,7 +9,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from alttab.core import AltTableau, Arrow, empty_tableau, free_stats, relabel, standard_tableau
-from alttab.decomposition import _divide_by_closure, _split_by_closure, divide, restrict, split
+from alttab.decomposition import (
+    _divide_by_closure,
+    _split_by_closure,
+    divide,
+    merge_all,
+    restrict,
+    split,
+)
 from alttab.enumeration import all_tableaux
 from alttab.errors import (
     DomainError,
@@ -17,8 +24,9 @@ from alttab.errors import (
     ResourceLimitError,
     TableauError,
     ValidationError,
+    Violation,
 )
-from alttab.permutations import from_permutation, to_permutation
+from alttab.permutations import from_permutation, to_permutation, word_to_forest
 from alttab.trees import (
     _binary_pair_by_divide,
     _binary_pair_inv_by_block,
@@ -56,7 +64,7 @@ from alttab.trees import (
     validate_tree,
 )
 
-from conftest import tableaux
+from conftest import free_stats_by_grid, merge_by_folding, tableaux
 
 T0_ARCS = {
     (3, 5), (4, 9), (6, 8), (6, 9), (7, 9), (10, 12),
@@ -77,12 +85,12 @@ def outcome(fn, arg):
 _labels = st.integers(min_value=0, max_value=7)
 
 
-def forests():
+def forests(colors: str = "WB"):
     """Small forests of any colors, labels and child orders, mostly invalid."""
     trees = st.recursive(
-        st.builds(PlaneAltTree, st.sampled_from("WB"), _labels),
+        st.builds(PlaneAltTree, st.sampled_from(colors), _labels),
         lambda kids: st.builds(
-            PlaneAltTree, st.sampled_from("WB"), _labels, st.lists(kids, max_size=3).map(tuple)
+            PlaneAltTree, st.sampled_from(colors), _labels, st.lists(kids, max_size=3).map(tuple)
         ),
         max_leaves=6,
     )
@@ -108,6 +116,145 @@ def bin_pairs():
     pairs = st.tuples(trees, trees)
     kinded = pairs.map(lambda p: (marked(p[0], MIN_ROOTED), marked(p[1], MAX_ROOTED)))
     return st.one_of(pairs, kinded)
+
+
+def quadratic_validate_tree(t: PlaneAltTree) -> None:
+    """Reference for ``validate_tree``: recurse, reading each node's subtree
+    labels afresh."""
+    bad: list[Violation] = []
+    seen: set[int] = set()
+
+    def walk(node: PlaneAltTree) -> None:
+        if node.label in seen:
+            bad.append(Violation("duplicate-label", f"label {node.label} repeats"))
+        seen.add(node.label)
+        if node.color not in ("W", "B"):
+            bad.append(Violation("bad-color", f"color {node.color!r} at {node.label}"))
+            return
+        child_roots = [c.label for c in node.children]
+        if node.color == "W":
+            if any(c.color != "B" for c in node.children):
+                bad.append(Violation("bad-color", f"white {node.label} has a white child"))
+            if any(a <= b for a, b in zip(child_roots, child_roots[1:])):
+                bad.append(Violation("bad-order", f"children of white {node.label} not decreasing"))
+        else:
+            if any(c.color != "W" for c in node.children):
+                bad.append(Violation("bad-color", f"black {node.label} has a black child"))
+            if any(a >= b for a, b in zip(child_roots, child_roots[1:])):
+                bad.append(Violation("bad-order", f"children of black {node.label} not increasing"))
+        rest = [l for c in node.children for l in c.labels()]
+        if node.color == "W" and any(l <= node.label for l in rest):
+            bad.append(Violation("not-minimal", f"white {node.label} is not minimal"))
+        if node.color == "B" and any(l >= node.label for l in rest):
+            bad.append(Violation("not-maximal", f"black {node.label} is not maximal"))
+        for c in node.children:
+            walk(c)
+
+    walk(t)
+    if bad:
+        raise ValidationError(bad)
+
+
+def quadratic_validate_forest(f: PlaneAltForest) -> None:
+    if len(f.labels()) != sum(t.size() for t in f.trees):
+        raise ValidationError([Violation("duplicate-label", "trees share labels")])
+    for t in f.trees:
+        quadratic_validate_tree(t)
+
+
+def quadratic_validate_bin_tree(t: BinAltTree | None, kind: str) -> None:
+    """Reference for ``validate_bin_tree``, in the same recursive form."""
+    bad: list[Violation] = []
+
+    def walk(node: BinAltTree, want: str) -> None:
+        if node.kind != want:
+            bad.append(Violation("bad-kind", f"node {node.label} marked {node.kind}, expected {want}"))
+        rest = node.labels() - {node.label}
+        if want == MIN_ROOTED and any(l <= node.label for l in rest):
+            bad.append(Violation("not-minimal", f"node {node.label} is not minimal"))
+        if want == MAX_ROOTED and any(l >= node.label for l in rest):
+            bad.append(Violation("not-maximal", f"node {node.label} is not maximal"))
+        if node.left:
+            walk(node.left, MAX_ROOTED)
+        if node.right:
+            walk(node.right, MIN_ROOTED)
+
+    if t is not None:
+        walk(t, kind)
+    if bad:
+        raise ValidationError(bad)
+
+
+def violations(validate, *args) -> list[Violation] | None:
+    """The violations ``validate(*args)`` raises, in order, or None."""
+    try:
+        validate(*args)
+    except ValidationError as err:
+        return err.violations
+    return None
+
+
+class TestValidators:
+    @given(forests(colors="WBX"))
+    def test_plane_validators_equal_the_quadratic_ones(self, f):
+        assert violations(validate_forest, f) == violations(quadratic_validate_forest, f)
+        for t in f.trees:
+            assert violations(validate_tree, t) == violations(quadratic_validate_tree, t)
+
+    @given(bin_pairs())
+    def test_binary_validator_equals_the_quadratic_one(self, pair):
+        for tree in pair:
+            for kind in (MIN_ROOTED, MAX_ROOTED, "other"):
+                assert violations(validate_bin_tree, tree, kind) == violations(
+                    quadratic_validate_bin_tree, tree, kind
+                )
+
+
+def deep_plane_chain(size: int) -> PlaneAltTree:
+    """The valid path white 1 - black size - white 2 - black size-1 - ..."""
+    chain = [label for k in range(size // 2) for label in (1 + k, size - k)]
+    tree = None
+    for depth in range(len(chain) - 1, -1, -1):
+        color = "W" if depth % 2 == 0 else "B"
+        tree = PlaneAltTree(color, chain[depth], (tree,) if tree else ())
+    return tree
+
+
+def deep_min_chain(size: int) -> BinAltTree:
+    """The valid min-rooted tree 1 - 2 - ... - size, each node a right child."""
+    tree = None
+    for label in range(size, 0, -1):
+        tree = BinAltTree(label, None, tree, MIN_ROOTED)
+    return tree
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        validate_tree,
+        lambda t: validate_forest(PlaneAltForest((t,))),
+        from_tree,
+        lambda t: from_forest(PlaneAltForest((t,))),
+    ],
+    ids=["validate_tree", "validate_forest", "from_tree", "from_forest"],
+)
+def test_deep_plane_tree_is_refused_by_the_depth_cap(entry):
+    with pytest.raises(ResourceLimitError, match="ALTAB_MAX_DEPTH"):
+        entry(deep_plane_chain(3000))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda b: validate_bin_tree(b, MIN_ROOTED),
+        lambda b: from_binary_tree(b, MIN_ROOTED),
+        lambda b: binary_pair_inv((b, None)),
+    ],
+    ids=["validate_bin_tree", "from_binary_tree", "binary_pair_inv"],
+)
+def test_deep_binary_tree_is_refused_by_the_depth_cap(entry):
+    with pytest.raises(ResourceLimitError, match="ALTAB_MAX_DEPTH"):
+        entry(deep_min_chain(3000))
 
 
 class TestPlaneTrees:
@@ -342,12 +489,17 @@ def corrupt(t: AltTableau, how: str, rng) -> AltTableau:
 def test_direct_paths_equal_the_recursive_constructions_at_large_n(drawn):
     word, how, rng = drawn
     t = from_permutation(word)
+    assert t == from_forest(word_to_forest(word))
+    assert free_stats(t) == free_stats_by_grid(t)
+    parts = split(t)
+    assert merge_all(parts) == merge_by_folding(parts) == t
     assert to_forest(t) == _to_forest_by_cut(t)
     assert to_permutation(t) == word and from_permutation(to_permutation(t)) == t
     pair = binary_pair(t)
     assert pair == _binary_pair_by_divide(t) and binary_pair_inv(pair) == t
     assert split(t) == _split_by_closure(t) and divide(t) == _divide_by_closure(t)
     bad = corrupt(t, how, rng)
+    assert free_stats(bad) == free_stats_by_grid(bad)
     for direct in (to_forest, split, divide, binary_pair):
         with pytest.raises(TableauError):
             direct(bad)
