@@ -31,7 +31,7 @@ from .enumeration import (
     asep_distribution,
     count_table,
 )
-from .errors import TableauError
+from .errors import ParseError, TableauError
 from .permutations import (
     from_permutation,
     from_signed_permutation,
@@ -67,13 +67,15 @@ class UsageError(Exception):
 
 
 def _read_input(path: str | None) -> str:
-    if path and path != "-":
-        try:
+    try:
+        if path and path != "-":
             with open(path, "r", encoding="utf-8") as fh:
                 return fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
-    return sys.stdin.read()
+        return sys.stdin.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path or 'standard input'}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:  # a ValueError: bad input, not a bug
+        raise ParseError(f"input is not {exc.encoding} text", exc.start) from None
 
 
 def _parse_alt(text: str) -> AltTableau:
@@ -325,9 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         parser.error(str(exc))
     except TableauError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

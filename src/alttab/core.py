@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Container, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Any, Container, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ParseError, ValidationError, Violation
 
@@ -49,18 +50,56 @@ def _check_labels_word(labels: Sequence[int], word: str) -> list[Violation]:
 
 
 @dataclass(frozen=True)
-class AltTableau:
+class _Shape:
+    """Labeled border shape shared by both tableau types: ``labels`` are
+    strictly increasing and ``word`` is the aligned D/E border word.
+
+    What is computed once and remembered on an instance (``rows``,
+    ``columns``, and a tableau's passed check and free statistics) lives in
+    its ``__dict__`` beside the fields, so ``==``, ``hash``, ``repr`` and the
+    pickled state see only the fields.
+    """
+
+    labels: tuple[int, ...]
+    word: str
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        return tuple(l for l, c in zip(self.labels, self.word) if c == "D")
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        return tuple(l for l, c in zip(self.labels, self.word) if c == "E")
+
+    def cells(self) -> Iterator[tuple[int, int]]:
+        """All existing cells (i, j), row-major by increasing labels."""
+        cols = self.columns
+        for i in self.rows:
+            for j in cols:
+                if i < j:
+                    yield (i, j)
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass(frozen=True)
+class AltTableau(_Shape):
     """Immutable alternative tableau.
 
     ``labels`` are strictly increasing; ``word`` is the aligned D/E border
     word; ``arrows`` are kept sorted by cell.  Construction checks the cheap
     structural invariants; the arrow-emptiness rules are checked by
-    :func:`validate_alt`, which all parsing paths go through.  Operations in
-    this package only build tableaux that already satisfy them.
+    :func:`validate_alt`, which all parsing paths go through, and by every
+    conversion before it reads the arrows.  The first full check that passes
+    is remembered on the instance, so each tableau is checked once however
+    many conversions it goes through; a tableau that fails is checked, and
+    raises, again on every call.
     """
 
-    labels: tuple[int, ...]
-    word: str
     arrows: tuple[Arrow, ...] = ()
 
     def __post_init__(self) -> None:
@@ -75,28 +114,9 @@ class AltTableau:
             raise ValidationError(bad)
         object.__setattr__(self, "arrows", tuple(sorted(arrows)))
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     @property
     def kind_of(self) -> dict[int, str]:
         return dict(zip(self.labels, self.word))
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        return tuple(l for l, c in zip(self.labels, self.word) if c == "D")
-
-    @property
-    def columns(self) -> tuple[int, ...]:
-        return tuple(l for l, c in zip(self.labels, self.word) if c == "E")
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """All existing cells (i, j), row-major by increasing labels."""
-        cols = self.columns
-        for i in self.rows:
-            for j in cols:
-                if i < j:
-                    yield (i, j)
 
     def arrow_map(self) -> dict[tuple[int, int], str]:
         return {(a.row, a.col): a.kind for a in self.arrows}
@@ -114,6 +134,11 @@ def standard_tableau(word: str, arrows: Sequence[tuple[int, int, str]] = ()) -> 
     return validate_alt(tuple(range(1, len(word) + 1)), word, arrows)
 
 
+# Key under which a passed check is remembered in an instance's ``__dict__``;
+# only :func:`validate_alt` and :func:`_check_valid` set it, after the check.
+_VALID = "_valid"
+
+
 def validate_alt(
     labels: Sequence[int], word: str, arrows: Sequence[tuple[int, int, str]]
 ) -> AltTableau:
@@ -121,14 +146,23 @@ def validate_alt(
     bad = _alt_violations(labels, word, arrows)
     if bad:
         raise ValidationError(bad)
-    return AltTableau(tuple(labels), word, tuple(Arrow(i, j, k) for i, j, k in arrows))
+    t = AltTableau(tuple(labels), word, tuple(Arrow(i, j, k) for i, j, k in arrows))
+    t.__dict__[_VALID] = True
+    return t
 
 
 def _check_valid(t: AltTableau) -> None:
-    """Raise the violations :func:`validate_alt` would report for ``t``'s data."""
+    """Raise the violations :func:`validate_alt` would report for ``t``'s data.
+
+    Runs the check once per tableau: a pass is remembered on ``t``, a failure
+    is not.
+    """
+    if _VALID in t.__dict__:
+        return
     bad = _alt_violations(t.labels, t.word, t.arrows)
     if bad:
         raise ValidationError(bad)
+    t.__dict__[_VALID] = True
 
 
 def _alt_violations(
@@ -206,7 +240,17 @@ class FreeStats:
 
 
 def free_stats(t: AltTableau) -> FreeStats:
-    """Rows with no left arrow, columns with no up arrow, and cells no arrow points at."""
+    """Rows with no left arrow, columns with no up arrow, and cells no arrow points at.
+
+    Computed once per tableau and remembered on it.
+    """
+    stats = t.__dict__.get("_free_stats")
+    if stats is None:
+        stats = t.__dict__["_free_stats"] = _free_stats(t)
+    return stats
+
+
+def _free_stats(t: AltTableau) -> FreeStats:
     left_in_row: dict[int, int] = {}
     up_in_col: dict[int, int] = {}
     for a in t.arrows:
@@ -280,11 +324,9 @@ def standardize(t: AltTableau) -> AltTableau:
 
 
 @dataclass(frozen=True)
-class PermTableau:
+class PermTableau(_Shape):
     """Labeled shape with a total 0/1 filling; only the 1-cells are stored."""
 
-    labels: tuple[int, ...]
-    word: str
     ones: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
@@ -292,24 +334,6 @@ class PermTableau:
         if bad:
             raise ValidationError(bad)
         object.__setattr__(self, "ones", tuple(sorted(self.ones)))
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        return tuple(l for l, c in zip(self.labels, self.word) if c == "D")
-
-    @property
-    def columns(self) -> tuple[int, ...]:
-        return tuple(l for l, c in zip(self.labels, self.word) if c == "E")
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        cols = self.columns
-        for i in self.rows:
-            for j in cols:
-                if i < j:
-                    yield (i, j)
 
 
 def validate_perm_tableau(
@@ -410,11 +434,10 @@ def from_perm_tableau(p: PermTableau) -> AltTableau:
             topmost[j] = i
     arrows = [Arrow(i, j, UP) for i, j in ones if i != top and not topmost.get(j, i) < i]
     for i in rows[1:]:  # rows[0] is the top row
-        restricted = [
-            j for j in cols if i < j and (i, j) not in ones and topmost.get(j, i) < i
-        ]
-        if restricted:
-            arrows.append(Arrow(i, min(restricted), LEFT))  # smallest label = rightmost cell
+        for j in cols[bisect_right(cols, i) :]:  # right to left along the row
+            if (i, j) not in ones and topmost.get(j, i) < i:
+                arrows.append(Arrow(i, j, LEFT))  # the row's rightmost restricted 0
+                break
     return AltTableau(p.labels[1:], p.word[1:], tuple(arrows))
 
 
@@ -446,6 +469,17 @@ def to_perm_tableau(t: AltTableau) -> PermTableau:
 
 _ARROW_RE = re.compile(r"([LU])(\d+),(\d+)$")
 _CELL_RE = re.compile(r"(\d+),(\d+)$")
+
+
+def _parse_int(digits: str, pos: int) -> int:
+    """``int(digits)``, or a :class:`ParseError` at ``pos`` where ``int``
+    refuses the text: a digit it does not read, such as ``"²"``, or more
+    digits than the interpreter converts (4300 by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        shown = digits if len(digits) <= 20 else digits[:20] + "..."
+        raise ParseError(f"bad number {shown!r} ({len(digits)} characters)", pos) from None
 
 
 def _parse_labels_prefix(text: str) -> tuple[tuple[int, ...] | None, str, int]:
@@ -484,7 +518,7 @@ def parse_tableau(text: str) -> AltTableau:
         m = _ARROW_RE.match(part)
         if not m:
             raise ParseError(f"bad arrow {part!r}", pos)
-        arrows.append((int(m.group(2)), int(m.group(3)), m.group(1)))
+        arrows.append((_parse_int(m.group(2), pos), _parse_int(m.group(3), pos), m.group(1)))
         pos += len(part) + 1
     return validate_alt(labels, word, arrows)
 
@@ -587,7 +621,7 @@ def parse_perm_tableau(text: str) -> PermTableau:
         m = _CELL_RE.match(part)
         if not m:
             raise ParseError(f"bad cell {part!r}", pos)
-        ones.append((int(m.group(1)), int(m.group(2))))
+        ones.append((_parse_int(m.group(1), pos), _parse_int(m.group(2), pos)))
         pos += len(part) + 1
     return validate_perm_tableau(labels, word, ones)
 

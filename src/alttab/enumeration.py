@@ -21,7 +21,6 @@ oracle the recursion is tested against (``count_shapes``,
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
@@ -30,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .core import AltTableau, Arrow, PermTableau, free_stats, relabel, transpose
 from .decomposition import divide, merge
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, cap_limit
 from .permutations import from_permutation
 from .series import Poly3, Series, geometric, neg_log_one_minus_z
 
@@ -51,11 +50,10 @@ V = TypeVar("V")
 def _check_cap(
     n: int, cap: int | None, what: str, setting: tuple[str, int] = ENUMERATION_CAP
 ) -> None:
-    var, default = setting
-    limit = cap if cap is not None else int(os.environ.get(var, default))
+    limit = cap if cap is not None else cap_limit(setting)
     if n > limit:
         raise ResourceLimitError(
-            f"{what} for n={n} exceeds the cap {limit}; set {var} to raise it"
+            f"{what} for n={n} exceeds the cap {limit}; set {setting[0]} to raise it"
         )
     if n < 0:
         raise DomainError("bad-size", f"negative size {n}")

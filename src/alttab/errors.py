@@ -1,7 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size-cap settings
+that raise :class:`ResourceLimitError`."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 
@@ -55,3 +57,16 @@ class DomainError(TableauError):
 class ResourceLimitError(TableauError):
     """A size cap was exceeded; the message names the cap and the environment
     variable that overrides it (see "Resource caps" in the README)."""
+
+
+def cap_limit(setting: tuple[str, int]) -> int:
+    """The cap ``(variable, default)`` as set now: the environment variable's
+    integer value, or the default when it is unset."""
+    var, default = setting
+    text = os.environ.get(var)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ResourceLimitError(f"{var}={text[:20]!r} is not an integer") from None

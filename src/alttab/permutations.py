@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import LEFT, UP, AltTableau, relabel, transpose
-from .decomposition import _tableau_from_edges, divide, merge
+from .core import LEFT, UP, AltTableau, _parse_int, relabel, transpose
+from .decomposition import _tableau_from_edges, merge
 from .errors import DomainError, ParseError
 from .trees import (
     BLACK,
@@ -294,8 +294,9 @@ def to_signed_permutation(t: AltTableau) -> SignedPerm:
     if len(t) % 2 or transpose(t) != t:
         raise DomainError("not-symmetric", "tableau is not fixed by transposition")
     n = len(t) // 2
-    half, _ = divide(t)
-    word = to_permutation(half, 0)[1:]  # drop the leading separator
+    # The rows half (the free-row components) is the white-rooted trees.
+    half = PlaneAltForest(tuple(tree for tree in to_forest(t).trees if tree.color == WHITE))
+    word = forest_word(half, 0)[1:]  # drop the leading separator
     letters = []
     barred = set()
     for pos, a in enumerate(word):
@@ -352,7 +353,7 @@ def parse_signed(text: str) -> SignedPerm:
         body = part[:-1] if bar else part
         if not body.isdigit():
             raise ParseError(f"bad signed letter {part!r}", 0)
-        letters.append(int(body))
+        letters.append(_parse_int(body, 0))
         if bar:
             barred.add(pos)
     return SignedPerm(tuple(letters), frozenset(barred))

@@ -19,12 +19,11 @@ recursive cut/block constructions stay as the oracles ``_to_forest_by_cut``,
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, TypeVar
 
-from .core import AltTableau
+from .core import _VALID, AltTableau, _parse_int
 from .decomposition import (
     COL_PACKED,
     ROW_PACKED,
@@ -38,7 +37,14 @@ from .decomposition import (
     merge_all,
     packed_class,
 )
-from .errors import DomainError, ParseError, ResourceLimitError, ValidationError, Violation
+from .errors import (
+    DomainError,
+    ParseError,
+    ResourceLimitError,
+    ValidationError,
+    Violation,
+    cap_limit,
+)
 
 WHITE = "W"
 BLACK = "B"
@@ -53,11 +59,10 @@ DEPTH_CAP = ("ALTAB_MAX_DEPTH", 200)
 
 
 def _guard_size(n: int) -> None:
-    var, default = DEPTH_CAP
-    limit = int(os.environ.get(var, default))
+    limit = cap_limit(DEPTH_CAP)
     if n > limit:
         raise ResourceLimitError(
-            f"tree encoding for n={n} exceeds the cap {limit}; set {var} to raise it"
+            f"tree encoding for n={n} exceeds the cap {limit}; set {DEPTH_CAP[0]} to raise it"
         )
 
 
@@ -165,11 +170,19 @@ def validate_tree(t: PlaneAltTree) -> None:
 
 
 def validate_forest(f: PlaneAltForest) -> None:
+    """Check that the trees share no label and each is valid.
+
+    Runs the check once per forest: a pass is remembered in ``f.__dict__``
+    (outside the dataclass field), a failure is not.
+    """
+    if _VALID in f.__dict__:
+        return
     sizes = sum(t.size() for t in f.trees)
     if len(f.labels()) != sizes:
         raise ValidationError([Violation("duplicate-label", "trees share labels")])
     for t in f.trees:
         validate_tree(t)
+    f.__dict__[_VALID] = True
 
 
 def _colors(t: AltTableau) -> dict[int, str]:
@@ -667,7 +680,7 @@ def _parse_tree_at(tokens: list[tuple[str, int]], idx: int) -> tuple[PlaneAltTre
         children.append(child)
     expect(lambda s: s == ")", "')'")
     idx += 1
-    return PlaneAltTree(color, int(label), tuple(children)), idx
+    return PlaneAltTree(color, _parse_int(label, pos), tuple(children)), idx
 
 
 def render_arcs(d: ArcDiagram) -> str:
@@ -682,8 +695,12 @@ def parse_arcs(text: str) -> ArcDiagram:
     m = _ARCS_RE.match(text.strip())
     if not m:
         raise ParseError("expected 'points=a..b arcs=(i,j)...'", 0)
-    lo, hi = int(m.group(1)), int(m.group(2))
-    arcs = [(int(i), int(j)) for i, j in re.findall(r"\((\d+),(\d+)\)", m.group(3))]
+    lo, hi = _parse_int(m.group(1), m.start(1)), _parse_int(m.group(2), m.start(2))
+    _guard_size(hi - lo - 1)  # the forest's labels lie between the two virtual points
+    at = m.start(3)
+    arcs = [
+        (_parse_int(i, at), _parse_int(j, at)) for i, j in re.findall(r"\((\d+),(\d+)\)", m.group(3))
+    ]
     d = ArcDiagram(tuple(range(lo, hi + 1)), tuple(arcs))
     validate_arc_diagram(d)
     return d
@@ -722,7 +739,7 @@ def _parse_bin_at(text: str, idx: int, kind: str) -> tuple[BinAltTree | None, in
     m = re.compile(r"\s*(\d+)\s*L:").match(text, idx)
     if not m:
         raise ParseError("expected '<label> L:'", idx)
-    label = int(m.group(1))
+    label = _parse_int(m.group(1), m.start(1))
     left, idx = _parse_bin_at(text, m.end(), MAX_ROOTED)
     m = re.compile(r"\s*R:").match(text, idx)
     if not m:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from alttab.core import AltTableau, Arrow, FreeStats, parse_tableau
+from alttab.core import AltTableau, Arrow, FreeStats, PermTableau, parse_tableau
 from alttab.decomposition import merge
 
 T0_COMPACT = "EEDDEDDEEDDED|L3,5;U4,9;U6,8;L6,9;L7,9;L10,12"
@@ -92,3 +92,20 @@ def merge_by_folding(parts) -> AltTableau:
     for part in parts:
         result = merge(result, part)
     return result
+
+
+def from_perm_tableau_by_lists(p: PermTableau) -> AltTableau:
+    """Reference for ``from_perm_tableau``: list every restricted 0 of each
+    row, over all its columns, and keep the rightmost (smallest label)."""
+    top = p.labels[0]
+    ones = set(p.ones)
+    topmost: dict[int, int] = {}
+    for i, j in ones:
+        if i in p.rows and i < topmost.get(j, i + 1):
+            topmost[j] = i
+    arrows = [Arrow(i, j, "U") for i, j in ones if i != top and not topmost.get(j, i) < i]
+    for i in p.rows[1:]:
+        restricted = [j for j in p.columns if i < j and (i, j) not in ones and topmost.get(j, i) < i]
+        if restricted:
+            arrows.append(Arrow(i, min(restricted), "L"))
+    return AltTableau(p.labels[1:], p.word[1:], tuple(arrows))

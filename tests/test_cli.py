@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import io
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alttab.cli import main
+from alttab.cli import REPS, main
 
 from conftest import T0_COMPACT
 
 SIGMA0_TEXT = "10 12 3 5 2 1 0 8 6 7 9 4 11 13"
+
+# More digits than ``int`` converts by default (4300).
+HUGE = "1" * 5000
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -151,6 +158,39 @@ class TestConvert:
         )
         assert code == 1 and out == "" and "ALTAB_MAX_DEPTH" in err
 
+    @pytest.mark.parametrize(
+        "rep, text",
+        [
+            ("alt", "DE|L1," + HUGE),
+            ("alt", "word=DE\narrows=[1," + HUGE + ",L]"),
+            ("permtab", "DE|1," + HUGE),
+            ("perm", "0 " + HUGE),
+            ("signedperm", HUGE),
+            ("signedperm", "1 \u00b2"),
+            ("arcs", "points=0.." + HUGE + " arcs="),
+            ("forest", "(W " + HUGE + ")"),
+            ("bintrees", "(" + HUGE + " L:- R:-) -"),
+        ],
+        ids=[
+            "alt", "alt-record", "permtab", "perm", "signedperm", "signedperm-sup2",
+            "arcs", "forest", "bintrees",
+        ],
+    )
+    def test_number_int_refuses_is_a_parse_error(self, capsys, monkeypatch, rep, text):
+        code, out, err = run(capsys, monkeypatch, ["convert", "--from", rep, "--to", "alt"], text)
+        assert code == 1 and out == "" and err.startswith("error: bad") and "at position" in err
+
+    def test_huge_arc_point_range_is_refused_by_the_depth_cap(self, capsys, monkeypatch):
+        text = "points=0..%d arcs=" % 10**15
+        code, out, err = run(capsys, monkeypatch, ["convert", "--from", "arcs", "--to", "alt"], text)
+        assert code == 1 and out == "" and "ALTAB_MAX_DEPTH" in err
+
+    def test_input_that_is_not_utf8_is_a_parse_error(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "bad"
+        path.write_bytes(b"DE|\xff")
+        code, out, err = run(capsys, monkeypatch, ["convert", "--from", "alt", "--to", "perm", str(path)])
+        assert code == 1 and out == "" and "utf-8" in err
+
     def test_missing_input_file_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
         missing = str(tmp_path / "missing")
         with pytest.raises(SystemExit) as exc:
@@ -193,6 +233,20 @@ class TestEnumerateCount:
         monkeypatch.setenv("ALTAB_MAX_N", "3")
         code, _, err = run(capsys, monkeypatch, ["enumerate", "--n", "5"])
         assert code == 1 and "cap" in err
+
+    @pytest.mark.parametrize(
+        "var, argv, stdin",
+        [
+            ("ALTAB_MAX_N", ["enumerate", "--n", "2"], ""),
+            ("ALTAB_MAX_WEIGHT_N", ["count", "--n", "2"], ""),
+            ("ALTAB_MAX_CHAIN_N", ["verify", "--suite", "asep", "--n", "1"], ""),
+            ("ALTAB_MAX_DEPTH", ["convert", "--from", "perm", "--to", "alt"], "0 1"),
+        ],
+    )
+    def test_a_cap_that_is_not_an_integer_exits_one(self, capsys, monkeypatch, var, argv, stdin):
+        monkeypatch.setenv(var, "abc")
+        code, out, err = run(capsys, monkeypatch, argv, stdin)
+        assert code == 1 and out == "" and err.startswith("error: " + var)
 
 
 class TestVerify:
@@ -270,3 +324,70 @@ class TestAsepRender:
     def test_render_forest(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["render", "--style", "forest"], T0_COMPACT)
         assert code == 0 and len(out.strip().splitlines()) == 7
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every parser the CLI reaches, fed arbitrary and nearly valid text.
+
+VERBS = [["convert", "--from", rep] for rep in REPS] + [
+    ["stats"],
+    ["stats", "--format", "permtab"],
+    ["split"],
+    ["merge"],
+]
+
+# Every character of every text format, so that random text gets past the
+# first token more often than arbitrary unicode does.
+ALPHABET = "DELUWBR|,;=[]()-'.: \n0123456789labelswordarrowspointsc"
+
+# Valid inputs of every format read by the fuzzed verbs, where edits start.
+SAMPLES = [
+    T0_COMPACT,
+    "labels=2,5|DE|L2,5",
+    "word=DE\narrows=[1,2,L]",
+    "labels=0,1,2,3,4|DDDEE|0,3;2,3;2,4",
+    "DEE|1,2;1,3",
+    "(B 1) (B 2) (W 4 (B 9 (W 6 (B 8)) (W 7)))",
+    "points=0..3 arcs=(0,2)(0,3)(1,3)",
+    "(1 L:- R:-) (2 L:- R:-)",
+    SIGMA0_TEXT,
+    "3 1' 2",
+    "{1} :: E|",
+]
+
+
+@st.composite
+def edited_samples(draw):
+    """A sample with a few random cuts and insertions."""
+    text = draw(st.sampled_from(SAMPLES))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        cut = draw(st.integers(min_value=0, max_value=3))
+        text = text[:at] + draw(st.text(ALPHABET, max_size=4)) + text[at + cut :]
+    return text
+
+
+def main_in_process(argv, stdin):
+    """Exit code, stdout and stderr of the CLI run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    verb=st.sampled_from(VERBS),
+    to=st.sampled_from(REPS),
+    text=st.one_of(st.text(max_size=30), st.text(ALPHABET, max_size=30), edited_samples()),
+)
+def test_fuzzed_input_exits_cleanly(verb, to, text):
+    argv = verb + ["--to", to] if verb[0] == "convert" else verb
+    code, _, err = main_in_process(argv, text)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ")

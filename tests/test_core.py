@@ -27,7 +27,16 @@ from alttab.core import (
 from alttab.enumeration import all_tableaux
 from alttab.errors import DomainError, ParseError, ValidationError
 
-from conftest import T0_COMPACT, free_stats_by_grid, raw_tableaux, tableaux
+from conftest import (
+    T0_COMPACT,
+    free_stats_by_grid,
+    from_perm_tableau_by_lists,
+    raw_tableaux,
+    tableaux,
+)
+
+# More digits than ``int`` converts by default (4300).
+HUGE = "1" * 5000
 
 
 def naive_free_cells(t: AltTableau) -> set[tuple[int, int]]:
@@ -206,6 +215,12 @@ class TestPermTableauBijection:
         assert pstats.unrestricted_rows == stats.free_rows
         assert pstats.superfluous_cells == stats.free_cells
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_equals_the_list_scan_exhaustive(self, n):
+        for t in all_tableaux(n):
+            p = to_perm_tableau(t)
+            assert from_perm_tableau(p) == from_perm_tableau_by_lists(p) == t
+
     def test_empty_column_rejected(self):
         with pytest.raises(ValidationError) as err:
             validate_perm_tableau((1, 2), "ED", [])
@@ -275,3 +290,18 @@ class TestTextFormats:
     def test_record_with_a_bad_number_is_a_parse_error(self, text):
         with pytest.raises(ParseError):
             parse_tableau(text)
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_tableau, f"DE|L1,{HUGE}"),
+            (parse_tableau, f"labels=1,{HUGE}|DE|"),
+            (parse_tableau, f"word=DE\nlabels=1,{HUGE}"),
+            (parse_tableau, f"word=DE\narrows=[1,{HUGE},L]"),
+            (parse_perm_tableau, f"DE|1,{HUGE}"),
+        ],
+        ids=["compact-arrow", "compact-labels", "record-labels", "record-arrow", "permtab"],
+    )
+    def test_number_beyond_the_digit_limit_is_a_parse_error(self, parse, text):
+        with pytest.raises(ParseError):
+            parse(text)

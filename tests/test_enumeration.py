@@ -280,6 +280,19 @@ class TestAsep:
             assert dist == solved
             assert sum(dist.values()) == 1
 
+    @pytest.mark.parametrize(
+        "var, run",
+        [
+            ("ALTAB_MAX_N", lambda: list(all_tableaux(2))),
+            ("ALTAB_MAX_WEIGHT_N", lambda: count_table(2)),
+            ("ALTAB_MAX_CHAIN_N", lambda: chain_stationary(AsepParams(2, 1, 1, 1))),
+        ],
+    )
+    def test_a_cap_that_is_not_an_integer_is_a_resource_error(self, monkeypatch, var, run):
+        monkeypatch.setenv(var, "abc")
+        with pytest.raises(ResourceLimitError, match=var):
+            run()
+
     def test_chain_cap_is_its_own(self, monkeypatch):
         # Raising the enumeration cap must not raise the dense 2^n solve.
         monkeypatch.setenv("ALTAB_MAX_N", "9")

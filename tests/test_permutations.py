@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from alttab.core import free_stats, standard_tableau
 from alttab.decomposition import restrict
 from alttab.enumeration import all_tableaux, symmetric_tableaux
-from alttab.errors import DomainError, ResourceLimitError
+from alttab.errors import DomainError, ParseError, ResourceLimitError
 from alttab.permutations import (
     SignedPerm,
     check_word,
@@ -282,3 +282,16 @@ class TestTextFormats:
     def test_check_word(self):
         with pytest.raises(DomainError):
             check_word((2, 2))
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_word, "0 " + "1" * 5000),
+            (parse_signed, "1" * 5000),
+            (parse_signed, "1 \u00b2"),  # "²" is a digit to isdigit() but not to int()
+        ],
+        ids=["word", "signed", "signed-sup2"],
+    )
+    def test_letter_int_refuses_is_a_parse_error(self, parse, text):
+        with pytest.raises(ParseError):
+            parse(text)

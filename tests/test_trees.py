@@ -8,7 +8,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from alttab.core import AltTableau, Arrow, empty_tableau, free_stats, relabel, standard_tableau
+from alttab.core import (
+    AltTableau,
+    Arrow,
+    empty_tableau,
+    free_stats,
+    from_perm_tableau,
+    relabel,
+    standard_tableau,
+    to_perm_tableau,
+)
 from alttab.decomposition import (
     _divide_by_closure,
     _split_by_closure,
@@ -64,7 +73,7 @@ from alttab.trees import (
     validate_tree,
 )
 
-from conftest import free_stats_by_grid, merge_by_folding, tableaux
+from conftest import free_stats_by_grid, from_perm_tableau_by_lists, merge_by_folding, tableaux
 
 T0_ARCS = {
     (3, 5), (4, 9), (6, 8), (6, 9), (7, 9), (10, 12),
@@ -455,6 +464,12 @@ def test_depth_guard():
         validate_tree(tree)
 
 
+def test_a_depth_cap_that_is_not_an_integer_is_a_resource_error(monkeypatch):
+    monkeypatch.setenv("ALTAB_MAX_DEPTH", "abc")
+    with pytest.raises(ResourceLimitError, match="ALTAB_MAX_DEPTH"):
+        to_forest(standard_tableau("DE"))
+
+
 @st.composite
 def large_words_and_corruptions(draw):
     """A random permutation of 0..n for n in 100..200, and one arrow to add
@@ -491,6 +506,8 @@ def test_direct_paths_equal_the_recursive_constructions_at_large_n(drawn):
     t = from_permutation(word)
     assert t == from_forest(word_to_forest(word))
     assert free_stats(t) == free_stats_by_grid(t)
+    p = to_perm_tableau(t)
+    assert from_perm_tableau(p) == from_perm_tableau_by_lists(p) == t
     parts = split(t)
     assert merge_all(parts) == merge_by_folding(parts) == t
     assert to_forest(t) == _to_forest_by_cut(t)
@@ -549,3 +566,22 @@ class TestTextFormats:
             assert parse_arcs(render_arcs(d)) == d
         pair = binary_pair(t)
         assert parse_bin_pair(render_bin_pair(pair)) == pair
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_arcs, "points=0..%s arcs=" % ("1" * 5000)),
+            (parse_arcs, "points=0..2 arcs=(0,%s)" % ("1" * 5000)),
+            (parse_forest, "(W %s)" % ("1" * 5000)),
+            (parse_bin_pair, "(%s L:- R:-) -" % ("1" * 5000)),
+        ],
+        ids=["arcs-points", "arcs-arc", "forest", "bintrees"],
+    )
+    def test_number_beyond_the_digit_limit_is_a_parse_error(self, parse, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+    def test_arcs_point_range_is_capped_before_it_is_built(self):
+        # Checked on the two numbers alone: the range is never materialized.
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_DEPTH"):
+            parse_arcs("points=0..%d arcs=" % 10**15)
