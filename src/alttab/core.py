@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Container, Iterator, NamedTuple, Sequence
+from typing import Container, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ParseError, ValidationError, Violation
 
@@ -56,8 +56,9 @@ class _Shape:
 
     What is computed once and remembered on an instance (``rows``,
     ``columns``, and a tableau's passed check and free statistics) lives in
-    its ``__dict__`` beside the fields, so ``==``, ``hash``, ``repr`` and the
-    pickled state see only the fields.
+    its ``__dict__`` beside the fields, so ``==``, ``hash`` and ``repr`` see
+    only the fields.  Being true of the immutable value, it is pickled and
+    copied with it.
     """
 
     labels: tuple[int, ...]
@@ -81,9 +82,6 @@ class _Shape:
             for j in cols:
                 if i < j:
                     yield (i, j)
-
-    def __getstate__(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

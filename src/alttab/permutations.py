@@ -17,14 +17,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import LEFT, UP, AltTableau, _parse_int, relabel, transpose
-from .decomposition import _tableau_from_edges, merge
+from .decomposition import _arrow_forest, _tableau_from_edges, merge
 from .errors import DomainError, ParseError
 from .trees import (
     BLACK,
     WHITE,
     PlaneAltForest,
     PlaneAltTree,
+    _colors,
     _guard_size,
+    _plane_trees,
     to_forest,
 )
 
@@ -294,8 +296,11 @@ def to_signed_permutation(t: AltTableau) -> SignedPerm:
     if len(t) % 2 or transpose(t) != t:
         raise DomainError("not-symmetric", "tableau is not fixed by transposition")
     n = len(t) // 2
+    _guard_size(n)  # only the rows half becomes tree values
     # The rows half (the free-row components) is the white-rooted trees.
-    half = PlaneAltForest(tuple(tree for tree in to_forest(t).trees if tree.color == WHITE))
+    children, roots = _arrow_forest(t)
+    color = _colors(t)
+    half = PlaneAltForest(_plane_trees([r for r in roots if color[r] == WHITE], children, color))
     word = forest_word(half, 0)[1:]  # drop the leading separator
     letters = []
     barred = set()

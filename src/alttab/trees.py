@@ -696,11 +696,16 @@ def parse_arcs(text: str) -> ArcDiagram:
     if not m:
         raise ParseError("expected 'points=a..b arcs=(i,j)...'", 0)
     lo, hi = _parse_int(m.group(1), m.start(1)), _parse_int(m.group(2), m.start(2))
-    _guard_size(hi - lo - 1)  # the forest's labels lie between the two virtual points
     at = m.start(3)
     arcs = [
         (_parse_int(i, at), _parse_int(j, at)) for i, j in re.findall(r"\((\d+),(\d+)\)", m.group(3))
     ]
+    # A tree has one arc fewer than points: checked before the range is built,
+    # so the text bounds the point count.
+    if hi - lo != len(arcs):
+        raise ValidationError(
+            [Violation("not-a-tree", f"{len(arcs)} arcs on {max(hi - lo + 1, 0)} points")]
+        )
     d = ArcDiagram(tuple(range(lo, hi + 1)), tuple(arcs))
     validate_arc_diagram(d)
     return d

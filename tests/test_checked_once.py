@@ -124,11 +124,18 @@ def test_what_is_remembered_does_not_change_the_value():
     assert set(t.__dict__) - set(fresh.__dict__) == {"_valid", "_free_stats", "rows", "columns"}
     assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
     assert dataclasses.astuple(t) == dataclasses.astuple(fresh)
-    assert pickle.dumps(t) == pickle.dumps(fresh)
     back = pickle.loads(pickle.dumps(t))
-    assert back == t and back.__dict__ == fresh.__dict__
+    assert back == t and hash(back) == hash(t) and back.__dict__ == t.__dict__
     p = to_perm_tableau(t)
-    assert p.rows and pickle.dumps(p) == pickle.dumps(dataclasses.replace(p))
+    assert p.rows and pickle.loads(pickle.dumps(p)) == dataclasses.replace(p)
+    forest = to_forest(t)
+    from_forest(forest)
+    fresh_forest = PlaneAltForest(forest.trees)
+    assert set(forest.__dict__) - set(fresh_forest.__dict__) == {"_valid"}
+    assert forest == fresh_forest and hash(forest) == hash(fresh_forest)
+    assert repr(forest) == repr(fresh_forest)
+    back_forest = pickle.loads(pickle.dumps(forest))
+    assert back_forest == forest and back_forest.__dict__ == forest.__dict__
 
 
 @given(raw_tableaux())

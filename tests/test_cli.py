@@ -139,6 +139,13 @@ class TestConvert:
         )
         assert code == 0 and back.strip() == "ED|"
 
+    def test_signedperm_roundtrip_at_150_letters(self, capsys, monkeypatch):
+        text = " ".join(f"{a}'" if a % 2 else str(a) for a in range(150, 0, -1))
+        code, out, err = run(
+            capsys, monkeypatch, ["convert", "--from", "signedperm", "--to", "signedperm"], text
+        )
+        assert code == 0 and out.strip() == text, err
+
     def test_signedperm_needs_symmetry(self, capsys, monkeypatch):
         code, _, err = run(
             capsys, monkeypatch, ["convert", "--from", "alt", "--to", "signedperm"], "DE|L1,2"
@@ -180,10 +187,10 @@ class TestConvert:
         code, out, err = run(capsys, monkeypatch, ["convert", "--from", rep, "--to", "alt"], text)
         assert code == 1 and out == "" and err.startswith("error: bad") and "at position" in err
 
-    def test_huge_arc_point_range_is_refused_by_the_depth_cap(self, capsys, monkeypatch):
+    def test_huge_arc_point_range_is_refused_before_it_is_built(self, capsys, monkeypatch):
         text = "points=0..%d arcs=" % 10**15
         code, out, err = run(capsys, monkeypatch, ["convert", "--from", "arcs", "--to", "alt"], text)
-        assert code == 1 and out == "" and "ALTAB_MAX_DEPTH" in err
+        assert code == 1 and out == "" and "not-a-tree" in err
 
     def test_input_that_is_not_utf8_is_a_parse_error(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "bad"

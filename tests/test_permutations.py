@@ -268,6 +268,19 @@ class TestSignedPermutations:
             image.add(sp)
         assert len(image) == 2**n * math.factorial(n)
 
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_roundtrip_up_to_the_depth_cap(self, n):
+        # The tableau has 2n labels; only its rows half of n labels is capped.
+        word = tuple(range(n, 0, -1))
+        sp = SignedPerm(word[1::2] + word[0::2], frozenset(range(0, n, 3)))
+        t = from_signed_permutation(sp)
+        assert len(t) == 2 * n
+        assert to_signed_permutation(t) == sp
+
+    def test_roundtrip_beyond_the_depth_cap_is_refused(self):
+        with pytest.raises(ResourceLimitError):
+            from_signed_permutation(SignedPerm(tuple(range(1, 202))))
+
 
 class TestTextFormats:
     def test_word_roundtrip(self):

@@ -581,7 +581,13 @@ class TestTextFormats:
         with pytest.raises(ParseError):
             parse(text)
 
-    def test_arcs_point_range_is_capped_before_it_is_built(self):
-        # Checked on the two numbers alone: the range is never materialized.
-        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_DEPTH"):
+    def test_arcs_point_range_is_checked_against_the_arcs_before_it_is_built(self):
+        # A huge range with few arcs is refused on the counts alone.
+        with pytest.raises(ValidationError) as err:
             parse_arcs("points=0..%d arcs=" % 10**15)
+        assert [v.code for v in err.value.violations] == ["not-a-tree"]
+
+    def test_arcs_text_beyond_the_depth_cap_parses(self):
+        d = arc_diagram(standard_tableau("DE" * 150))
+        assert len(d.points) == 302
+        assert parse_arcs(render_arcs(d)) == d
