@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .core import (
+    AltTableau,
     free_stats,
     from_perm_tableau,
     parse_tableau,
@@ -26,21 +27,25 @@ from .enumeration import (
     ENUMERATION_CAP,
     WEIGHT_CAP,
     AsepParams,
-    _check_cap,
     FormulaCheck,
     all_tableaux,
     all_via_perm,
     asep_distribution,
     catalan,
     chain_stationary,
-    count_shapes,
     count_table,
     decorated_count,
     formula_report,
-    no_free_cell_count,
     shape_words,
     symmetric_tableaux,
     weight_poly,
+)
+from .errors import check_cap
+from .oracles import (
+    binary_pair_by_divide,
+    count_shapes,
+    no_free_cell_count,
+    to_forest_by_cut,
     weight_poly_by_fillings,
 )
 from .permutations import (
@@ -50,8 +55,6 @@ from .permutations import (
     to_permutation_by_insertion,
 )
 from .trees import (
-    _binary_pair_by_divide,
-    _to_forest_by_cut,
     arc_diagram,
     arcs_to_forest,
     binary_pair,
@@ -76,93 +79,6 @@ def _all_hold(name: str, pairs: Iterable[tuple[bool, str]]) -> FormulaCheck:
         if not ok:
             return FormulaCheck(name, False, detail)
     return FormulaCheck(name, True)
-
-
-def _per_tableau(name: str, n_max: int, prop: Callable) -> FormulaCheck:
-    def run():
-        for n in range(n_max + 1):
-            for t in all_tableaux(n):
-                yield prop(t), f"fails on {render_tableau(t)}"
-
-    return _all_hold(name, run())
-
-
-def bijection_checks(n_max: int) -> list[FormulaCheck]:
-    checks = [
-        _per_tableau(
-            "merge of split components restores the tableau",
-            n_max,
-            lambda t: merge_all(split(t)) == t,
-        ),
-        _per_tableau(
-            "forest encoding round trip",
-            n_max,
-            lambda t: from_forest(to_forest(t)) == t,
-        ),
-        _per_tableau(
-            "forest equals the cut/split construction",
-            n_max,
-            lambda t: to_forest(t) == _to_forest_by_cut(t),
-        ),
-        _per_tableau(
-            "arc diagram agrees with the forest route",
-            n_max,
-            lambda t: arc_diagram(t) == forest_to_arcs(to_forest(t)),
-        ),
-        _per_tableau(
-            "arc diagram decodes back to the forest",
-            n_max,
-            lambda t: arcs_to_forest(arc_diagram(t)) == to_forest(t),
-        ),
-        _per_tableau(
-            "permutation-tableau round trip",
-            n_max,
-            lambda t: from_perm_tableau(to_perm_tableau(t)) == t,
-        ),
-        _per_tableau(
-            "parse of render is the identity",
-            n_max,
-            lambda t: parse_tableau(render_tableau(t)) == t,
-        ),
-        _per_tableau(
-            "permutation encoding round trip",
-            n_max,
-            lambda t: from_permutation(to_permutation(t)) == t,
-        ),
-        _per_tableau(
-            "insertion algorithm matches the forest bijection",
-            n_max,
-            lambda t: to_permutation_by_insertion(t) == to_permutation(t),
-        ),
-        _per_tableau(
-            "transposition is an involution",
-            n_max,
-            lambda t: transpose(transpose(t)) == t,
-        ),
-        _per_tableau(
-            "binary-tree pair round trip",
-            min(n_max, 5),
-            lambda t: binary_pair_inv(binary_pair(t)) == t,
-        ),
-        _per_tableau(
-            "binary pair equals the divide construction",
-            min(n_max, 5),
-            lambda t: binary_pair(t) == _binary_pair_by_divide(t),
-        ),
-        _per_tableau(
-            "free cells equal arc out-crossings",
-            n_max,
-            lambda t: out_crossings(arc_diagram(t)) == free_stats(t).free_cells,
-        ),
-        _per_tableau("forests validate", n_max, _forest_valid),
-    ]
-    checks.append(
-        _per_tableau("letter statistics transport", n_max, _statistics_transport)
-    )
-    checks.append(
-        _per_tableau("permutation-tableau statistics transport", n_max, _perm_transport)
-    )
-    return checks
 
 
 def _forest_valid(t) -> bool:
@@ -190,6 +106,68 @@ def _perm_transport(t) -> bool:
         and p.unrestricted_rows == stats.free_rows
         and p.superfluous_cells == stats.free_cells
     )
+
+
+# The bijection battery, in report order: (name, largest n it is checked at,
+# or None for every n, property of one tableau).
+BIJECTIONS: tuple[tuple[str, int | None, Callable[[AltTableau], bool]], ...] = (
+    ("merge of split components restores the tableau", None, lambda t: merge_all(split(t)) == t),
+    ("forest encoding round trip", None, lambda t: from_forest(to_forest(t)) == t),
+    (
+        "forest equals the cut/split construction",
+        None,
+        lambda t: to_forest(t) == to_forest_by_cut(t),
+    ),
+    (
+        "arc diagram agrees with the forest route",
+        None,
+        lambda t: arc_diagram(t) == forest_to_arcs(to_forest(t)),
+    ),
+    (
+        "arc diagram decodes back to the forest",
+        None,
+        lambda t: arcs_to_forest(arc_diagram(t)) == to_forest(t),
+    ),
+    ("permutation-tableau round trip", None, lambda t: from_perm_tableau(to_perm_tableau(t)) == t),
+    ("parse of render is the identity", None, lambda t: parse_tableau(render_tableau(t)) == t),
+    ("permutation encoding round trip", None, lambda t: from_permutation(to_permutation(t)) == t),
+    (
+        "insertion algorithm matches the forest bijection",
+        None,
+        lambda t: to_permutation_by_insertion(t) == to_permutation(t),
+    ),
+    ("transposition is an involution", None, lambda t: transpose(transpose(t)) == t),
+    ("binary-tree pair round trip", 5, lambda t: binary_pair_inv(binary_pair(t)) == t),
+    (
+        "binary pair equals the divide construction",
+        5,
+        lambda t: binary_pair(t) == binary_pair_by_divide(t),
+    ),
+    (
+        "free cells equal arc out-crossings",
+        None,
+        lambda t: out_crossings(arc_diagram(t)) == free_stats(t).free_cells,
+    ),
+    ("forests validate", None, _forest_valid),
+    ("letter statistics transport", None, _statistics_transport),
+    ("permutation-tableau statistics transport", None, _perm_transport),
+)
+
+
+def bijection_checks(n_max: int) -> list[FormulaCheck]:
+    """Every property of :data:`BIJECTIONS` on every tableau up to ``n_max``
+    (or the property's own bound), in one walk per size; a property stops at
+    its first counterexample."""
+    failed: dict[str, str] = {}
+    for n in range(n_max + 1):
+        live = [(name, prop) for name, bound, prop in BIJECTIONS if bound is None or n <= bound]
+        for t in all_tableaux(n):
+            for name, prop in live:
+                if name not in failed and not prop(t):
+                    failed[name] = f"fails on {render_tableau(t)}"
+    return [
+        FormulaCheck(name, name not in failed, failed.get(name, "")) for name, _, _ in BIJECTIONS
+    ]
 
 
 def count_checks(n_max: int) -> list[FormulaCheck]:
@@ -316,7 +294,7 @@ def run_suite(suite: str, n_max: int) -> list[FormulaCheck]:
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
         for setting in SUITE_CAPS[name]:
-            _check_cap(n_max, None, f"verify suite {name}", setting)
+            check_cap(n_max, f"verify suite {name}", setting)
     out = []
     for name in names:
         out.extend(SUITES[name](n_max))

@@ -469,6 +469,12 @@ _ARROW_RE = re.compile(r"([LU])(\d+),(\d+)$")
 _CELL_RE = re.compile(r"(\d+),(\d+)$")
 
 
+def _shown(text: str) -> str:
+    """``text`` as a parse error shows it: cut at 20 characters, with its length."""
+    cut = text if len(text) <= 20 else text[:20] + "..."
+    return f"{cut!r} ({len(text)} characters)"
+
+
 def _parse_int(digits: str, pos: int) -> int:
     """``int(digits)``, or a :class:`ParseError` at ``pos`` where ``int``
     refuses the text: a digit it does not read, such as ``"²"``, or more
@@ -476,8 +482,7 @@ def _parse_int(digits: str, pos: int) -> int:
     try:
         return int(digits)
     except ValueError:
-        shown = digits if len(digits) <= 20 else digits[:20] + "..."
-        raise ParseError(f"bad number {shown!r} ({len(digits)} characters)", pos) from None
+        raise ParseError(f"bad number {_shown(digits)}", pos) from None
 
 
 def _parse_labels_prefix(text: str) -> tuple[tuple[int, ...] | None, str, int]:
@@ -491,7 +496,7 @@ def _parse_labels_prefix(text: str) -> tuple[tuple[int, ...] | None, str, int]:
     try:
         labels = tuple(int(p) for p in body.split(",")) if body else ()
     except ValueError:
-        raise ParseError(f"bad label list {body!r}", len("labels="))
+        raise ParseError(f"bad label list {_shown(body)}", len("labels="))
     return labels, text[cut + 1 :], cut + 1
 
 
@@ -515,7 +520,7 @@ def parse_tableau(text: str) -> AltTableau:
             continue
         m = _ARROW_RE.match(part)
         if not m:
-            raise ParseError(f"bad arrow {part!r}", pos)
+            raise ParseError(f"bad arrow {_shown(part)}", pos)
         arrows.append((_parse_int(m.group(2), pos), _parse_int(m.group(3), pos), m.group(1)))
         pos += len(part) + 1
     return validate_alt(labels, word, arrows)
@@ -531,7 +536,7 @@ def _parse_record(text: str) -> AltTableau:
             continue
         key, eq, value = stripped.partition("=")
         if not eq:
-            raise ParseError(f"expected key=value, got {stripped!r}", pos)
+            raise ParseError(f"expected key=value, got {_shown(stripped)}", pos)
         fields[key.strip()] = value.strip()
         pos += len(line) + 1
     unknown = set(fields) - {"labels", "word", "arrows", "statistics"}
@@ -544,18 +549,18 @@ def _parse_record(text: str) -> AltTableau:
         try:
             labels = tuple(int(p) for p in fields["labels"].split(","))
         except ValueError:
-            raise ParseError(f"bad label list {fields['labels']!r}", 0)
+            raise ParseError(f"bad label list {_shown(fields['labels'])}", 0)
     else:
         labels = tuple(range(1, len(word) + 1))
     arrows = []
     for part in re.findall(r"\[([^\]]*)\]", fields.get("arrows", "")):
         bits = [b.strip() for b in part.split(",")]
         if len(bits) != 3 or bits[2] not in (LEFT, UP):
-            raise ParseError(f"bad arrow entry [{part}]", 0)
+            raise ParseError(f"bad arrow entry {_shown(part)}", 0)
         try:
             arrows.append((int(bits[0]), int(bits[1]), bits[2]))
         except ValueError:
-            raise ParseError(f"bad arrow entry [{part}]", 0)
+            raise ParseError(f"bad arrow entry {_shown(part)}", 0)
     return validate_alt(labels, word, arrows)
 
 
@@ -618,7 +623,7 @@ def parse_perm_tableau(text: str) -> PermTableau:
             continue
         m = _CELL_RE.match(part)
         if not m:
-            raise ParseError(f"bad cell {part!r}", pos)
+            raise ParseError(f"bad cell {_shown(part)}", pos)
         ones.append((_parse_int(m.group(1), pos), _parse_int(m.group(2), pos)))
         pos += len(part) + 1
     return validate_perm_tableau(labels, word, ones)

@@ -9,8 +9,7 @@ part and a columns-only part.
 The components are the trees of the tableau's plane alternative forest,
 which reads straight off the arrows (:func:`_arrow_forest`): its edges are
 the arrow cells and its roots the free lines.  ``split`` and ``divide`` group
-the labels by tree in one pass; the closure-and-restrict constructions of the
-paper stay as the oracles ``_split_by_closure`` and ``_divide_by_closure``.
+the labels by tree in one pass.
 """
 
 from __future__ import annotations
@@ -224,13 +223,6 @@ def split(t: AltTableau) -> tuple[AltTableau, ...]:
     return tuple(sorted(parts.values(), key=lambda p: p.labels[0]))
 
 
-def _split_by_closure(t: AltTableau) -> tuple[AltTableau, ...]:
-    """Oracle for :func:`split`: restrict to the closure of each free label."""
-    stats = free_stats(t)
-    parts = [restrict(t, closure(t, k)) for k in sorted(stats.free_rows | stats.free_cols)]
-    return tuple(sorted(parts, key=lambda p: p.labels[0]))
-
-
 def merge(t: AltTableau, u: AltTableau) -> AltTableau:
     """Interleave two tableaux labeled on disjoint sets; mixed cells stay empty."""
     overlap = set(t.labels) & set(u.labels)
@@ -268,18 +260,6 @@ def divide(t: AltTableau) -> tuple[AltTableau, AltTableau]:
     parts = _parts(t, {l: kinds[r] for l, r in _tree_roots(t).items()})
     empty = AltTableau((), "")
     return parts.get("D", empty), parts.get("E", empty)
-
-
-def _divide_by_closure(t: AltTableau) -> tuple[AltTableau, AltTableau]:
-    """Oracle for :func:`divide`: restrict to the union of the closures."""
-    stats = free_stats(t)
-    row_side: set[int] = set()
-    for k in stats.free_rows:
-        row_side |= closure(t, k)
-    col_side: set[int] = set()
-    for k in stats.free_cols:
-        col_side |= closure(t, k)
-    return restrict(t, row_side), restrict(t, col_side)
 
 
 def format_split(parts: Iterable[AltTableau]) -> str:

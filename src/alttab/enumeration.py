@@ -13,9 +13,7 @@ fills cells leftmost column first, top to bottom, trying empty, then a left
 arrow, then an up arrow; arrows are only placed when every cell they point at
 is already known to be empty, so each produced filling is valid by
 construction.  A second generator reaches the same set through the
-permutation bijection, giving an independent oracle.  Enumeration is the
-oracle the recursion is tested against (``count_shapes``,
-``weight_poly_by_fillings``).
+permutation bijection.
 """
 
 from __future__ import annotations
@@ -27,16 +25,16 @@ from itertools import permutations as iter_permutations
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .core import AltTableau, Arrow, PermTableau, free_stats, relabel, transpose
-from .decomposition import divide, merge
-from .errors import DomainError, ResourceLimitError, cap_limit
+from .core import AltTableau, Arrow, free_stats, relabel, transpose
+from .decomposition import _parts, _tree_roots, divide, merge
+from .errors import DomainError, check_cap
 from .permutations import from_permutation
 from .series import Poly3, Series, geometric, neg_log_one_minus_z
 
-# Size caps, one per workload, each overridable by its environment variable
-# or by ``cap=``.  Enumeration visits (n+1)! tableaux; the corner recursion
-# keeps a memo of up to 2^(n+1) shapes (about 30 MB of count polynomials at
-# n = 12); the chain solve is a dense 2^n linear system.
+# Size caps, one per workload, each overridable by its environment variable.
+# Enumeration visits (n+1)! tableaux; the corner recursion keeps a memo of up
+# to 2^(n+1) shapes (about 30 MB of count polynomials at n = 12); the chain
+# solve is a dense 2^n linear system.
 ENUMERATION_CAP = ("ALTAB_MAX_N", 9)
 WEIGHT_CAP = ("ALTAB_MAX_WEIGHT_N", 12)
 CHAIN_CAP = ("ALTAB_MAX_CHAIN_N", 6)
@@ -45,18 +43,6 @@ PARTICLE = "*"
 HOLE = "o"
 
 V = TypeVar("V")
-
-
-def _check_cap(
-    n: int, cap: int | None, what: str, setting: tuple[str, int] = ENUMERATION_CAP
-) -> None:
-    limit = cap if cap is not None else cap_limit(setting)
-    if n > limit:
-        raise ResourceLimitError(
-            f"{what} for n={n} exceeds the cap {limit}; set {setting[0]} to raise it"
-        )
-    if n < 0:
-        raise DomainError("bad-size", f"negative size {n}")
 
 
 def shape_words(n: int) -> Iterator[str]:
@@ -107,55 +93,20 @@ def fillings(word: str) -> Iterator[tuple[Arrow, ...]]:
     yield from place(0)
 
 
-def all_tableaux(n: int, cap: int | None = None) -> Iterator[AltTableau]:
+def all_tableaux(n: int) -> Iterator[AltTableau]:
     """Every alternative tableau of length n with standard labels, exactly once."""
-    _check_cap(n, cap, "exhaustive generation")
+    check_cap(n, "exhaustive generation", ENUMERATION_CAP)
     labels = tuple(range(1, n + 1))
     for word in shape_words(n):
         for arrows in fillings(word):
             yield AltTableau(labels, word, arrows)
 
 
-def all_via_perm(n: int, cap: int | None = None) -> Iterator[AltTableau]:
+def all_via_perm(n: int) -> Iterator[AltTableau]:
     """The same set, produced from all (n+1)! permutations of 0..n."""
-    _check_cap(n, cap, "permutation-driven generation")
+    check_cap(n, "permutation-driven generation", ENUMERATION_CAP)
     for word in iter_permutations(range(n + 1)):
         yield from_permutation(word)
-
-
-def all_perm_tableaux(n: int, cap: int | None = None) -> Iterator[PermTableau]:
-    """Every permutation tableau of length n with standard labels.
-
-    Independent of the alternative-tableau generator: a 0/1 backtracking with
-    the column and blocked-zero rules checked as cells are placed.
-    """
-    _check_cap(n, cap, "permutation-tableau generation")
-    labels = tuple(range(1, n + 1))
-    for word in shape_words(n):
-        rows = [l for l, c in zip(labels, word) if c == "D"]
-        cols = [l for l, c in zip(labels, word) if c == "E"]
-        if any(not any(i < j for i in rows) for j in cols):
-            continue  # a column without cells can never contain a 1
-        by_col = [[(i, j) for i in rows if i < j] for j in sorted(cols, reverse=True)]
-        cells = [c for col in by_col for c in col]
-        ones: set[tuple[int, int]] = set()
-
-        def place(k: int) -> Iterator[PermTableau]:
-            if k == len(cells):
-                yield PermTableau(labels, word, tuple(sorted(ones)))
-                return
-            i, j = cells[k]
-            one_above = any((i2, j) in ones for i2 in rows if i2 < i)
-            one_left = any((i, j2) in ones for j2 in cols if j2 > j)
-            last_of_col = k + 1 == len(cells) or cells[k + 1][1] != j
-            # 0 is allowed unless blocked; a column must not finish all-zero.
-            if not (one_above and one_left) and not (last_of_col and not one_above):
-                yield from place(k + 1)
-            ones.add((i, j))
-            yield from place(k + 1)
-            ones.discard((i, j))
-
-        yield from place(0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +194,10 @@ class CountTable:
         )
 
 
-def count_shapes(n: int, words: Iterable[str]) -> dict[tuple[int, int, int], int]:
-    """Count fillings of the given shapes by (frow, fcol, rows) by enumeration;
-    the oracle for ``count_table``."""
-    _check_cap(n, None, "enumerative counting")
-    counts: dict[tuple[int, int, int], int] = {}
-    labels = tuple(range(1, n + 1))
-    for word in words:
-        k = word.count("D")
-        for arrows in fillings(word):
-            stats = free_stats(AltTableau(labels, word, arrows))
-            key = (stats.frow, stats.fcol, k)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def count_table(n: int, cap: int | None = None) -> CountTable:
+def count_table(n: int) -> CountTable:
     """Exact count table from the corner recursion at q = 1, where "times q"
     is the identity and each shape's polynomial holds x^fcol y^frow terms."""
-    _check_cap(n, cap, "counting", WEIGHT_CAP)
+    check_cap(n, "counting", WEIGHT_CAP)
     counts: dict[tuple[int, int, int], int] = {}
     for word, poly in _corner_sums(shape_words(n), _poly_leaf, lambda p: p).items():
         k = word.count("D")
@@ -292,18 +228,8 @@ def weight_poly(word: str) -> Poly3:
     if set(word) - {"D", "E"}:
         raise DomainError("bad-word", f"border word {word!r} is not over D and E")
     core = len(word.lstrip("E").rstrip("D"))
-    _check_cap(core, None, "weight polynomial (steps from the first D to the last E)", WEIGHT_CAP)
+    check_cap(core, "weight polynomial (steps from the first D to the last E)", WEIGHT_CAP)
     return _corner_sums([word], _poly_leaf, _poly_times_q)[word]
-
-
-def weight_poly_by_fillings(word: str) -> Poly3:
-    """``weight_poly`` by enumerating every filling; the oracle for the recursion."""
-    labels = tuple(range(1, len(word) + 1))
-    total = Poly3()
-    for arrows in fillings(word):
-        stats = free_stats(AltTableau(labels, word, arrows))
-        total = total + Poly3.monomial(stats.fcell, stats.fcol, stats.frow)
-    return total
 
 
 @dataclass(frozen=True)
@@ -335,11 +261,11 @@ def shape_of_state(state: str) -> str:
     return "".join("D" if c == PARTICLE else "E" for c in state)
 
 
-def asep_distribution(p: AsepParams, cap: int | None = None) -> dict[str, Fraction]:
+def asep_distribution(p: AsepParams) -> dict[str, Fraction]:
     """Stationary law from tableau weights: P(s) proportional to the weight
     polynomial of the state's shape at x=1/alpha, y=1/beta, summed by the
     corner recursion directly on rationals."""
-    _check_cap(p.n, cap, "stationary distribution", WEIGHT_CAP)
+    check_cap(p.n, "stationary distribution", WEIGHT_CAP)
     if p.alpha == 0 or p.beta == 0:
         raise DomainError("degenerate-params", "alpha and beta must be positive")
     # Fraction() keeps integer or float rates exact.
@@ -407,9 +333,9 @@ def solve_stationary(m: list[list[Fraction]]) -> list[Fraction]:
     return rhs
 
 
-def chain_stationary(p: AsepParams, cap: int | None = None) -> dict[str, Fraction]:
+def chain_stationary(p: AsepParams) -> dict[str, Fraction]:
     """Independent oracle: build the chain and solve it exactly."""
-    _check_cap(p.n, cap, "chain solve", CHAIN_CAP)
+    check_cap(p.n, "chain solve", CHAIN_CAP)
     pi = solve_stationary(transition_matrix(p))
     return dict(zip(states(p.n), pi))
 
@@ -418,10 +344,10 @@ def chain_stationary(p: AsepParams, cap: int | None = None) -> dict[str, Fractio
 # Decorated and symmetric tableaux
 
 
-def decorated_count(n: int, cap: int | None = None) -> int:
+def decorated_count(n: int) -> int:
     """Number of tableaux of length n with each arrow independently marked."""
-    _check_cap(n, cap, "decorated counting")
-    return sum(2 ** len(t.arrows) for t in all_tableaux(n, cap))
+    check_cap(n, "decorated counting", ENUMERATION_CAP)
+    return sum(2 ** len(t.arrows) for t in all_tableaux(n))
 
 
 @dataclass(frozen=True)
@@ -468,32 +394,25 @@ def decorated_bijection(mt: MarkedTableau) -> MarkedTableau:
 
 
 def decorated_bijection_inv(mt: MarkedTableau) -> MarkedTableau:
-    """Inverse: split the free columns by mark, transpose the marked part back."""
-    from .decomposition import closure, restrict
-
+    """Inverse: group the trees by the mark on their free column, transpose
+    the marked part back."""
     u = mt.tableau
     stats = free_stats(u)
     if stats.frow:
         raise DomainError("wrong-class", "image tableaux have no free rows")
-    marked_free = sorted(j for j in stats.free_cols if j in mt.marked)
-    plain_free = sorted(j for j in stats.free_cols if j not in mt.marked)
-    r_labels: set[int] = set()
-    for j in marked_free:
-        r_labels |= closure(u, j)
-    s_labels: set[int] = set()
-    for j in plain_free:
-        s_labels |= closure(u, j)
-    r, s = restrict(u, r_labels), restrict(u, s_labels)
+    parts = _parts(u, {l: root in mt.marked for l, root in _tree_roots(u).items()})
+    empty = AltTableau((), "")
+    r, s = parts.get(True, empty), parts.get(False, empty)
     rev = _reversal(r.labels)
-    r_marks = {rev[l] for l in mt.marked if l in rev and l not in marked_free}
-    s_marks = {l for l in mt.marked if l in s_labels}
+    r_marks = {rev[l] for l in mt.marked - stats.free_cols if l in rev}
+    s_marks = mt.marked & set(s.labels)
     out = MarkedTableau(merge(transpose(r), s), frozenset(r_marks | s_marks))
     if not is_decorated(out):
         raise DomainError("mark-on-free-line", "inverse produced a mark on a free line")
     return out
 
 
-def symmetric_tableaux(size: int, cap: int | None = None) -> Iterator[AltTableau]:
+def symmetric_tableaux(size: int) -> Iterator[AltTableau]:
     """All transpose-fixed tableaux of even length, built constructively.
 
     Pick a tableau with no free columns on half the labels (one from each
@@ -502,8 +421,8 @@ def symmetric_tableaux(size: int, cap: int | None = None) -> Iterator[AltTableau
     if size % 2:
         raise DomainError("bad-size", f"symmetric tableaux have even length, got {size}")
     n = size // 2
-    _check_cap(n, cap, "symmetric generation")  # the work scales with the halves
-    halves = [t for t in all_tableaux(n, cap) if free_stats(t).fcol == 0]
+    check_cap(n, "symmetric generation", ENUMERATION_CAP)  # the work scales with the halves
+    halves = [t for t in all_tableaux(n) if free_stats(t).fcol == 0]
     for choice in product(*[(i, size + 1 - i) for i in range(1, n + 1)]):
         chosen = sorted(choice)
         mirror = sorted(size + 1 - l for l in chosen)
@@ -515,11 +434,6 @@ def symmetric_tableaux(size: int, cap: int | None = None) -> Iterator[AltTableau
                     "not-symmetric", f"tableau built on {chosen} is not transpose-fixed"
                 )
             yield t
-
-
-def no_free_cell_count(n: int, cap: int | None = None) -> int:
-    _check_cap(n, cap, "free-cell filtering")
-    return sum(1 for t in all_tableaux(n, cap) if free_stats(t).fcell == 0)
 
 
 def catalan(k: int) -> int:
@@ -560,11 +474,11 @@ def _compare_counts(name: str, series: Series, counts: Sequence[int], n_max: int
     return FormulaCheck(name, True)
 
 
-def formula_report(n_max: int = 7, cap: int | None = None) -> FormulaReport:
+def formula_report(n_max: int = 7) -> FormulaReport:
     """Check every counting identity coefficientwise up to ``n_max``, exactly."""
-    _check_cap(n_max, cap, "formula verification", WEIGHT_CAP)
+    check_cap(n_max, "formula verification", WEIGHT_CAP)
     order = n_max + 2
-    tables = [count_table(n, cap) for n in range(n_max + 1)]
+    tables = [count_table(n) for n in range(n_max + 1)]
     totals = [t.total() for t in tables]
     no_free_rows = [sum(c for (i, _, _), c in t.counts.items() if i == 0) for t in tables]
     col_packed = [

@@ -70,3 +70,15 @@ def cap_limit(setting: tuple[str, int]) -> int:
         return int(text)
     except ValueError:
         raise ResourceLimitError(f"{var}={text[:20]!r} is not an integer") from None
+
+
+def check_cap(n: int, what: str, setting: tuple[str, int]) -> None:
+    """Refuse size ``n`` of workload ``what`` above the cap ``setting``, naming
+    the variable that raises it; a negative size is a :class:`DomainError`."""
+    limit = cap_limit(setting)
+    if n > limit:
+        raise ResourceLimitError(
+            f"{what} for n={n} exceeds the cap {limit}; set {setting[0]} to raise it"
+        )
+    if n < 0:
+        raise DomainError("bad-size", f"negative size {n}")

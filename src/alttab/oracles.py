@@ -1,0 +1,265 @@
+"""The paper's constructions, kept as oracles for the production code.
+
+The paper builds its bijections through the recursive structure of a
+tableau (cut the root line, split by closures, block the parts back) and
+checks its counts by enumeration.  The engine reads the same objects
+straight off the arrows and counts by the corner recursion; these reference
+forms are what ``checks`` and the tests compare it with.  No other module of
+the package imports this one.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator, Sequence
+
+from .core import AltTableau, PermTableau, free_stats
+from .decomposition import (
+    COL_PACKED,
+    ROW_PACKED,
+    block,
+    closure,
+    cut,
+    merge,
+    merge_all,
+    packed_class,
+    restrict,
+)
+from .enumeration import ENUMERATION_CAP, all_tableaux, fillings, shape_words
+from .errors import DomainError, check_cap
+from .permutations import Word, check_word, rl_maxima, rl_minima
+from .series import Poly3
+from .trees import (
+    BLACK,
+    DEPTH_CAP,
+    MAX_ROOTED,
+    MIN_ROOTED,
+    WHITE,
+    BinAltTree,
+    PlaneAltForest,
+    PlaneAltTree,
+    validate_bin_tree,
+    validate_forest,
+)
+
+# ---------------------------------------------------------------------------
+# Components by closure, forests and binary pairs by cut and block
+
+
+def split_by_closure(t: AltTableau) -> tuple[AltTableau, ...]:
+    """Oracle for ``split``: restrict to the closure of each free label."""
+    stats = free_stats(t)
+    parts = [restrict(t, closure(t, k)) for k in sorted(stats.free_rows | stats.free_cols)]
+    return tuple(sorted(parts, key=lambda p: p.labels[0]))
+
+
+def divide_by_closure(t: AltTableau) -> tuple[AltTableau, AltTableau]:
+    """Oracle for ``divide``: restrict to the union of the closures."""
+    stats = free_stats(t)
+    row_side: set[int] = set()
+    for k in stats.free_rows:
+        row_side |= closure(t, k)
+    col_side: set[int] = set()
+    for k in stats.free_cols:
+        col_side |= closure(t, k)
+    return restrict(t, row_side), restrict(t, col_side)
+
+
+def to_forest_by_cut(t: AltTableau) -> PlaneAltForest:
+    """Oracle for ``to_forest``: cut the root line, split, recurse."""
+    return PlaneAltForest(tuple(_tree_rec(c, packed_class(c)) for c in split_by_closure(t)))
+
+
+def _tree_rec(t: AltTableau, cls: str) -> PlaneAltTree:
+    if cls == ROW_PACKED:
+        root = t.labels[0]  # the free row is the topmost one
+        rest = cut(t, "row")
+        kids = [_tree_rec(c, COL_PACKED) for c in split_by_closure(rest)]
+        kids.sort(key=lambda k: -k.label)
+        return PlaneAltTree(WHITE, root, tuple(kids))
+    root = t.labels[-1]  # the free column is the leftmost one
+    rest = cut(t, "col")
+    kids = [_tree_rec(c, ROW_PACKED) for c in split_by_closure(rest)]
+    kids.sort(key=lambda k: k.label)
+    return PlaneAltTree(BLACK, root, tuple(kids))
+
+
+def from_forest_by_block(f: PlaneAltForest) -> AltTableau:
+    """Oracle for ``from_forest``: merge the children's tableaux, then block."""
+    validate_forest(f)
+    return merge_all(_from_tree_rec(t) for t in f.trees)
+
+
+def _from_tree_rec(tree: PlaneAltTree) -> AltTableau:
+    body = merge_all(_from_tree_rec(c) for c in tree.children)
+    axis = "col" if tree.color == WHITE else "row"
+    return block(body, axis, tree.label)
+
+
+def binary_pair_by_divide(t: AltTableau) -> tuple[BinAltTree | None, BinAltTree | None]:
+    """Oracle for ``binary_pair``: cut the root line, divide, recurse."""
+    p, q = divide_by_closure(t)
+    return _bin_rec(p, MIN_ROOTED), _bin_rec(q, MAX_ROOTED)
+
+
+def _bin_rec(t: AltTableau, kind: str) -> BinAltTree | None:
+    if not t.labels:
+        return None
+    if kind == MIN_ROOTED:
+        root = t.labels[0]
+        rest = cut(t, "row")
+    else:
+        root = t.labels[-1]
+        rest = cut(t, "col")
+    p, q = divide_by_closure(rest)
+    return BinAltTree(root, _bin_rec(q, MAX_ROOTED), _bin_rec(p, MIN_ROOTED), kind)
+
+
+def binary_pair_inv_by_block(pair: tuple[BinAltTree | None, BinAltTree | None]) -> AltTableau:
+    """Oracle for ``binary_pair_inv``: merge the subtrees' tableaux, then block."""
+    b_min, b_max = pair
+    validate_bin_tree(b_min, MIN_ROOTED)
+    validate_bin_tree(b_max, MAX_ROOTED)
+    return merge(_from_bin_rec(b_min, MIN_ROOTED), _from_bin_rec(b_max, MAX_ROOTED))
+
+
+def _from_bin_rec(tree: BinAltTree | None, kind: str) -> AltTableau:
+    if tree is None:
+        return AltTableau((), "")
+    p = _from_bin_rec(tree.right, MIN_ROOTED)
+    q = _from_bin_rec(tree.left, MAX_ROOTED)
+    body = merge(p, q)
+    axis = "col" if kind == MIN_ROOTED else "row"
+    return block(body, axis, tree.label)
+
+
+# ---------------------------------------------------------------------------
+# Words to trees (the oracle for ``from_permutation``)
+
+
+def word_to_tree(word: Sequence[int], color: str) -> PlaneAltTree:
+    """Inverse of ``tree_word`` for a given root color.
+
+    A black-rooted word ends with its maximum and splits before the root at
+    the right-to-left minima; white-rooted words end with their minimum and
+    split at the maxima.
+    """
+    w = check_word(word)
+    if not w:
+        raise DomainError("bad-terminal-letter", "empty word encodes no tree")
+    check_cap(len(w), "tree encoding", DEPTH_CAP)
+    return _word_to_tree(w, color)
+
+
+def _word_to_tree(w: Word, color: str) -> PlaneAltTree:
+    root = w[-1]
+    body = w[:-1]
+    if color == BLACK:
+        if body and root != max(w):
+            raise DomainError("bad-terminal-letter", f"{root} is not the maximum of {w}")
+        bounds = rl_minima(body)
+        child_color = WHITE
+    elif color == WHITE:
+        if body and root != min(w):
+            raise DomainError("bad-terminal-letter", f"{root} is not the minimum of {w}")
+        bounds = rl_maxima(body)
+        child_color = BLACK
+    else:
+        raise DomainError("bad-color", f"unknown color {color!r}")
+    children = []
+    start = 0
+    for b in bounds:
+        end = body.index(b, start) + 1
+        children.append(_word_to_tree(body[start:end], child_color))
+        start = end
+    return PlaneAltTree(color, root, tuple(children))
+
+
+def word_to_forest(word: Sequence[int]) -> PlaneAltForest:
+    """Inverse of ``forest_word``; the separator is the smallest letter."""
+    w = check_word(word)
+    if not w:
+        raise DomainError("bad-separator", "empty word has no separator")
+    # The forest's size: every letter but the separator.
+    check_cap(len(w) - 1, "tree encoding", DEPTH_CAP)
+    cut_at = w.index(min(w))
+    before, after = w[:cut_at], w[cut_at + 1 :]
+    trees: list[PlaneAltTree] = []
+    for part, color, bounds in (
+        (before, BLACK, rl_maxima(before)),
+        (after, WHITE, rl_minima(after)),
+    ):
+        start = 0
+        for b in bounds:
+            end = part.index(b, start) + 1
+            trees.append(_word_to_tree(part[start:end], color))
+            start = end
+    return PlaneAltForest(tuple(trees))
+
+
+# ---------------------------------------------------------------------------
+# Counts and weights by enumeration
+
+
+def count_shapes(n: int, words: Iterable[str]) -> dict[tuple[int, int, int], int]:
+    """Oracle for ``count_table``: fillings of the shapes by (frow, fcol, rows)."""
+    check_cap(n, "enumerative counting", ENUMERATION_CAP)
+    counts: dict[tuple[int, int, int], int] = {}
+    labels = tuple(range(1, n + 1))
+    for word in words:
+        k = word.count("D")
+        for arrows in fillings(word):
+            stats = free_stats(AltTableau(labels, word, arrows))
+            key = (stats.frow, stats.fcol, k)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def weight_poly_by_fillings(word: str) -> Poly3:
+    """Oracle for ``weight_poly``: sum over every filling."""
+    labels = tuple(range(1, len(word) + 1))
+    total = Poly3()
+    for arrows in fillings(word):
+        stats = free_stats(AltTableau(labels, word, arrows))
+        total = total + Poly3.monomial(stats.fcell, stats.fcol, stats.frow)
+    return total
+
+
+def no_free_cell_count(n: int) -> int:
+    """Tableaux of length n with no free cell, by enumeration (Catalan(n+1))."""
+    check_cap(n, "free-cell filtering", ENUMERATION_CAP)
+    return sum(1 for t in all_tableaux(n) if free_stats(t).fcell == 0)
+
+
+def all_perm_tableaux(n: int) -> Iterator[PermTableau]:
+    """Every permutation tableau of length n with standard labels.
+
+    Independent of the alternative-tableau generator: a 0/1 backtracking with
+    the column and blocked-zero rules checked as cells are placed.
+    """
+    check_cap(n, "permutation-tableau generation", ENUMERATION_CAP)
+    labels = tuple(range(1, n + 1))
+    for word in shape_words(n):
+        rows = [l for l, c in zip(labels, word) if c == "D"]
+        cols = [l for l, c in zip(labels, word) if c == "E"]
+        if any(not any(i < j for i in rows) for j in cols):
+            continue  # a column without cells can never contain a 1
+        by_col = [[(i, j) for i in rows if i < j] for j in sorted(cols, reverse=True)]
+        cells = [c for col in by_col for c in col]
+        ones: set[tuple[int, int]] = set()
+
+        def place(k: int) -> Iterator[PermTableau]:
+            if k == len(cells):
+                yield PermTableau(labels, word, tuple(sorted(ones)))
+                return
+            i, j = cells[k]
+            one_above = any((i2, j) in ones for i2 in rows if i2 < i)
+            one_left = any((i, j2) in ones for j2 in cols if j2 > j)
+            last_of_col = k + 1 == len(cells) or cells[k + 1][1] != j
+            # 0 is allowed unless blocked; a column must not finish all-zero.
+            if not (one_above and one_left) and not (last_of_col and not one_above):
+                yield from place(k + 1)
+            ones.add((i, j))
+            yield from place(k + 1)
+            ones.discard((i, j))
+
+        yield from place(0)

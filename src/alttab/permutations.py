@@ -16,16 +16,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import LEFT, UP, AltTableau, _parse_int, relabel, transpose
+from .core import LEFT, UP, AltTableau, _parse_int, _shown, relabel, transpose
 from .decomposition import _arrow_forest, _tableau_from_edges, merge
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, check_cap
 from .trees import (
     BLACK,
+    DEPTH_CAP,
     WHITE,
     PlaneAltForest,
     PlaneAltTree,
     _colors,
-    _guard_size,
     _plane_trees,
     to_forest,
 )
@@ -107,44 +107,6 @@ def tree_word(t: PlaneAltTree) -> Word:
     return tuple(reversed(out))
 
 
-def word_to_tree(word: Sequence[int], color: str) -> PlaneAltTree:
-    """Inverse of :func:`tree_word` for a given root color.
-
-    A black-rooted word ends with its maximum and splits before the root at
-    the right-to-left minima; white-rooted words end with their minimum and
-    split at the maxima.
-    """
-    w = check_word(word)
-    if not w:
-        raise DomainError("bad-terminal-letter", "empty word encodes no tree")
-    _guard_size(len(w))
-    return _word_to_tree(w, color)
-
-
-def _word_to_tree(w: Word, color: str) -> PlaneAltTree:
-    root = w[-1]
-    body = w[:-1]
-    if color == BLACK:
-        if body and root != max(w):
-            raise DomainError("bad-terminal-letter", f"{root} is not the maximum of {w}")
-        bounds = rl_minima(body)
-        child_color = WHITE
-    elif color == WHITE:
-        if body and root != min(w):
-            raise DomainError("bad-terminal-letter", f"{root} is not the minimum of {w}")
-        bounds = rl_maxima(body)
-        child_color = BLACK
-    else:
-        raise DomainError("bad-color", f"unknown color {color!r}")
-    children = []
-    start = 0
-    for b in bounds:
-        end = body.index(b, start) + 1
-        children.append(_word_to_tree(body[start:end], child_color))
-        start = end
-    return PlaneAltTree(color, root, tuple(children))
-
-
 def forest_word(f: PlaneAltForest, separator: int) -> Word:
     """Word of a forest: black-rooted trees by decreasing root, the separator,
     then white-rooted trees by increasing root."""
@@ -160,27 +122,6 @@ def forest_word(f: PlaneAltForest, separator: int) -> Word:
     for t in whites:
         out.extend(tree_word(t))
     return tuple(out)
-
-
-def word_to_forest(word: Sequence[int]) -> PlaneAltForest:
-    """Inverse of :func:`forest_word`; the separator is the smallest letter."""
-    w = check_word(word)
-    if not w:
-        raise DomainError("bad-separator", "empty word has no separator")
-    _guard_size(len(w) - 1)  # the forest's size: every letter but the separator
-    cut_at = w.index(min(w))
-    before, after = w[:cut_at], w[cut_at + 1 :]
-    trees: list[PlaneAltTree] = []
-    for part, color, bounds in (
-        (before, BLACK, rl_maxima(before)),
-        (after, WHITE, rl_minima(after)),
-    ):
-        start = 0
-        for b in bounds:
-            end = part.index(b, start) + 1
-            trees.append(_word_to_tree(part[start:end], color))
-            start = end
-    return PlaneAltForest(tuple(trees))
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +143,14 @@ def from_permutation(word: Sequence[int]) -> AltTableau:
     it: a black node's subtree holds the letters between its parent and it,
     a white node's the letters between it and its parent.  Each letter
     becomes the forest edge (parent, letter), an up or a left arrow.
-    :func:`word_to_forest` with :func:`~alttab.trees.from_forest` is the
-    oracle.
+    :func:`~alttab.oracles.word_to_forest` with
+    :func:`~alttab.trees.from_forest` is the oracle.
     """
     w = check_word(word)
     if not w:
         raise DomainError("bad-separator", "empty word has no separator")
-    _guard_size(len(w) - 1)  # the forest's size: every letter but the separator
+    # The forest's size: every letter but the separator.
+    check_cap(len(w) - 1, "tree encoding", DEPTH_CAP)
     cut_at = w.index(min(w))
     kinds: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
@@ -296,7 +238,7 @@ def to_signed_permutation(t: AltTableau) -> SignedPerm:
     if len(t) % 2 or transpose(t) != t:
         raise DomainError("not-symmetric", "tableau is not fixed by transposition")
     n = len(t) // 2
-    _guard_size(n)  # only the rows half becomes tree values
+    check_cap(n, "tree encoding", DEPTH_CAP)  # only the rows half becomes tree values
     # The rows half (the free-row components) is the white-rooted trees.
     children, roots = _arrow_forest(t)
     color = _colors(t)
@@ -341,7 +283,7 @@ def parse_word(text: str) -> Word:
     try:
         return check_word(int(p) for p in parts)
     except ValueError:
-        raise ParseError(f"bad letter in {text!r}", 0)
+        raise ParseError(f"bad letter in {_shown(text)}", 0)
 
 
 def render_signed(sp: SignedPerm) -> str:
@@ -357,7 +299,7 @@ def parse_signed(text: str) -> SignedPerm:
         bar = part.endswith("'")
         body = part[:-1] if bar else part
         if not body.isdigit():
-            raise ParseError(f"bad signed letter {part!r}", 0)
+            raise ParseError(f"bad signed letter {_shown(part)}", 0)
         letters.append(_parse_int(body, 0))
         if bar:
             barred.add(pos)

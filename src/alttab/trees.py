@@ -11,10 +11,7 @@ Three equivalent pictures of the recursive decomposition:
 
 All three are read straight off the arrows: the forest edges are the arrow
 cells and its roots the free lines (``decomposition._arrow_forest``), and the
-binary pair is the forest's first-child/next-sibling form.  The paper's
-recursive cut/block constructions stay as the oracles ``_to_forest_by_cut``,
-``_from_forest_by_block``, ``_binary_pair_by_divide`` and
-``_binary_pair_inv_by_block``.
+binary pair is the forest's first-child/next-sibling form.
 """
 
 from __future__ import annotations
@@ -23,28 +20,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, TypeVar
 
-from .core import _VALID, AltTableau, _parse_int
-from .decomposition import (
-    COL_PACKED,
-    ROW_PACKED,
-    _arrow_forest,
-    _divide_by_closure,
-    _split_by_closure,
-    _tableau_from_edges,
-    block,
-    cut,
-    merge,
-    merge_all,
-    packed_class,
-)
-from .errors import (
-    DomainError,
-    ParseError,
-    ResourceLimitError,
-    ValidationError,
-    Violation,
-    cap_limit,
-)
+from .core import _VALID, AltTableau, _parse_int, _shown
+from .decomposition import _arrow_forest, _tableau_from_edges
+from .errors import DomainError, ParseError, ValidationError, Violation, check_cap
 
 WHITE = "W"
 BLACK = "B"
@@ -56,14 +34,6 @@ MAX_ROOTED = "max"
 # do the oracles; cap object sizes well under the interpreter stack limit.
 # The validators, ``size`` and ``labels`` walk the nodes without recursion.
 DEPTH_CAP = ("ALTAB_MAX_DEPTH", 200)
-
-
-def _guard_size(n: int) -> None:
-    limit = cap_limit(DEPTH_CAP)
-    if n > limit:
-        raise ResourceLimitError(
-            f"tree encoding for n={n} exceeds the cap {limit}; set {DEPTH_CAP[0]} to raise it"
-        )
 
 
 Node = TypeVar("Node")
@@ -133,7 +103,7 @@ def validate_tree(t: PlaneAltTree) -> None:
     are not checked.
     """
     order = _nodes([t], _plane_kids)
-    _guard_size(len(order))
+    check_cap(len(order), "tree encoding", DEPTH_CAP)
     span = _subtree_spans(order, _plane_kids)
     bad: list[Violation] = []
     seen: set[int] = set()
@@ -225,7 +195,7 @@ def to_tree(t: AltTableau) -> PlaneAltTree:
     A row-packed tableau becomes a white root carrying its top-row label with
     the components of the cut tableau as subtrees; column-packed dually.
     """
-    _guard_size(len(t))
+    check_cap(len(t), "tree encoding", DEPTH_CAP)
     children, roots = _arrow_forest(t)
     if len(roots) != 1:
         raise DomainError("not-packed", "tableau is not packed")
@@ -240,7 +210,7 @@ def from_tree(tree: PlaneAltTree) -> AltTableau:
 
 def to_forest(t: AltTableau) -> PlaneAltForest:
     """One tree per packed component of the tableau."""
-    _guard_size(len(t))
+    check_cap(len(t), "tree encoding", DEPTH_CAP)
     children, roots = _arrow_forest(t)
     return PlaneAltForest(_plane_trees(roots, children, _colors(t)))
 
@@ -248,37 +218,6 @@ def to_forest(t: AltTableau) -> PlaneAltForest:
 def from_forest(f: PlaneAltForest) -> AltTableau:
     validate_forest(f)
     return _tableau_from_edges(*_forest_edges(f.trees))
-
-
-def _to_forest_by_cut(t: AltTableau) -> PlaneAltForest:
-    """Oracle for :func:`to_forest`: cut the root line, split, recurse."""
-    return PlaneAltForest(tuple(_tree_rec(c, packed_class(c)) for c in _split_by_closure(t)))
-
-
-def _tree_rec(t: AltTableau, cls: str) -> PlaneAltTree:
-    if cls == ROW_PACKED:
-        root = t.labels[0]  # the free row is the topmost one
-        rest = cut(t, "row")
-        kids = [_tree_rec(c, COL_PACKED) for c in _split_by_closure(rest)]
-        kids.sort(key=lambda k: -k.label)
-        return PlaneAltTree(WHITE, root, tuple(kids))
-    root = t.labels[-1]  # the free column is the leftmost one
-    rest = cut(t, "col")
-    kids = [_tree_rec(c, ROW_PACKED) for c in _split_by_closure(rest)]
-    kids.sort(key=lambda k: k.label)
-    return PlaneAltTree(BLACK, root, tuple(kids))
-
-
-def _from_forest_by_block(f: PlaneAltForest) -> AltTableau:
-    """Oracle for :func:`from_forest`: merge the children's tableaux, then block."""
-    validate_forest(f)
-    return merge_all(_from_tree_rec(t) for t in f.trees)
-
-
-def _from_tree_rec(tree: PlaneAltTree) -> AltTableau:
-    body = merge_all(_from_tree_rec(c) for c in tree.children)
-    axis = "col" if tree.color == WHITE else "row"
-    return block(body, axis, tree.label)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +416,7 @@ def validate_bin_tree(t: BinAltTree | None, kind: str) -> None:
     bad: list[Violation] = []
     if t is not None:
         order = _nodes([t], _bin_kids)
-        _guard_size(len(order))
+        check_cap(len(order), "tree encoding", DEPTH_CAP)
         span = _subtree_spans(order, _bin_kids)
         stack = [(t, kind)]
         while stack:
@@ -504,7 +443,7 @@ def to_binary_tree(t: AltTableau, kind: str) -> BinAltTree | None:
     supplies the right (rows part, min-rooted) and left (columns part,
     max-rooted) subtrees.
     """
-    _guard_size(len(t))
+    check_cap(len(t), "tree encoding", DEPTH_CAP)
     b_min, b_max = binary_pair(t)
     if kind == MIN_ROOTED and b_max is not None:
         raise DomainError("wrong-class", "min-rooted encoding needs a tableau with no free columns")
@@ -581,43 +520,6 @@ def _binary_tableau(trees: Iterable[BinAltTree | None]) -> AltTableau:
     return _tableau_from_edges(kinds, edges)
 
 
-def _binary_pair_by_divide(t: AltTableau) -> tuple[BinAltTree | None, BinAltTree | None]:
-    """Oracle for :func:`binary_pair`: cut the root line, divide, recurse."""
-    p, q = _divide_by_closure(t)
-    return _bin_rec(p, MIN_ROOTED), _bin_rec(q, MAX_ROOTED)
-
-
-def _bin_rec(t: AltTableau, kind: str) -> BinAltTree | None:
-    if not t.labels:
-        return None
-    if kind == MIN_ROOTED:
-        root = t.labels[0]
-        rest = cut(t, "row")
-    else:
-        root = t.labels[-1]
-        rest = cut(t, "col")
-    p, q = _divide_by_closure(rest)
-    return BinAltTree(root, _bin_rec(q, MAX_ROOTED), _bin_rec(p, MIN_ROOTED), kind)
-
-
-def _binary_pair_inv_by_block(pair: tuple[BinAltTree | None, BinAltTree | None]) -> AltTableau:
-    """Oracle for :func:`binary_pair_inv`: merge the subtrees' tableaux, then block."""
-    b_min, b_max = pair
-    validate_bin_tree(b_min, MIN_ROOTED)
-    validate_bin_tree(b_max, MAX_ROOTED)
-    return merge(_from_bin_rec(b_min, MIN_ROOTED), _from_bin_rec(b_max, MAX_ROOTED))
-
-
-def _from_bin_rec(tree: BinAltTree | None, kind: str) -> AltTableau:
-    if tree is None:
-        return AltTableau((), "")
-    p = _from_bin_rec(tree.right, MIN_ROOTED)
-    q = _from_bin_rec(tree.left, MAX_ROOTED)
-    body = merge(p, q)
-    axis = "col" if kind == MIN_ROOTED else "row"
-    return block(body, axis, tree.label)
-
-
 # ---------------------------------------------------------------------------
 # Text formats
 
@@ -639,18 +541,18 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     pos = 0
     for m in _TOKEN_RE.finditer(text):
         if text[pos : m.start()].strip():
-            raise ParseError(f"unexpected {text[pos:m.start()].strip()!r}", pos)
+            raise ParseError(f"unexpected {_shown(text[pos:m.start()].strip())}", pos)
         tokens.append((m.group(), m.start()))
         pos = m.end()
     if text[pos:].strip():
-        raise ParseError(f"unexpected {text[pos:].strip()!r}", pos)
+        raise ParseError(f"unexpected {_shown(text[pos:].strip())}", pos)
     return tokens
 
 
 def parse_forest(text: str) -> PlaneAltForest:
     """Parse whitespace-separated s-expressions like ``(W 4 (B 9))``."""
     tokens = _tokenize(text)
-    _guard_size(len(tokens) // 3)
+    check_cap(len(tokens) // 3, "tree encoding", DEPTH_CAP)
     trees = []
     idx = 0
     while idx < len(tokens):
@@ -723,11 +625,12 @@ def render_bin_pair(pair: tuple[BinAltTree | None, BinAltTree | None]) -> str:
 
 def parse_bin_pair(text: str) -> tuple[BinAltTree | None, BinAltTree | None]:
     """Parse two binary trees (min-rooted then max-rooted), ``-`` for empty."""
-    _guard_size(text.count("("))  # each node opens one parenthesis and one level
+    # Each node opens one parenthesis and one level.
+    check_cap(text.count("("), "tree encoding", DEPTH_CAP)
     first, idx = _parse_bin_at(text, 0, MIN_ROOTED)
     second, idx = _parse_bin_at(text, idx, MAX_ROOTED)
     if text[idx:].strip():
-        raise ParseError(f"trailing input {text[idx:].strip()!r}", idx)
+        raise ParseError(f"trailing input {_shown(text[idx:].strip())}", idx)
     validate_bin_tree(first, MIN_ROOTED)
     validate_bin_tree(second, MAX_ROOTED)
     return first, second

@@ -37,8 +37,8 @@ from alttab.enumeration import (
     product_formula,
     shape_words,
     symmetric_tableaux,
-    weight_poly_by_fillings,
 )
+from alttab.oracles import weight_poly_by_fillings
 from alttab.permutations import (
     from_signed_permutation,
     insertion_steps,

@@ -187,6 +187,29 @@ class TestConvert:
         code, out, err = run(capsys, monkeypatch, ["convert", "--from", rep, "--to", "alt"], text)
         assert code == 1 and out == "" and err.startswith("error: bad") and "at position" in err
 
+    @pytest.mark.parametrize(
+        "rep, text",
+        [
+            ("alt", "labels=1," + HUGE + "|DE|"),
+            ("alt", "word=DE\nlabels=1," + HUGE),
+            ("alt", "word=DE\narrows=[1," + HUGE + ",L]"),
+            ("alt", "DE|Q" + HUGE),
+            ("alt", "word=DE\n" + "x" * 5000),
+            ("permtab", "DE|x" + HUGE),
+            ("perm", "0 x" + HUGE),
+            ("signedperm", "x" + HUGE),
+            ("forest", "(W 1) " + "#" * 5000),
+            ("bintrees", "- - " + "#" * 5000),
+        ],
+        ids=[
+            "alt-labels", "record-labels", "record-arrow", "alt-arrow", "record-line",
+            "permtab-cell", "perm", "signedperm", "forest", "bintrees",
+        ],
+    )
+    def test_parse_error_line_is_short(self, capsys, monkeypatch, rep, text):
+        code, out, err = run(capsys, monkeypatch, ["convert", "--from", rep, "--to", "alt"], text)
+        assert code == 1 and out == "" and err.startswith("error:") and len(err.strip()) < 100
+
     def test_huge_arc_point_range_is_refused_before_it_is_built(self, capsys, monkeypatch):
         text = "points=0..%d arcs=" % 10**15
         code, out, err = run(capsys, monkeypatch, ["convert", "--from", "arcs", "--to", "alt"], text)
@@ -294,7 +317,9 @@ class TestVerify:
         def no_enumeration(word):
             raise AssertionError(f"enumerated shape {word} before refusing")
 
+        # The oracles call ``fillings`` through their own binding.
         monkeypatch.setattr("alttab.enumeration.fillings", no_enumeration)
+        monkeypatch.setattr("alttab.oracles.fillings", no_enumeration)
         monkeypatch.setattr("alttab.enumeration._corner_sums", no_enumeration)
         code, out, err = run(capsys, monkeypatch, ["verify", "--suite", suite, "--n", n])
         assert code == 1 and out == "" and var in err

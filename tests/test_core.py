@@ -305,3 +305,19 @@ class TestTextFormats:
     def test_number_beyond_the_digit_limit_is_a_parse_error(self, parse, text):
         with pytest.raises(ParseError):
             parse(text)
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (f"labels=1,{HUGE}|DE|", f"1,{HUGE}"),
+            (f"word=DE\nlabels=1,{HUGE}", f"1,{HUGE}"),
+            (f"word=DE\narrows=[1,{HUGE},L]", f"1,{HUGE},L"),
+        ],
+        ids=["compact-labels", "record-labels", "record-arrow"],
+    )
+    def test_parse_error_cuts_the_field_it_shows(self, text, field):
+        with pytest.raises(ParseError) as exc:
+            parse_tableau(text)
+        message = str(exc.value)
+        assert f"'{field[:20]}...' ({len(field)} characters)" in message
+        assert len(message) < 100

@@ -13,8 +13,6 @@ from alttab.decomposition import (
     COL_PACKED,
     NOT_PACKED,
     ROW_PACKED,
-    _divide_by_closure,
-    _split_by_closure,
     block,
     closure,
     cut,
@@ -28,6 +26,7 @@ from alttab.decomposition import (
 )
 from alttab.enumeration import all_tableaux
 from alttab.errors import DomainError, ValidationError
+from alttab.oracles import divide_by_closure, split_by_closure
 
 from conftest import merge_by_folding, tableaux
 
@@ -257,8 +256,8 @@ class TestSplitMerge:
     @pytest.mark.parametrize("n", range(8))
     def test_split_and_divide_equal_the_closure_construction(self, n):
         for t in all_tableaux(n):
-            assert split(t) == _split_by_closure(t)
-            assert divide(t) == _divide_by_closure(t)
+            assert split(t) == split_by_closure(t)
+            assert divide(t) == divide_by_closure(t)
 
     def test_split_injective_small(self):
         for n in range(5):

@@ -1,0 +1,123 @@
+"""Layout of the package: the oracles live in one module that only the
+verification battery imports, the battery walks each size once, and the
+public names stay put."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import alttab
+from alttab import checks, oracles
+from alttab.checks import BIJECTIONS, bijection_checks
+
+PACKAGE = Path(alttab.__file__).parent
+
+# Each reference construction with the module that used to define it.
+MOVED = {
+    "trees": (
+        "_to_forest_by_cut",
+        "_tree_rec",
+        "_from_forest_by_block",
+        "_from_tree_rec",
+        "_binary_pair_by_divide",
+        "_bin_rec",
+        "_binary_pair_inv_by_block",
+        "_from_bin_rec",
+    ),
+    "decomposition": ("_split_by_closure", "_divide_by_closure"),
+    "permutations": ("word_to_tree", "_word_to_tree", "word_to_forest"),
+    "enumeration": (
+        "count_shapes",
+        "weight_poly_by_fillings",
+        "no_free_cell_count",
+        "all_perm_tableaux",
+    ),
+}
+
+EXPORTS = [
+    "AltTableau", "ArcDiagram", "Arrow", "AsepParams", "BinAltTree", "CountTable",
+    "DomainError", "FreeStats", "ParseError", "PermTableau", "PlaneAltForest",
+    "PlaneAltTree", "ResourceLimitError", "SignedPerm", "TableauError", "ValidationError",
+    "all_tableaux", "all_via_perm", "arc_diagram", "arcs_to_forest", "asep_distribution",
+    "binary_pair", "binary_pair_inv", "block", "chain_stationary", "closure", "count_table",
+    "cut", "decorated_count", "divide", "empty_tableau", "forest_to_arcs", "formula_report",
+    "free_stats", "from_forest", "from_perm_tableau", "from_permutation",
+    "from_signed_permutation", "from_tree", "insertion_steps", "merge", "merge_all",
+    "out_crossings", "packed_class", "parse_tableau", "perm_stats", "relabel",
+    "render_tableau", "restrict", "split", "standard_tableau", "standardize", "to_forest",
+    "to_perm_tableau", "to_permutation", "to_permutation_by_insertion",
+    "to_signed_permutation", "to_tree", "transpose", "validate_alt",
+    "validate_perm_tableau", "weight_poly",
+]
+
+
+def _imports_oracles(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name == "alttab.oracles" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        if node.module in ("oracles", "alttab.oracles"):
+            return True
+        return node.module in (None, "alttab") and any(a.name == "oracles" for a in node.names)
+    return False
+
+
+def test_only_checks_imports_the_oracles():
+    importers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(map(_imports_oracles, ast.walk(ast.parse(path.read_text()))))
+    )
+    assert importers == ["checks.py"]
+
+
+def test_moved_oracles_are_gone_from_their_old_modules():
+    count = 0
+    for module, names in MOVED.items():
+        old = importlib.import_module(f"alttab.{module}")
+        for name in names:
+            assert not hasattr(old, name), f"alttab.{module}.{name}"
+            assert hasattr(oracles, name) or hasattr(oracles, name.lstrip("_")), name
+            count += 1
+    assert count == 17
+
+
+def test_bijection_battery_walks_each_size_once(monkeypatch):
+    walked = []
+
+    def counting(n):
+        walked.append(n)
+        return real(n)
+
+    real = checks.all_tableaux
+    monkeypatch.setattr(checks, "all_tableaux", counting)
+    results = bijection_checks(4)
+    assert walked == [0, 1, 2, 3, 4]
+    assert [c.name for c in results] == [name for name, _, _ in BIJECTIONS]
+    assert all(c.passed for c in results)
+
+
+def test_bijection_battery_reports_each_first_counterexample(monkeypatch):
+    # A transpose that breaks on every tableau with two arrows or more fails
+    # one check, at the first such tableau of the walk, and no other.
+    real = checks.transpose
+    broken = lambda t: alttab.empty_tableau() if len(t.arrows) >= 2 else real(t)  # noqa: E731
+    monkeypatch.setattr(checks, "transpose", broken)
+    first = next(t for n in range(5) for t in alttab.all_tableaux(n) if len(t.arrows) >= 2)
+    failed = [c for c in bijection_checks(4) if not c.passed]
+    assert [(c.name, c.detail) for c in failed] == [
+        ("transposition is an involution", f"fails on {alttab.render_tableau(first)}")
+    ]
+
+
+def test_public_names_are_pinned():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    names = sorted(
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    )
+    assert names == EXPORTS
+    assert all(hasattr(alttab, name) for name in EXPORTS)

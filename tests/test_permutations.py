@@ -13,6 +13,7 @@ from alttab.core import free_stats, standard_tableau
 from alttab.decomposition import restrict
 from alttab.enumeration import all_tableaux, symmetric_tableaux
 from alttab.errors import DomainError, ParseError, ResourceLimitError
+from alttab.oracles import word_to_forest, word_to_tree
 from alttab.permutations import (
     SignedPerm,
     check_word,
@@ -29,8 +30,6 @@ from alttab.permutations import (
     to_permutation_by_insertion,
     to_signed_permutation,
     tree_word,
-    word_to_forest,
-    word_to_tree,
 )
 from alttab.trees import BLACK, WHITE, from_forest, to_forest, to_tree
 

@@ -18,14 +18,7 @@ from alttab.core import (
     standard_tableau,
     to_perm_tableau,
 )
-from alttab.decomposition import (
-    _divide_by_closure,
-    _split_by_closure,
-    divide,
-    merge_all,
-    restrict,
-    split,
-)
+from alttab.decomposition import divide, merge_all, restrict, split
 from alttab.enumeration import all_tableaux
 from alttab.errors import (
     DomainError,
@@ -35,12 +28,17 @@ from alttab.errors import (
     ValidationError,
     Violation,
 )
-from alttab.permutations import from_permutation, to_permutation, word_to_forest
+from alttab.oracles import (
+    binary_pair_by_divide,
+    binary_pair_inv_by_block,
+    divide_by_closure,
+    from_forest_by_block,
+    split_by_closure,
+    to_forest_by_cut,
+    word_to_forest,
+)
+from alttab.permutations import from_permutation, to_permutation
 from alttab.trees import (
-    _binary_pair_by_divide,
-    _binary_pair_inv_by_block,
-    _from_forest_by_block,
-    _to_forest_by_cut,
     MAX_ROOTED,
     MIN_ROOTED,
     ArcDiagram,
@@ -311,11 +309,11 @@ class TestPlaneTrees:
     @pytest.mark.parametrize("n", range(8))
     def test_forest_equals_the_cut_split_construction(self, n):
         for t in all_tableaux(n):
-            assert to_forest(t) == _to_forest_by_cut(t)
+            assert to_forest(t) == to_forest_by_cut(t)
 
     @given(forests())
     def test_from_forest_agrees_with_the_block_construction(self, f):
-        assert outcome(from_forest, f) == outcome(_from_forest_by_block, f)
+        assert outcome(from_forest, f) == outcome(from_forest_by_block, f)
 
     def test_validator_rejects_wrong_order(self):
         bad = PlaneAltTree("B", 9, (PlaneAltTree("W", 7), PlaneAltTree("W", 6)))
@@ -439,11 +437,11 @@ class TestBinaryTrees:
     @pytest.mark.parametrize("n", range(7))
     def test_pair_equals_the_divide_construction(self, n):
         for t in all_tableaux(n):
-            assert binary_pair(t) == _binary_pair_by_divide(t)
+            assert binary_pair(t) == binary_pair_by_divide(t)
 
     @given(bin_pairs())
     def test_pair_inverse_agrees_with_the_block_construction(self, pair):
-        assert outcome(binary_pair_inv, pair) == outcome(_binary_pair_inv_by_block, pair)
+        assert outcome(binary_pair_inv, pair) == outcome(binary_pair_inv_by_block, pair)
 
     def test_validator_rejects_bad_left_child(self):
         bad = BinAltTree(2, BinAltTree(1, kind=MAX_ROOTED), None, MIN_ROOTED)
@@ -510,11 +508,11 @@ def test_direct_paths_equal_the_recursive_constructions_at_large_n(drawn):
     assert from_perm_tableau(p) == from_perm_tableau_by_lists(p) == t
     parts = split(t)
     assert merge_all(parts) == merge_by_folding(parts) == t
-    assert to_forest(t) == _to_forest_by_cut(t)
+    assert to_forest(t) == to_forest_by_cut(t)
     assert to_permutation(t) == word and from_permutation(to_permutation(t)) == t
     pair = binary_pair(t)
-    assert pair == _binary_pair_by_divide(t) and binary_pair_inv(pair) == t
-    assert split(t) == _split_by_closure(t) and divide(t) == _divide_by_closure(t)
+    assert pair == binary_pair_by_divide(t) and binary_pair_inv(pair) == t
+    assert split(t) == split_by_closure(t) and divide(t) == divide_by_closure(t)
     bad = corrupt(t, how, rng)
     assert free_stats(bad) == free_stats_by_grid(bad)
     for direct in (to_forest, split, divide, binary_pair):
