@@ -28,23 +28,21 @@ from .enumeration import (
     WEIGHT_CAP,
     AsepParams,
     FormulaCheck,
+    _mirrored_halves,
     all_tableaux,
     all_via_perm,
     asep_distribution,
     catalan,
     chain_stationary,
     count_table,
-    decorated_count,
     formula_report,
     shape_words,
-    symmetric_tableaux,
     weight_poly,
 )
 from .errors import check_cap
 from .oracles import (
     binary_pair_by_divide,
     count_shapes,
-    no_free_cell_count,
     to_forest_by_cut,
     weight_poly_by_fillings,
 )
@@ -171,64 +169,82 @@ def bijection_checks(n_max: int) -> list[FormulaCheck]:
 
 
 def count_checks(n_max: int) -> list[FormulaCheck]:
-    checks: list[FormulaCheck] = []
+    """The counting identities up to ``n_max``, grouped by identity.  Each
+    size's tableaux are walked once by each generator, and every check that
+    reads them takes what it needs from that walk."""
     tables = {n: count_table(n) for n in range(n_max + 1)}
     counts = {n: tables[n].total() for n in range(n_max + 1)}
+    totals, by_shape, same_sets, perm_counts, catalans, decorated, symmetric = (
+        [] for _ in range(7)
+    )
+    crossing_fail: str | None = None
+    halves: dict[int, list[AltTableau]] = {}  # no free column, for the symmetric sizes
     for n in range(n_max + 1):
-        checks.append(
+        want = math.factorial(n + 1)
+        totals.append(
             FormulaCheck(
                 f"A({n})={counts[n]}",
-                counts[n] == math.factorial(n + 1),
-                "" if counts[n] == math.factorial(n + 1) else f"expected {math.factorial(n + 1)}",
+                counts[n] == want,
+                "" if counts[n] == want else f"expected {want}",
             )
         )
-    for n in range(n_max + 1):
-        checks.append(
+        by_shape.append(
             FormulaCheck(
                 f"corner-recursion count table equals enumeration at n={n}",
                 tables[n].counts == count_shapes(n, shape_words(n)),
             )
         )
-    for n in range(min(n_max, 5) + 1):
-        same = set(all_tableaux(n)) == set(all_via_perm(n))
-        checks.append(FormulaCheck(f"generator sets agree at n={n}", same))
-    for n in range(n_max + 1):
-        distinct = len({(t.word, t.arrows) for t in all_via_perm(n)})
-        checks.append(
+        listed: set[AltTableau] = set()
+        no_free_cell = decorations = fixed = 0
+        halves[n] = []
+        for t in all_tableaux(n):
+            stats = free_stats(t)
+            if n <= 5:
+                listed.add(t)
+            if stats.fcell == 0:
+                no_free_cell += 1
+                if n <= 6 and crossing_fail is None and crossings(arc_diagram(t)):
+                    crossing_fail = f"fails on {render_tableau(t)}"
+            decorations += 2 ** len(t.arrows)
+            if 2 * n <= n_max and stats.fcol == 0:
+                halves[n].append(t)
+            if n % 2 == 0 and transpose(t) == t:
+                fixed += 1
+        pairs = set()
+        via: set[AltTableau] = set()
+        for t in all_via_perm(n):
+            pairs.add((t.word, t.arrows))
+            if n <= 5:
+                via.add(t)
+        if n <= 5:
+            same_sets.append(FormulaCheck(f"generator sets agree at n={n}", listed == via))
+        distinct = len(pairs)
+        perm_counts.append(
             FormulaCheck(
                 f"permutation generator count at n={n}",
                 distinct == counts[n],
                 "" if distinct == counts[n] else f"{distinct} != {counts[n]}",
             )
         )
-    for n in range(n_max + 1):
-        got = no_free_cell_count(n)
         want = catalan(n + 1)
-        checks.append(FormulaCheck(f"free-cell-free count at n={n} is {want}", got == want))
-    crossing_free = _all_hold(
-        "free-cell-free diagrams have no crossings",
-        (
-            (not crossings(arc_diagram(t)), f"fails on {render_tableau(t)}")
-            for n in range(min(n_max, 6) + 1)
-            for t in all_tableaux(n)
-            if free_stats(t).fcell == 0
-        ),
-    )
-    checks.append(crossing_free)
-    for n in range(n_max + 1):
-        got = decorated_count(n)
-        want = 2**n * math.factorial(n)
-        checks.append(FormulaCheck(f"decorated count at n={n} is {want}", got == want))
-    for size in range(0, n_max + 1, 2):
-        want = 2 ** (size // 2) * math.factorial(size // 2)
-        built = {(t.word, t.arrows) for t in symmetric_tableaux(size)}
-        filtered = sum(1 for t in all_tableaux(size) if transpose(t) == t)
-        checks.append(
-            FormulaCheck(
-                f"symmetric tableaux of size {size}: {want}",
-                len(built) == want and filtered == want,
-            )
+        catalans.append(
+            FormulaCheck(f"free-cell-free count at n={n} is {want}", no_free_cell == want)
         )
+        want = 2**n * math.factorial(n)
+        decorated.append(FormulaCheck(f"decorated count at n={n} is {want}", decorations == want))
+        if n % 2 == 0:
+            want = 2 ** (n // 2) * math.factorial(n // 2)
+            built = {(t.word, t.arrows) for t in _mirrored_halves(n, halves[n // 2])}
+            symmetric.append(
+                FormulaCheck(
+                    f"symmetric tableaux of size {n}: {want}", len(built) == want and fixed == want
+                )
+            )
+    crossing_free = FormulaCheck(
+        "free-cell-free diagrams have no crossings", crossing_fail is None, crossing_fail or ""
+    )
+    checks = totals + by_shape + same_sets + perm_counts + catalans + [crossing_free]
+    checks += decorated + symmetric
     for n in range(max(0, n_max - 1)):
         mid = tables[n + 1].by_free()
         far = tables[n + 2].by_free()

@@ -31,7 +31,7 @@ from .enumeration import (
     asep_distribution,
     count_table,
 )
-from .errors import ParseError, TableauError
+from .errors import ParseError, TableauError, _shown, _shown_number
 from .permutations import (
     from_permutation,
     from_signed_permutation,
@@ -245,16 +245,20 @@ def _rate(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a rational number: {_shown(text)}") from None
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}") from None
 
 
 def _size(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    n = _integer(text)
     if n < 0:
-        raise argparse.ArgumentTypeError(f"size must be non-negative, got {n}")
+        raise argparse.ArgumentTypeError(f"size must be non-negative, got {_shown_number(n)}")
     return n
 
 
@@ -285,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="permutation encoding: forest bijection or column insertion")
     p.add_argument("--trace", action="store_true",
                    help="print the insertion steps (only with --to perm --algo cn)")
-    p.add_argument("--separator", type=int, default=0,
+    p.add_argument("--separator", type=_integer, default=0,
                    help="letter placed below all labels in the permutation word")
     p.add_argument("file", nargs="?")
 
@@ -296,10 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?")
 
     p = add("enumerate", cmd_enumerate, help="all tableaux of a given length")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
 
     p = add("count", cmd_count, help="counts by free rows, free columns and rows")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
 
     p = add("verify", cmd_verify, help="run a verification suite")
     p.add_argument("--suite", choices=("bijections", "counts", "series", "asep", "all"),
@@ -307,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_size, required=True)
 
     p = add("asep", cmd_asep, help="exact stationary distribution on n sites")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--q", type=_rate, default=Fraction(1))
     p.add_argument("--alpha", type=_rate, default=Fraction(1))
     p.add_argument("--beta", type=_rate, default=Fraction(1))

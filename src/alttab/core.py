@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterator, NamedTuple, Sequence
 
-from .errors import DomainError, ParseError, ValidationError, Violation
+from .errors import DomainError, ParseError, ValidationError, Violation, _shown
 
 LEFT = "L"
 UP = "U"
@@ -123,6 +123,22 @@ class AltTableau(_Shape):
         return self.labels == tuple(range(1, len(self) + 1))
 
 
+def _assembled(labels: tuple[int, ...], word: str, arrows: tuple[Arrow, ...]) -> AltTableau:
+    """The tableau with these fields, set without the constructor's checks.
+
+    Only for builders whose data holds by construction: ``labels`` a strictly
+    increasing tuple of non-negative ints, ``word`` the aligned D/E string,
+    ``arrows`` a cell-sorted tuple of :class:`Arrow` of kind L or U.  The
+    result is not marked checked, so its first conversion checks it in full.
+    """
+    t = object.__new__(AltTableau)
+    fields = t.__dict__
+    fields["labels"] = labels
+    fields["word"] = word
+    fields["arrows"] = arrows
+    return t
+
+
 def empty_tableau() -> AltTableau:
     return AltTableau((), "")
 
@@ -144,7 +160,7 @@ def validate_alt(
     bad = _alt_violations(labels, word, arrows)
     if bad:
         raise ValidationError(bad)
-    t = AltTableau(tuple(labels), word, tuple(Arrow(i, j, k) for i, j, k in arrows))
+    t = _assembled(tuple(labels), word, tuple(sorted(Arrow(i, j, k) for i, j, k in arrows)))
     t.__dict__[_VALID] = True
     return t
 
@@ -293,10 +309,10 @@ def transpose(t: AltTableau) -> AltTableau:
     rev = dict(zip(t.labels, reversed(t.labels)))
     _check_arrow_labels(t, rev)
     word = "".join("D" if c == "E" else "E" for c in reversed(t.word))
-    arrows = tuple(
+    arrows = sorted(
         Arrow(rev[a.col], rev[a.row], UP if a.kind == LEFT else LEFT) for a in t.arrows
     )
-    return AltTableau(t.labels, word, arrows)
+    return _assembled(t.labels, word, tuple(arrows))
 
 
 def relabel(t: AltTableau, new_labels: Sequence[int]) -> AltTableau:
@@ -309,8 +325,9 @@ def relabel(t: AltTableau, new_labels: Sequence[int]) -> AltTableau:
         raise ValidationError(bad)
     sub = dict(zip(t.labels, new))
     _check_arrow_labels(t, sub)
+    # An order-preserving substitution keeps the arrows sorted by cell.
     arrows = tuple(Arrow(sub[a.row], sub[a.col], a.kind) for a in t.arrows)
-    return AltTableau(new, t.word, arrows)
+    return _assembled(new, t.word, arrows)
 
 
 def standardize(t: AltTableau) -> AltTableau:
@@ -436,7 +453,7 @@ def from_perm_tableau(p: PermTableau) -> AltTableau:
             if (i, j) not in ones and topmost.get(j, i) < i:
                 arrows.append(Arrow(i, j, LEFT))  # the row's rightmost restricted 0
                 break
-    return AltTableau(p.labels[1:], p.word[1:], tuple(arrows))
+    return _assembled(p.labels[1:], p.word[1:], tuple(sorted(arrows)))
 
 
 def to_perm_tableau(t: AltTableau) -> PermTableau:
@@ -467,12 +484,6 @@ def to_perm_tableau(t: AltTableau) -> PermTableau:
 
 _ARROW_RE = re.compile(r"([LU])(\d+),(\d+)$")
 _CELL_RE = re.compile(r"(\d+),(\d+)$")
-
-
-def _shown(text: str) -> str:
-    """``text`` as a parse error shows it: cut at 20 characters, with its length."""
-    cut = text if len(text) <= 20 else text[:20] + "..."
-    return f"{cut!r} ({len(text)} characters)"
 
 
 def _parse_int(digits: str, pos: int) -> int:

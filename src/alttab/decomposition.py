@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Literal, Mapping
 
-from .core import LEFT, UP, AltTableau, Arrow, _check_valid, free_stats, validate_alt
+from .core import LEFT, UP, AltTableau, Arrow, _assembled, _check_valid, free_stats, validate_alt
 from .errors import DomainError, ValidationError, Violation
 
 ROW_PACKED = "row"
@@ -69,7 +69,7 @@ def cut(t: AltTableau, axis: Axis) -> AltTableau:
     keep = tuple(l for l in t.labels if l != gone)
     word = "".join(c for l, c in zip(t.labels, t.word) if l != gone)
     arrows = tuple(a for a in t.arrows if gone not in (a.row, a.col))
-    return AltTableau(keep, word, arrows)
+    return _assembled(keep, word, arrows)
 
 
 def block(t: AltTableau, axis: Axis, label: int) -> AltTableau:
@@ -84,13 +84,13 @@ def block(t: AltTableau, axis: Axis, label: int) -> AltTableau:
     if axis == "col":
         if label < 0 or (t.labels and label >= t.labels[0]):
             raise DomainError("label-not-extremal", f"{label} is not below all labels")
-        arrows = t.arrows + tuple(Arrow(label, j, UP) for j in stats.free_cols)
-        return AltTableau((label,) + t.labels, "D" + t.word, arrows)
+        arrows = sorted(t.arrows + tuple(Arrow(label, j, UP) for j in stats.free_cols))
+        return _assembled((label,) + t.labels, "D" + t.word, tuple(arrows))
     if axis == "row":
         if label < 0 or (t.labels and label <= t.labels[-1]):
             raise DomainError("label-not-extremal", f"{label} is not above all labels")
-        arrows = t.arrows + tuple(Arrow(i, label, LEFT) for i in stats.free_rows)
-        return AltTableau(t.labels + (label,), t.word + "E", arrows)
+        arrows = sorted(t.arrows + tuple(Arrow(i, label, LEFT) for i in stats.free_rows))
+        return _assembled(t.labels + (label,), t.word + "E", tuple(arrows))
     raise DomainError("bad-axis", f"unknown axis {axis!r}")
 
 
@@ -178,10 +178,8 @@ def _tableau_from_edges(kinds: Mapping[int, str], edges: Iterable[tuple[int, int
     """Inverse of :func:`_arrow_forest`: the tableau on the labels of ``kinds``
     (``D`` row, ``E`` column) whose arrows are the forest edges (parent, child)."""
     labels = tuple(sorted(kinds))
-    arrows = tuple(
-        Arrow(p, c, UP) if kinds[p] == "D" else Arrow(c, p, LEFT) for p, c in edges
-    )
-    return AltTableau(labels, "".join(kinds[l] for l in labels), arrows)
+    arrows = sorted(Arrow(p, c, UP) if kinds[p] == "D" else Arrow(c, p, LEFT) for p, c in edges)
+    return _assembled(labels, "".join(kinds[l] for l in labels), tuple(arrows))
 
 
 def _tree_roots(t: AltTableau) -> dict[int, int]:
@@ -199,7 +197,8 @@ def _tree_roots(t: AltTableau) -> dict[int, int]:
 
 def _parts(t: AltTableau, part_of: Mapping[int, Hashable]) -> dict[Hashable, AltTableau]:
     """Sub-tableaux of ``t`` on the classes of ``part_of``, each with its arrows;
-    every arrow must join two labels of one class."""
+    every arrow must join two labels of one class.  Each part keeps its labels
+    and arrows in ``t``'s order, so they stay sorted."""
     labels: dict[Hashable, list[int]] = {}
     steps: dict[Hashable, list[str]] = {}
     arrows: dict[Hashable, list[Arrow]] = {}
@@ -209,7 +208,7 @@ def _parts(t: AltTableau, part_of: Mapping[int, Hashable]) -> dict[Hashable, Alt
     for a in t.arrows:
         arrows.setdefault(part_of[a.row], []).append(a)
     return {
-        k: AltTableau(tuple(ls), "".join(steps[k]), tuple(arrows.get(k, ())))
+        k: _assembled(tuple(ls), "".join(steps[k]), tuple(arrows.get(k, ())))
         for k, ls in labels.items()
     }
 
@@ -231,7 +230,7 @@ def merge(t: AltTableau, u: AltTableau) -> AltTableau:
     kind = dict(zip(t.labels, t.word)) | dict(zip(u.labels, u.word))
     labels = tuple(sorted(kind))
     word = "".join(kind[l] for l in labels)
-    return AltTableau(labels, word, t.arrows + u.arrows)
+    return _assembled(labels, word, tuple(sorted(t.arrows + u.arrows)))
 
 
 def merge_all(parts: Iterable[AltTableau]) -> AltTableau:
@@ -249,7 +248,7 @@ def merge_all(parts: Iterable[AltTableau]) -> AltTableau:
         kind.update(zip(part.labels, part.word))
         arrows.extend(part.arrows)
     labels = tuple(sorted(kind))
-    return AltTableau(labels, "".join(kind[l] for l in labels), tuple(arrows))
+    return _assembled(labels, "".join(kind[l] for l in labels), tuple(sorted(arrows)))
 
 
 def divide(t: AltTableau) -> tuple[AltTableau, AltTableau]:

@@ -25,16 +25,16 @@ from itertools import permutations as iter_permutations
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .core import AltTableau, Arrow, free_stats, relabel, transpose
+from .core import AltTableau, Arrow, _assembled, free_stats, relabel, transpose
 from .decomposition import _parts, _tree_roots, divide, merge
-from .errors import DomainError, check_cap
+from .errors import DomainError, _shown_number, check_cap
 from .permutations import from_permutation
 from .series import Poly3, Series, geometric, neg_log_one_minus_z
 
 # Size caps, one per workload, each overridable by its environment variable.
 # Enumeration visits (n+1)! tableaux; the corner recursion keeps a memo of up
 # to 2^(n+1) shapes (about 30 MB of count polynomials at n = 12); the chain
-# solve is a dense 2^n linear system.
+# solve eliminates over a 2^n linear system whose rows fill in as it goes.
 ENUMERATION_CAP = ("ALTAB_MAX_N", 9)
 WEIGHT_CAP = ("ALTAB_MAX_WEIGHT_N", 12)
 CHAIN_CAP = ("ALTAB_MAX_CHAIN_N", 6)
@@ -99,7 +99,7 @@ def all_tableaux(n: int) -> Iterator[AltTableau]:
     labels = tuple(range(1, n + 1))
     for word in shape_words(n):
         for arrows in fillings(word):
-            yield AltTableau(labels, word, arrows)
+            yield _assembled(labels, word, tuple(sorted(arrows)))
 
 
 def all_via_perm(n: int) -> Iterator[AltTableau]:
@@ -244,11 +244,11 @@ class AsepParams:
 
     def __post_init__(self) -> None:
         if self.n < 0:
-            raise DomainError("bad-size", f"negative site count {self.n}")
+            raise DomainError("bad-size", f"negative site count {_shown_number(self.n)}")
         for name in ("q", "alpha", "beta"):
             v = getattr(self, name)
             if not 0 <= v <= 1:
-                raise DomainError("bad-params", f"{name}={v} outside [0, 1]")
+                raise DomainError("bad-params", f"{name}={_shown_number(v)} outside [0, 1]")
 
 
 def states(n: int) -> Iterator[str]:
@@ -309,27 +309,43 @@ def transition_matrix(p: AsepParams) -> list[list[Fraction]]:
 
 
 def solve_stationary(m: list[list[Fraction]]) -> list[Fraction]:
-    """Exact solution of pi M = pi with sum(pi) = 1 by Gaussian elimination."""
+    """Exact solution of pi M = pi with sum(pi) = 1 by Gauss-Jordan elimination.
+
+    Each row is kept as a map from column to nonzero entry, so the work
+    follows the nonzeros: a chain row has at most n + 2 of them.
+    """
     size = len(m)
     # Rows of A are the balance equations (M^T - I) pi = 0, last one replaced
     # by the normalization.
-    a = [[m[j][i] - (1 if i == j else 0) for j in range(size)] for i in range(size)]
-    a[-1] = [Fraction(1)] * size
+    a: list[dict[int, Fraction]] = [{} for _ in range(size)]
+    for j, row in enumerate(m):
+        for i, v in enumerate(row):
+            if i == j:
+                v -= 1
+            if v:
+                a[i][j] = v
+    a[-1] = {j: Fraction(1) for j in range(size)}
     rhs = [Fraction(0)] * (size - 1) + [Fraction(1)]
     for col in range(size):
-        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, size) if col in a[r]), None)
         if pivot is None:
             raise DomainError("singular-system", "no pivot; the chain matrix is malformed")
         a[col], a[pivot] = a[pivot], a[col]
         rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
         inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
+        top = a[col] = {c: v * inv for c, v in a[col].items()}
         rhs[col] *= inv
-        for r in range(size):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                rhs[r] -= f * rhs[col]
+        for r, row in enumerate(a):
+            f = row.get(col)
+            if r == col or f is None:
+                continue
+            for c, w in top.items():
+                v = row.get(c, 0) - f * w
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            rhs[r] -= f * rhs[col]
     return rhs
 
 
@@ -422,7 +438,13 @@ def symmetric_tableaux(size: int) -> Iterator[AltTableau]:
         raise DomainError("bad-size", f"symmetric tableaux have even length, got {size}")
     n = size // 2
     check_cap(n, "symmetric generation", ENUMERATION_CAP)  # the work scales with the halves
-    halves = [t for t in all_tableaux(n) if free_stats(t).fcol == 0]
+    yield from _mirrored_halves(size, [t for t in all_tableaux(n) if free_stats(t).fcol == 0])
+
+
+def _mirrored_halves(size: int, halves: Sequence[AltTableau]) -> Iterator[AltTableau]:
+    """:func:`symmetric_tableaux` from ``halves``, the tableaux of length
+    ``size // 2`` with no free columns."""
+    n = size // 2
     for choice in product(*[(i, size + 1 - i) for i in range(1, n + 1)]):
         chosen = sorted(choice)
         mirror = sorted(size + 1 - l for l in chosen)

@@ -7,6 +7,22 @@ import os
 from dataclasses import dataclass
 
 
+def _shown(text: str) -> str:
+    """``text`` as an error message shows it: cut at 20 characters, with its length."""
+    cut = text if len(text) <= 20 else text[:20] + "..."
+    return f"{cut!r} ({len(text)} characters)"
+
+
+def _shown_number(value: object) -> str:
+    """A number as an error message shows it: whole up to 20 characters,
+    else cut by :func:`_shown`."""
+    try:
+        text = str(value)
+    except ValueError:  # more digits than the interpreter converts (4300 by default)
+        return "<a number too long to print>"
+    return text if len(text) <= 20 else _shown(text)
+
+
 class TableauError(Exception):
     """Base class for all domain errors raised by this package."""
 
@@ -78,7 +94,7 @@ def check_cap(n: int, what: str, setting: tuple[str, int]) -> None:
     limit = cap_limit(setting)
     if n > limit:
         raise ResourceLimitError(
-            f"{what} for n={n} exceeds the cap {limit}; set {setting[0]} to raise it"
+            f"{what} for n={_shown_number(n)} exceeds the cap {limit}; set {setting[0]} to raise it"
         )
     if n < 0:
-        raise DomainError("bad-size", f"negative size {n}")
+        raise DomainError("bad-size", f"negative size {_shown_number(n)}")

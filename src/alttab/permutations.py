@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .core import LEFT, UP, AltTableau, _parse_int, _shown, relabel, transpose
 from .decomposition import _arrow_forest, _tableau_from_edges, merge
-from .errors import DomainError, ParseError, check_cap
+from .errors import DomainError, ParseError, _shown_number, check_cap
 from .trees import (
     BLACK,
     DEPTH_CAP,
@@ -112,7 +112,9 @@ def forest_word(f: PlaneAltForest, separator: int) -> Word:
     then white-rooted trees by increasing root."""
     labels = f.labels()
     if separator < 0 or (labels and separator >= min(labels)):
-        raise DomainError("bad-separator", f"separator {separator} not below all labels")
+        raise DomainError(
+            "bad-separator", f"separator {_shown_number(separator)} not below all labels"
+        )
     blacks = sorted((t for t in f.trees if t.color == BLACK), key=lambda t: -t.label)
     whites = sorted((t for t in f.trees if t.color == WHITE), key=lambda t: t.label)
     out: list[int] = []

@@ -97,7 +97,8 @@ class PlaneAltForest:
 
 
 def validate_tree(t: PlaneAltTree) -> None:
-    """Check colors, extremality and child ordering; raises listing violations.
+    """Check labels, colors, extremality and child ordering; raises listing
+    violations.  Labels must be distinct and non-negative.
 
     Nodes are checked in preorder; the children of a node with a bad color
     are not checked.
@@ -113,6 +114,8 @@ def validate_tree(t: PlaneAltTree) -> None:
         if node.label in seen:
             bad.append(Violation("duplicate-label", f"label {node.label} repeats"))
         seen.add(node.label)
+        if node.label < 0:
+            bad.append(Violation("label-order", f"negative label {node.label}"))
         if node.color not in (WHITE, BLACK):
             bad.append(Violation("bad-color", f"color {node.color!r} at {node.label}"))
             continue
@@ -408,7 +411,8 @@ def _bin_kids(node: BinAltTree) -> list[BinAltTree]:
 
 
 def validate_bin_tree(t: BinAltTree | None, kind: str) -> None:
-    """Left children must be maximal, right children minimal; the root per ``kind``.
+    """Left children must be maximal, right children minimal; the root per
+    ``kind``; labels must be non-negative.
 
     Nodes are checked in preorder; a node's extremality ignores descendants
     that carry its own label.
@@ -421,6 +425,8 @@ def validate_bin_tree(t: BinAltTree | None, kind: str) -> None:
         stack = [(t, kind)]
         while stack:
             node, want = stack.pop()
+            if node.label < 0:
+                bad.append(Violation("label-order", f"negative label {node.label}"))
             if node.kind != want:
                 bad.append(Violation("bad-kind", f"node {node.label} marked {node.kind}, expected {want}"))
             below = [span[id(c)] for c in _bin_kids(node)]

@@ -86,6 +86,17 @@ def free_stats_by_grid(t: AltTableau) -> FreeStats:
     return FreeStats(free_rows, free_cols, frozenset(free_cells))
 
 
+def assert_as_public(t: AltTableau) -> None:
+    """``t`` holds what the public constructor makes of its own fields: the
+    same labels, word and arrows, each arrow an ``Arrow`` (a plain tuple
+    compares equal to one) and the arrows in cell order."""
+    public = AltTableau(t.labels, t.word, t.arrows)
+    assert type(t.labels) is tuple and t.labels == public.labels
+    assert type(t.word) is str and t.word == public.word
+    assert type(t.arrows) is tuple and t.arrows == public.arrows
+    assert all(type(a) is Arrow for a in t.arrows)
+
+
 def merge_by_folding(parts) -> AltTableau:
     """Reference for ``merge_all``: fold the parts with pairwise ``merge``."""
     result = AltTableau((), "")

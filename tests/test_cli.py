@@ -325,6 +325,163 @@ class TestVerify:
         assert code == 1 and out == "" and var in err
 
 
+# ``alttab verify --suite all --n 3``, line for line.
+VERIFY_ALL_3 = """\
+merge of split components restores the tableau PASS
+forest encoding round trip PASS
+forest equals the cut/split construction PASS
+arc diagram agrees with the forest route PASS
+arc diagram decodes back to the forest PASS
+permutation-tableau round trip PASS
+parse of render is the identity PASS
+permutation encoding round trip PASS
+insertion algorithm matches the forest bijection PASS
+transposition is an involution PASS
+binary-tree pair round trip PASS
+binary pair equals the divide construction PASS
+free cells equal arc out-crossings PASS
+forests validate PASS
+letter statistics transport PASS
+permutation-tableau statistics transport PASS
+A(0)=1 PASS
+A(1)=2 PASS
+A(2)=6 PASS
+A(3)=24 PASS
+corner-recursion count table equals enumeration at n=0 PASS
+corner-recursion count table equals enumeration at n=1 PASS
+corner-recursion count table equals enumeration at n=2 PASS
+corner-recursion count table equals enumeration at n=3 PASS
+generator sets agree at n=0 PASS
+generator sets agree at n=1 PASS
+generator sets agree at n=2 PASS
+generator sets agree at n=3 PASS
+permutation generator count at n=0 PASS
+permutation generator count at n=1 PASS
+permutation generator count at n=2 PASS
+permutation generator count at n=3 PASS
+free-cell-free count at n=0 is 1 PASS
+free-cell-free count at n=1 is 2 PASS
+free-cell-free count at n=2 is 5 PASS
+free-cell-free count at n=3 is 14 PASS
+free-cell-free diagrams have no crossings PASS
+decorated count at n=0 is 1 PASS
+decorated count at n=1 is 2 PASS
+decorated count at n=2 is 8 PASS
+decorated count at n=3 is 48 PASS
+symmetric tableaux of size 0: 1 PASS
+symmetric tableaux of size 2: 2 PASS
+cut/block cardinality chain at n=0 PASS
+cut/block cardinality chain at n=1 PASS
+all tableaux vs 1/(1-z)^2 PASS
+no free rows vs 1/(1-z) PASS
+column-packed vs -log(1-z) PASS
+no-free-row row counts at u=2 PASS
+no-free-row row counts at u=1/2 PASS
+refined counts at (u,x,y)=(2,1,1) PASS
+refined counts at (u,x,y)=(1,2,3) PASS
+refined counts at (u,x,y)=(3,2,5) PASS
+free-line polynomial equals rising product PASS
+derivative of no-free-row series equals full series PASS
+second derivative of packed series equals full series PASS
+corner-recursion weights equal enumeration at n=0 PASS
+stationary law at n=0, (q,a,b)=(1,1/2,1/3) PASS
+stationary law at n=0, (q,a,b)=(1/2,1,1) PASS
+stationary law at n=0, (q,a,b)=(1/3,2/3,1/2) PASS
+corner-recursion weights equal enumeration at n=1 PASS
+stationary law at n=1, (q,a,b)=(1,1/2,1/3) PASS
+stationary law at n=1, (q,a,b)=(1/2,1,1) PASS
+stationary law at n=1, (q,a,b)=(1/3,2/3,1/2) PASS
+corner-recursion weights equal enumeration at n=2 PASS
+stationary law at n=2, (q,a,b)=(1,1/2,1/3) PASS
+stationary law at n=2, (q,a,b)=(1/2,1,1) PASS
+stationary law at n=2, (q,a,b)=(1/3,2/3,1/2) PASS
+corner-recursion weights equal enumeration at n=3 PASS
+stationary law at n=3, (q,a,b)=(1,1/2,1/3) PASS
+stationary law at n=3, (q,a,b)=(1/2,1,1) PASS
+stationary law at n=3, (q,a,b)=(1/3,2/3,1/2) PASS
+72/72 checks passed
+"""
+
+
+class TestVerifyOutput:
+    def test_all_suites_at_n3_line_for_line(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["verify", "--suite", "all", "--n", "3"])
+        assert code == 0 and err == ""
+        assert out.splitlines() == VERIFY_ALL_3.splitlines()
+        assert len(out.splitlines()) == 73
+
+    def test_all_suites_at_n5(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["verify", "--suite", "all", "--n", "5"])
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 96 and lines[-1] == "95/95 checks passed"
+        assert all(line.endswith(" PASS") for line in lines[:-1])
+
+
+class TestLongArguments:
+    """A huge numeric argument is echoed cut to 20 characters."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--n", "x" + HUGE],
+            ["enumerate", "--n", "x" + HUGE],
+            ["asep", "--n", "x" + HUGE],
+            ["asep", "--n", "1", "--q", "x" + HUGE],
+            ["asep", "--n", "1", "--alpha", HUGE + "/0"],
+            ["asep", "--n", "1", "--beta", "x" + HUGE],
+            ["verify", "--suite", "all", "--n", "x" + HUGE],
+            ["verify", "--suite", "all", "--n", "-" + HUGE[:3000]],
+            ["convert", "--from", "perm", "--to", "perm", "--separator", "x" + HUGE],
+        ],
+        ids=[
+            "count-n", "enumerate-n", "asep-n", "asep-q", "asep-alpha", "asep-beta",
+            "verify-n", "verify-negative-n", "convert-separator",
+        ],
+    )
+    def test_usage_error_line_is_short(self, capsys, monkeypatch, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, monkeypatch, argv, "0 1")
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "error:" in last and len(last.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--n", HUGE[:3000]],
+            ["enumerate", "--n", HUGE[:3000]],
+            ["asep", "--n", HUGE[:3000]],
+            ["asep", "--n", "-" + HUGE[:3000]],
+            ["asep", "--n", "1", "--q", HUGE[:3000]],
+            ["asep", "--n", "1", "--alpha", HUGE[:3000] + "/7"],
+            ["verify", "--suite", "all", "--n", HUGE[:3000]],
+            ["convert", "--from", "perm", "--to", "perm", "--separator", HUGE[:3000]],
+        ],
+        ids=[
+            "count-cap", "enumerate-cap", "asep-cap", "asep-negative", "asep-q", "asep-alpha",
+            "verify-cap", "convert-separator",
+        ],
+    )
+    def test_error_line_is_short(self, capsys, monkeypatch, argv):
+        code, out, err = run(capsys, monkeypatch, argv, "0 1")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.strip().encode()) < 200
+
+
+class TestNegativeLabels:
+    @pytest.mark.parametrize(
+        "rep, text",
+        [
+            ("forest", "(W -1 (B 2))"),
+            ("bintrees", "(-1 L:(2 L:- R:-) R:-) -"),
+            ("arcs", "points=-2..0 arcs=(-2,0)(-1,0)"),
+        ],
+    )
+    def test_a_negative_label_exits_one(self, capsys, monkeypatch, rep, text):
+        code, out, err = run(capsys, monkeypatch, ["convert", "--from", rep, "--to", "alt"], text)
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
 class TestAsepRender:
     def test_asep_output(self, capsys, monkeypatch):
         code, out, _ = run(

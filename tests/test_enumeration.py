@@ -239,6 +239,69 @@ class TestWeights:
                 assert lhs == rhs, word
 
 
+def dense_solve(m: list[list[Fraction]]) -> list[Fraction]:
+    """Reference for ``solve_stationary``: Gauss-Jordan on full rows, with the
+    same pivot rule (the first row from the diagonal down with a nonzero)."""
+    size = len(m)
+    a = [[m[j][i] - (1 if i == j else 0) for j in range(size)] for i in range(size)]
+    a[-1] = [Fraction(1)] * size
+    rhs = [Fraction(0)] * (size - 1) + [Fraction(1)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
+        if pivot is None:
+            raise DomainError("singular-system", "no pivot")
+        a[col], a[pivot] = a[pivot], a[col]
+        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        rhs[col] *= inv
+        for r in range(size):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+                rhs[r] -= f * rhs[col]
+    return rhs
+
+
+def square_matrices(k: int):
+    """k x k matrices of small fractions, with rows of only 0s and 1s among
+    them so that singular systems come up."""
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=5)
+    rows = st.lists(entries, min_size=k, max_size=k) | st.lists(
+        st.sampled_from([Fraction(0), Fraction(1)]), min_size=k, max_size=k
+    )
+    return st.lists(rows, min_size=k, max_size=k)
+
+
+class TestSparseSolve:
+    @pytest.mark.parametrize("n", range(6))
+    def test_equals_the_dense_elimination(self, n):
+        for q, alpha, beta in (
+            (Fraction(1), Fraction(1, 2), Fraction(1, 3)),
+            (Fraction(0), Fraction(1), Fraction(1, 5)),
+            (Fraction(2, 7), Fraction(3, 4), Fraction(1)),
+        ):
+            m = transition_matrix(AsepParams(n, q, alpha, beta))
+            assert solve_stationary(m) == dense_solve(m)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=1, max_value=5).flatmap(square_matrices))
+    def test_any_matrix_solves_or_is_singular_as_the_dense_one(self, m):
+        def outcome(solve):
+            try:
+                return solve(m)
+            except DomainError as err:
+                return err.code
+
+        assert outcome(solve_stationary) == outcome(dense_solve)
+
+    def test_a_matrix_without_a_pivot_is_singular(self):
+        m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        with pytest.raises(DomainError) as err:
+            solve_stationary(m)
+        assert err.value.code == "singular-system"
+
+
 class TestAsep:
     def test_params_validated(self):
         with pytest.raises(DomainError):
@@ -296,6 +359,21 @@ class TestAsep:
         monkeypatch.setenv(var, "abc")
         with pytest.raises(ResourceLimitError, match=var):
             run()
+
+    @pytest.mark.parametrize(
+        "run, error",
+        [
+            (lambda n: count_table(n), ResourceLimitError),
+            (lambda n: list(all_tableaux(n)), ResourceLimitError),
+            (lambda n: AsepParams(-n, 1, 1, 1), DomainError),
+            (lambda n: AsepParams(1, n, 1, 1), DomainError),
+        ],
+        ids=["count-cap", "enumeration-cap", "negative-sites", "rate"],
+    )
+    def test_a_number_too_long_to_print_is_still_refused(self, run, error):
+        with pytest.raises(error) as err:
+            run(10**5000)
+        assert len(str(err.value)) < 200
 
     def test_chain_cap_is_its_own(self, monkeypatch):
         # Raising the enumeration cap must not raise the dense 2^n solve.

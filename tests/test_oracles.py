@@ -10,7 +10,7 @@ from pathlib import Path
 
 import alttab
 from alttab import checks, oracles
-from alttab.checks import BIJECTIONS, bijection_checks
+from alttab.checks import BIJECTIONS, bijection_checks, count_checks
 
 PACKAGE = Path(alttab.__file__).parent
 
@@ -98,6 +98,18 @@ def test_bijection_battery_walks_each_size_once(monkeypatch):
     assert all(c.passed for c in results)
 
 
+def test_count_battery_walks_each_size_once_per_generator(monkeypatch):
+    walked = {"all_tableaux": [], "all_via_perm": []}
+    for name, sizes in walked.items():
+        real = getattr(checks, name)
+        monkeypatch.setattr(
+            checks, name, lambda n, real=real, sizes=sizes: sizes.append(n) or real(n)
+        )
+    results = count_checks(5)
+    assert walked == {"all_tableaux": [0, 1, 2, 3, 4, 5], "all_via_perm": [0, 1, 2, 3, 4, 5]}
+    assert len(results) == 44 and all(c.passed for c in results)
+
+
 def test_bijection_battery_reports_each_first_counterexample(monkeypatch):
     # A transpose that breaks on every tableau with two arrows or more fails
     # one check, at the first such tableau of the walk, and no other.
@@ -121,3 +133,65 @@ def test_public_names_are_pinned():
     )
     assert names == EXPORTS
     assert all(hasattr(alttab, name) for name in EXPORTS)
+
+
+# The only functions that may build a tableau without the constructor's
+# checks: each one's labels, word and arrows hold by construction.
+ASSEMBLERS = {
+    ("core", "validate_alt"),
+    ("core", "transpose"),
+    ("core", "relabel"),
+    ("core", "from_perm_tableau"),
+    ("decomposition", "cut"),
+    ("decomposition", "block"),
+    ("decomposition", "_parts"),
+    ("decomposition", "merge"),
+    ("decomposition", "merge_all"),
+    ("decomposition", "_tableau_from_edges"),
+    ("enumeration", "all_tableaux"),
+}
+
+
+class _Uses(ast.NodeVisitor):
+    """Where a name is read: the innermost enclosing function of each use
+    (``None`` at module level) and whether the module imports it."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.scope: list[str] = []
+        self.found: set[str | None] = set()
+        self.imported = False
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def _use(self) -> None:
+        self.found.add(self.scope[-1] if self.scope else None)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if node.id == self.name:
+            self._use()
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == self.name:
+            self._use()
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        self.imported |= any(a.name == self.name for a in node.names)
+
+
+def test_only_the_listed_builders_skip_the_constructor_checks():
+    uses: set[tuple[str, str | None]] = set()
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        visitor = _Uses("_assembled")
+        visitor.visit(ast.parse(path.read_text()))
+        uses |= {(path.stem, where) for where in visitor.found}
+        if visitor.imported:
+            importers.add(path.stem)
+    assert uses == ASSEMBLERS
+    assert importers == {"decomposition", "enumeration"}
+    assert "_assembled" not in EXPORTS and not hasattr(alttab, "_assembled")

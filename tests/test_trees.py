@@ -17,8 +17,10 @@ from alttab.core import (
     relabel,
     standard_tableau,
     to_perm_tableau,
+    transpose,
+    validate_alt,
 )
-from alttab.decomposition import divide, merge_all, restrict, split
+from alttab.decomposition import block, cut, divide, merge, merge_all, restrict, split
 from alttab.enumeration import all_tableaux
 from alttab.errors import (
     DomainError,
@@ -71,7 +73,13 @@ from alttab.trees import (
     validate_tree,
 )
 
-from conftest import free_stats_by_grid, from_perm_tableau_by_lists, merge_by_folding, tableaux
+from conftest import (
+    assert_as_public,
+    free_stats_by_grid,
+    from_perm_tableau_by_lists,
+    merge_by_folding,
+    tableaux,
+)
 
 T0_ARCS = {
     (3, 5), (4, 9), (6, 8), (6, 9), (7, 9), (10, 12),
@@ -89,11 +97,12 @@ def outcome(fn, arg):
         return "raised"
 
 
-_labels = st.integers(min_value=0, max_value=7)
+_labels = st.integers(min_value=-1, max_value=7)
 
 
 def forests(colors: str = "WB"):
-    """Small forests of any colors, labels and child orders, mostly invalid."""
+    """Small forests of any colors, labels (-1 among them) and child orders,
+    mostly invalid."""
     trees = st.recursive(
         st.builds(PlaneAltTree, st.sampled_from(colors), _labels),
         lambda kids: st.builds(
@@ -105,8 +114,8 @@ def forests(colors: str = "WB"):
 
 
 def bin_pairs():
-    """Pairs of small binary trees of any labels, mostly invalid; half of them
-    carry the kinds their positions require."""
+    """Pairs of small binary trees of any labels (-1 among them), mostly
+    invalid; half of them carry the kinds their positions require."""
     trees = st.recursive(
         st.none(),
         lambda sub: st.builds(
@@ -135,6 +144,8 @@ def quadratic_validate_tree(t: PlaneAltTree) -> None:
         if node.label in seen:
             bad.append(Violation("duplicate-label", f"label {node.label} repeats"))
         seen.add(node.label)
+        if node.label < 0:
+            bad.append(Violation("label-order", f"negative label {node.label}"))
         if node.color not in ("W", "B"):
             bad.append(Violation("bad-color", f"color {node.color!r} at {node.label}"))
             return
@@ -174,6 +185,8 @@ def quadratic_validate_bin_tree(t: BinAltTree | None, kind: str) -> None:
     bad: list[Violation] = []
 
     def walk(node: BinAltTree, want: str) -> None:
+        if node.label < 0:
+            bad.append(Violation("label-order", f"negative label {node.label}"))
         if node.kind != want:
             bad.append(Violation("bad-kind", f"node {node.label} marked {node.kind}, expected {want}"))
         rest = node.labels() - {node.label}
@@ -215,6 +228,34 @@ class TestValidators:
                 assert violations(validate_bin_tree, tree, kind) == violations(
                     quadratic_validate_bin_tree, tree, kind
                 )
+
+
+# A tree, a forest, a binary tree and an arc diagram whose one defect is the
+# negative label -1.
+NEGATIVE_TREE = PlaneAltTree("W", -1, (PlaneAltTree("B", 2),))
+NEGATIVE_BIN = BinAltTree(-1, BinAltTree(2, kind=MAX_ROOTED), None, MIN_ROOTED)
+NEGATIVE_ARCS = ArcDiagram((-2, -1, 0), ((-2, 0), (-1, 0)))
+
+
+@pytest.mark.parametrize(
+    "entry, arg",
+    [
+        (validate_tree, NEGATIVE_TREE),
+        (from_tree, NEGATIVE_TREE),
+        (validate_forest, PlaneAltForest((NEGATIVE_TREE,))),
+        (from_forest, PlaneAltForest((NEGATIVE_TREE,))),
+        (arcs_to_forest, NEGATIVE_ARCS),
+        (lambda b: validate_bin_tree(b, MIN_ROOTED), NEGATIVE_BIN),
+        (lambda b: from_binary_tree(b, MIN_ROOTED), NEGATIVE_BIN),
+        (binary_pair_inv, (NEGATIVE_BIN, None)),
+    ],
+    ids=[
+        "validate_tree", "from_tree", "validate_forest", "from_forest", "arcs_to_forest",
+        "validate_bin_tree", "from_binary_tree", "binary_pair_inv",
+    ],
+)
+def test_a_negative_label_is_refused_by_the_tree_validators(entry, arg):
+    assert [v.code for v in violations(entry, arg)] == ["label-order"]
 
 
 def deep_plane_chain(size: int) -> PlaneAltTree:
@@ -513,6 +554,19 @@ def test_direct_paths_equal_the_recursive_constructions_at_large_n(drawn):
     pair = binary_pair(t)
     assert pair == binary_pair_by_divide(t) and binary_pair_inv(pair) == t
     assert split(t) == split_by_closure(t) and divide(t) == divide_by_closure(t)
+    # Every builder makes what the public constructor makes of its fields.
+    n = len(t)
+    built = [t, from_perm_tableau(p), *parts, merge_all(parts), *divide(t), merge(*divide(t))]
+    built += [transpose(t), relabel(t, range(2, n + 2)), binary_pair_inv(pair)]
+    built += [from_forest(to_forest(t)), validate_alt(t.labels, t.word, t.arrows[::-1])]
+    built += [block(t, "row", n + 1), block(relabel(t, range(2, n + 2)), "col", 1)]
+    for axis in ("row", "col"):
+        try:
+            built.append(cut(t, axis))
+        except DomainError:
+            pass
+    for b in built:
+        assert_as_public(b)
     bad = corrupt(t, how, rng)
     assert free_stats(bad) == free_stats_by_grid(bad)
     for direct in (to_forest, split, divide, binary_pair):
