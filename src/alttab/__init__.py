@@ -1,5 +1,6 @@
 """Exact combinatorics of alternative and permutation tableaux."""
 
+from .checks import formula_report
 from .core import (
     AltTableau,
     Arrow,
@@ -38,7 +39,6 @@ from .enumeration import (
     chain_stationary,
     count_table,
     decorated_count,
-    formula_report,
     weight_poly,
 )
 from .errors import (

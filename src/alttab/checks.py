@@ -1,15 +1,19 @@
-"""Exhaustive verification batteries behind the ``verify`` command.
-
-Each suite runs the corresponding identities over every tableau up to the
-requested size and reports one named PASS/FAIL result per check; everything
-is exact, so there are no tolerances anywhere.
+"""Every verification of the paper's identities, behind ``alttab verify``
+and the acceptance tests: the named batteries, the data they share (the
+exclusion-process and refined-series points, the refined closed form) and
+the report.  Each suite checks its identities up to the requested size and
+returns one named :class:`FormulaCheck` per identity, written as one
+``<name> PASS`` or ``<name> FAIL <detail>`` line.  Everything is exact, so
+there are no tolerances anywhere.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     AltTableau,
@@ -27,7 +31,7 @@ from .enumeration import (
     ENUMERATION_CAP,
     WEIGHT_CAP,
     AsepParams,
-    FormulaCheck,
+    CountTable,
     _mirrored_halves,
     all_tableaux,
     all_via_perm,
@@ -35,14 +39,14 @@ from .enumeration import (
     catalan,
     chain_stationary,
     count_table,
-    formula_report,
+    decorated_count,
+    product_formula,
     shape_words,
     weight_poly,
 )
 from .errors import check_cap
 from .oracles import (
     binary_pair_by_divide,
-    count_shapes,
     to_forest_by_cut,
     weight_poly_by_fillings,
 )
@@ -52,6 +56,7 @@ from .permutations import (
     to_permutation,
     to_permutation_by_insertion,
 )
+from .series import Series, geometric, neg_log_one_minus_z
 from .trees import (
     arc_diagram,
     arcs_to_forest,
@@ -65,11 +70,45 @@ from .trees import (
     validate_forest,
 )
 
+# The (q, alpha, beta) points where the stationary law is checked.
 ASEP_TRIPLES = (
     (Fraction(1), Fraction(1, 2), Fraction(1, 3)),
     (Fraction(1, 2), Fraction(1), Fraction(1)),
     (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)),
 )
+
+# Where the refined series is checked: the row counts of the tableaux with no
+# free row at each u, and the full refinement at each (u, x, y).
+ROW_POINTS = (Fraction(2), Fraction(1, 2))
+REFINED_POINTS = (
+    (Fraction(2), Fraction(1), Fraction(1)),
+    (Fraction(1), Fraction(2), Fraction(3)),
+    (Fraction(3), Fraction(2), Fraction(5)),
+)
+
+
+@dataclass(frozen=True)
+class FormulaCheck:
+    name: str
+    passed: bool
+    detail: str = ""
+
+    def line(self) -> str:
+        """The report line: the name, PASS or FAIL, and the detail if any."""
+        line = f"{self.name} {'PASS' if self.passed else 'FAIL'}"
+        return f"{line} {self.detail}" if self.detail else line
+
+
+@dataclass(frozen=True)
+class FormulaReport:
+    checks: tuple[FormulaCheck, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def lines(self) -> list[str]:
+        return [c.line() for c in self.checks]
 
 
 def _all_hold(name: str, pairs: Iterable[tuple[bool, str]]) -> FormulaCheck:
@@ -188,32 +227,40 @@ def count_checks(n_max: int) -> list[FormulaCheck]:
                 "" if counts[n] == want else f"expected {want}",
             )
         )
-        by_shape.append(
-            FormulaCheck(
-                f"corner-recursion count table equals enumeration at n={n}",
-                tables[n].counts == count_shapes(n, shape_words(n)),
-            )
-        )
         listed: set[AltTableau] = set()
+        enumerated: dict[tuple[int, int, int], int] = {}  # by (frow, fcol, rows)
         no_free_cell = decorations = fixed = 0
         halves[n] = []
+        # A transpose has the word reversed with D and E swapped, so only
+        # tableaux on a word equal to its own mirror can be transpose-fixed.
+        mirrored = {w for w in shape_words(n) if all(a != b for a, b in zip(w, reversed(w)))}
         for t in all_tableaux(n):
             stats = free_stats(t)
+            key = (stats.frow, stats.fcol, t.word.count("D"))
+            enumerated[key] = enumerated.get(key, 0) + 1
             if n <= 5:
                 listed.add(t)
             if stats.fcell == 0:
                 no_free_cell += 1
-                if n <= 6 and crossing_fail is None and crossings(arc_diagram(t)):
+                if crossing_fail is None and crossings(arc_diagram(t)):
                     crossing_fail = f"fails on {render_tableau(t)}"
             decorations += 2 ** len(t.arrows)
             if 2 * n <= n_max and stats.fcol == 0:
                 halves[n].append(t)
-            if n % 2 == 0 and transpose(t) == t:
+            if t.word in mirrored and transpose(t) == t:
                 fixed += 1
+        by_shape.append(
+            FormulaCheck(
+                f"corner-recursion count table equals enumeration at n={n}",
+                tables[n].counts == enumerated,
+            )
+        )
         pairs = set()
         via: set[AltTableau] = set()
         for t in all_via_perm(n):
-            pairs.add((t.word, t.arrows))
+            # A flat key of ints and strings, which the garbage collector
+            # stops tracking: the (n+1)! keys would otherwise be rescanned.
+            pairs.add((t.word, *chain.from_iterable(t.arrows)))
             if n <= 5:
                 via.add(t)
         if n <= 5:
@@ -231,7 +278,12 @@ def count_checks(n_max: int) -> list[FormulaCheck]:
             FormulaCheck(f"free-cell-free count at n={n} is {want}", no_free_cell == want)
         )
         want = 2**n * math.factorial(n)
-        decorated.append(FormulaCheck(f"decorated count at n={n} is {want}", decorations == want))
+        decorated.append(
+            FormulaCheck(
+                f"decorated count at n={n} is {want}",
+                decorations == decorated_count(n) == want,
+            )
+        )
         if n % 2 == 0:
             want = 2 ** (n // 2) * math.factorial(n // 2)
             built = {(t.word, t.arrows) for t in _mirrored_halves(n, halves[n // 2])}
@@ -259,8 +311,87 @@ def count_checks(n_max: int) -> list[FormulaCheck]:
     return checks
 
 
-def series_checks(n_max: int) -> list[FormulaCheck]:
-    return list(formula_report(n_max).checks)
+def refined_series(order: int, u: Fraction, x: Fraction, y: Fraction) -> Series:
+    """The closed form of the refined generating function, the sum over all
+    tableaux of x^frow y^fcol u^rows z^n / n!, at one point; u = 1 uses the
+    limit form (1-z)^-(x+y)."""
+    if u == 1:
+        return geometric(order).pow_fraction(x + y)
+    inner = (1 - u) * (1 - Series.z(order, 1 - u).exp() * u).inverse()
+    return (Series.z(order, y * (1 - u)) + inner.log() * (x + y)).exp()
+
+
+def _weighted(table: CountTable, weight: Callable[[int, int, int], Fraction]) -> Fraction:
+    """The sum of ``weight(frow, fcol, rows)`` over the tableaux ``table`` counts."""
+    return sum((c * weight(*key) for key, c in table.counts.items()), Fraction(0))
+
+
+def _coefficientwise(name: str, series: Series, counts: Sequence[Fraction]) -> FormulaCheck:
+    """``counts[n]`` against the n-th exponential coefficient of ``series``."""
+    found = ((n, series.egf_count(n), got) for n, got in enumerate(counts))
+    return _all_hold(
+        name,
+        (
+            (want == got, f"first failing coefficient n={n}: series {want}, count {got}")
+            for n, want, got in found
+        ),
+    )
+
+
+def formula_report(n_max: int = 7) -> FormulaReport:
+    """Check every counting identity coefficientwise up to ``n_max``, exactly."""
+    check_cap(n_max, "formula verification", WEIGHT_CAP)
+    order = n_max + 2
+    tables = [count_table(n) for n in range(n_max + 1)]
+    a = geometric(order) * geometric(order)  # 1/(1-z)^2
+    b = geometric(order)
+    c = neg_log_one_minus_z(order)
+    # (name, series, weight of a tableau with i free rows, j free columns and
+    # k rows): the n-th coefficient of the series is the weight summed over
+    # the tableaux of length n.
+    identities = [
+        ("all tableaux vs 1/(1-z)^2", a, lambda i, j, k: 1),
+        ("no free rows vs 1/(1-z)", b, lambda i, j, k: i == 0),
+        ("column-packed vs -log(1-z)", c, lambda i, j, k: (i, j) == (0, 1)),
+    ]
+    # Row-count refinement at fixed rational u: (1-u)/(exp(z(u-1)) - u).
+    identities += [
+        (
+            f"no-free-row row counts at u={u}",
+            (Series.z(order, u - 1).exp() - u).inverse() * (1 - u),
+            lambda i, j, k, u=u: (i == 0) * u**k,
+        )
+        for u in ROW_POINTS
+    ]
+    identities += [
+        (
+            f"refined counts at (u,x,y)=({u},{x},{y})",
+            refined_series(order, u, x, y),
+            lambda i, j, k, u=u, x=x, y=y: x**i * y**j * u**k,
+        )
+        for u, x, y in REFINED_POINTS
+    ]
+    checks = [
+        _coefficientwise(name, series, [_weighted(t, weight) for t in tables])
+        for name, series, weight in identities
+    ]
+    # Product formula, as an exact polynomial identity.
+    checks.append(
+        _all_hold(
+            "free-line polynomial equals rising product",
+            (
+                (t.free_poly() == product_formula(n), f"first failing degree n={n}")
+                for n, t in enumerate(tables)
+            ),
+        )
+    )
+    # Differential relations: B' = A and C'' = A as coefficient shifts.
+    for name, derived in (
+        ("derivative of no-free-row series equals full series", b.derivative()),
+        ("second derivative of packed series equals full series", c.derivative().derivative()),
+    ):
+        checks.append(FormulaCheck(name, derived.truncate(n_max) == a.truncate(n_max)))
+    return FormulaReport(tuple(checks))
 
 
 def asep_checks(n_max: int) -> list[FormulaCheck]:
@@ -292,7 +423,7 @@ def asep_checks(n_max: int) -> list[FormulaCheck]:
 SUITES = {
     "bijections": bijection_checks,
     "counts": count_checks,
-    "series": series_checks,
+    "series": lambda n_max: list(formula_report(n_max).checks),
     "asep": asep_checks,
 }
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import checks as checks_mod
+from .checks import FormulaReport, run_suite
 from .core import (
     AltTableau,
     empty_tableau,
@@ -31,7 +31,7 @@ from .enumeration import (
     asep_distribution,
     count_table,
 )
-from .errors import ParseError, TableauError, _shown, _shown_number
+from .errors import DomainError, ParseError, TableauError, _shown, _shown_number
 from .permutations import (
     from_permutation,
     from_signed_permutation,
@@ -209,23 +209,24 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = checks_mod.run_suite(args.suite, args.n)
-    failed = 0
-    for c in results:
-        line = f"{c.name} {'PASS' if c.passed else 'FAIL'}"
-        if c.detail:
-            line += f" {c.detail}"
+    report = FormulaReport(tuple(run_suite(args.suite, args.n)))
+    for line in report.lines():
         print(line)
-        failed += 0 if c.passed else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+    print(f"{sum(c.passed for c in report.checks)}/{len(report.checks)} checks passed")
+    return 0 if report.passed else 1
 
 
 def cmd_asep(args) -> int:
     params = AsepParams(args.n, args.q, args.alpha, args.beta)
-    dist = asep_distribution(params)
-    for state, prob in dist.items():
-        print(f"{state} {prob} [{float(prob):.6f}]")
+    lines = []
+    for state, prob in asep_distribution(params).items():
+        try:
+            lines.append(f"{state} {prob} [{float(prob):.6f}]")
+        except ValueError:  # more digits than the interpreter converts (4300 by default)
+            raise DomainError(
+                "too-long-to-print", f"the probability of state {state} has too many digits"
+            ) from None
+    print("\n".join(lines))
     return 0
 
 

@@ -1,5 +1,5 @@
 """Exhaustive generation, refined counting, stationary distributions, and
-exact verification of the counting formulas.
+decorated and symmetric tableaux.
 
 Weights, counts and exclusion-process laws come from the corner recursion of
 the matrix ansatz, ``DE = qED + D + E``: the corner cell of a ``DE`` step
@@ -29,7 +29,7 @@ from .core import AltTableau, Arrow, _assembled, free_stats, relabel, transpose
 from .decomposition import _parts, _tree_roots, divide, merge
 from .errors import DomainError, _shown_number, check_cap
 from .permutations import from_permutation
-from .series import Poly3, Series, geometric, neg_log_one_minus_z
+from .series import Poly3
 
 # Size caps, one per workload, each overridable by its environment variable.
 # Enumeration visits (n+1)! tableaux; the corner recursion keeps a memo of up
@@ -181,17 +181,6 @@ class CountTable:
     def free_poly(self) -> Poly3:
         """The polynomial summing x^(free rows) y^(free cols) over all tableaux."""
         return Poly3({(0, i, j): c for (i, j), c in self.by_free().items()})
-
-    def weighted_sum(self, u: Fraction, x: Fraction, y: Fraction) -> Fraction:
-        total = Fraction(0)
-        for (i, j, k), c in self.counts.items():
-            total += c * x**i * y**j * u**k
-        return total
-
-    def rows_sum_no_free_rows(self, u: Fraction) -> Fraction:
-        return sum(
-            (c * u**k for (i, _, k), c in self.counts.items() if i == 0), Fraction(0)
-        )
 
 
 def count_table(n: int) -> CountTable:
@@ -361,9 +350,11 @@ def chain_stationary(p: AsepParams) -> dict[str, Fraction]:
 
 
 def decorated_count(n: int) -> int:
-    """Number of tableaux of length n with each arrow independently marked."""
-    check_cap(n, "decorated counting", ENUMERATION_CAP)
-    return sum(2 ** len(t.arrows) for t in all_tableaux(n))
+    """Number of tableaux of length n with each arrow independently marked.
+    Each arrow makes exactly one line non-free, so a tableau with i free rows
+    and j free columns has n - i - j arrows."""
+    check_cap(n, "decorated counting", WEIGHT_CAP)
+    return sum(c * 2 ** (n - i - j) for (i, j), c in count_table(n).by_free().items())
 
 
 @dataclass(frozen=True)
@@ -460,115 +451,3 @@ def _mirrored_halves(size: int, halves: Sequence[AltTableau]) -> Iterator[AltTab
 
 def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
-
-
-# ---------------------------------------------------------------------------
-# Formula verification
-
-
-@dataclass(frozen=True)
-class FormulaCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class FormulaReport:
-    checks: tuple[FormulaCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def lines(self) -> list[str]:
-        return [
-            f"{c.name} {'PASS' if c.passed else 'FAIL'}{(' ' + c.detail) if c.detail else ''}"
-            for c in self.checks
-        ]
-
-
-def _compare_counts(name: str, series: Series, counts: Sequence[int], n_max: int) -> FormulaCheck:
-    for n in range(n_max + 1):
-        expected = series.egf_count(n)
-        if expected != counts[n]:
-            return FormulaCheck(name, False, f"first failing coefficient n={n}: series {expected}, count {counts[n]}")
-    return FormulaCheck(name, True)
-
-
-def formula_report(n_max: int = 7) -> FormulaReport:
-    """Check every counting identity coefficientwise up to ``n_max``, exactly."""
-    check_cap(n_max, "formula verification", WEIGHT_CAP)
-    order = n_max + 2
-    tables = [count_table(n) for n in range(n_max + 1)]
-    totals = [t.total() for t in tables]
-    no_free_rows = [sum(c for (i, _, _), c in t.counts.items() if i == 0) for t in tables]
-    col_packed = [
-        sum(c for (i, j, _), c in t.counts.items() if (i, j) == (0, 1)) for t in tables
-    ]
-    checks: list[FormulaCheck] = []
-
-    total_series = geometric(order) * geometric(order)  # 1/(1-z)^2
-    b_series = geometric(order)
-    c_series = neg_log_one_minus_z(order)
-    checks.append(_compare_counts("all tableaux vs 1/(1-z)^2", total_series, totals, n_max))
-    checks.append(_compare_counts("no free rows vs 1/(1-z)", b_series, no_free_rows, n_max))
-    checks.append(_compare_counts("column-packed vs -log(1-z)", c_series, col_packed, n_max))
-
-    # Row-count refinement at fixed rational u: (1-u)/(exp(z(u-1)) - u).
-    for u in (Fraction(2), Fraction(1, 2)):
-        refined = (Series.z(order, u - 1).exp() - u).inverse() * (1 - u)
-        name = f"no-free-row row counts at u={u}"
-        ok = True
-        detail = ""
-        for n in range(n_max + 1):
-            got = tables[n].rows_sum_no_free_rows(u)
-            expected = refined.egf_count(n)
-            if got != expected:
-                ok, detail = False, f"first failing coefficient n={n}: series {expected}, count {got}"
-                break
-        checks.append(FormulaCheck(name, ok, detail))
-
-    # Full refinement at fixed rational points; u=1 uses the limit form.
-    for u, x, y in ((Fraction(2), Fraction(1), Fraction(1)),
-                    (Fraction(1), Fraction(2), Fraction(3)),
-                    (Fraction(3), Fraction(2), Fraction(5))):
-        if u == 1:
-            closed = geometric(order).pow_fraction(x + y)
-        else:
-            inner = (1 - u) * (1 - Series.z(order, 1 - u).exp() * u).inverse()
-            closed = (Series.z(order, y * (1 - u)) + inner.log() * (x + y)).exp()
-        name = f"refined counts at (u,x,y)=({u},{x},{y})"
-        ok = True
-        detail = ""
-        for n in range(n_max + 1):
-            got = tables[n].weighted_sum(u, x, y)
-            expected = closed.egf_count(n)
-            if got != expected:
-                ok, detail = False, f"first failing coefficient n={n}: series {expected}, count {got}"
-                break
-        checks.append(FormulaCheck(name, ok, detail))
-
-    # Product formula, as an exact polynomial identity.
-    ok = True
-    detail = ""
-    for n in range(n_max + 1):
-        if tables[n].free_poly() != product_formula(n):
-            ok, detail = False, f"first failing degree n={n}"
-            break
-    checks.append(FormulaCheck("free-line polynomial equals rising product", ok, detail))
-
-    # Differential relations: B' = A and C'' = A as coefficient shifts.
-    checks.append(
-        FormulaCheck(
-            "derivative of no-free-row series equals full series",
-            b_series.derivative().truncate(n_max) == total_series.truncate(n_max),
-        )
-    )
-    checks.append(
-        FormulaCheck(
-            "second derivative of packed series equals full series",
-            c_series.derivative().derivative().truncate(n_max) == total_series.truncate(n_max),
-        )
-    )
-    return FormulaReport(tuple(checks))

@@ -10,7 +10,7 @@ the package imports this one.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import AltTableau, PermTableau, free_stats
 from .decomposition import (
@@ -24,7 +24,7 @@ from .decomposition import (
     packed_class,
     restrict,
 )
-from .enumeration import ENUMERATION_CAP, all_tableaux, fillings, shape_words
+from .enumeration import ENUMERATION_CAP, fillings, shape_words
 from .errors import DomainError, check_cap
 from .permutations import Word, check_word, rl_maxima, rl_minima
 from .series import Poly3
@@ -197,21 +197,7 @@ def word_to_forest(word: Sequence[int]) -> PlaneAltForest:
 
 
 # ---------------------------------------------------------------------------
-# Counts and weights by enumeration
-
-
-def count_shapes(n: int, words: Iterable[str]) -> dict[tuple[int, int, int], int]:
-    """Oracle for ``count_table``: fillings of the shapes by (frow, fcol, rows)."""
-    check_cap(n, "enumerative counting", ENUMERATION_CAP)
-    counts: dict[tuple[int, int, int], int] = {}
-    labels = tuple(range(1, n + 1))
-    for word in words:
-        k = word.count("D")
-        for arrows in fillings(word):
-            stats = free_stats(AltTableau(labels, word, arrows))
-            key = (stats.frow, stats.fcol, k)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+# Weights and permutation tableaux by enumeration
 
 
 def weight_poly_by_fillings(word: str) -> Poly3:
@@ -222,12 +208,6 @@ def weight_poly_by_fillings(word: str) -> Poly3:
         stats = free_stats(AltTableau(labels, word, arrows))
         total = total + Poly3.monomial(stats.fcell, stats.fcol, stats.frow)
     return total
-
-
-def no_free_cell_count(n: int) -> int:
-    """Tableaux of length n with no free cell, by enumeration (Catalan(n+1))."""
-    check_cap(n, "free-cell filtering", ENUMERATION_CAP)
-    return sum(1 for t in all_tableaux(n) if free_stats(t).fcell == 0)
 
 
 def all_perm_tableaux(n: int) -> Iterator[PermTableau]:

@@ -494,6 +494,14 @@ class TestAsepRender:
         assert lines[0] == "o 2/5 [0.400000]"
         assert lines[1] == "* 3/5 [0.600000]"
 
+    def test_a_probability_too_long_to_print_is_an_error(self, capsys, monkeypatch):
+        # The rate passes its range check, but the weights it makes have more
+        # digits than the interpreter converts to text.
+        argv = ["asep", "--n", "2", "--beta", "1/" + "1" * 3000]
+        code, out, err = run(capsys, monkeypatch, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "state oo" in err and len(err.encode()) < 200
+
     @pytest.mark.parametrize("flag", ("--q", "--alpha", "--beta"))
     def test_asep_bad_rate_is_a_usage_error(self, capsys, monkeypatch, flag):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alttab.checks import ASEP_TRIPLES, formula_report
 from alttab.core import (
     free_stats,
     render_tableau,
@@ -30,7 +31,6 @@ from alttab.enumeration import (
     decorated_bijection,
     decorated_bijection_inv,
     decorated_count,
-    formula_report,
     product_formula,
     shape_words,
     solve_stationary,
@@ -40,12 +40,7 @@ from alttab.enumeration import (
     weight_poly,
 )
 from alttab.errors import DomainError, ResourceLimitError
-from alttab.oracles import (
-    all_perm_tableaux,
-    count_shapes,
-    no_free_cell_count,
-    weight_poly_by_fillings,
-)
+from alttab.oracles import all_perm_tableaux, weight_poly_by_fillings
 from alttab.series import Poly3
 
 
@@ -147,7 +142,12 @@ class TestCountTable:
 
     @pytest.mark.parametrize("n", range(8))
     def test_recursion_matches_enumeration(self, n):
-        assert count_table(n).counts == count_shapes(n, shape_words(n))
+        enumerated: dict[tuple[int, int, int], int] = {}
+        for t in all_tableaux(n):
+            stats = free_stats(t)
+            key = (stats.frow, stats.fcol, t.word.count("D"))
+            enumerated[key] = enumerated.get(key, 0) + 1
+        assert count_table(n).counts == enumerated
 
     @pytest.mark.parametrize("n", range(9, 13))
     def test_beyond_enumeration(self, n):
@@ -335,12 +335,7 @@ class TestAsep:
 
     @pytest.mark.parametrize("n", range(5))
     def test_oracle_agreement(self, n):
-        triples = (
-            (Fraction(1), Fraction(1, 2), Fraction(1, 3)),
-            (Fraction(1, 2), Fraction(1), Fraction(1)),
-            (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)),
-        )
-        for q, alpha, beta in triples:
+        for q, alpha, beta in ASEP_TRIPLES:
             p = AsepParams(n, q, alpha, beta)
             dist = asep_distribution(p)
             solved = chain_stationary(p)
@@ -419,9 +414,16 @@ class TestAsep:
 
 
 class TestDecoratedAndSymmetric:
-    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("n", range(13))
     def test_decorated_count(self, n):
         assert decorated_count(n) == 2**n * math.factorial(n)
+
+    def test_decorated_count_is_capped_with_the_corner_recursion(self, monkeypatch):
+        monkeypatch.setenv("ALTAB_MAX_N", "3")
+        assert decorated_count(4) == 384
+        monkeypatch.setenv("ALTAB_MAX_WEIGHT_N", "3")
+        with pytest.raises(ResourceLimitError, match="decorated counting.*ALTAB_MAX_WEIGHT_N"):
+            decorated_count(4)
 
     def test_decorated_count_small_by_hand(self):
         # Six tableaux of length 2 carry 0,0,0,0,1,1 arrows: 1+1+1+1+2+2.
@@ -481,7 +483,7 @@ class TestDecoratedAndSymmetric:
 
     @pytest.mark.parametrize("n", range(7))
     def test_catalan_filter(self, n):
-        assert no_free_cell_count(n) == catalan(n + 1)
+        assert sum(free_stats(t).fcell == 0 for t in all_tableaux(n)) == catalan(n + 1)
 
     def test_catalan_values(self):
         assert [catalan(n + 1) for n in range(9)] == [1, 2, 5, 14, 42, 132, 429, 1430, 4862]

@@ -9,8 +9,9 @@ import importlib
 from pathlib import Path
 
 import alttab
-from alttab import checks, oracles
+from alttab import checks, enumeration, oracles
 from alttab.checks import BIJECTIONS, bijection_checks, count_checks
+from alttab.enumeration import shape_words
 
 PACKAGE = Path(alttab.__file__).parent
 
@@ -28,12 +29,7 @@ MOVED = {
     ),
     "decomposition": ("_split_by_closure", "_divide_by_closure"),
     "permutations": ("word_to_tree", "_word_to_tree", "word_to_forest"),
-    "enumeration": (
-        "count_shapes",
-        "weight_poly_by_fillings",
-        "no_free_cell_count",
-        "all_perm_tableaux",
-    ),
+    "enumeration": ("weight_poly_by_fillings", "all_perm_tableaux"),
 }
 
 EXPORTS = [
@@ -80,7 +76,7 @@ def test_moved_oracles_are_gone_from_their_old_modules():
             assert not hasattr(old, name), f"alttab.{module}.{name}"
             assert hasattr(oracles, name) or hasattr(oracles, name.lstrip("_")), name
             count += 1
-    assert count == 17
+    assert count == 15
 
 
 def test_bijection_battery_walks_each_size_once(monkeypatch):
@@ -105,9 +101,25 @@ def test_count_battery_walks_each_size_once_per_generator(monkeypatch):
         monkeypatch.setattr(
             checks, name, lambda n, real=real, sizes=sizes: sizes.append(n) or real(n)
         )
+    # The oracles call ``fillings`` through their own binding, so a second
+    # walk through them is counted too.
+    filled = []
+    real_fillings = enumeration.fillings
+    counting = lambda word: filled.append(word) or real_fillings(word)  # noqa: E731
+    monkeypatch.setattr(enumeration, "fillings", counting)
+    monkeypatch.setattr(oracles, "fillings", counting)
     results = count_checks(5)
     assert walked == {"all_tableaux": [0, 1, 2, 3, 4, 5], "all_via_perm": [0, 1, 2, 3, 4, 5]}
+    assert sorted(filled) == sorted(w for n in range(6) for w in shape_words(n))
+    assert len(filled) == 63
     assert len(results) == 44 and all(c.passed for c in results)
+
+
+def test_the_formula_report_lives_in_checks_only():
+    for name in ("FormulaCheck", "FormulaReport", "formula_report"):
+        assert not hasattr(enumeration, name), f"alttab.enumeration.{name}"
+        assert hasattr(checks, name), name
+    assert alttab.formula_report is checks.formula_report
 
 
 def test_bijection_battery_reports_each_first_counterexample(monkeypatch):
