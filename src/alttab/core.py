@@ -22,7 +22,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterator, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ParseError, ValidationError, Violation, _shown
 
@@ -382,14 +382,15 @@ def validate_perm_tableau(
     for cell in sorted(one_set - cells):
         bad.append(Violation("cell-off-shape", f"1 on nonexistent cell {cell}"))
     one_set &= cells
+    top = _topmost_ones(rows, one_set)
     for j in cols:
-        col_cells = [(i, j) for i in rows if i < j]
-        if not col_cells or not any(c in one_set for c in col_cells):
+        if j not in top:
             bad.append(Violation("empty-column", f"column {j} contains no 1"))
+    leftmost: dict[int, int] = {}  # each row's 1 in the largest column
+    for i, j in one_set:
+        leftmost[i] = max(leftmost.get(i, j), j)
     for i, j in sorted(cells - one_set):
-        above = any((i2, j) in one_set for i2 in rows if i2 < i)
-        left = any((i, j2) in one_set for j2 in cols if j2 > j)
-        if above and left:
+        if top.get(j, i) < i and leftmost.get(i, j) > j:  # a 1 above it and one left of it
             bad.append(
                 Violation("zero-with-one-above-and-left", f"cell ({i},{j}) is 0 but blocked")
             )
@@ -408,20 +409,29 @@ class PermTableauStats:
     superfluous_cells: frozenset[tuple[int, int]]
 
 
+def _topmost_ones(rows: Iterable[int], ones: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The row of each column's topmost 1 (its smallest row label), counting
+    only the 1s in ``rows``."""
+    row_set = set(rows)
+    topmost: dict[int, int] = {}
+    for i, j in ones:
+        if i in row_set and i < topmost.get(j, i + 1):
+            topmost[j] = i
+    return topmost
+
+
 def perm_tableau_stats(p: PermTableau) -> PermTableauStats:
     rows, cols = p.rows, p.columns
     ones = set(p.ones)
     top = min(p.labels) if p.labels else None
-    superfluous = frozenset(
-        (i, j) for (i, j) in ones if any((i2, j) in ones for i2 in rows if i2 < i)
-    )
-    restricted_rows = set()
-    for i in rows:
-        for j in cols:
-            if i < j and (i, j) not in ones:
-                if any((i2, j) in ones for i2 in rows if i2 < i):
-                    restricted_rows.add(i)
-                    break
+    # A 1 is superfluous, and a 0 restricted, when its column has a 1 above it.
+    topmost = _topmost_ones(rows, ones)
+    superfluous = frozenset((i, j) for (i, j) in ones if topmost.get(j, i) < i)
+    restricted_rows = {
+        i
+        for i in rows
+        if any(topmost.get(j, i) < i and (i, j) not in ones for j in cols[bisect_right(cols, i) :])
+    }
     unrestricted = frozenset(i for i in rows if i not in restricted_rows and i != top)
     top_one = frozenset(j for j in cols if top is not None and (top, j) in ones)
     return PermTableauStats(unrestricted, top_one, superfluous)
@@ -441,12 +451,8 @@ def from_perm_tableau(p: PermTableau) -> AltTableau:
     if p.word[0] != "D":
         raise DomainError("bad-top-row", "smallest label does not label a row")
     rows, cols = p.rows, p.columns
-    row_set = set(rows)
     ones = set(p.ones)
-    topmost: dict[int, int] = {}
-    for i, j in ones:
-        if i in row_set and i < topmost.get(j, i + 1):
-            topmost[j] = i
+    topmost = _topmost_ones(rows, ones)
     arrows = [Arrow(i, j, UP) for i, j in ones if i != top and not topmost.get(j, i) < i]
     for i in rows[1:]:  # rows[0] is the top row
         for j in cols[bisect_right(cols, i) :]:  # right to left along the row
@@ -462,6 +468,7 @@ def to_perm_tableau(t: AltTableau) -> PermTableau:
     A new top row (labeled one below the current minimum) gets a 1 over every
     free column; up arrows and free cells become 1s, everything else 0.
     """
+    _check_valid(t)
     new = t.labels[0] - 1 if t.labels else 0
     if new < 0:
         raise DomainError("label-order", "no nonnegative label available for the new top row")

@@ -72,7 +72,8 @@ class DomainError(TableauError):
 
 class ResourceLimitError(TableauError):
     """A size cap was exceeded; the message names the cap and the environment
-    variable that overrides it (see "Resource caps" in the README)."""
+    variable that overrides it, or the oracle whose fixed bound it is (see
+    "Resource caps" in the README)."""
 
 
 def cap_limit(setting: tuple[str, int]) -> int:

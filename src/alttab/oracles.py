@@ -25,12 +25,11 @@ from .decomposition import (
     restrict,
 )
 from .enumeration import ENUMERATION_CAP, fillings, shape_words
-from .errors import DomainError, check_cap
+from .errors import DomainError, ResourceLimitError, _shown_number, check_cap
 from .permutations import Word, check_word, rl_maxima, rl_minima
 from .series import Poly3
 from .trees import (
     BLACK,
-    DEPTH_CAP,
     MAX_ROOTED,
     MIN_ROOTED,
     WHITE,
@@ -40,6 +39,20 @@ from .trees import (
     validate_bin_tree,
     validate_forest,
 )
+
+# The recursive constructions below descend one level per call, a few frames
+# each; they refuse objects larger than this, well under the interpreter's
+# stack limit.  The production code has no such bound.
+RECURSION_BOUND = 200
+
+
+def _bounded(n: int, oracle: str) -> None:
+    if n > RECURSION_BOUND:
+        raise ResourceLimitError(
+            f"oracle {oracle} recurses once per level; n={_shown_number(n)}"
+            f" exceeds its fixed bound {RECURSION_BOUND}"
+        )
+
 
 # ---------------------------------------------------------------------------
 # Components by closure, forests and binary pairs by cut and block
@@ -66,6 +79,7 @@ def divide_by_closure(t: AltTableau) -> tuple[AltTableau, AltTableau]:
 
 def to_forest_by_cut(t: AltTableau) -> PlaneAltForest:
     """Oracle for ``to_forest``: cut the root line, split, recurse."""
+    _bounded(len(t), "to_forest_by_cut")
     return PlaneAltForest(tuple(_tree_rec(c, packed_class(c)) for c in split_by_closure(t)))
 
 
@@ -85,6 +99,7 @@ def _tree_rec(t: AltTableau, cls: str) -> PlaneAltTree:
 
 def from_forest_by_block(f: PlaneAltForest) -> AltTableau:
     """Oracle for ``from_forest``: merge the children's tableaux, then block."""
+    _bounded(f.size(), "from_forest_by_block")
     validate_forest(f)
     return merge_all(_from_tree_rec(t) for t in f.trees)
 
@@ -97,6 +112,7 @@ def _from_tree_rec(tree: PlaneAltTree) -> AltTableau:
 
 def binary_pair_by_divide(t: AltTableau) -> tuple[BinAltTree | None, BinAltTree | None]:
     """Oracle for ``binary_pair``: cut the root line, divide, recurse."""
+    _bounded(len(t), "binary_pair_by_divide")
     p, q = divide_by_closure(t)
     return _bin_rec(p, MIN_ROOTED), _bin_rec(q, MAX_ROOTED)
 
@@ -117,6 +133,7 @@ def _bin_rec(t: AltTableau, kind: str) -> BinAltTree | None:
 def binary_pair_inv_by_block(pair: tuple[BinAltTree | None, BinAltTree | None]) -> AltTableau:
     """Oracle for ``binary_pair_inv``: merge the subtrees' tableaux, then block."""
     b_min, b_max = pair
+    _bounded(sum(b.size() for b in pair if b is not None), "binary_pair_inv_by_block")
     validate_bin_tree(b_min, MIN_ROOTED)
     validate_bin_tree(b_max, MAX_ROOTED)
     return merge(_from_bin_rec(b_min, MIN_ROOTED), _from_bin_rec(b_max, MAX_ROOTED))
@@ -146,7 +163,7 @@ def word_to_tree(word: Sequence[int], color: str) -> PlaneAltTree:
     w = check_word(word)
     if not w:
         raise DomainError("bad-terminal-letter", "empty word encodes no tree")
-    check_cap(len(w), "tree encoding", DEPTH_CAP)
+    _bounded(len(w), "word_to_tree")
     return _word_to_tree(w, color)
 
 
@@ -179,8 +196,7 @@ def word_to_forest(word: Sequence[int]) -> PlaneAltForest:
     w = check_word(word)
     if not w:
         raise DomainError("bad-separator", "empty word has no separator")
-    # The forest's size: every letter but the separator.
-    check_cap(len(w) - 1, "tree encoding", DEPTH_CAP)
+    _bounded(len(w) - 1, "word_to_forest")  # the forest's size: all but the separator
     cut_at = w.index(min(w))
     before, after = w[:cut_at], w[cut_at + 1 :]
     trees: list[PlaneAltTree] = []

@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import LEFT, UP, AltTableau, _parse_int, _shown, relabel, transpose
+from .core import LEFT, UP, AltTableau, _check_valid, _parse_int, _shown, relabel, transpose
 from .decomposition import _arrow_forest, _tableau_from_edges, merge
-from .errors import DomainError, ParseError, _shown_number, check_cap
+from .errors import DomainError, ParseError, _shown_number
 from .trees import (
     BLACK,
-    DEPTH_CAP,
     WHITE,
     PlaneAltForest,
     PlaneAltTree,
@@ -151,8 +150,6 @@ def from_permutation(word: Sequence[int]) -> AltTableau:
     w = check_word(word)
     if not w:
         raise DomainError("bad-separator", "empty word has no separator")
-    # The forest's size: every letter but the separator.
-    check_cap(len(w) - 1, "tree encoding", DEPTH_CAP)
     cut_at = w.index(min(w))
     kinds: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
@@ -187,6 +184,7 @@ def insertion_steps(t: AltTableau) -> list[Word]:
     its up-arrow row (left of 0 when the column has none), then the rows of
     its left arrows, in increasing order, immediately left of it.
     """
+    _check_valid(t)
     if not t.is_standard():
         raise DomainError("non-standard-labels", "insertion needs labels 1..n")
     up_in_col = {a.col: a.row for a in t.arrows if a.kind == UP}
@@ -240,7 +238,6 @@ def to_signed_permutation(t: AltTableau) -> SignedPerm:
     if len(t) % 2 or transpose(t) != t:
         raise DomainError("not-symmetric", "tableau is not fixed by transposition")
     n = len(t) // 2
-    check_cap(n, "tree encoding", DEPTH_CAP)  # only the rows half becomes tree values
     # The rows half (the free-row components) is the white-rooted trees.
     children, roots = _arrow_forest(t)
     color = _colors(t)

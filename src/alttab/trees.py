@@ -22,19 +22,13 @@ from typing import Callable, Iterable, Mapping, TypeVar
 
 from .core import _VALID, AltTableau, _parse_int, _shown
 from .decomposition import _arrow_forest, _tableau_from_edges
-from .errors import DomainError, ParseError, ValidationError, Violation, check_cap
+from .errors import DomainError, ParseError, ValidationError, Violation
 
 WHITE = "W"
 BLACK = "B"
 
 MIN_ROOTED = "min"
 MAX_ROOTED = "max"
-
-# Tree values compare, hash and print recursively, one level per call, and so
-# do the oracles; cap object sizes well under the interpreter stack limit.
-# The validators, ``size`` and ``labels`` walk the nodes without recursion.
-DEPTH_CAP = ("ALTAB_MAX_DEPTH", 200)
-
 
 Node = TypeVar("Node")
 
@@ -63,15 +57,97 @@ def _subtree_spans(
     return span
 
 
+def _flat_text(root: object, parts: Callable[[Node], list]) -> str:
+    """The text of a tree whose nodes spell as ``parts(node)``, a list of
+    strings and child nodes; open nodes wait on a stack, not the call stack."""
+    out: list[str] = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(parts(item)))
+    return "".join(out)
+
+
+def _flat_eq(a: Node, b: Node, head: Callable[[Node], tuple], kids: Callable) -> bool:
+    """The dataclass ``==`` of two trees: equal ``head`` fields and equal
+    children in order, walked with a stack."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if x is None or y is None or head(x) != head(y):
+            return False
+        stack.extend(zip(kids(x), kids(y)))
+    return True
+
+
+class _Hashed:
+    """Stands in for a child whose hash is known, so that hashing a node's
+    fields calls no ``__hash__`` below it."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+def _flat_hash(
+    root: Node,
+    kids: Callable[[Node], Iterable[Node]],
+    fields: Callable[[Node, Callable[[Node | None], object]], tuple],
+) -> int:
+    """The dataclass ``hash`` of a tree, ``hash(fields)``, worked out bottom-up:
+    ``fields(node, hashed)`` is the node's field tuple with each child ``c``
+    given as ``hashed(c)``, which hashes as ``c`` does."""
+    known: dict[int, _Hashed | None] = {id(None): None}
+
+    def hashed(child: Node | None) -> _Hashed | None:
+        return known[id(child)]
+
+    for node in reversed(_nodes([root], kids)):
+        known[id(node)] = _Hashed(hash(fields(node, hashed)))
+    return known[id(root)].value
+
+
 def _plane_kids(node: PlaneAltTree) -> tuple[PlaneAltTree, ...]:
     return node.children
 
 
-@dataclass(frozen=True)
+# The tree values' ``==``, ``hash`` and ``repr`` are exactly the ones the
+# dataclass would generate, but walk the nodes without recursion.
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class PlaneAltTree:
     color: str  # WHITE or BLACK
     label: int
     children: tuple[PlaneAltTree, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _flat_eq(self, other, lambda n: (n.color, n.label, len(n.children)), _plane_kids)
+
+    def __hash__(self) -> int:
+        return _flat_hash(
+            self, _plane_kids, lambda n, hashed: (n.color, n.label, tuple(map(hashed, n.children)))
+        )
+
+    def __repr__(self) -> str:
+        def parts(n: PlaneAltTree) -> list:
+            kids = [x for c in n.children for x in (", ", c)][1:]
+            close = ",))" if len(n.children) == 1 else "))"
+            name = type(n).__qualname__
+            return [f"{name}(color={n.color!r}, label={n.label!r}, children=(", *kids, close]
+
+        return _flat_text(self, parts)
 
     def labels(self) -> frozenset[int]:
         return frozenset(node.label for node in _nodes([self], _plane_kids))
@@ -104,7 +180,6 @@ def validate_tree(t: PlaneAltTree) -> None:
     are not checked.
     """
     order = _nodes([t], _plane_kids)
-    check_cap(len(order), "tree encoding", DEPTH_CAP)
     span = _subtree_spans(order, _plane_kids)
     bad: list[Violation] = []
     seen: set[int] = set()
@@ -198,7 +273,6 @@ def to_tree(t: AltTableau) -> PlaneAltTree:
     A row-packed tableau becomes a white root carrying its top-row label with
     the components of the cut tableau as subtrees; column-packed dually.
     """
-    check_cap(len(t), "tree encoding", DEPTH_CAP)
     children, roots = _arrow_forest(t)
     if len(roots) != 1:
         raise DomainError("not-packed", "tableau is not packed")
@@ -213,7 +287,6 @@ def from_tree(tree: PlaneAltTree) -> AltTableau:
 
 def to_forest(t: AltTableau) -> PlaneAltForest:
     """One tree per packed component of the tableau."""
-    check_cap(len(t), "tree encoding", DEPTH_CAP)
     children, roots = _arrow_forest(t)
     return PlaneAltForest(_plane_trees(roots, children, _colors(t)))
 
@@ -316,6 +389,7 @@ def arc_diagram(t: AltTableau) -> ArcDiagram:
 
 def forest_to_arcs(f: PlaneAltForest) -> ArcDiagram:
     """Arc encoding of a forest on labels 1..n: tree edges plus virtual arcs."""
+    validate_forest(f)
     kinds, edges = _forest_edges(f.trees)
     labels = sorted(kinds)
     n = len(labels)
@@ -392,12 +466,30 @@ def out_crossings(d: ArcDiagram) -> frozenset[tuple[int, int]]:
 # Binary alternative trees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinAltTree:
     label: int
     left: BinAltTree | None = None
     right: BinAltTree | None = None
     kind: str = MIN_ROOTED  # extremality of this node within its subtree
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _flat_eq(self, other, lambda n: (n.label, n.kind), lambda n: (n.left, n.right))
+
+    def __hash__(self) -> int:
+        return _flat_hash(
+            self, _bin_kids, lambda n, hashed: (n.label, hashed(n.left), hashed(n.right), n.kind)
+        )
+
+    def __repr__(self) -> str:
+        def parts(n: BinAltTree) -> list:
+            left, right = ("None" if c is None else c for c in (n.left, n.right))
+            head = f"{type(n).__qualname__}(label={n.label!r}, left="
+            return [head, left, ", right=", right, f", kind={n.kind!r})"]
+
+        return _flat_text(self, parts)
 
     def labels(self) -> frozenset[int]:
         return frozenset(node.label for node in _nodes([self], _bin_kids))
@@ -420,7 +512,6 @@ def validate_bin_tree(t: BinAltTree | None, kind: str) -> None:
     bad: list[Violation] = []
     if t is not None:
         order = _nodes([t], _bin_kids)
-        check_cap(len(order), "tree encoding", DEPTH_CAP)
         span = _subtree_spans(order, _bin_kids)
         stack = [(t, kind)]
         while stack:
@@ -449,7 +540,6 @@ def to_binary_tree(t: AltTableau, kind: str) -> BinAltTree | None:
     supplies the right (rows part, min-rooted) and left (columns part,
     max-rooted) subtrees.
     """
-    check_cap(len(t), "tree encoding", DEPTH_CAP)
     b_min, b_max = binary_pair(t)
     if kind == MIN_ROOTED and b_max is not None:
         raise DomainError("wrong-class", "min-rooted encoding needs a tableau with no free columns")
@@ -531,8 +621,10 @@ def _binary_tableau(trees: Iterable[BinAltTree | None]) -> AltTableau:
 
 
 def render_tree(t: PlaneAltTree) -> str:
-    inner = "".join(" " + render_tree(c) for c in t.children)
-    return f"({t.color} {t.label}{inner})"
+    def parts(n: PlaneAltTree) -> list:
+        return [f"({n.color} {n.label}", *(x for c in n.children for x in (" ", c)), ")"]
+
+    return _flat_text(t, parts)
 
 
 def render_forest(f: PlaneAltForest) -> str:
@@ -558,37 +650,33 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 def parse_forest(text: str) -> PlaneAltForest:
     """Parse whitespace-separated s-expressions like ``(W 4 (B 9))``."""
     tokens = _tokenize(text)
-    check_cap(len(tokens) // 3, "tree encoding", DEPTH_CAP)
-    trees = []
-    idx = 0
-    while idx < len(tokens):
-        tree, idx = _parse_tree_at(tokens, idx)
-        trees.append(tree)
-    forest = PlaneAltForest(tuple(trees))
-    validate_forest(forest)
-    return forest
 
-
-def _parse_tree_at(tokens: list[tuple[str, int]], idx: int) -> tuple[PlaneAltTree, int]:
-    def expect(pred, what: str) -> tuple[str, int]:
+    def expect(idx: int, pred: Callable[[str], bool], what: str) -> tuple[str, int]:
         if idx >= len(tokens) or not pred(tokens[idx][0]):
             pos = tokens[idx][1] if idx < len(tokens) else (tokens[-1][1] + 1 if tokens else 0)
             raise ParseError(f"expected {what}", pos)
         return tokens[idx]
 
-    tok, pos = expect(lambda s: s == "(", "'('")
-    idx += 1
-    color, pos = expect(lambda s: s in (WHITE, BLACK), "color W or B")
-    idx += 1
-    label, pos = expect(str.isdigit, "label")
-    idx += 1
-    children = []
-    while idx < len(tokens) and tokens[idx][0] == "(":
-        child, idx = _parse_tree_at(tokens, idx)
-        children.append(child)
-    expect(lambda s: s == ")", "')'")
-    idx += 1
-    return PlaneAltTree(color, _parse_int(label, pos), tuple(children)), idx
+    trees: list[PlaneAltTree] = []
+    # Open nodes, innermost last: color, label text, its position, children.
+    open_nodes: list[tuple[str, str, int, list[PlaneAltTree]]] = []
+    idx = 0
+    while idx < len(tokens) or open_nodes:
+        if open_nodes and (idx == len(tokens) or tokens[idx][0] != "("):
+            expect(idx, lambda s: s == ")", "')'")
+            idx += 1
+            color, label, pos, children = open_nodes.pop()
+            tree = PlaneAltTree(color, _parse_int(label, pos), tuple(children))
+            (open_nodes[-1][3] if open_nodes else trees).append(tree)
+            continue
+        expect(idx, lambda s: s == "(", "'('")
+        color, _ = expect(idx + 1, lambda s: s in (WHITE, BLACK), "color W or B")
+        label, pos = expect(idx + 2, str.isdigit, "label")
+        open_nodes.append((color, label, pos, []))
+        idx += 3
+    forest = PlaneAltForest(tuple(trees))
+    validate_forest(forest)
+    return forest
 
 
 def render_arcs(d: ArcDiagram) -> str:
@@ -620,9 +708,10 @@ def parse_arcs(text: str) -> ArcDiagram:
 
 
 def render_bin_tree(t: BinAltTree | None) -> str:
-    if t is None:
-        return "-"
-    return f"({t.label} L:{render_bin_tree(t.left)} R:{render_bin_tree(t.right)})"
+    def parts(n: BinAltTree) -> list:
+        return [f"({n.label} L:", n.left or "-", " R:", n.right or "-", ")"]
+
+    return _flat_text(t or "-", parts)
 
 
 def render_bin_pair(pair: tuple[BinAltTree | None, BinAltTree | None]) -> str:
@@ -631,8 +720,6 @@ def render_bin_pair(pair: tuple[BinAltTree | None, BinAltTree | None]) -> str:
 
 def parse_bin_pair(text: str) -> tuple[BinAltTree | None, BinAltTree | None]:
     """Parse two binary trees (min-rooted then max-rooted), ``-`` for empty."""
-    # Each node opens one parenthesis and one level.
-    check_cap(text.count("("), "tree encoding", DEPTH_CAP)
     first, idx = _parse_bin_at(text, 0, MIN_ROOTED)
     second, idx = _parse_bin_at(text, idx, MAX_ROOTED)
     if text[idx:].strip():
@@ -642,25 +729,42 @@ def parse_bin_pair(text: str) -> tuple[BinAltTree | None, BinAltTree | None]:
     return first, second
 
 
+_BIN_LABEL_RE = re.compile(r"\s*(\d+)\s*L:")
+_BIN_RIGHT_RE = re.compile(r"\s*R:")
+_UNREAD = object()  # the left subtree of an open node, before it is read
+
+
 def _parse_bin_at(text: str, idx: int, kind: str) -> tuple[BinAltTree | None, int]:
-    while idx < len(text) and text[idx].isspace():
-        idx += 1
-    if idx < len(text) and text[idx] == "-":
-        return None, idx + 1
-    if idx >= len(text) or text[idx] != "(":
-        raise ParseError("expected '(' or '-'", idx)
-    idx += 1
-    m = re.compile(r"\s*(\d+)\s*L:").match(text, idx)
-    if not m:
-        raise ParseError("expected '<label> L:'", idx)
-    label = _parse_int(m.group(1), m.start(1))
-    left, idx = _parse_bin_at(text, m.end(), MAX_ROOTED)
-    m = re.compile(r"\s*R:").match(text, idx)
-    if not m:
-        raise ParseError("expected 'R:'", idx)
-    right, idx = _parse_bin_at(text, m.end(), MIN_ROOTED)
-    while idx < len(text) and text[idx].isspace():
-        idx += 1
-    if idx >= len(text) or text[idx] != ")":
-        raise ParseError("expected ')'", idx)
-    return BinAltTree(label, left, right, kind), idx + 1
+    """The binary tree of the given root kind at ``idx``, and the index after it."""
+    # Open nodes, innermost last: label, kind and left subtree.
+    open_nodes: list[list] = []
+    while True:
+        while idx < len(text) and text[idx].isspace():
+            idx += 1
+        if idx < len(text) and text[idx] == "-":
+            tree, idx = None, idx + 1
+        else:
+            if idx >= len(text) or text[idx] != "(":
+                raise ParseError("expected '(' or '-'", idx)
+            m = _BIN_LABEL_RE.match(text, idx + 1)
+            if not m:
+                raise ParseError("expected '<label> L:'", idx + 1)
+            open_nodes.append([_parse_int(m.group(1), m.start(1)), kind, _UNREAD])
+            idx, kind = m.end(), MAX_ROOTED
+            continue
+        # ``tree`` is whole: it closes every open node whose right subtree it
+        # ends, then is the left subtree of the next one.
+        while open_nodes and open_nodes[-1][2] is not _UNREAD:
+            label, node_kind, left = open_nodes.pop()
+            while idx < len(text) and text[idx].isspace():
+                idx += 1
+            if idx >= len(text) or text[idx] != ")":
+                raise ParseError("expected ')'", idx)
+            tree, idx = BinAltTree(label, left, tree, node_kind), idx + 1
+        if not open_nodes:
+            return tree, idx
+        open_nodes[-1][2] = tree
+        m = _BIN_RIGHT_RE.match(text, idx)
+        if not m:
+            raise ParseError("expected 'R:'", idx)
+        idx, kind = m.end(), MIN_ROOTED

@@ -3,8 +3,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from alttab.core import AltTableau, Arrow, FreeStats, PermTableau, parse_tableau
+from alttab.core import (
+    AltTableau,
+    Arrow,
+    FreeStats,
+    PermTableau,
+    PermTableauStats,
+    _check_labels_word,
+    parse_tableau,
+)
 from alttab.decomposition import merge
+from alttab.errors import ValidationError, Violation
 
 T0_COMPACT = "EEDDEDDEEDDED|L3,5;U4,9;U6,8;L6,9;L7,9;L10,12"
 
@@ -120,3 +129,62 @@ def from_perm_tableau_by_lists(p: PermTableau) -> AltTableau:
         if restricted:
             arrows.append(Arrow(i, min(restricted), "L"))
     return AltTableau(p.labels[1:], p.word[1:], tuple(arrows))
+
+
+def validate_perm_tableau_by_scan(labels, word, ones, filling=None) -> PermTableau:
+    """Reference for ``validate_perm_tableau``: for every 0, scan the rows
+    above it and the columns left of it for a 1."""
+    bad = _check_labels_word(labels, word)
+    if bad:
+        raise ValidationError(bad)
+    rows = {l for l, c in zip(labels, word) if c == "D"}
+    cols = [l for l, c in zip(labels, word) if c == "E"]
+    cells = {(i, j) for i in rows for j in cols if i < j}
+    if filling is not None:
+        missing = cells - set(filling)
+        for cell in sorted(missing):
+            bad.append(Violation("non-total-filling", f"no value for cell {cell}"))
+        extra = set(filling) - cells
+        for cell in sorted(extra):
+            bad.append(Violation("cell-off-shape", f"value on nonexistent cell {cell}"))
+        if bad:
+            raise ValidationError(bad)
+        ones = tuple(c for c in sorted(filling) if filling[c] == 1)
+    one_set = set(ones)
+    for cell in sorted(one_set - cells):
+        bad.append(Violation("cell-off-shape", f"1 on nonexistent cell {cell}"))
+    one_set &= cells
+    for j in cols:
+        col_cells = [(i, j) for i in rows if i < j]
+        if not col_cells or not any(c in one_set for c in col_cells):
+            bad.append(Violation("empty-column", f"column {j} contains no 1"))
+    for i, j in sorted(cells - one_set):
+        above = any((i2, j) in one_set for i2 in rows if i2 < i)
+        left = any((i, j2) in one_set for j2 in cols if j2 > j)
+        if above and left:
+            bad.append(
+                Violation("zero-with-one-above-and-left", f"cell ({i},{j}) is 0 but blocked")
+            )
+    if bad:
+        raise ValidationError(bad)
+    return PermTableau(tuple(labels), word, tuple(sorted(one_set)))
+
+
+def perm_tableau_stats_by_scan(p: PermTableau) -> PermTableauStats:
+    """Reference for ``perm_tableau_stats``: scan the rows above each cell."""
+    rows, cols = p.rows, p.columns
+    ones = set(p.ones)
+    top = min(p.labels) if p.labels else None
+    superfluous = frozenset(
+        (i, j) for (i, j) in ones if any((i2, j) in ones for i2 in rows if i2 < i)
+    )
+    restricted_rows = set()
+    for i in rows:
+        for j in cols:
+            if i < j and (i, j) not in ones:
+                if any((i2, j) in ones for i2 in rows if i2 < i):
+                    restricted_rows.add(i)
+                    break
+    unrestricted = frozenset(i for i in rows if i not in restricted_rows and i != top)
+    top_one = frozenset(j for j in cols if top is not None and (top, j) in ones)
+    return PermTableauStats(unrestricted, top_one, superfluous)

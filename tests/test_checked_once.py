@@ -21,13 +21,14 @@ from alttab.core import (
 )
 from alttab.decomposition import _tableau_from_edges, merge_all, split
 from alttab.errors import ValidationError
-from alttab.permutations import from_permutation, to_permutation
+from alttab.permutations import from_permutation, to_permutation, to_permutation_by_insertion
 from alttab.trees import (
     PlaneAltForest,
     PlaneAltTree,
     arc_diagram,
     arcs_to_forest,
     binary_pair,
+    forest_to_arcs,
     from_forest,
     to_forest,
     validate_forest,
@@ -35,7 +36,15 @@ from alttab.trees import (
 
 from conftest import T0_COMPACT, free_stats_by_grid, raw_tableaux
 
-CONVERSIONS = (to_forest, to_permutation, arc_diagram, split, binary_pair)
+CONVERSIONS = (
+    to_forest,
+    to_permutation,
+    arc_diagram,
+    split,
+    binary_pair,
+    to_perm_tableau,
+    to_permutation_by_insertion,
+)
 
 # T0 with one more arrow that breaks it: on an occupied cell, off the shape,
 # and on a cell the left arrow at (3, 5) points at.
@@ -61,7 +70,10 @@ def violations(fn, arg):
 
 
 @pytest.mark.parametrize("extra", BAD_ARROWS, ids=["occupied", "off-shape", "pointed"])
-@pytest.mark.parametrize("fn", (to_forest, split, arc_diagram, binary_pair))
+@pytest.mark.parametrize(
+    "fn",
+    (to_forest, split, arc_diagram, binary_pair, to_perm_tableau, to_permutation_by_insertion),
+)
 def test_a_failed_check_is_not_remembered(fn, extra):
     t0 = parse_tableau(T0_COMPACT)
     bad = AltTableau(t0.labels, t0.word, t0.arrows + (extra,))
@@ -75,6 +87,7 @@ def test_a_forest_that_fails_fails_again():
     want = violations(validate_forest, forest)
     assert [violations(validate_forest, forest) for _ in range(2)] == [want] * 2
     assert violations(from_forest, forest) == want
+    assert violations(forest_to_arcs, forest) == want
 
 
 def test_each_tableau_is_checked_once(monkeypatch):

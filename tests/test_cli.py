@@ -159,11 +159,29 @@ class TestConvert:
         assert code == 1
 
     def test_deep_binary_pair_is_refused_by_the_depth_cap(self, capsys, monkeypatch):
-        deep = "(1 L:- R:" * 3000 + "-" + ")" * 3000 + " -"
+        # Named for the 200-node cap this once hit: it now converts both ways.
+        deep = "".join(f"({k} L:- R:" for k in range(1, 3001)) + "-" + ")" * 3000 + " -"
         code, out, err = run(
             capsys, monkeypatch, ["convert", "--from", "bintrees", "--to", "alt"], deep
         )
-        assert code == 1 and out == "" and "ALTAB_MAX_DEPTH" in err
+        assert code == 0 and out == "D" * 3000 + "|\n" and err == ""
+        code, out, _ = run(
+            capsys, monkeypatch, ["convert", "--from", "alt", "--to", "bintrees"], out
+        )
+        assert code == 0 and out == deep + "\n"
+
+    def test_many_free_rows_convert_to_binary_trees_and_back(self, capsys, monkeypatch):
+        # Each free row is the next sibling, so the right child, of the one
+        # before: the min-rooted tree is 1500 levels deep.
+        text = "D" * 1500 + "|"
+        code, pair, err = run(
+            capsys, monkeypatch, ["convert", "--from", "alt", "--to", "bintrees"], text
+        )
+        assert code == 0 and err == "" and pair.count("(") == 1500
+        code, out, _ = run(
+            capsys, monkeypatch, ["convert", "--from", "bintrees", "--to", "alt"], pair
+        )
+        assert code == 0 and out == text + "\n"
 
     @pytest.mark.parametrize(
         "rep, text",
@@ -270,7 +288,6 @@ class TestEnumerateCount:
             ("ALTAB_MAX_N", ["enumerate", "--n", "2"], ""),
             ("ALTAB_MAX_WEIGHT_N", ["count", "--n", "2"], ""),
             ("ALTAB_MAX_CHAIN_N", ["verify", "--suite", "asep", "--n", "1"], ""),
-            ("ALTAB_MAX_DEPTH", ["convert", "--from", "perm", "--to", "alt"], "0 1"),
         ],
     )
     def test_a_cap_that_is_not_an_integer_exits_one(self, capsys, monkeypatch, var, argv, stdin):

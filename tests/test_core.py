@@ -3,11 +3,16 @@ bijection, and the text formats."""
 
 from __future__ import annotations
 
+import random
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from alttab.core import (
     AltTableau,
+    PermTableau,
     empty_tableau,
     free_stats,
     from_perm_tableau,
@@ -26,17 +31,47 @@ from alttab.core import (
 )
 from alttab.enumeration import all_tableaux
 from alttab.errors import DomainError, ParseError, ValidationError
+from alttab.permutations import from_permutation
 
 from conftest import (
     T0_COMPACT,
     free_stats_by_grid,
     from_perm_tableau_by_lists,
+    perm_tableau_stats_by_scan,
     raw_tableaux,
     tableaux,
+    validate_perm_tableau_by_scan,
 )
 
 # More digits than ``int`` converts by default (4300).
 HUGE = "1" * 5000
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the violations it raises."""
+    try:
+        return fn(*args)
+    except ValidationError as err:
+        return err.violations
+
+
+@st.composite
+def perm_tableau_data(draw):
+    """Labels (sorted, sometimes with a repeat or a length mismatch), a word,
+    1-cells on the shape or off it, and sometimes a whole filling instead."""
+    labels = sorted(draw(st.lists(st.integers(min_value=0, max_value=9), max_size=8)))
+    word = "".join(draw(st.sampled_from("DE")) for _ in labels)
+    if draw(st.integers(0, 9)) == 0:
+        word += "D"
+    cell = st.tuples(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
+    ones = draw(st.lists(cell, max_size=12))
+    filling = None
+    if draw(st.booleans()) and draw(st.booleans()):
+        rows = [l for l, c in zip(labels, word) if c == "D"]
+        cols = [l for l, c in zip(labels, word) if c == "E"]
+        cells = [(i, j) for i in rows for j in cols if i < j] + draw(st.lists(cell, max_size=2))
+        filling = {c: draw(st.sampled_from((0, 1))) for c in cells if draw(st.integers(0, 19))}
+    return tuple(labels), word, ones, filling
 
 
 def naive_free_cells(t: AltTableau) -> set[tuple[int, int]]:
@@ -233,6 +268,39 @@ class TestPermTableauBijection:
                 (1, 2, 3, 4), "DDEE", [(1, 3), (1, 4), (2, 4)]
             )
         assert any(v.code == "zero-with-one-above-and-left" for v in err.value.violations)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_checks_equal_the_scan_on_every_small_filling(self, n):
+        # Every 0/1 filling of every shape of length n (at most 9 cells).
+        labels = tuple(range(1, n + 1))
+        for word in map("".join, product("DE", repeat=n)):
+            rows = [l for l, c in zip(labels, word) if c == "D"]
+            cells = [(i, j) for i in rows for j, c in zip(labels, word) if c == "E" and i < j]
+            for k in range(len(cells) + 1):
+                for ones in combinations(cells, k):
+                    want = outcome(validate_perm_tableau_by_scan, labels, word, ones)
+                    assert outcome(validate_perm_tableau, labels, word, ones) == want
+                    p = PermTableau(labels, word, ones)
+                    assert perm_tableau_stats(p) == perm_tableau_stats_by_scan(p)
+
+    @given(perm_tableau_data())
+    def test_checks_equal_the_scan(self, data):
+        labels, word, ones, filling = data
+        want = outcome(validate_perm_tableau_by_scan, labels, word, ones, filling)
+        assert outcome(validate_perm_tableau, labels, word, ones, filling) == want
+        p = outcome(PermTableau, labels, word, ones)  # built without the filling checks
+        if isinstance(p, PermTableau):
+            assert perm_tableau_stats(p) == perm_tableau_stats_by_scan(p)
+
+    def test_checks_equal_the_scan_at_large_n(self):
+        word = tuple(random.Random(7).sample(range(301), 301))
+        p = to_perm_tableau(from_permutation(word))
+        assert validate_perm_tableau(p.labels, p.word, p.ones) == p
+        assert perm_tableau_stats(p) == perm_tableau_stats_by_scan(p)
+        zero = next((i, j) for i in p.rows[1:] for j in p.columns if i < j and (i, j) not in p.ones)
+        ones = p.ones + (zero,)
+        want = outcome(validate_perm_tableau_by_scan, p.labels, p.word, ones)
+        assert outcome(validate_perm_tableau, p.labels, p.word, ones) == want
 
     def test_non_total_filling_rejected(self):
         with pytest.raises(ValidationError) as err:

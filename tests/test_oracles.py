@@ -8,6 +8,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import alttab
 from alttab import checks, enumeration, oracles
 from alttab.checks import BIJECTIONS, bijection_checks, count_checks
@@ -207,3 +209,63 @@ def test_only_the_listed_builders_skip_the_constructor_checks():
     assert uses == ASSEMBLERS
     assert importers == {"decomposition", "enumeration"}
     assert "_assembled" not in EXPORTS and not hasattr(alttab, "_assembled")
+
+
+def _self_calls(tree: ast.AST) -> set[str]:
+    """Every function in ``tree`` that calls itself by name, with calls in
+    nested functions counted for the nested function only."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == scope
+            ):
+                found.add(scope)
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+# The only recursive functions: the paper's reference constructions, bounded
+# by ``oracles.RECURSION_BOUND``, and the filling backtracker, whose depth is
+# the cell count that the enumeration cap bounds.
+RECURSIVE = {
+    ("oracles", "_tree_rec"),
+    ("oracles", "_from_tree_rec"),
+    ("oracles", "_bin_rec"),
+    ("oracles", "_from_bin_rec"),
+    ("oracles", "_word_to_tree"),
+    ("oracles", "place"),
+    ("enumeration", "place"),
+}
+
+
+def test_no_production_function_recurses():
+    recursive = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name in _self_calls(ast.parse(path.read_text()))
+    }
+    assert recursive == RECURSIVE
+
+
+def test_recursive_oracles_refuse_beyond_their_bound():
+    t = alttab.standard_tableau("D" * (oracles.RECURSION_BOUND + 1))
+    word = tuple(range(oracles.RECURSION_BOUND + 2))
+    for oracle, *args in [
+        (oracles.to_forest_by_cut, t),
+        (oracles.from_forest_by_block, alttab.to_forest(t)),
+        (oracles.binary_pair_by_divide, t),
+        (oracles.binary_pair_inv_by_block, alttab.binary_pair(t)),
+        (oracles.word_to_tree, word[::-1], "W"),
+        (oracles.word_to_forest, word),
+    ]:
+        with pytest.raises(alttab.ResourceLimitError, match=f"oracle {oracle.__name__} "):
+            oracle(*args)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from alttab.core import free_stats, standard_tableau
 from alttab.decomposition import restrict
 from alttab.enumeration import all_tableaux, symmetric_tableaux
-from alttab.errors import DomainError, ParseError, ResourceLimitError
+from alttab.errors import DomainError, ParseError
 from alttab.oracles import word_to_forest, word_to_tree
 from alttab.permutations import (
     SignedPerm,
@@ -202,7 +202,6 @@ class TestTableauBijection:
             ((), DomainError),
             ((2, 0, 2), DomainError),
             ((1, -1, 0), DomainError),
-            (tuple(range(202)), ResourceLimitError),
         ],
     )
     def test_errors_equal_the_forest_construction(self, word, error):
@@ -212,6 +211,12 @@ class TestTableauBijection:
                 convert(word)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+    def test_words_beyond_the_oracle_bound_round_trip(self):
+        # Past the bound of the recursive oracle: the direct pass has none.
+        word = tuple(range(202))
+        t = from_permutation(word)
+        assert t == standard_tableau("D" * 201) and to_permutation(t) == word
 
     def test_chain_at_the_depth_cap(self):
         # The postorder word of the path 1 - 200 - 2 - 199 - ... - 100 - 101.
@@ -277,8 +282,10 @@ class TestSignedPermutations:
         assert to_signed_permutation(t) == sp
 
     def test_roundtrip_beyond_the_depth_cap_is_refused(self):
-        with pytest.raises(ResourceLimitError):
-            from_signed_permutation(SignedPerm(tuple(range(1, 202))))
+        # Named for the 200-letter cap this once hit: it now round-trips.
+        sp = SignedPerm(tuple(range(1, 202)))
+        t = from_signed_permutation(sp)
+        assert len(t) == 402 and to_signed_permutation(t) == sp
 
 
 class TestTextFormats:

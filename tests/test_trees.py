@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +16,9 @@ from alttab.core import (
     empty_tableau,
     free_stats,
     from_perm_tableau,
+    parse_tableau,
     relabel,
+    render_tableau,
     standard_tableau,
     to_perm_tableau,
     transpose,
@@ -25,7 +29,6 @@ from alttab.enumeration import all_tableaux
 from alttab.errors import (
     DomainError,
     ParseError,
-    ResourceLimitError,
     TableauError,
     ValidationError,
     Violation,
@@ -39,7 +42,7 @@ from alttab.oracles import (
     to_forest_by_cut,
     word_to_forest,
 )
-from alttab.permutations import from_permutation, to_permutation
+from alttab.permutations import from_permutation, parse_word, render_word, to_permutation
 from alttab.trees import (
     MAX_ROOTED,
     MIN_ROOTED,
@@ -287,8 +290,13 @@ def deep_min_chain(size: int) -> BinAltTree:
     ids=["validate_tree", "validate_forest", "from_tree", "from_forest"],
 )
 def test_deep_plane_tree_is_refused_by_the_depth_cap(entry):
-    with pytest.raises(ResourceLimitError, match="ALTAB_MAX_DEPTH"):
-        entry(deep_plane_chain(3000))
+    # Named for the 200-node cap such chains once hit: they now pass and round-trip.
+    tree = deep_plane_chain(3000)
+    entry(tree)
+    t = from_tree(tree)
+    assert len(t.arrows) == 2999 and to_tree(t) == tree
+    forest = PlaneAltForest((tree,))
+    assert to_forest(t) == parse_forest(render_forest(forest)) == forest
 
 
 @pytest.mark.parametrize(
@@ -301,8 +309,118 @@ def test_deep_plane_tree_is_refused_by_the_depth_cap(entry):
     ids=["validate_bin_tree", "from_binary_tree", "binary_pair_inv"],
 )
 def test_deep_binary_tree_is_refused_by_the_depth_cap(entry):
-    with pytest.raises(ResourceLimitError, match="ALTAB_MAX_DEPTH"):
-        entry(deep_min_chain(3000))
+    # Named for the 200-node cap such chains once hit: they now pass and round-trip.
+    tree = deep_min_chain(3000)
+    entry(tree)
+    t = from_binary_tree(tree, MIN_ROOTED)
+    assert t == standard_tableau("D" * 3000)
+    assert binary_pair(t) == parse_bin_pair(render_bin_pair((tree, None))) == (tree, None)
+
+
+# Each text form of a tableau: the direct encoding and its inverse.
+TEXT_FORMS = {
+    "alt": (render_tableau, parse_tableau),
+    "forest": (
+        lambda t: render_forest(to_forest(t)),
+        lambda text: from_forest(parse_forest(text)),
+    ),
+    "arcs": (
+        lambda t: render_arcs(arc_diagram(t)),
+        lambda text: from_forest(arcs_to_forest(parse_arcs(text))),
+    ),
+    "bintrees": (
+        lambda t: render_bin_pair(binary_pair(t)),
+        lambda text: binary_pair_inv(parse_bin_pair(text)),
+    ),
+    "perm": (
+        lambda t: render_word(to_permutation(t)),
+        lambda text: from_permutation(parse_word(text)),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", ["chain", "random"])
+def test_deep_tableaux_round_trip_through_every_text_form(shape):
+    # A 3000-label tableau whose forest is one path, and the tableau of a
+    # random 3001-letter permutation; every pair of forms goes through "alt".
+    if shape == "chain":
+        t = from_tree(deep_plane_chain(3000))
+    else:
+        t = from_permutation(tuple(random.Random(3001).sample(range(3001), 3001)))
+    for form, (encode, decode) in TEXT_FORMS.items():
+        assert decode(encode(t)) == t, form
+
+
+def reference_classes():
+    """The two node classes as plain dataclasses, with generated ``==``,
+    ``hash`` and ``repr``, under the same names."""
+    plane = dataclasses.make_dataclass(
+        "PlaneAltTree", ["color", "label", ("children", tuple, ())], frozen=True
+    )
+    binary = dataclasses.make_dataclass(
+        "BinAltTree",
+        ["label", ("left", object, None), ("right", object, None), ("kind", str, "min")],
+        frozen=True,
+    )
+    return plane, binary
+
+
+def as_reference(tree, plane, binary):
+    if isinstance(tree, PlaneAltTree):
+        kids = tuple(as_reference(c, plane, binary) for c in tree.children)
+        return plane(tree.color, tree.label, kids)
+    if tree is None:
+        return None
+    left, right = (as_reference(c, plane, binary) for c in (tree.left, tree.right))
+    return binary(tree.label, left, right, tree.kind)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_tree_values_compare_hash_and_print_as_dataclasses_do(n):
+    plane, binary = reference_classes()
+    flip = {"W": "B", "B": "W", MIN_ROOTED: MAX_ROOTED, MAX_ROOTED: MIN_ROOTED}
+    for t in all_tableaux(n):
+        trees = [*to_forest(t).trees, *binary_pair(t)]
+        # The same trees with the root's color or kind flipped.
+        trees += [dataclasses.replace(p, color=flip[p.color]) for p in to_forest(t).trees]
+        trees += [dataclasses.replace(b, kind=flip[b.kind]) for b in binary_pair(t) if b]
+        refs = [as_reference(tree, plane, binary) for tree in trees]
+        for tree, ref in zip(trees, refs):
+            assert repr(tree) == repr(ref) and hash(tree) == hash(ref)
+            assert [tree == other for other in trees] == [ref == other for other in refs]
+
+
+def test_deep_tree_values_compare_hash_and_print():
+    size = 20_000
+    plane, binary = deep_plane_chain(size), deep_min_chain(size)
+    assert plane.size() == binary.size() == size
+    for tree, same, other in [
+        (plane, deep_plane_chain(size), deep_plane_chain(size - 2)),
+        (binary, deep_min_chain(size), BinAltTree(1, None, deep_min_chain(size).right.right)),
+    ]:
+        assert tree is not same and tree == same and hash(tree) == hash(same)
+        assert tree != other and tree != None  # noqa: E711
+    # Each identity below is the dataclass definition, one level deep.
+    assert hash(plane) == hash((plane.color, plane.label, plane.children))
+    assert hash(binary) == hash((binary.label, binary.left, binary.right, binary.kind))
+    assert repr(plane) == (
+        f"PlaneAltTree(color={plane.color!r}, label={plane.label!r}, children={plane.children!r})"
+    )
+    assert repr(binary) == (
+        f"BinAltTree(label={binary.label!r}, left={binary.left!r}, right={binary.right!r},"
+        f" kind={binary.kind!r})"
+    )
+    labels = [label for k in range(size // 2) for label in (1 + k, size - k)]
+    opens = "".join(
+        f"PlaneAltTree(color='{'W' if d % 2 == 0 else 'B'}', label={label}, children=("
+        for d, label in enumerate(labels)
+    )
+    assert repr(plane) == opens + "))" + ",))" * (size - 1)
+    opens = "".join(f"BinAltTree(label={k}, left=None, right=" for k in range(1, size + 1))
+    assert repr(binary) == opens + "None" + ", kind='min')" * size
+    forest = PlaneAltForest((plane,))
+    assert repr(forest) == f"PlaneAltForest(trees=({plane!r},))"
+    assert forest == PlaneAltForest((deep_plane_chain(size),)) and hash(forest) == hash(forest)
 
 
 class TestPlaneTrees:
@@ -491,7 +609,8 @@ class TestBinaryTrees:
 
 
 def test_depth_guard():
-    # A valid alternating chain of 201 vertices exceeds the recursion cap.
+    # A valid alternating chain of 201 vertices, one more than the old depth
+    # cap allowed, checks and round-trips.
     tree = PlaneAltTree("W", 100)
     lo, hi = 99, 100
     for _ in range(100):
@@ -499,14 +618,8 @@ def test_depth_guard():
         tree = PlaneAltTree("B", hi, (tree,))
         tree = PlaneAltTree("W", lo, (tree,))
         lo -= 1
-    with pytest.raises(ResourceLimitError, match="ALTAB_MAX_DEPTH"):
-        validate_tree(tree)
-
-
-def test_a_depth_cap_that_is_not_an_integer_is_a_resource_error(monkeypatch):
-    monkeypatch.setenv("ALTAB_MAX_DEPTH", "abc")
-    with pytest.raises(ResourceLimitError, match="ALTAB_MAX_DEPTH"):
-        to_forest(standard_tableau("DE"))
+    validate_tree(tree)
+    assert to_tree(from_tree(tree)) == tree
 
 
 @st.composite
@@ -598,6 +711,43 @@ class TestTextFormats:
     def test_arcs_parse_error(self):
         with pytest.raises(ParseError):
             parse_arcs("points=0-14 arcs=")
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_forest, "(W 1", "expected ')' (at position 4)"),
+            (parse_forest, "(X 1)", "expected color W or B (at position 1)"),
+            (parse_forest, "(W x)", "expected label (at position 3)"),
+            (parse_forest, "W 1)", "expected '(' (at position 0)"),
+            (parse_forest, "(W 1 (B 2)", "expected ')' (at position 10)"),
+            (parse_forest, "(W 1))", "expected '(' (at position 5)"),
+            (parse_forest, "(W 1 (B 2 (W", "expected label (at position 12)"),
+            (parse_forest, "(W 1 B)", "expected ')' (at position 5)"),
+            (parse_forest, "(B 5 (W 3)) (W", "expected label (at position 14)"),
+            (parse_bin_pair, "", "expected '(' or '-' (at position 0)"),
+            (parse_bin_pair, "(1 L:- R:-)", "expected '(' or '-' (at position 11)"),
+            (parse_bin_pair, "(1 R:- L:-) -", "expected '<label> L:' (at position 1)"),
+            (parse_bin_pair, "(1 L:- -) -", "expected 'R:' (at position 6)"),
+            (parse_bin_pair, "(1 L:- R:- -", "expected ')' (at position 11)"),
+            (parse_bin_pair, "(1 L:(2 L:- R:-) R:-) - x", "trailing input 'x' (1 characters) (at position 23)"),
+            (parse_bin_pair, "( L:- R:-) -", "expected '<label> L:' (at position 1)"),
+            (parse_bin_pair, "(1 L:x R:-) -", "expected '(' or '-' (at position 5)"),
+            (parse_bin_pair, "(2 L:(1 L:- R:-) R:(3 L:- R:- -", "expected ')' (at position 30)"),
+        ],
+    )
+    def test_parse_errors_name_their_position(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+    def test_parse_error_at_the_end_of_a_deep_tree(self):
+        forest_text = render_forest(PlaneAltForest((deep_plane_chain(3000),)))[:-1]
+        with pytest.raises(ParseError, match=rf"expected '\)' \(at position {len(forest_text)}\)"):
+            parse_forest(forest_text)
+        pair_text = render_bin_pair((deep_min_chain(3000), None)).replace(" R:-", " R:", 1)
+        with pytest.raises(ParseError) as err:
+            parse_bin_pair(pair_text)
+        assert str(err.value) == f"expected '(' or '-' (at position {pair_text.index(' R:)') + 3})"
 
     def test_bin_pair_text(self):
         pair = binary_pair(standard_tableau("DE"))
