@@ -22,7 +22,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import DomainError, ParseError, ValidationError, Violation, _shown
 
@@ -55,10 +55,11 @@ class _Shape:
     strictly increasing and ``word`` is the aligned D/E border word.
 
     What is computed once and remembered on an instance (``rows``,
-    ``columns``, and a tableau's passed check and free statistics) lives in
-    its ``__dict__`` beside the fields, so ``==``, ``hash`` and ``repr`` see
-    only the fields.  Being true of the immutable value, it is pickled and
-    copied with it.
+    ``columns``, and a tableau's passed check, free statistics, forest, arc
+    diagram and binary pair) lives in its ``__dict__`` beside the fields, so
+    ``==``, ``hash`` and ``repr`` see only the fields.  Being true of the
+    immutable value, it is pickled and copied with it; the tree values
+    pickle as a flat list of nodes, so this works at any depth.
     """
 
     labels: tuple[int, ...]
@@ -146,6 +147,20 @@ def empty_tableau() -> AltTableau:
 def standard_tableau(word: str, arrows: Sequence[tuple[int, int, str]] = ()) -> AltTableau:
     """Convenience constructor with labels 1..n; validates fully."""
     return validate_alt(tuple(range(1, len(word) + 1)), word, arrows)
+
+
+V = TypeVar("V")
+
+
+def _remembered(obj: object, key: str, build: Callable[..., V]) -> V:
+    """``build(obj)``, worked out once and remembered in ``obj.__dict__``
+    under ``key``; nothing is remembered when ``build`` raises."""
+    known = obj.__dict__
+    try:
+        return known[key]
+    except KeyError:
+        value = known[key] = build(obj)
+        return value
 
 
 # Key under which a passed check is remembered in an instance's ``__dict__``;
@@ -258,10 +273,7 @@ def free_stats(t: AltTableau) -> FreeStats:
 
     Computed once per tableau and remembered on it.
     """
-    stats = t.__dict__.get("_free_stats")
-    if stats is None:
-        stats = t.__dict__["_free_stats"] = _free_stats(t)
-    return stats
+    return _remembered(t, "_free_stats", _free_stats)
 
 
 def _free_stats(t: AltTableau) -> FreeStats:

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, TypeVar
 
-from .core import _VALID, AltTableau, _parse_int, _shown
+from .core import _VALID, AltTableau, _parse_int, _remembered, _shown
 from .decomposition import _arrow_forest, _tableau_from_edges
 from .errors import DomainError, ParseError, ValidationError, Violation
 
@@ -116,12 +116,42 @@ def _flat_hash(
     return known[id(root)].value
 
 
+def _postorder(
+    root: Node, kids: Callable[[Node], Iterable[Node]], head: Callable[[Node], tuple]
+) -> list[tuple]:
+    """``head(node)`` for every node below ``root``, each child subtree
+    before its parent and in order: a flat list that rebuilds the tree
+    bottom-up with a stack."""
+    out = []
+    stack = [root]
+    while stack:  # each node, then its subtrees last first: postorder, reversed
+        node = stack.pop()
+        out.append(head(node))
+        stack.extend(kids(node))
+    out.reverse()
+    return out
+
+
 def _plane_kids(node: PlaneAltTree) -> tuple[PlaneAltTree, ...]:
     return node.children
 
 
+def _plane_tree(postorder: list[tuple[str, int, int]]) -> PlaneAltTree:
+    """The tree of :meth:`PlaneAltTree.__reduce__`'s (color, label, number
+    of children) list."""
+    built: list[PlaneAltTree] = []
+    for color, label, count in postorder:
+        cut = len(built) - count
+        kids = tuple(built[cut:])
+        del built[cut:]
+        built.append(PlaneAltTree(color, label, kids))
+    return built.pop()
+
+
 # The tree values' ``==``, ``hash`` and ``repr`` are exactly the ones the
-# dataclass would generate, but walk the nodes without recursion.
+# dataclass would generate, but walk the nodes without recursion; they pickle
+# and copy as a flat list of their nodes, which ``pickle`` and
+# ``copy.deepcopy`` walk without recursion too.
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -148,6 +178,10 @@ class PlaneAltTree:
             return [f"{name}(color={n.color!r}, label={n.label!r}, children=(", *kids, close]
 
         return _flat_text(self, parts)
+
+    def __reduce__(self) -> tuple:
+        nodes = _postorder(self, _plane_kids, lambda n: (n.color, n.label, len(n.children)))
+        return _plane_tree, (nodes,)
 
     def labels(self) -> frozenset[int]:
         return frozenset(node.label for node in _nodes([self], _plane_kids))
@@ -286,7 +320,12 @@ def from_tree(tree: PlaneAltTree) -> AltTableau:
 
 
 def to_forest(t: AltTableau) -> PlaneAltForest:
-    """One tree per packed component of the tableau."""
+    """One tree per packed component of the tableau, built once per tableau
+    and remembered on it."""
+    return _remembered(t, "_forest", _to_forest)
+
+
+def _to_forest(t: AltTableau) -> PlaneAltForest:
     children, roots = _arrow_forest(t)
     return PlaneAltForest(_plane_trees(roots, children, _colors(t)))
 
@@ -311,7 +350,13 @@ class ArcDiagram:
 
 def validate_arc_diagram(d: ArcDiagram) -> None:
     """Check the three defining conditions: in/out exclusivity, tree shape,
-    and every non-extremal arc topmost on exactly one side."""
+    and every non-extremal arc topmost on exactly one side.
+
+    Runs the check once per diagram: a pass is remembered in ``d.__dict__``,
+    a failure is not.
+    """
+    if _VALID in d.__dict__:
+        return
     bad: list[Violation] = []
     points = d.points
     if any(a >= b for a, b in zip(points, points[1:])):
@@ -355,6 +400,7 @@ def validate_arc_diagram(d: ArcDiagram) -> None:
                 )
     if bad:
         raise ValidationError(bad)
+    d.__dict__[_VALID] = True
 
 
 def _extreme_ends(d: ArcDiagram) -> tuple[dict[int, int], dict[int, int]]:
@@ -375,8 +421,13 @@ def arc_diagram(t: AltTableau) -> ArcDiagram:
     """Direct arc encoding on points 0..n+1 (general labels are standardized).
 
     Arrow cells give arcs, free columns attach to 0, free rows to n+1, and
-    the arc (0, n+1) is always present.
+    the arc (0, n+1) is always present.  Built once per tableau and
+    remembered on it.
     """
+    return _remembered(t, "_arc_diagram", _arc_diagram)
+
+
+def _arc_diagram(t: AltTableau) -> ArcDiagram:
     _, roots = _arrow_forest(t)
     n = len(t)
     rank = {l: k for k, l in enumerate(t.labels, 1)}
@@ -491,6 +542,12 @@ class BinAltTree:
 
         return _flat_text(self, parts)
 
+    def __reduce__(self) -> tuple:
+        nodes = _postorder(
+            self, _bin_kids, lambda n: (n.label, n.kind, n.left is not None, n.right is not None)
+        )
+        return _bin_tree, (nodes,)
+
     def labels(self) -> frozenset[int]:
         return frozenset(node.label for node in _nodes([self], _bin_kids))
 
@@ -500,6 +557,17 @@ class BinAltTree:
 
 def _bin_kids(node: BinAltTree) -> list[BinAltTree]:
     return [c for c in (node.left, node.right) if c]
+
+
+def _bin_tree(postorder: list[tuple[int, str, bool, bool]]) -> BinAltTree:
+    """The tree of :meth:`BinAltTree.__reduce__`'s (label, kind, has left,
+    has right) list."""
+    built: list[BinAltTree] = []
+    for label, kind, has_left, has_right in postorder:
+        right = built.pop() if has_right else None
+        left = built.pop() if has_left else None
+        built.append(BinAltTree(label, left, right, kind))
+    return built.pop()
 
 
 def validate_bin_tree(t: BinAltTree | None, kind: str) -> None:
@@ -562,8 +630,12 @@ def binary_pair(t: AltTableau) -> tuple[BinAltTree | None, BinAltTree | None]:
     trees by increasing root give the min-rooted tree and the black trees by
     decreasing root the max-rooted one.  A white node's left child is its
     first child and its right child its next sibling; a black node's are
-    the other way round.
+    the other way round.  Built once per tableau and remembered on it.
     """
+    return _remembered(t, "_binary_pair", _binary_pair)
+
+
+def _binary_pair(t: AltTableau) -> tuple[BinAltTree | None, BinAltTree | None]:
     children, roots = _arrow_forest(t)
     kinds = t.kind_of
     whites = [r for r in roots if kinds[r] == "D"]

@@ -1,10 +1,14 @@
-"""Each tableau and forest is checked once: a passed check, the row and
-column tuples and the free statistics are remembered on the immutable value,
-a failed check is not, and nothing remembered changes the value."""
+"""Each tableau, forest and arc diagram is checked once and each image of a
+tableau is built once: a passed check, the row and column tuples, the free
+statistics, the forest, the arc diagram and the binary pair are remembered on
+the immutable value, a failed check is not, and nothing remembered changes
+the value."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import io
 import pickle
 
 import pytest
@@ -19,18 +23,24 @@ from alttab.core import (
     to_perm_tableau,
     validate_alt,
 )
+from alttab.cli import main
 from alttab.decomposition import _tableau_from_edges, merge_all, split
 from alttab.errors import ValidationError
 from alttab.permutations import from_permutation, to_permutation, to_permutation_by_insertion
 from alttab.trees import (
+    ArcDiagram,
     PlaneAltForest,
     PlaneAltTree,
     arc_diagram,
     arcs_to_forest,
     binary_pair,
+    binary_pair_inv,
     forest_to_arcs,
     from_forest,
+    parse_arcs,
+    render_arcs,
     to_forest,
+    validate_arc_diagram,
     validate_forest,
 )
 
@@ -45,6 +55,10 @@ CONVERSIONS = (
     to_perm_tableau,
     to_permutation_by_insertion,
 )
+
+# Where each image of a tableau is remembered in its ``__dict__``.
+IMAGES = {"_forest", "_arc_diagram", "_binary_pair"}
+FIELDS = {"labels", "word", "arrows"}
 
 # T0 with one more arrow that breaks it: on an occupied cell, off the shape,
 # and on a cell the left arrow at (3, 5) points at.
@@ -72,13 +86,22 @@ def violations(fn, arg):
 @pytest.mark.parametrize("extra", BAD_ARROWS, ids=["occupied", "off-shape", "pointed"])
 @pytest.mark.parametrize(
     "fn",
-    (to_forest, split, arc_diagram, binary_pair, to_perm_tableau, to_permutation_by_insertion),
+    (
+        to_forest,
+        split,
+        arc_diagram,
+        binary_pair,
+        to_perm_tableau,
+        to_permutation_by_insertion,
+        to_permutation,
+    ),
 )
 def test_a_failed_check_is_not_remembered(fn, extra):
     t0 = parse_tableau(T0_COMPACT)
     bad = AltTableau(t0.labels, t0.word, t0.arrows + (extra,))
     want = violations(lambda t: validate_alt(t.labels, t.word, t.arrows), bad)
     assert [violations(fn, bad) for _ in range(3)] == [want] * 3
+    assert set(bad.__dict__) == FIELDS  # no pass, no image
 
 
 def test_a_forest_that_fails_fails_again():
@@ -114,6 +137,67 @@ def test_each_forest_is_checked_once(monkeypatch):
     assert len(calls) == len(forest.trees)
 
 
+def test_each_image_is_built_once():
+    for t in (parse_tableau(T0_COMPACT), from_permutation((5, 3, 0, 4, 1, 2, 6))):
+        assert to_forest(t) is to_forest(t)
+        assert arc_diagram(t) is arc_diagram(t)
+        assert binary_pair(t) is binary_pair(t)
+        assert IMAGES <= set(t.__dict__)
+
+
+def test_images_are_not_marked_checked_until_they_are(monkeypatch):
+    t = parse_tableau(T0_COMPACT)
+    forest, diagram = to_forest(t), arc_diagram(t)
+    assert core._VALID not in forest.__dict__ and core._VALID not in diagram.__dict__
+    trees_checked = count_calls(monkeypatch, trees, "validate_tree")
+    arcs_checked = count_calls(monkeypatch, trees, "_extreme_ends")
+    forest_to_arcs(forest)
+    forest_to_arcs(forest)
+    assert len(trees_checked) == len(forest.trees) and core._VALID in forest.__dict__
+    arcs_to_forest(diagram)
+    arcs_to_forest(diagram)
+    assert len(arcs_checked) == 1 and core._VALID in diagram.__dict__
+
+
+def test_decoded_tableaux_carry_no_image():
+    # A round trip must compare two objects: a decoder's tableau is built
+    # afresh, so its images are built from it again.
+    t = parse_tableau(T0_COMPACT)
+    decoded = [
+        from_forest(to_forest(t)),
+        from_forest(arcs_to_forest(arc_diagram(t))),
+        binary_pair_inv(binary_pair(t)),
+        from_permutation(to_permutation(t)),
+    ]
+    for back in decoded:
+        assert back == t and back is not t
+        assert not IMAGES & set(back.__dict__)
+        assert to_forest(back) is not to_forest(t) and to_forest(back) == to_forest(t)
+
+
+def test_arc_text_is_checked_once(capsys, monkeypatch):
+    # ``convert --from arcs`` parses the text (one check), then decodes the
+    # diagram it parsed (remembered, no second check).
+    text = render_arcs(arc_diagram(parse_tableau(T0_COMPACT)))
+    calls = count_calls(monkeypatch, trees, "_extreme_ends")
+    arcs_to_forest(parse_arcs(text))
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["convert", "--from", "arcs", "--to", "alt"]) == 0
+    assert capsys.readouterr().out.strip() == T0_COMPACT
+    assert len(calls) == 1
+
+
+def test_an_arc_diagram_that_fails_fails_again():
+    # Point 1 has an outgoing and an incoming arc.
+    diagram = ArcDiagram((0, 1, 2, 3), ((0, 1), (1, 3), (0, 3)))
+    want = violations(validate_arc_diagram, diagram)
+    assert [violations(validate_arc_diagram, diagram) for _ in range(2)] == [want] * 2
+    assert violations(arcs_to_forest, diagram) == want
+    assert core._VALID not in diagram.__dict__
+
+
 def test_builders_leave_their_output_to_be_checked():
     t = from_permutation((5, 3, 0, 4, 1, 2, 6))
     assert core._VALID not in t.__dict__
@@ -130,15 +214,25 @@ def test_builders_leave_their_output_to_be_checked():
 def test_what_is_remembered_does_not_change_the_value():
     t = parse_tableau(T0_COMPACT)
     to_forest(t)
+    arc_diagram(t)
+    binary_pair(t)
     free_stats(t)
     assert t.rows and t.columns
     fresh = AltTableau(t.labels, t.word, t.arrows)
-    assert set(fresh.__dict__) == {"labels", "word", "arrows"}
-    assert set(t.__dict__) - set(fresh.__dict__) == {"_valid", "_free_stats", "rows", "columns"}
+    assert set(fresh.__dict__) == FIELDS
+    assert set(t.__dict__) - set(fresh.__dict__) == {
+        "_valid",
+        "_free_stats",
+        "rows",
+        "columns",
+        "_forest",
+        "_arc_diagram",
+        "_binary_pair",
+    }
     assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
     assert dataclasses.astuple(t) == dataclasses.astuple(fresh)
-    back = pickle.loads(pickle.dumps(t))
-    assert back == t and hash(back) == hash(t) and back.__dict__ == t.__dict__
+    for back in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert back == t and hash(back) == hash(t) and back.__dict__ == t.__dict__
     p = to_perm_tableau(t)
     assert p.rows and pickle.loads(pickle.dumps(p)) == dataclasses.replace(p)
     forest = to_forest(t)

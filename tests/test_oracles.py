@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import alttab
-from alttab import checks, enumeration, oracles
+from alttab import checks, enumeration, oracles, trees
 from alttab.checks import BIJECTIONS, bijection_checks, count_checks
 from alttab.enumeration import shape_words
 
@@ -94,6 +94,28 @@ def test_bijection_battery_walks_each_size_once(monkeypatch):
     assert walked == [0, 1, 2, 3, 4]
     assert [c.name for c in results] == [name for name, _, _ in BIJECTIONS]
     assert all(c.passed for c in results)
+
+
+def test_bijection_battery_builds_each_image_once_per_tableau(monkeypatch):
+    walked = []
+    real_walk = checks.all_tableaux
+
+    def walking(n):
+        for t in real_walk(n):
+            walked.append(t)  # keeps every tableau alive, so ids stay distinct
+            yield t
+
+    monkeypatch.setattr(checks, "all_tableaux", walking)
+    built = {"_to_forest": [], "_arc_diagram": [], "_binary_pair": []}
+    for name, sources in built.items():
+        real = getattr(trees, name)
+        monkeypatch.setattr(
+            trees, name, lambda t, real=real, sources=sources: sources.append(id(t)) or real(t)
+        )
+    assert all(c.passed for c in bijection_checks(5))
+    assert len(walked) == 873  # (n+1)! tableaux for n <= 5
+    for name, sources in built.items():
+        assert sorted(sources) == sorted(map(id, walked)), name
 
 
 def test_count_battery_walks_each_size_once_per_generator(monkeypatch):

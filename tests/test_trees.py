@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -421,6 +423,32 @@ def test_deep_tree_values_compare_hash_and_print():
     forest = PlaneAltForest((plane,))
     assert repr(forest) == f"PlaneAltForest(trees=({plane!r},))"
     assert forest == PlaneAltForest((deep_plane_chain(size),)) and hash(forest) == hash(forest)
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+def test_deep_values_pickle_and_copy(copier):
+    size = 100_000
+    plane, binary = deep_plane_chain(size), deep_min_chain(size)
+    t = from_tree(deep_plane_chain(size))
+    to_forest(t), binary_pair(t)  # remembered on t, so they travel with it
+    for value in (plane, binary, PlaneAltForest((plane,)), t):
+        back = copier(value)
+        assert back is not value and back == value and hash(back) == hash(value)
+    assert {"_forest", "_binary_pair"} <= set(back.__dict__)
+    assert back.__dict__ == t.__dict__
+
+
+def test_tree_values_pickle_and_copy_in_every_shape():
+    for n in range(6):
+        for t in all_tableaux(n):
+            values = [to_forest(t), *to_forest(t).trees, binary_pair(t), *binary_pair(t)]
+            for value in values:
+                for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                    assert back == value and repr(back) == repr(value)
 
 
 class TestPlaneTrees:
