@@ -28,6 +28,7 @@ from .core import (
 from .decomposition import merge_all, split
 from .enumeration import (
     CHAIN_CAP,
+    COUNT_CAP,
     ENUMERATION_CAP,
     WEIGHT_CAP,
     AsepParams,
@@ -47,6 +48,7 @@ from .enumeration import (
 from .errors import check_cap
 from .oracles import (
     binary_pair_by_divide,
+    count_table_by_corners,
     to_forest_by_cut,
     weight_poly_by_fillings,
 )
@@ -213,7 +215,7 @@ def count_checks(n_max: int) -> list[FormulaCheck]:
     reads them takes what it needs from that walk."""
     tables = {n: count_table(n) for n in range(n_max + 1)}
     counts = {n: tables[n].total() for n in range(n_max + 1)}
-    totals, by_shape, same_sets, perm_counts, catalans, decorated, symmetric = (
+    totals, by_table, same_sets, perm_counts, catalans, decorated, symmetric = (
         [] for _ in range(7)
     )
     crossing_fail: str | None = None
@@ -249,10 +251,10 @@ def count_checks(n_max: int) -> list[FormulaCheck]:
                 halves[n].append(t)
             if t.word in mirrored and transpose(t) == t:
                 fixed += 1
-        by_shape.append(
+        by_table.append(
             FormulaCheck(
-                f"corner-recursion count table equals enumeration at n={n}",
-                tables[n].counts == enumerated,
+                f"count table equals enumeration and the corner recursion at n={n}",
+                tables[n].counts == enumerated == count_table_by_corners(n).counts,
             )
         )
         pairs = set()
@@ -295,7 +297,7 @@ def count_checks(n_max: int) -> list[FormulaCheck]:
     crossing_free = FormulaCheck(
         "free-cell-free diagrams have no crossings", crossing_fail is None, crossing_fail or ""
     )
-    checks = totals + by_shape + same_sets + perm_counts + catalans + [crossing_free]
+    checks = totals + by_table + same_sets + perm_counts + catalans + [crossing_free]
     checks += decorated + symmetric
     for n in range(max(0, n_max - 1)):
         mid = tables[n + 1].by_free()
@@ -340,7 +342,7 @@ def _coefficientwise(name: str, series: Series, counts: Sequence[Fraction]) -> F
 
 def formula_report(n_max: int = 7) -> FormulaReport:
     """Check every counting identity coefficientwise up to ``n_max``, exactly."""
-    check_cap(n_max, "formula verification", WEIGHT_CAP)
+    check_cap(n_max, "formula verification", COUNT_CAP)
     order = n_max + 2
     tables = [count_table(n) for n in range(n_max + 1)]
     a = geometric(order) * geometric(order)  # 1/(1-z)^2
@@ -431,8 +433,8 @@ SUITES = {
 # oversized size is refused at once instead of after every smaller one.
 SUITE_CAPS = {
     "bijections": (ENUMERATION_CAP,),
-    "counts": (ENUMERATION_CAP, WEIGHT_CAP),
-    "series": (WEIGHT_CAP,),
+    "counts": (ENUMERATION_CAP, WEIGHT_CAP, COUNT_CAP),
+    "series": (COUNT_CAP,),
     "asep": (ENUMERATION_CAP, WEIGHT_CAP, CHAIN_CAP),
 }
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import DomainError, ParseError, ValidationError, Violation, _shown
@@ -68,13 +67,13 @@ class _Shape:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @cached_property
+    @property
     def rows(self) -> tuple[int, ...]:
-        return tuple(l for l, c in zip(self.labels, self.word) if c == "D")
+        return _remembered(self, "rows", _rows)
 
-    @cached_property
+    @property
     def columns(self) -> tuple[int, ...]:
-        return tuple(l for l, c in zip(self.labels, self.word) if c == "E")
+        return _remembered(self, "columns", _columns)
 
     def cells(self) -> Iterator[tuple[int, int]]:
         """All existing cells (i, j), row-major by increasing labels."""
@@ -122,6 +121,14 @@ class AltTableau(_Shape):
 
     def is_standard(self) -> bool:
         return self.labels == tuple(range(1, len(self) + 1))
+
+
+def _rows(s: _Shape) -> tuple[int, ...]:
+    return tuple(l for l, c in zip(s.labels, s.word) if c == "D")
+
+
+def _columns(s: _Shape) -> tuple[int, ...]:
+    return tuple(l for l, c in zip(s.labels, s.word) if c == "E")
 
 
 def _assembled(labels: tuple[int, ...], word: str, arrows: tuple[Arrow, ...]) -> AltTableau:

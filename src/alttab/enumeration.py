@@ -1,12 +1,15 @@
 """Exhaustive generation, refined counting, stationary distributions, and
 decorated and symmetric tableaux.
 
-Weights, counts and exclusion-process laws come from the corner recursion of
-the matrix ansatz, ``DE = qED + D + E``: the corner cell of a ``DE`` step
-holds a left arrow (drop the row), an up arrow (drop the column) or is an
-empty free cell (weight ``q``, swap the step), and a shape ``E^a D^b`` has no
-cells.  Over all 2^n shapes of one size the memo holds at most 2^(n+1)
-words, so the cost per shape is polynomial instead of one step per filling.
+Counts come from the insertion recurrence on (free rows, free columns,
+rows), one pass over a table of polynomial size per label, so counting never
+visits a shape.  Weights and exclusion-process laws come from the corner
+recursion of the matrix ansatz, ``DE = qED + D + E``: the corner cell of a
+``DE`` step holds a left arrow (drop the row), an up arrow (drop the column)
+or is an empty free cell (weight ``q``, swap the step), and a shape
+``E^a D^b`` has no cells.  Over all 2^n shapes of one size the memo holds at
+most 2^(n+1) words, so the cost per shape is polynomial instead of one step
+per filling.
 
 The backtracking generator walks every shape word in lexicographic order and
 fills cells leftmost column first, top to bottom, trying empty, then a left
@@ -33,10 +36,14 @@ from .series import Poly3
 
 # Size caps, one per workload, each overridable by its environment variable.
 # Enumeration visits (n+1)! tableaux; the corner recursion keeps a memo of up
-# to 2^(n+1) shapes (about 30 MB of count polynomials at n = 12); the chain
-# solve eliminates over a 2^n linear system whose rows fill in as it goes.
+# to 2^(n+1) shapes (about 30 MB of count polynomials at n = 12); counting
+# steps through tables of O(n^3) entries whose numbers grow to (n+1)! (the
+# formula report, which works over every table up to n, sets its default);
+# the chain solve eliminates over a 2^n linear system whose rows fill in as
+# it goes.
 ENUMERATION_CAP = ("ALTAB_MAX_N", 9)
 WEIGHT_CAP = ("ALTAB_MAX_WEIGHT_N", 12)
+COUNT_CAP = ("ALTAB_MAX_COUNT_N", 24)
 CHAIN_CAP = ("ALTAB_MAX_CHAIN_N", 6)
 
 PARTICLE = "*"
@@ -184,15 +191,46 @@ class CountTable:
 
 
 def count_table(n: int) -> CountTable:
-    """Exact count table from the corner recursion at q = 1, where "times q"
-    is the identity and each shape's polynomial holds x^fcol y^frow terms."""
-    check_cap(n, "counting", WEIGHT_CAP)
-    counts: dict[tuple[int, int, int], int] = {}
-    for word, poly in _corner_sums(shape_words(n), _poly_leaf, lambda p: p).items():
-        k = word.count("D")
-        for (_, fcol, frow), c in poly.coeffs.items():
-            counts[(frow, fcol, k)] = counts.get((frow, fcol, k), 0) + c
+    """Exact count table by the insertion recurrence: T(0; 0,0,0) = 1 and
+
+        T(m+1; i,j,k) = T(m; i-1,j,k-1) + T(m; i,j-1,k)
+                        + (m-k+1) T(m; i,j,k-1) + k T(m; i,j,k)
+
+    for i free rows, j free columns and k rows.  The four terms read as what
+    a new label can be: a free row, a free column, a non-free row (its arrow
+    in one of the m-k+1 columns of the old tableau) or a non-free column
+    (its arrow in one of the k old rows).  Summed over k the weights give the
+    factor (x+y+m) of the rising product; summed over i and j they give the
+    Eulerian recurrence of permutation tableaux by rows (Williams 2005).
+    The identity is what is checked, not the reading: ``checks.count_checks``
+    ties every table to enumeration and to the corner recursion.
+    """
+    check_cap(n, "counting", COUNT_CAP)
+    counts = {(0, 0, 0): 1}
+    for m in range(n):
+        counts = _insert_label(counts, m)
     return CountTable(n, counts)
+
+
+def _insert_label(
+    counts: dict[tuple[int, int, int], int], m: int
+) -> dict[tuple[int, int, int], int]:
+    """The table of length m + 1 from the table of length m, one pass,
+    pushing each entry to the four keys a new label can reach."""
+    out: dict[tuple[int, int, int], int] = {}
+    get = out.get
+    for (i, j, k), c in counts.items():
+        key = (i + 1, j, k + 1)
+        out[key] = get(key, 0) + c
+        key = (i, j + 1, k)
+        out[key] = get(key, 0) + c
+        if m > k:
+            key = (i, j, k + 1)
+            out[key] = get(key, 0) + (m - k) * c
+        if k:
+            key = (i, j, k)
+            out[key] = get(key, 0) + k * c
+    return out
 
 
 def product_formula(n: int) -> Poly3:
@@ -353,7 +391,7 @@ def decorated_count(n: int) -> int:
     """Number of tableaux of length n with each arrow independently marked.
     Each arrow makes exactly one line non-free, so a tableau with i free rows
     and j free columns has n - i - j arrows."""
-    check_cap(n, "decorated counting", WEIGHT_CAP)
+    check_cap(n, "decorated counting", COUNT_CAP)
     return sum(c * 2 ** (n - i - j) for (i, j), c in count_table(n).by_free().items())
 
 

@@ -3,8 +3,9 @@
 The paper builds its bijections through the recursive structure of a
 tableau (cut the root line, split by closures, block the parts back) and
 checks its counts by enumeration.  The engine reads the same objects
-straight off the arrows and counts by the corner recursion; these reference
-forms are what ``checks`` and the tests compare it with.  No other module of
+straight off the arrows and counts by the insertion recurrence; these
+reference forms, with the count by the corner recursion over every shape,
+are what ``checks`` and the tests compare it with.  No other module of
 the package imports this one.
 """
 
@@ -24,7 +25,15 @@ from .decomposition import (
     packed_class,
     restrict,
 )
-from .enumeration import ENUMERATION_CAP, fillings, shape_words
+from .enumeration import (
+    ENUMERATION_CAP,
+    WEIGHT_CAP,
+    CountTable,
+    _corner_sums,
+    _poly_leaf,
+    fillings,
+    shape_words,
+)
 from .errors import DomainError, ResourceLimitError, _shown_number, check_cap
 from .permutations import Word, check_word, rl_maxima, rl_minima
 from .series import Poly3
@@ -213,7 +222,21 @@ def word_to_forest(word: Sequence[int]) -> PlaneAltForest:
 
 
 # ---------------------------------------------------------------------------
-# Weights and permutation tableaux by enumeration
+# Counts by the corner recursion, weights and permutation tableaux by
+# enumeration
+
+
+def count_table_by_corners(n: int) -> CountTable:
+    """Oracle for ``count_table``: the corner recursion at q = 1 over all 2^n
+    shapes, where "times q" is the identity and each shape's polynomial holds
+    x^fcol y^frow terms."""
+    check_cap(n, "counting by the corner recursion", WEIGHT_CAP)
+    counts: dict[tuple[int, int, int], int] = {}
+    for word, poly in _corner_sums(shape_words(n), _poly_leaf, lambda p: p).items():
+        k = word.count("D")
+        for (_, fcol, frow), c in poly.coeffs.items():
+            counts[(frow, fcol, k)] = counts.get((frow, fcol, k), 0) + c
+    return CountTable(n, counts)
 
 
 def weight_poly_by_fillings(word: str) -> Poly3:

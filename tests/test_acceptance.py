@@ -98,7 +98,8 @@ def asep() -> list[FormulaCheck]:
 def test_01_cardinality(counts):
     names = [f"A({n})={math.factorial(n + 1)}" for n in range(MAX_N + 1)]
     names += [
-        f"corner-recursion count table equals enumeration at n={n}" for n in range(MAX_N + 1)
+        f"count table equals enumeration and the corner recursion at n={n}"
+        for n in range(MAX_N + 1)
     ]
     report(1, "exhaustive counts are (n+1)! for n <= 8", counts, names)
 
@@ -266,7 +267,8 @@ def test_14_corpus_fidelity(t0):
 
 def test_15_recursion_counts(counts):
     names = [
-        f"corner-recursion count table equals enumeration at n={n}" for n in range(MAX_N + 1)
+        f"count table equals enumeration and the corner recursion at n={n}"
+        for n in range(MAX_N + 1)
     ]
     names += [f"cut/block cardinality chain at n={n}" for n in range(MAX_N - 1)]
-    report(15, "corner-recursion count tables equal enumeration, n <= 8", counts, names)
+    report(15, "count tables equal enumeration and the corner recursion, n <= 8", counts, names)

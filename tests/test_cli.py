@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -276,6 +277,12 @@ class TestEnumerateCount:
     def test_count_beyond_the_enumeration_cap(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["count", "--n", "12"])
         assert code == 0 and out.splitlines()[-1] == "#total\t12\t6227020800"
+        code, out, _ = run(capsys, monkeypatch, ["count", "--n", "24"])
+        assert code == 0 and out.splitlines()[-1] == f"#total\t24\t{math.factorial(25)}"
+        for n in ("25", HUGE[:3000]):
+            code, out, err = run(capsys, monkeypatch, ["count", "--n", n])
+            assert code == 1 and out == "" and "ALTAB_MAX_COUNT_N" in err
+            assert err.startswith("error:") and len(err.strip().encode()) < 200
 
     def test_cap_exits_one(self, capsys, monkeypatch):
         monkeypatch.setenv("ALTAB_MAX_N", "3")
@@ -286,8 +293,9 @@ class TestEnumerateCount:
         "var, argv, stdin",
         [
             ("ALTAB_MAX_N", ["enumerate", "--n", "2"], ""),
-            ("ALTAB_MAX_WEIGHT_N", ["count", "--n", "2"], ""),
+            ("ALTAB_MAX_WEIGHT_N", ["asep", "--n", "2"], ""),
             ("ALTAB_MAX_CHAIN_N", ["verify", "--suite", "asep", "--n", "1"], ""),
+            ("ALTAB_MAX_COUNT_N", ["count", "--n", "2"], ""),
         ],
     )
     def test_a_cap_that_is_not_an_integer_exits_one(self, capsys, monkeypatch, var, argv, stdin):
@@ -314,6 +322,10 @@ class TestVerify:
         assert code == 0 and "FAIL" not in out
         assert "corner-recursion weights equal enumeration at n=2 PASS" in out
 
+    def test_series_suite_up_to_the_count_cap(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["verify", "--suite", "series", "--n", "24"])
+        assert code == 0 and out.splitlines()[-1] == "11/11 checks passed"
+
     def test_negative_size_is_a_usage_error(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             run(capsys, monkeypatch, ["verify", "--suite", "all", "--n", "-1"])
@@ -325,19 +337,21 @@ class TestVerify:
             ("counts", "10", "ALTAB_MAX_N"),
             ("all", "10", "ALTAB_MAX_N"),
             ("asep", "7", "ALTAB_MAX_CHAIN_N"),
-            ("series", "13", "ALTAB_MAX_WEIGHT_N"),
+            ("series", "25", "ALTAB_MAX_COUNT_N"),
         ),
     )
     def test_oversized_suite_is_refused_before_any_work(
         self, capsys, monkeypatch, suite, n, var
     ):
-        def no_enumeration(word):
-            raise AssertionError(f"enumerated shape {word} before refusing")
+        def no_enumeration(*args):
+            raise AssertionError(f"counted or enumerated {args[0]!r:.40} before refusing")
 
         # The oracles call ``fillings`` through their own binding.
         monkeypatch.setattr("alttab.enumeration.fillings", no_enumeration)
         monkeypatch.setattr("alttab.oracles.fillings", no_enumeration)
         monkeypatch.setattr("alttab.enumeration._corner_sums", no_enumeration)
+        monkeypatch.setattr("alttab.oracles._corner_sums", no_enumeration)
+        monkeypatch.setattr("alttab.enumeration._insert_label", no_enumeration)
         code, out, err = run(capsys, monkeypatch, ["verify", "--suite", suite, "--n", n])
         assert code == 1 and out == "" and var in err
 
@@ -364,10 +378,10 @@ A(0)=1 PASS
 A(1)=2 PASS
 A(2)=6 PASS
 A(3)=24 PASS
-corner-recursion count table equals enumeration at n=0 PASS
-corner-recursion count table equals enumeration at n=1 PASS
-corner-recursion count table equals enumeration at n=2 PASS
-corner-recursion count table equals enumeration at n=3 PASS
+count table equals enumeration and the corner recursion at n=0 PASS
+count table equals enumeration and the corner recursion at n=1 PASS
+count table equals enumeration and the corner recursion at n=2 PASS
+count table equals enumeration and the corner recursion at n=3 PASS
 generator sets agree at n=0 PASS
 generator sets agree at n=1 PASS
 generator sets agree at n=2 PASS

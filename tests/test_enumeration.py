@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alttab import enumeration
 from alttab.checks import ASEP_TRIPLES, formula_report
 from alttab.core import (
     free_stats,
@@ -40,7 +41,7 @@ from alttab.enumeration import (
     weight_poly,
 )
 from alttab.errors import DomainError, ResourceLimitError
-from alttab.oracles import all_perm_tableaux, weight_poly_by_fillings
+from alttab.oracles import all_perm_tableaux, count_table_by_corners, weight_poly_by_fillings
 from alttab.series import Poly3
 
 
@@ -83,7 +84,7 @@ class TestGenerators:
         monkeypatch.setenv("ALTAB_MAX_N", "3")
         with pytest.raises(ResourceLimitError, match="ALTAB_MAX_N"):
             list(all_tableaux(4))
-        # Counting runs on the recursion and has its own cap.
+        # Counting runs on the insertion recurrence and has its own cap.
         assert count_table(4).total() == 120
         monkeypatch.setenv("ALTAB_MAX_N", "4")
         assert sum(1 for _ in all_tableaux(4)) == 120
@@ -149,7 +150,11 @@ class TestCountTable:
             enumerated[key] = enumerated.get(key, 0) + 1
         assert count_table(n).counts == enumerated
 
-    @pytest.mark.parametrize("n", range(9, 13))
+    @pytest.mark.parametrize("n", range(13))
+    def test_recurrence_matches_the_corner_recursion(self, n):
+        assert count_table(n).counts == count_table_by_corners(n).counts
+
+    @pytest.mark.parametrize("n", range(9, 25))
     def test_beyond_enumeration(self, n):
         table = count_table(n)
         assert table.total() == math.factorial(n + 1)
@@ -157,18 +162,43 @@ class TestCountTable:
         assert table.free_poly() == product_formula(n)
         counts = table.counts
         assert all(counts[(i, j, k)] == counts.get((j, i, n - k), 0) for (i, j, k) in counts)
+        # Tableaux of length n by rows are permutations of n + 1 letters by
+        # descents: the Eulerian numbers, here by their alternating sum.
+        by_rows: dict[int, int] = {}
+        for (_, _, k), c in counts.items():
+            by_rows[k] = by_rows.get(k, 0) + c
+        eulerian = {
+            k: sum((-1) ** i * math.comb(n + 2, i) * (k + 1 - i) ** (n + 1) for i in range(k + 1))
+            for k in range(n + 1)
+        }
+        assert by_rows == eulerian
+
+    def test_counting_never_walks_the_shapes(self, monkeypatch):
+        def no_shapes(*args):
+            raise AssertionError("counting walked the 2^n shapes")
+
+        monkeypatch.setattr(enumeration, "_corner_sums", no_shapes)
+        monkeypatch.setattr(enumeration, "shape_words", no_shapes)
+        assert count_table(24).total() == math.factorial(25)
 
     def test_weight_cap(self, monkeypatch):
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_COUNT_N"):
+            count_table(25)
         with pytest.raises(ResourceLimitError, match="ALTAB_MAX_WEIGHT_N"):
-            count_table(13)
+            asep_distribution(AsepParams(13, Fraction(1), Fraction(1), Fraction(1)))
         monkeypatch.setenv("ALTAB_MAX_WEIGHT_N", "3")
-        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_WEIGHT_N"):
-            count_table(4)
+        # Counting has its own cap; weights and laws keep the corner recursion's.
+        assert count_table(4).total() == 120
         with pytest.raises(ResourceLimitError, match="ALTAB_MAX_WEIGHT_N"):
             weight_poly("DEDE")
         with pytest.raises(ResourceLimitError, match="ALTAB_MAX_WEIGHT_N"):
             asep_distribution(AsepParams(4, Fraction(1), Fraction(1), Fraction(1)))
-        monkeypatch.setenv("ALTAB_MAX_WEIGHT_N", "4")
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_WEIGHT_N"):
+            count_table_by_corners(4)
+        monkeypatch.setenv("ALTAB_MAX_COUNT_N", "3")
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_COUNT_N"):
+            count_table(4)
+        monkeypatch.setenv("ALTAB_MAX_COUNT_N", "4")
         assert count_table(4).total() == 120
 
     def test_weight_cap_counts_only_steps_that_bound_cells(self, monkeypatch):
@@ -346,8 +376,9 @@ class TestAsep:
         "var, run",
         [
             ("ALTAB_MAX_N", lambda: list(all_tableaux(2))),
-            ("ALTAB_MAX_WEIGHT_N", lambda: count_table(2)),
+            ("ALTAB_MAX_WEIGHT_N", lambda: weight_poly("DE")),
             ("ALTAB_MAX_CHAIN_N", lambda: chain_stationary(AsepParams(2, 1, 1, 1))),
+            ("ALTAB_MAX_COUNT_N", lambda: count_table(2)),
         ],
     )
     def test_a_cap_that_is_not_an_integer_is_a_resource_error(self, monkeypatch, var, run):
@@ -418,11 +449,15 @@ class TestDecoratedAndSymmetric:
     def test_decorated_count(self, n):
         assert decorated_count(n) == 2**n * math.factorial(n)
 
-    def test_decorated_count_is_capped_with_the_corner_recursion(self, monkeypatch):
+    def test_decorated_count_is_capped_with_the_count_cap(self, monkeypatch):
         monkeypatch.setenv("ALTAB_MAX_N", "3")
-        assert decorated_count(4) == 384
         monkeypatch.setenv("ALTAB_MAX_WEIGHT_N", "3")
-        with pytest.raises(ResourceLimitError, match="decorated counting.*ALTAB_MAX_WEIGHT_N"):
+        assert decorated_count(4) == 384
+        assert decorated_count(24) == 2**24 * math.factorial(24)
+        with pytest.raises(ResourceLimitError, match="decorated counting.*ALTAB_MAX_COUNT_N"):
+            decorated_count(25)
+        monkeypatch.setenv("ALTAB_MAX_COUNT_N", "3")
+        with pytest.raises(ResourceLimitError, match="decorated counting.*ALTAB_MAX_COUNT_N"):
             decorated_count(4)
 
     def test_decorated_count_small_by_hand(self):
