@@ -33,14 +33,15 @@ from .enumeration import (
 )
 from .errors import DomainError, ParseError, TableauError, _shown, _shown_number
 from .permutations import (
+    _insertion_words,
     from_permutation,
     from_signed_permutation,
-    insertion_steps,
     parse_signed,
     parse_word,
     render_signed,
     render_word,
     to_permutation,
+    to_permutation_by_insertion,
     to_signed_permutation,
 )
 from .trees import (
@@ -58,8 +59,6 @@ from .trees import (
     render_tree,
     to_forest,
 )
-
-REPS = ("alt", "permtab", "forest", "arcs", "bintrees", "perm", "signedperm")
 
 
 class UsageError(Exception):
@@ -90,42 +89,33 @@ def _render_alt(t: AltTableau) -> str:
     return "" if not t.labels else render_tableau(t)
 
 
-def _to_alt(rep: str, text: str) -> AltTableau:
-    if rep == "alt":
-        return _parse_alt(text)
-    if rep == "permtab":
-        return from_perm_tableau(parse_perm_tableau(text))
-    if rep == "forest":
-        return from_forest(parse_forest(text))
-    if rep == "arcs":
-        return from_forest(arcs_to_forest(parse_arcs(text)))
-    if rep == "bintrees":
-        return binary_pair_inv(parse_bin_pair(text))
-    if rep == "perm":
-        return from_permutation(parse_word(text))
-    if rep == "signedperm":
-        return from_signed_permutation(parse_signed(text))
-    raise TableauError(f"unknown representation {rep!r}")
+def _write_perm(t: AltTableau, args) -> str:
+    if args.algo == "cn":
+        return render_word(to_permutation_by_insertion(t))
+    return render_word(to_permutation(t, args.separator))
 
 
-def _from_alt(rep: str, t: AltTableau, algo: str, separator: int) -> str:
-    if rep == "alt":
-        return _render_alt(t)
-    if rep == "permtab":
-        return render_perm_tableau(to_perm_tableau(t))
-    if rep == "forest":
-        return render_forest(to_forest(t))
-    if rep == "arcs":
-        return render_arcs(arc_diagram(t))
-    if rep == "bintrees":
-        return render_bin_pair(binary_pair(t))
-    if rep == "perm":
-        if algo == "cn":
-            return render_word(insertion_steps(t)[-1])
-        return render_word(to_permutation(t, separator))
-    if rep == "signedperm":
-        return render_signed(to_signed_permutation(t))
-    raise TableauError(f"unknown representation {rep!r}")
+# Each representation's text to a tableau, and a tableau (with the parsed
+# ``convert`` options) to its text.
+_READERS = {
+    "alt": _parse_alt,
+    "permtab": lambda text: from_perm_tableau(parse_perm_tableau(text)),
+    "forest": lambda text: from_forest(parse_forest(text)),
+    "arcs": lambda text: from_forest(arcs_to_forest(parse_arcs(text))),
+    "bintrees": lambda text: binary_pair_inv(parse_bin_pair(text)),
+    "perm": lambda text: from_permutation(parse_word(text)),
+    "signedperm": lambda text: from_signed_permutation(parse_signed(text)),
+}
+_WRITERS = {
+    "alt": lambda t, args: _render_alt(t),
+    "permtab": lambda t, args: render_perm_tableau(to_perm_tableau(t)),
+    "forest": lambda t, args: render_forest(to_forest(t)),
+    "arcs": lambda t, args: render_arcs(arc_diagram(t)),
+    "bintrees": lambda t, args: render_bin_pair(binary_pair(t)),
+    "perm": _write_perm,
+    "signedperm": lambda t, args: render_signed(to_signed_permutation(t)),
+}
+REPS = tuple(_READERS)
 
 
 def cmd_validate(args) -> int:
@@ -162,12 +152,12 @@ def cmd_convert(args) -> int:
     if args.trace and not (args.to == "perm" and args.algo == "cn"):
         print("--trace is only available with --to perm --algo cn", file=sys.stderr)
         return 2
-    t = _to_alt(getattr(args, "from"), _read_input(args.file))
+    t = _READERS[getattr(args, "from")](_read_input(args.file))
     if args.trace:
-        for step in insertion_steps(t):
-            print(render_word(step))
+        for word in _insertion_words(t):
+            print(render_word(word))
         return 0
-    print(_from_alt(args.to, t, args.algo, args.separator))
+    print(_WRITERS[args.to](t, args))
     return 0
 
 

@@ -386,8 +386,8 @@ def validate_perm_tableau(
         raise ValidationError(bad)
     rows = {l for l, c in zip(labels, word) if c == "D"}
     cols = [l for l, c in zip(labels, word) if c == "E"]
-    cells = {(i, j) for i in rows for j in cols if i < j}
     if filling is not None:
+        cells = {(i, j) for i in rows for j in cols if i < j}
         missing = cells - set(filling)
         for cell in sorted(missing):
             bad.append(Violation("non-total-filling", f"no value for cell {cell}"))
@@ -397,10 +397,13 @@ def validate_perm_tableau(
         if bad:
             raise ValidationError(bad)
         ones = tuple(c for c in sorted(filling) if filling[c] == 1)
-    one_set = set(ones)
-    for cell in sorted(one_set - cells):
-        bad.append(Violation("cell-off-shape", f"1 on nonexistent cell {cell}"))
-    one_set &= cells
+    col_set = set(cols)
+    one_set = set()
+    for i, j in sorted(set(ones)):
+        if i in rows and j in col_set and i < j:
+            one_set.add((i, j))
+        else:
+            bad.append(Violation("cell-off-shape", f"1 on nonexistent cell {(i, j)}"))
     top = _topmost_ones(rows, one_set)
     for j in cols:
         if j not in top:
@@ -408,11 +411,14 @@ def validate_perm_tableau(
     leftmost: dict[int, int] = {}  # each row's 1 in the largest column
     for i, j in one_set:
         leftmost[i] = max(leftmost.get(i, j), j)
-    for i, j in sorted(cells - one_set):
-        if top.get(j, i) < i and leftmost.get(i, j) > j:  # a 1 above it and one left of it
-            bad.append(
-                Violation("zero-with-one-above-and-left", f"cell ({i},{j}) is 0 but blocked")
-            )
+    # A blocked 0 has a 1 left of it in its row, so it lies strictly between
+    # the row and the row's leftmost 1.
+    for i in sorted(leftmost):
+        for j in cols[bisect_right(cols, i) : bisect_left(cols, leftmost[i])]:
+            if (i, j) not in one_set and top.get(j, i) < i:  # a 1 above it
+                bad.append(
+                    Violation("zero-with-one-above-and-left", f"cell ({i},{j}) is 0 but blocked")
+                )
     if bad:
         raise ValidationError(bad)
     return PermTableau(tuple(labels), word, tuple(sorted(one_set)))

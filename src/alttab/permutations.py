@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import Iterator, Sequence
 
 from .core import LEFT, UP, AltTableau, _check_valid, _parse_int, _shown, relabel, transpose
 from .decomposition import _arrow_forest, _tableau_from_edges, merge
@@ -25,7 +26,9 @@ from .trees import (
     PlaneAltForest,
     PlaneAltTree,
     _colors,
+    _plane_kids,
     _plane_trees,
+    _postorder,
     to_forest,
 )
 
@@ -96,14 +99,7 @@ def perm_stats(word: Sequence[int]) -> PermStats:
 
 def tree_word(t: PlaneAltTree) -> Word:
     """Postorder traversal: children's words left to right, then the root."""
-    # Root first, children right to left, read backwards, is the postorder.
-    out: list[int] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        out.append(node.label)
-        stack.extend(node.children)
-    return tuple(reversed(out))
+    return tuple(_postorder(t, _plane_kids, attrgetter("label")))
 
 
 def forest_word(f: PlaneAltForest, separator: int) -> Word:
@@ -184,6 +180,20 @@ def insertion_steps(t: AltTableau) -> list[Word]:
     its up-arrow row (left of 0 when the column has none), then the rows of
     its left arrows, in increasing order, immediately left of it.
     """
+    return [tuple(word) for word in _insertion_words(t)]
+
+
+def to_permutation_by_insertion(t: AltTableau) -> Word:
+    """The last word of :func:`insertion_steps`, keeping only the current one."""
+    for word in _insertion_words(t):
+        pass
+    return tuple(word)
+
+
+def _insertion_words(t: AltTableau) -> Iterator[list[int]]:
+    """The word of :func:`insertion_steps` at the start and after each
+    column: one list, yielded again after each change, so a caller that
+    keeps a step copies it."""
     _check_valid(t)
     if not t.is_standard():
         raise DomainError("non-standard-labels", "insertion needs labels 1..n")
@@ -194,18 +204,13 @@ def insertion_steps(t: AltTableau) -> list[Word]:
             lefts_in_col.setdefault(a.col, []).append(a.row)
     left_rows = {i for rows in lefts_in_col.values() for i in rows}
     word = [0] + [i for i in t.rows if i not in left_rows]  # the free rows, increasing
-    steps = [tuple(word)]
+    yield word
     for j in sorted(t.columns, reverse=True):
         target = up_in_col.get(j, 0)
         word.insert(word.index(target), j)
         for i in sorted(lefts_in_col.get(j, ())):
             word.insert(word.index(j), i)
-        steps.append(tuple(word))
-    return steps
-
-
-def to_permutation_by_insertion(t: AltTableau) -> Word:
-    return insertion_steps(t)[-1]
+        yield word
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ MIN_ROOTED = "min"
 MAX_ROOTED = "max"
 
 Node = TypeVar("Node")
+T = TypeVar("T")
 
 
 def _nodes(roots: Iterable[Node], kids: Callable[[Node], Iterable[Node]]) -> list[Node]:
@@ -71,20 +72,6 @@ def _flat_text(root: object, parts: Callable[[Node], list]) -> str:
     return "".join(out)
 
 
-def _flat_eq(a: Node, b: Node, head: Callable[[Node], tuple], kids: Callable) -> bool:
-    """The dataclass ``==`` of two trees: equal ``head`` fields and equal
-    children in order, walked with a stack."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if x is None or y is None or head(x) != head(y):
-            return False
-        stack.extend(zip(kids(x), kids(y)))
-    return True
-
-
 class _Hashed:
     """Stands in for a child whose hash is known, so that hashing a node's
     fields calls no ``__hash__`` below it."""
@@ -98,30 +85,17 @@ class _Hashed:
         return self.value
 
 
-def _flat_hash(
-    root: Node,
-    kids: Callable[[Node], Iterable[Node]],
-    fields: Callable[[Node, Callable[[Node | None], object]], tuple],
-) -> int:
-    """The dataclass ``hash`` of a tree, ``hash(fields)``, worked out bottom-up:
-    ``fields(node, hashed)`` is the node's field tuple with each child ``c``
-    given as ``hashed(c)``, which hashes as ``c`` does."""
-    known: dict[int, _Hashed | None] = {id(None): None}
-
-    def hashed(child: Node | None) -> _Hashed | None:
-        return known[id(child)]
-
-    for node in reversed(_nodes([root], kids)):
-        known[id(node)] = _Hashed(hash(fields(node, hashed)))
-    return known[id(root)].value
+def _hashed(*fields: object) -> _Hashed:
+    """A node maker for :func:`_plane_tree` and :func:`_bin_tree` whose node
+    is the stand-in of the dataclass hash ``hash(fields)``."""
+    return _Hashed(hash(fields))
 
 
 def _postorder(
-    root: Node, kids: Callable[[Node], Iterable[Node]], head: Callable[[Node], tuple]
-) -> list[tuple]:
+    root: Node, kids: Callable[[Node], Iterable[Node]], head: Callable[[Node], T]
+) -> list[T]:
     """``head(node)`` for every node below ``root``, each child subtree
-    before its parent and in order: a flat list that rebuilds the tree
-    bottom-up with a stack."""
+    before its parent and in order."""
     out = []
     stack = [root]
     while stack:  # each node, then its subtrees last first: postorder, reversed
@@ -136,22 +110,13 @@ def _plane_kids(node: PlaneAltTree) -> tuple[PlaneAltTree, ...]:
     return node.children
 
 
-def _plane_tree(postorder: list[tuple[str, int, int]]) -> PlaneAltTree:
-    """The tree of :meth:`PlaneAltTree.__reduce__`'s (color, label, number
-    of children) list."""
-    built: list[PlaneAltTree] = []
-    for color, label, count in postorder:
-        cut = len(built) - count
-        kids = tuple(built[cut:])
-        del built[cut:]
-        built.append(PlaneAltTree(color, label, kids))
-    return built.pop()
-
-
-# The tree values' ``==``, ``hash`` and ``repr`` are exactly the ones the
-# dataclass would generate, but walk the nodes without recursion; they pickle
-# and copy as a flat list of their nodes, which ``pickle`` and
-# ``copy.deepcopy`` walk without recursion too.
+# A tree value's key is the flat list of its nodes in postorder, each node
+# as its fields with its children given by their number (plane trees) or
+# by whether each is there (binary trees): the list describes the tree
+# completely.  ``==`` compares keys; ``hash`` folds the key bottom-up into
+# the hash the dataclass would generate; ``pickle`` and ``copy`` rebuild the
+# tree from it with a stack.  So none of them recurses, at any depth.
+# ``repr`` is the dataclass one, spelled out with a stack.
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -163,12 +128,10 @@ class PlaneAltTree:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return _flat_eq(self, other, lambda n: (n.color, n.label, len(n.children)), _plane_kids)
+        return self is other or _plane_key(self) == _plane_key(other)
 
     def __hash__(self) -> int:
-        return _flat_hash(
-            self, _plane_kids, lambda n, hashed: (n.color, n.label, tuple(map(hashed, n.children)))
-        )
+        return _plane_tree(_plane_key(self), _hashed).value
 
     def __repr__(self) -> str:
         def parts(n: PlaneAltTree) -> list:
@@ -180,14 +143,30 @@ class PlaneAltTree:
         return _flat_text(self, parts)
 
     def __reduce__(self) -> tuple:
-        nodes = _postorder(self, _plane_kids, lambda n: (n.color, n.label, len(n.children)))
-        return _plane_tree, (nodes,)
+        return _plane_tree, (_plane_key(self),)
 
     def labels(self) -> frozenset[int]:
         return frozenset(node.label for node in _nodes([self], _plane_kids))
 
     def size(self) -> int:
         return len(_nodes([self], _plane_kids))
+
+
+def _plane_key(t: PlaneAltTree) -> list[tuple[str, int, int]]:
+    """The (color, label, number of children) of every node, in postorder."""
+    return _postorder(t, _plane_kids, lambda n: (n.color, n.label, len(n.children)))
+
+
+def _plane_tree(key: list[tuple[str, int, int]], make: Callable = PlaneAltTree):
+    """The tree of a :func:`_plane_key`, each node made as
+    ``make(color, label, children)``."""
+    built: list = []
+    for color, label, count in key:
+        cut = len(built) - count
+        kids = tuple(built[cut:])
+        del built[cut:]
+        built.append(make(color, label, kids))
+    return built.pop()
 
 
 @dataclass(frozen=True)
@@ -527,12 +506,10 @@ class BinAltTree:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return _flat_eq(self, other, lambda n: (n.label, n.kind), lambda n: (n.left, n.right))
+        return self is other or _bin_key(self) == _bin_key(other)
 
     def __hash__(self) -> int:
-        return _flat_hash(
-            self, _bin_kids, lambda n, hashed: (n.label, hashed(n.left), hashed(n.right), n.kind)
-        )
+        return _bin_tree(_bin_key(self), _hashed).value
 
     def __repr__(self) -> str:
         def parts(n: BinAltTree) -> list:
@@ -543,10 +520,7 @@ class BinAltTree:
         return _flat_text(self, parts)
 
     def __reduce__(self) -> tuple:
-        nodes = _postorder(
-            self, _bin_kids, lambda n: (n.label, n.kind, n.left is not None, n.right is not None)
-        )
-        return _bin_tree, (nodes,)
+        return _bin_tree, (_bin_key(self),)
 
     def labels(self) -> frozenset[int]:
         return frozenset(node.label for node in _nodes([self], _bin_kids))
@@ -555,18 +529,28 @@ class BinAltTree:
         return len(_nodes([self], _bin_kids))
 
 
-def _bin_kids(node: BinAltTree) -> list[BinAltTree]:
-    return [c for c in (node.left, node.right) if c]
+def _bin_kids(node: BinAltTree) -> tuple[BinAltTree, ...]:
+    left, right = node.left, node.right
+    if left is None:
+        return () if right is None else (right,)
+    return (left,) if right is None else (left, right)
 
 
-def _bin_tree(postorder: list[tuple[int, str, bool, bool]]) -> BinAltTree:
-    """The tree of :meth:`BinAltTree.__reduce__`'s (label, kind, has left,
-    has right) list."""
-    built: list[BinAltTree] = []
-    for label, kind, has_left, has_right in postorder:
+def _bin_key(t: BinAltTree) -> list[tuple[int, str, bool, bool]]:
+    """The (label, kind, has left, has right) of every node, in postorder."""
+    return _postorder(
+        t, _bin_kids, lambda n: (n.label, n.kind, n.left is not None, n.right is not None)
+    )
+
+
+def _bin_tree(key: list[tuple[int, str, bool, bool]], make: Callable = BinAltTree):
+    """The tree of a :func:`_bin_key`, each node made as
+    ``make(label, left, right, kind)``."""
+    built: list = []
+    for label, kind, has_left, has_right in key:
         right = built.pop() if has_right else None
         left = built.pop() if has_left else None
-        built.append(BinAltTree(label, left, right, kind))
+        built.append(make(label, left, right, kind))
     return built.pop()
 
 

@@ -4,6 +4,7 @@ bijection, and the text formats."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -301,6 +302,19 @@ class TestPermTableauBijection:
         ones = p.ones + (zero,)
         want = outcome(validate_perm_tableau_by_scan, p.labels, p.word, ones)
         assert outcome(validate_perm_tableau, p.labels, p.word, ones) == want
+
+    def test_a_wide_tableau_is_checked_without_its_cells(self):
+        # 600 rows over 600 columns with a 1 atop each column: a 5 KB text
+        # whose shape has 360 000 cells, all but 600 of them 0.
+        n = 600
+        text = "D" * n + "E" * n + "|" + ";".join(f"1,{j}" for j in range(n + 1, 2 * n + 1))
+        tracemalloc.start()
+        try:
+            p = parse_perm_tableau(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(p.ones) == n and peak < 5_000_000
 
     def test_non_total_filling_rejected(self):
         with pytest.raises(ValidationError) as err:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 from itertools import permutations as iter_permutations
 
 import pytest
@@ -238,6 +240,17 @@ class TestInsertion:
     def test_matches_forest_bijection(self, n):
         for t in all_tableaux(n):
             assert to_permutation_by_insertion(t) == to_permutation(t)
+
+    def test_only_the_current_word_is_kept(self):
+        # All 3 001 steps of 3 001 labels would hold about 4.5 million letters.
+        t = from_permutation(tuple(random.Random(3000).sample(range(3001), 3001)))
+        tracemalloc.start()
+        try:
+            word = to_permutation_by_insertion(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert word == to_permutation(t) and peak < 2_000_000
 
     def test_non_standard_labels_rejected(self, t0):
         from alttab.core import relabel

@@ -451,6 +451,39 @@ def test_tree_values_pickle_and_copy_in_every_shape():
                     assert back == value and repr(back) == repr(value)
 
 
+# The forest "(W 4 (B 9 (W 6 (B 8)) (W 7))) (B 5)", its first tree and its
+# binary pair as pickled when ``_plane_tree`` and ``_bin_tree`` took the
+# node list alone.
+OLD_PICKLES = {
+    "tree": (
+        b"\x80\x04\x95T\x00\x00\x00\x00\x00\x00\x00\x8c\x0calttab.trees\x94\x8c\x0b_plane_tree"
+        b"\x94\x93\x94]\x94(\x8c\x01B\x94K\x08K\x00\x87\x94\x8c\x01W\x94K\x06K\x01\x87\x94h\x06"
+        b"K\x07K\x00\x87\x94h\x04K\tK\x02\x87\x94h\x06K\x04K\x01\x87\x94e\x85\x94R\x94."
+    ),
+    "pair": (
+        b"\x80\x04\x95o\x00\x00\x00\x00\x00\x00\x00\x8c\x0calttab.trees\x94\x8c\t_bin_tree\x94"
+        b"\x93\x94]\x94((K\x08\x8c\x03max\x94\x89\x89t\x94(K\x07\x8c\x03min\x94\x89\x89t\x94(K"
+        b"\x06h\x06\x88\x88t\x94(K\th\x04\x89\x88t\x94(K\x04h\x06\x88\x89t\x94e\x85\x94R\x94h"
+        b"\x02]\x94(K\x05h\x04\x89\x89t\x94a\x85\x94R\x94\x86\x94."
+    ),
+    "forest": (
+        b"\x80\x04\x95\x8b\x00\x00\x00\x00\x00\x00\x00\x8c\x0calttab.trees\x94\x8c\x0ePlaneAlt"
+        b"Forest\x94\x93\x94)\x81\x94}\x94\x8c\x05trees\x94h\x00\x8c\x0b_plane_tree\x94\x93\x94"
+        b"]\x94(\x8c\x01B\x94K\x08K\x00\x87\x94\x8c\x01W\x94K\x06K\x01\x87\x94h\x0bK\x07K\x00"
+        b"\x87\x94h\tK\tK\x02\x87\x94h\x0bK\x04K\x01\x87\x94e\x85\x94R\x94h\x07]\x94h\tK\x05K"
+        b"\x00\x87\x94a\x85\x94R\x94\x86\x94sb."
+    ),
+}
+
+
+def test_older_pickles_of_tree_values_still_load():
+    forest = parse_forest("(W 4 (B 9 (W 6 (B 8)) (W 7))) (B 5)")
+    want = {"tree": forest.trees[0], "pair": binary_pair(from_forest(forest)), "forest": forest}
+    for name, data in OLD_PICKLES.items():
+        back = pickle.loads(data)
+        assert back == want[name] and repr(back) == repr(want[name]), name
+
+
 class TestPlaneTrees:
     def test_corpus_component_tree(self, t0):
         component = restrict(t0, {4, 6, 7, 8, 9})
