@@ -323,9 +323,25 @@ def refined_series(order: int, u: Fraction, x: Fraction, y: Fraction) -> Series:
     return (Series.z(order, y * (1 - u)) + inner.log() * (x + y)).exp()
 
 
-def _weighted(table: CountTable, weight: Callable[[int, int, int], Fraction]) -> Fraction:
-    """The sum of ``weight(frow, fcol, rows)`` over the tableaux ``table`` counts."""
-    return sum((c * weight(*key) for key, c in table.counts.items()), Fraction(0))
+def _weighted(
+    table: CountTable,
+    u: Fraction | int = 1,
+    x: Fraction | int = 1,
+    y: Fraction | int = 1,
+    keep: Callable[[int, int], bool] = lambda i, j: True,
+) -> Fraction:
+    """The sum of x^frow y^fcol u^rows over the tableaux ``table`` counts
+    whose (frow, fcol) ``keep`` accepts.
+
+    A rate r = a/b of a tableau of length n enters as a^e b^(n-e), so every
+    term is an integer over the one denominator of the three rates to the
+    n-th power, and the only ``Fraction`` built is the total.
+    """
+    n = table.n
+    rates = [Fraction(r) for r in (x, y, u)]
+    px, py, pu = ([r.numerator**e * r.denominator ** (n - e) for e in range(n + 1)] for r in rates)
+    total = sum(c * px[i] * py[j] * pu[k] for (i, j, k), c in table.counts.items() if keep(i, j))
+    return Fraction(total, math.prod(r.denominator for r in rates) ** n)
 
 
 def _coefficientwise(name: str, series: Series, counts: Sequence[Fraction]) -> FormulaCheck:
@@ -348,20 +364,20 @@ def formula_report(n_max: int = 7) -> FormulaReport:
     a = geometric(order) * geometric(order)  # 1/(1-z)^2
     b = geometric(order)
     c = neg_log_one_minus_z(order)
-    # (name, series, weight of a tableau with i free rows, j free columns and
-    # k rows): the n-th coefficient of the series is the weight summed over
-    # the tableaux of length n.
+    # (name, series, the arguments of ``_weighted``): the n-th coefficient of
+    # the series is x^i y^j u^k summed over the tableaux of length n with i
+    # free rows, j free columns and k rows (x = 0 keeps those with i = 0).
     identities = [
-        ("all tableaux vs 1/(1-z)^2", a, lambda i, j, k: 1),
-        ("no free rows vs 1/(1-z)", b, lambda i, j, k: i == 0),
-        ("column-packed vs -log(1-z)", c, lambda i, j, k: (i, j) == (0, 1)),
+        ("all tableaux vs 1/(1-z)^2", a, {}),
+        ("no free rows vs 1/(1-z)", b, {"x": 0}),
+        ("column-packed vs -log(1-z)", c, {"keep": lambda i, j: (i, j) == (0, 1)}),
     ]
     # Row-count refinement at fixed rational u: (1-u)/(exp(z(u-1)) - u).
     identities += [
         (
             f"no-free-row row counts at u={u}",
             (Series.z(order, u - 1).exp() - u).inverse() * (1 - u),
-            lambda i, j, k, u=u: (i == 0) * u**k,
+            {"u": u, "x": 0},
         )
         for u in ROW_POINTS
     ]
@@ -369,12 +385,12 @@ def formula_report(n_max: int = 7) -> FormulaReport:
         (
             f"refined counts at (u,x,y)=({u},{x},{y})",
             refined_series(order, u, x, y),
-            lambda i, j, k, u=u, x=x, y=y: x**i * y**j * u**k,
+            {"u": u, "x": x, "y": y},
         )
         for u, x, y in REFINED_POINTS
     ]
     checks = [
-        _coefficientwise(name, series, [_weighted(t, weight) for t in tables])
+        _coefficientwise(name, series, [_weighted(t, **weight) for t in tables])
         for name, series, weight in identities
     ]
     # Product formula, as an exact polynomial identity.

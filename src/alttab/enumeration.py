@@ -7,9 +7,12 @@ visits a shape.  Weights and exclusion-process laws come from the corner
 recursion of the matrix ansatz, ``DE = qED + D + E``: the corner cell of a
 ``DE`` step holds a left arrow (drop the row), an up arrow (drop the column)
 or is an empty free cell (weight ``q``, swap the step), and a shape
-``E^a D^b`` has no cells.  Over all 2^n shapes of one size the memo holds at
-most 2^(n+1) words, so the cost per shape is polynomial instead of one step
-per filling.
+``E^a D^b`` has no cells.  Words are coded as integers (D = 1, first letter
+in the top bit), so a swap lowers the code and a drop shortens the word.
+The law of all 2^n states is one ascending pass per length over the 2^(n+1)
+codes, on integer numerators over a known power of the rates' denominators;
+the polynomial of one word is a top-down memo over the words it reaches.
+Either way the cost per shape is polynomial instead of one step per filling.
 
 The backtracking generator walks every shape word in lexicographic order and
 fills cells leftmost column first, top to bottom, trying empty, then a left
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from numbers import Integral, Real
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .core import AltTableau, Arrow, _assembled, free_stats, relabel, transpose
 from .decomposition import _parts, _tree_roots, divide, merge
@@ -35,8 +39,8 @@ from .permutations import from_permutation
 from .series import Poly3
 
 # Size caps, one per workload, each overridable by its environment variable.
-# Enumeration visits (n+1)! tableaux; the corner recursion keeps a memo of up
-# to 2^(n+1) shapes (about 30 MB of count polynomials at n = 12); counting
+# Enumeration visits (n+1)! tableaux; the corner recursion fills 2^(n+1)
+# entries (about 10 MB of count polynomials for the oracle at n = 12); counting
 # steps through tables of O(n^3) entries whose numbers grow to (n+1)! (the
 # formula report, which works over every table up to n, sets its default);
 # the chain solve eliminates over a 2^n linear system whose rows fill in as
@@ -48,6 +52,8 @@ CHAIN_CAP = ("ALTAB_MAX_CHAIN_N", 6)
 
 PARTICLE = "*"
 HOLE = "o"
+
+_BITS = str.maketrans("DE", "10")  # a border word as the binary digits of its code
 
 V = TypeVar("V")
 
@@ -120,41 +126,105 @@ def all_via_perm(n: int) -> Iterator[AltTableau]:
 # The corner recursion
 
 
-def _corner_sums(
-    words: Iterable[str], leaf: Callable[[int, int], V], times_q: Callable[[V], V]
-) -> dict[str, V]:
-    """Z(word) for each word: the sum of a filling weight over every filling.
+def _corner(w: int) -> tuple[int, int, int] | None:
+    """Split the code of a word at its first ``DE`` corner.
 
-    Z(X.DE.Y) = q.Z(X.ED.Y) + Z(X.E.Y) + Z(X.D.Y) at the first ``DE`` corner,
-    and Z(E^a D^b) = leaf(a, b).  ``times_q`` multiplies a value by q.  The
-    memo is shared by the given words and dropped on return; an explicit
-    stack keeps the n + n^2/4 levels of a long word off the call stack.
+    A word of length m is coded as an m-bit int, first letter in the top bit
+    and D = 1, so the first ``DE`` is the top bit set in ``w & ~(w << 1) & ~1``.
+    Returns the codes of the word with that corner swapped to ``ED`` (same
+    length, smaller code), with its row dropped and with its column dropped
+    (both one letter shorter); ``None`` for a word ``E^a D^b``, which has no
+    cells.  The codes do not depend on the length, which the caller tracks.
     """
-    memo: dict[str, V] = {}
-    out: dict[str, V] = {}
-    for word in words:
-        stack = [word]
-        while stack:
-            w = stack[-1]
-            if w in memo:
-                stack.pop()
+    corner = w & ~(w << 1) & ~1
+    if not corner:
+        return None
+    top = corner.bit_length()  # the D sits at bit top - 1, its E at top - 2
+    low = 1 << (top - 2)
+    no_row = (w >> top) << (top - 1) | (w & (low - 1))
+    return w - low, no_row, no_row | low
+
+
+def _corner_table(
+    n: int, leaf: Callable[[int, int], V], qn: int = 1, qd: int = 1, xd: int = 1, yd: int = 1
+) -> tuple[list[V], list[int]]:
+    """Every word of length n by code: its scaled Z and its number of cells.
+
+    Z(X.DE.Y) = q.Z(X.ED.Y) + Z(X.E.Y) + Z(X.D.Y) at the first ``DE`` corner
+    with q = qn/qd.  Entry w holds Z(w).qd^cells(w).xd^#E(w).yd^#D(w), so
+    the step is
+
+        qn.Z(swap) + qd^(cells dropped with the row).yd.Z(no row)
+                   + qd^(cells dropped with the column).xd.Z(no column),
+
+    and ``leaf(a, b)`` is the scaled Z of ``E^a D^b``.  On ints every entry is
+    an integer numerator; on ``Poly3`` values at the default q = 1 the table
+    holds the polynomials themselves.  A swap lowers the code and a drop
+    shortens the word, so one ascending pass per length, keeping only the
+    previous length, sees every operand first: 2^(n+1) entries, no memo and
+    no stack.  This is the traversal for all 2^n words of a size; for one
+    word the top-down memo of :func:`_corner_sums` visits far fewer.
+    """
+    # A row or a column holds fewer than n cells.
+    row_factor = [qd**e * yd for e in range(n)]
+    col_factor = [qd**e * xd for e in range(n)]
+    prev, prev_cells = [leaf(0, 0)], [0]
+    for m in range(1, n + 1):
+        cur: list[V] = []
+        cells: list[int] = []
+        for w in range(1 << m):
+            split = _corner(w)
+            if split is None:
+                b = w.bit_length()
+                cur.append(leaf(m - b, b))
+                cells.append(0)
                 continue
-            k = w.find("DE")
-            if k < 0:
-                a = w.count("E")
-                memo[w] = leaf(a, len(w) - a)
-                stack.pop()
-                continue
-            head, tail = w[:k], w[k + 2 :]
-            swapped, no_row, no_col = head + "ED" + tail, head + "E" + tail, head + "D" + tail
-            missing = [c for c in (swapped, no_row, no_col) if c not in memo]
-            if missing:
-                stack.extend(missing)
-            else:
-                memo[w] = times_q(memo[swapped]) + memo[no_row] + memo[no_col]
-                stack.pop()
-        out[word] = memo[word]
-    return out
+            swap, no_row, no_col = split
+            c = cells[swap] + 1
+            cur.append(
+                qn * cur[swap]
+                + row_factor[c - prev_cells[no_row]] * prev[no_row]
+                + col_factor[c - prev_cells[no_col]] * prev[no_col]
+            )
+            cells.append(c)
+        prev, prev_cells = cur, cells
+    return prev, prev_cells
+
+
+def _corner_sums(word: str) -> Poly3:
+    """Z(word) as a polynomial in q, x, y, by the same recursion top down.
+
+    Only the words the corner recursion reaches from this one are visited,
+    memoised by length and code, with an explicit stack for the n + n^2/4
+    levels of a long word.  This is the traversal for one word: filling the
+    whole table of :func:`_corner_table` for one word of length 12 costs
+    tens of times more.
+    """
+    n = len(word)
+    code = int(word.translate(_BITS) or "0", 2)
+    memo: list[dict[int, Poly3]] = [{} for _ in range(n + 1)]
+    stack = [(n, code)]
+    while stack:
+        m, w = stack[-1]
+        if w in memo[m]:
+            stack.pop()
+            continue
+        split = _corner(w)
+        if split is None:
+            b = w.bit_length()
+            memo[m][w] = _poly_leaf(m - b, b)
+            stack.pop()
+            continue
+        swap, no_row, no_col = split
+        missing = [
+            (l, v) for l, v in ((m, swap), (m - 1, no_row), (m - 1, no_col)) if v not in memo[l]
+        ]
+        if missing:
+            stack.extend(missing)
+        else:
+            memo[m][w] = _poly_times_q(memo[m][swap]) + memo[m - 1][no_row] + memo[m - 1][no_col]
+            stack.pop()
+    return memo[n][code]
 
 
 def _poly_leaf(a: int, b: int) -> Poly3:
@@ -256,13 +326,16 @@ def weight_poly(word: str) -> Poly3:
         raise DomainError("bad-word", f"border word {word!r} is not over D and E")
     core = len(word.lstrip("E").rstrip("D"))
     check_cap(core, "weight polynomial (steps from the first D to the last E)", WEIGHT_CAP)
-    return _corner_sums([word], _poly_leaf, _poly_times_q)[word]
+    return _corner_sums(word)
 
 
 @dataclass(frozen=True)
 class AsepParams:
     """Open exclusion process on n sites with entry rate alpha, exit rate beta,
-    forward hop rate 1 and backward hop rate q (all scaled by 1/(n+1))."""
+    forward hop rate 1 and backward hop rate q (all scaled by 1/(n+1)).
+
+    The rates are real numbers in [0, 1]: ints, ``Fraction``s or finite
+    floats, which the weights read exactly."""
 
     n: int
     q: Fraction
@@ -270,10 +343,14 @@ class AsepParams:
     beta: Fraction
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, Integral):
+            raise DomainError("bad-size", f"site count {_shown_number(self.n)} is not an integer")
         if self.n < 0:
             raise DomainError("bad-size", f"negative site count {_shown_number(self.n)}")
         for name in ("q", "alpha", "beta"):
             v = getattr(self, name)
+            if not isinstance(v, Real):
+                raise DomainError("bad-params", f"{name}={_shown_number(v)} is not a real number")
             if not 0 <= v <= 1:
                 raise DomainError("bad-params", f"{name}={_shown_number(v)} outside [0, 1]")
 
@@ -290,19 +367,29 @@ def shape_of_state(state: str) -> str:
 
 def asep_distribution(p: AsepParams) -> dict[str, Fraction]:
     """Stationary law from tableau weights: P(s) proportional to the weight
-    polynomial of the state's shape at x=1/alpha, y=1/beta, summed by the
-    corner recursion directly on rationals."""
+    polynomial of the state's shape at x=1/alpha, y=1/beta.
+
+    One integer pass of :func:`_corner_table` weighs every shape (codes in
+    the order of :func:`states`, a hole being an E step); each weight is
+    then raised to the one denominator qd^maxcells.xd^n.yd^n, and the only
+    ``Fraction`` built per state is its share of the sum.
+    """
     check_cap(p.n, "stationary distribution", WEIGHT_CAP)
     if p.alpha == 0 or p.beta == 0:
         raise DomainError("degenerate-params", "alpha and beta must be positive")
-    # Fraction() keeps integer or float rates exact.
-    q, x, y = Fraction(p.q), 1 / Fraction(p.alpha), 1 / Fraction(p.beta)
-    names = list(states(p.n))
-    weights = _corner_sums(
-        map(shape_of_state, names), lambda a, b: x**a * y**b, lambda v: q * v
-    )
-    z = sum(weights.values())
-    return {s: weights[shape_of_state(s)] / z for s in names}
+    # Fraction() keeps integer or float rates exact; x = 1/alpha, y = 1/beta.
+    q, alpha, beta = Fraction(p.q), Fraction(p.alpha), Fraction(p.beta)
+    qn, qd = q.numerator, q.denominator
+    xn, xd, yn, yd = alpha.denominator, alpha.numerator, beta.denominator, beta.numerator
+    n = p.n
+    weights, cells = _corner_table(n, lambda a, b: xn**a * yn**b, qn, qd, xd, yd)
+    # Entry w carries qd^cells(w).xd^#E(w).yd^#D(w); #D(w) is its bit count.
+    top = max(cells)
+    q_up = [qd ** (top - c) for c in range(top + 1)]
+    xy_up = [xd**d * yd ** (n - d) for d in range(n + 1)]
+    nums = [v * q_up[c] * xy_up[w.bit_count()] for w, (v, c) in enumerate(zip(weights, cells))]
+    z = sum(nums)
+    return {s: Fraction(v, z) for s, v in zip(states(n), nums)}
 
 
 def transition_matrix(p: AsepParams) -> list[list[Fraction]]:

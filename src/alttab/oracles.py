@@ -29,7 +29,7 @@ from .enumeration import (
     ENUMERATION_CAP,
     WEIGHT_CAP,
     CountTable,
-    _corner_sums,
+    _corner_table,
     _poly_leaf,
     fillings,
     shape_words,
@@ -229,11 +229,13 @@ def word_to_forest(word: Sequence[int]) -> PlaneAltForest:
 def count_table_by_corners(n: int) -> CountTable:
     """Oracle for ``count_table``: the corner recursion at q = 1 over all 2^n
     shapes, where "times q" is the identity and each shape's polynomial holds
-    x^fcol y^frow terms."""
+    x^fcol y^frow terms.  The table is indexed by the shape's code, whose bit
+    count is its number of rows."""
     check_cap(n, "counting by the corner recursion", WEIGHT_CAP)
     counts: dict[tuple[int, int, int], int] = {}
-    for word, poly in _corner_sums(shape_words(n), _poly_leaf, lambda p: p).items():
-        k = word.count("D")
+    polys, _ = _corner_table(n, _poly_leaf)
+    for code, poly in enumerate(polys):
+        k = code.bit_count()
         for (_, fcol, frow), c in poly.coeffs.items():
             counts[(frow, fcol, k)] = counts.get((frow, fcol, k), 0) + c
     return CountTable(n, counts)

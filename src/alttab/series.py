@@ -58,6 +58,8 @@ class Poly3:
 
     def __mul__(self, other: Poly3 | int) -> Poly3:
         if isinstance(other, int):
+            if other == 1:
+                return self  # values are never changed in place
             return Poly3({m: c * other for m, c in self.coeffs.items()})
         out: dict[Monomial, int] = {}
         for m1, c1 in self.coeffs.items():

@@ -350,7 +350,11 @@ class TestVerify:
         monkeypatch.setattr("alttab.enumeration.fillings", no_enumeration)
         monkeypatch.setattr("alttab.oracles.fillings", no_enumeration)
         monkeypatch.setattr("alttab.enumeration._corner_sums", no_enumeration)
-        monkeypatch.setattr("alttab.oracles._corner_sums", no_enumeration)
+        # The oracles reach the corner recursion through ``_corner_table``;
+        # ``_corner_sums`` stays patched there so that a binding of it is caught.
+        monkeypatch.setattr("alttab.oracles._corner_sums", no_enumeration, raising=False)
+        monkeypatch.setattr("alttab.enumeration._corner_table", no_enumeration)
+        monkeypatch.setattr("alttab.oracles._corner_table", no_enumeration)
         monkeypatch.setattr("alttab.enumeration._insert_label", no_enumeration)
         code, out, err = run(capsys, monkeypatch, ["verify", "--suite", suite, "--n", n])
         assert code == 1 and out == "" and var in err

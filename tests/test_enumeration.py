@@ -3,15 +3,16 @@ counting-formula report."""
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alttab import enumeration
+from alttab import enumeration, oracles
 from alttab.checks import ASEP_TRIPLES, formula_report
 from alttab.core import (
     free_stats,
@@ -33,6 +34,7 @@ from alttab.enumeration import (
     decorated_bijection_inv,
     decorated_count,
     product_formula,
+    shape_of_state,
     shape_words,
     solve_stationary,
     states,
@@ -43,6 +45,9 @@ from alttab.enumeration import (
 from alttab.errors import DomainError, ResourceLimitError
 from alttab.oracles import all_perm_tableaux, count_table_by_corners, weight_poly_by_fillings
 from alttab.series import Poly3
+
+# Weight polynomials by shape, shared by the hypothesis examples.
+_weight = functools.lru_cache(maxsize=None)(weight_poly)
 
 
 class TestGenerators:
@@ -178,6 +183,8 @@ class TestCountTable:
             raise AssertionError("counting walked the 2^n shapes")
 
         monkeypatch.setattr(enumeration, "_corner_sums", no_shapes)
+        monkeypatch.setattr(enumeration, "_corner_table", no_shapes)
+        monkeypatch.setattr(oracles, "_corner_table", no_shapes)
         monkeypatch.setattr(enumeration, "shape_words", no_shapes)
         assert count_table(24).total() == math.factorial(25)
 
@@ -336,6 +343,79 @@ class TestAsep:
     def test_params_validated(self):
         with pytest.raises(DomainError):
             AsepParams(2, Fraction(2), Fraction(1), Fraction(1))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2.5, 1, 1, 1),
+            (Fraction(5, 2), 1, 1, 1),
+            ("2", 1, 1, 1),
+            (2, "a", 1, 1),
+            (2, None, 1, 1),
+            (2, 1, 1j, 1),
+            (2, 1, 1, "1"),
+        ],
+    )
+    def test_a_field_of_the_wrong_kind_is_a_domain_error(self, args):
+        with pytest.raises(DomainError):
+            AsepParams(*args)
+
+    def test_ints_fractions_and_floats_are_rates(self):
+        dist = asep_distribution(AsepParams(3, 0.5, Fraction(1, 3), 1))
+        assert dist == chain_stationary(AsepParams(3, Fraction(1, 2), Fraction(1, 3), 1))
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_corner_split_matches_the_word(self, n):
+        def code(word):
+            return int(word.replace("D", "1").replace("E", "0") or "0", 2)
+
+        for word in shape_words(n):
+            k = word.find("DE")
+            split = enumeration._corner(code(word))
+            if k < 0:
+                assert split is None
+            else:
+                head, tail = word[:k], word[k + 2 :]
+                assert split == tuple(code(head + mid + tail) for mid in ("ED", "E", "D"))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=8),
+        q=st.fractions(min_value=0, max_value=1, max_denominator=12),
+        alpha=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(bool),
+        beta=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(bool),
+    )
+    @example(n=0, q=Fraction(1, 2), alpha=Fraction(1), beta=Fraction(1))
+    @example(n=1, q=Fraction(0), alpha=Fraction(1, 3), beta=Fraction(1))
+    @example(n=8, q=Fraction(0), alpha=Fraction(1), beta=Fraction(1))
+    @example(n=8, q=Fraction(1), alpha=Fraction(5, 12), beta=Fraction(7, 11))
+    @example(n=7, q=Fraction(1), alpha=Fraction(1), beta=Fraction(1))
+    def test_the_law_is_the_normalized_weight_polynomials(self, n, q, alpha, beta):
+        # The integer pass over all shapes against the top-down polynomial of
+        # each shape, evaluated at x = 1/alpha and y = 1/beta.
+        weights = {s: _weight(shape_of_state(s)).evaluate(q, 1 / alpha, 1 / beta) for s in states(n)}
+        z = sum(weights.values())
+        want = [(s, w / z) for s, w in weights.items()]
+        assert list(asep_distribution(AsepParams(n, q, alpha, beta)).items()) == want
+
+    def test_each_traversal_serves_its_own_caller(self, monkeypatch):
+        def walked(what):
+            def refuse(*args):
+                raise AssertionError(f"walked {what}")
+
+            return refuse
+
+        # The law and the count oracle read the full table, never the memo.
+        monkeypatch.setattr(enumeration, "_corner_sums", walked("the one-word memo"))
+        monkeypatch.setattr(oracles, "_corner_sums", walked("the one-word memo"), raising=False)
+        p = AsepParams(5, Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))
+        assert asep_distribution(p) == chain_stationary(p)
+        assert count_table_by_corners(6).counts == count_table(6).counts
+        monkeypatch.undo()
+        # One word's polynomial never fills the table of its length.
+        monkeypatch.setattr(enumeration, "_corner_table", walked("the full table"))
+        monkeypatch.setattr(oracles, "_corner_table", walked("the full table"))
+        assert weight_poly("DDEDEE") == weight_poly_by_fillings("DDEDEE")
 
     def test_degenerate(self):
         with pytest.raises(DomainError) as err:
