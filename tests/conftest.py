@@ -95,6 +95,50 @@ def free_stats_by_grid(t: AltTableau) -> FreeStats:
     return FreeStats(free_rows, free_cols, frozenset(free_cells))
 
 
+def alt_violations_by_scan(labels, word, arrows) -> list[Violation]:
+    """Reference for the violations ``validate_alt`` reports: the per-arrow
+    checks in input order, then, for every arrow in cell order, a scan of its
+    whole line for the occupied cells it points at.  A line is scanned in the
+    iteration order of its label set, the order the check reports hits in."""
+    bad = _check_labels_word(labels, word)
+    if bad:
+        return bad
+    rows = {l for l, c in zip(labels, word) if c == "D"}
+    cols = {l for l, c in zip(labels, word) if c == "E"}
+    seen: dict[tuple[int, int], str] = {}
+    for i, j, kind in arrows:
+        if kind not in ("L", "U"):
+            bad.append(Violation("bad-arrow-kind", f"{kind!r} at ({i},{j})"))
+        elif i not in rows or j not in cols or i >= j:
+            bad.append(Violation("arrow-off-shape", f"{kind} arrow on nonexistent cell ({i},{j})"))
+        elif (i, j) in seen:
+            bad.append(Violation("duplicate-cell", f"two arrows on cell ({i},{j})"))
+        else:
+            seen[(i, j)] = kind
+    for (i, j), kind in sorted(seen.items()):
+        if kind == "L":
+            hits = [(i, j2) for j2 in cols if j2 > j and (i, j2) in seen]
+        else:
+            hits = [(i2, j) for i2 in rows if i2 < i and (i2, j) in seen]
+        bad.extend(
+            Violation("pointed-cell-occupied", f"{kind} arrow at ({i},{j}) points at occupied cell {cell}")
+            for cell in hits
+        )
+    return bad
+
+
+def perm_ones_by_sorting(t: AltTableau) -> tuple[tuple[int, int], ...]:
+    """Reference for the 1-cells of ``to_perm_tableau``: the new top row over
+    every free column, the up arrows and the free cells of the grid scan,
+    sorted."""
+    stats = free_stats_by_grid(t)
+    new = t.labels[0] - 1 if t.labels else 0
+    ones = [(new, j) for j in stats.free_cols]
+    ones.extend((a.row, a.col) for a in t.arrows if a.kind == "U")
+    ones.extend(stats.free_cells)
+    return tuple(sorted(ones))
+
+
 def assert_as_public(t: AltTableau) -> None:
     """``t`` holds what the public constructor makes of its own fields: the
     same labels, word and arrows, each arrow an ``Arrow`` (a plain tuple

@@ -36,8 +36,10 @@ from alttab.permutations import from_permutation
 
 from conftest import (
     T0_COMPACT,
+    alt_violations_by_scan,
     free_stats_by_grid,
     from_perm_tableau_by_lists,
+    perm_ones_by_sorting,
     perm_tableau_stats_by_scan,
     raw_tableaux,
     tableaux,
@@ -139,6 +141,65 @@ class TestValidation:
             validate_alt((1, 2, 3), "DEE", [(1, 2, "L"), (1, 3, "U"), (5, 9, "L")])
         codes = {v.code for v in err.value.violations}
         assert codes == {"pointed-cell-occupied", "arrow-off-shape"}
+
+
+def alt_outcome(labels, word, arrows) -> list:
+    """The violations ``validate_alt`` raises, in order; [] when it passes."""
+    try:
+        validate_alt(labels, word, arrows)
+    except ValidationError as err:
+        return err.violations
+    return []
+
+
+class TestEmptinessAgainstTheLineScan:
+    @given(raw_tableaux(), st.data())
+    def test_violations_equal_the_scan(self, t, data):
+        arrows = data.draw(st.permutations(t.arrows))
+        want = alt_violations_by_scan(t.labels, t.word, arrows)
+        assert alt_outcome(t.labels, t.word, arrows) == want
+
+    @pytest.mark.parametrize(
+        "labels, word, arrows, hits",
+        [
+            # The column set {2, 3, 8} iterates as 8, 2, 3.
+            (
+                (0, 2, 3, 8),
+                "DEEE",
+                [(0, 2, "L"), (0, 3, "U"), (0, 8, "U")],
+                ["(0, 8)", "(0, 3)"],
+            ),
+            # The row set {2, 9, 10} iterates as 9, 2, 10.
+            (
+                (2, 9, 10, 11),
+                "DDDE",
+                [(2, 11, "U"), (9, 11, "U"), (10, 11, "U")],
+                ["(2, 11)", "(9, 11)", "(2, 11)"],
+            ),
+        ],
+    )
+    def test_hits_come_in_the_order_of_the_line_sets(self, labels, word, arrows, hits):
+        want = alt_violations_by_scan(labels, word, arrows)
+        assert [v.detail.rsplit(" cell ", 1)[1] for v in want] == hits
+        assert alt_outcome(labels, word, arrows) == want
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_violations_equal_the_scan_on_every_small_filling(self, n):
+        # Every placement of L, U or nothing on every cell of every shape.
+        labels = tuple(range(1, n + 1))
+        for word in map("".join, product("DE", repeat=n)):
+            rows = [l for l, c in zip(labels, word) if c == "D"]
+            cells = [(i, j) for i in rows for j, c in zip(labels, word) if c == "E" and i < j]
+            for kinds in product(("", "L", "U"), repeat=len(cells)):
+                arrows = [(i, j, k) for (i, j), k in zip(cells, kinds) if k]
+                want = alt_violations_by_scan(labels, word, arrows)
+                assert alt_outcome(labels, word, arrows) == want
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_tableau_passes_the_scan(self, n):
+        for t in all_tableaux(n):
+            assert alt_violations_by_scan(t.labels, t.word, t.arrows) == []
+            assert validate_alt(t.labels, t.word, t.arrows) == t
 
 
 class TestFreeStats:
@@ -250,6 +311,15 @@ class TestPermTableauBijection:
         assert pstats.top_one_cols == stats.free_cols
         assert pstats.unrestricted_rows == stats.free_rows
         assert pstats.superfluous_cells == stats.free_cells
+
+    @given(tableaux())
+    def test_ones_equal_the_sorted_construction(self, t):
+        p = to_perm_tableau(t)
+        assert type(p.ones) is tuple and p.ones == perm_ones_by_sorting(t)
+
+    def test_ones_equal_the_sorted_construction_at_large_n(self):
+        t = from_permutation(tuple(random.Random(7).sample(range(301), 301)))
+        assert to_perm_tableau(t).ones == perm_ones_by_sorting(t)
 
     @pytest.mark.parametrize("n", range(8))
     def test_equals_the_list_scan_exhaustive(self, n):
