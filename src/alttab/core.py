@@ -19,8 +19,9 @@ each column holds a 1 and no 0 has a 1 above it and a 1 to its left.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import lt
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import DomainError, ParseError, ValidationError, Violation, _shown
@@ -39,11 +40,11 @@ def _check_labels_word(labels: Sequence[int], word: str) -> list[Violation]:
     bad = []
     if len(labels) != len(word):
         bad.append(Violation("size-mismatch", f"{len(labels)} labels for word of length {len(word)}"))
-    if any(l < 0 for l in labels):
+    if labels and min(labels) < 0:
         bad.append(Violation("label-order", f"negative label in {labels}"))
-    if any(a >= b for a, b in zip(labels, labels[1:])):
+    if not all(map(lt, labels, labels[1:])):
         bad.append(Violation("label-order", f"labels not strictly increasing: {labels}"))
-    if any(c not in "DE" for c in word):
+    if word.strip("DE"):
         bad.append(Violation("bad-step", f"word {word!r} has letters outside D/E"))
     return bad
 
@@ -222,19 +223,33 @@ def _alt_violations(
             continue
         seen[(i, j)] = kind
     # Emptiness: cells pointed at by an arrow must not be occupied.  In
-    # row-major order each row's occupied cells come by increasing column and
-    # each column's by increasing row, so a left arrow points at a suffix of
-    # its row's list and an up arrow at a prefix of its column's.  Each
-    # arrow's hits are listed in the iteration order of the line sets.
+    # row-major order a left arrow points at nothing when the next cell is in
+    # another row, and an up arrow when no cell before it is in its column;
+    # one pass finds the arrows that do point at something.
+    cells = sorted(seen)
+    pointing = []
+    above: set[int] = set()  # the columns of the cells passed so far
+    for k, (i, j) in enumerate(cells):
+        if seen[(i, j)] == LEFT:
+            if k + 1 < len(cells) and cells[k + 1][0] == i:
+                pointing.append((i, j))
+        elif j in above:
+            pointing.append((i, j))
+        above.add(j)
+    if not pointing:
+        return bad
+    # Each row's occupied cells come by increasing column and each column's
+    # by increasing row, so a left arrow points at a suffix of its row's list
+    # and an up arrow at a prefix of its column's.  Each arrow's hits are
+    # listed in the iteration order of the line sets.
     row_rank = {i: k for k, i in enumerate(rows)}
     col_rank = {j: k for k, j in enumerate(cols)}
-    cells = sorted(seen)
     in_row: dict[int, list[int]] = {}
     in_col: dict[int, list[int]] = {}
     for i, j in cells:
         in_row.setdefault(i, []).append(j)
         in_col.setdefault(j, []).append(i)
-    for i, j in cells:
+    for i, j in pointing:
         kind = seen[(i, j)]
         if kind == LEFT:
             line = in_row[i]
@@ -284,6 +299,17 @@ def free_stats(t: AltTableau) -> FreeStats:
 
 
 def _free_stats(t: AltTableau) -> FreeStats:
+    rows, cols = t.rows, t.columns
+    left_in_row, up_in_col = _arrow_ends(t)
+    free_rows = frozenset(i for i in rows if i not in left_in_row)
+    free_cols = frozenset(j for j in cols if j not in up_in_col)
+    unpointed = frozenset(_unpointed(rows, cols, left_in_row, up_in_col))
+    return FreeStats(free_rows, free_cols, unpointed.difference(t.arrow_map()))
+
+
+def _arrow_ends(t: AltTableau) -> tuple[dict[int, int], dict[int, int]]:
+    """The column of each row's left arrow and the row of each column's up
+    arrow; on a tableau not checked, the last such arrow in arrow order."""
     left_in_row: dict[int, int] = {}
     up_in_col: dict[int, int] = {}
     for a in t.arrows:
@@ -291,20 +317,36 @@ def _free_stats(t: AltTableau) -> FreeStats:
             left_in_row[a.row] = a.col
         else:
             up_in_col[a.col] = a.row
-    rows, cols = t.rows, t.columns
-    free_rows = frozenset(i for i in rows if i not in left_in_row)
-    free_cols = frozenset(j for j in cols if j not in up_in_col)
-    occupied = t.arrow_map()
-    free_cells = set()
+    return left_in_row, up_in_col
+
+
+def _unpointed(
+    rows: tuple[int, ...],
+    cols: tuple[int, ...],
+    left_in_row: dict[int, int],
+    up_in_col: dict[int, int],
+) -> list[tuple[int, int]]:
+    """The cells (i, j) of ``rows`` and ``cols`` that no arrow points at,
+    less each row's left-arrow cell: row by row, each row's by increasing
+    column.
+
+    A cell is pointed at when it lies above its column's up arrow or left of
+    its row's left arrow.  Going down the rows, a column stops being pointed
+    at from its up arrow's row on, so one sorted list of the columns not
+    pointed at grows as the rows go by, and each row reads one slice of it:
+    the columns labeled above i and below the left arrow's column.
+    """
+    open_cols = [j for j in cols if j not in up_in_col]
+    ups = sorted([(up_in_col[j], j) for j in cols if j in up_in_col], reverse=True)
+    cells = []
     for i in rows:
-        # Cells right of the row's left arrow are pointed at, so only the
-        # columns from i (exclusive) to that arrow's (inclusive) can be free.
-        stop = bisect_right(cols, left_in_row[i]) if i in left_in_row else len(cols)
-        for j in cols[bisect_right(cols, i) : stop]:
-            # Cells above the column's up arrow are pointed at.
-            if (i, j) not in occupied and up_in_col.get(j, i) <= i:
-                free_cells.add((i, j))
-    return FreeStats(free_rows, free_cols, frozenset(free_cells))
+        while ups and ups[-1][0] <= i:  # the up arrows at row i or above
+            insort(open_cols, ups.pop()[1])
+        left = left_in_row.get(i)
+        stop = len(open_cols) if left is None else bisect_left(open_cols, left)
+        for j in open_cols[bisect_right(open_cols, i) : stop]:
+            cells.append((i, j))
+    return cells
 
 
 def _check_arrow_labels(t: AltTableau, labels: Container[int]) -> None:
@@ -370,6 +412,20 @@ class PermTableau(_Shape):
         object.__setattr__(self, "ones", tuple(sorted(self.ones)))
 
 
+def _perm_assembled(
+    labels: tuple[int, ...], word: str, ones: tuple[tuple[int, int], ...]
+) -> PermTableau:
+    """The permutation tableau with these fields, set without the
+    constructor's checks and sort: as :func:`_assembled`, only for data that
+    holds by construction, with ``ones`` a sorted tuple of cells."""
+    p = object.__new__(PermTableau)
+    fields = p.__dict__
+    fields["labels"] = labels
+    fields["word"] = word
+    fields["ones"] = ones
+    return p
+
+
 def validate_perm_tableau(
     labels: Sequence[int],
     word: str,
@@ -421,7 +477,7 @@ def validate_perm_tableau(
                 )
     if bad:
         raise ValidationError(bad)
-    return PermTableau(tuple(labels), word, tuple(sorted(one_set)))
+    return _perm_assembled(tuple(labels), word, tuple(sorted(one_set)))
 
 
 @dataclass(frozen=True)
@@ -491,17 +547,19 @@ def to_perm_tableau(t: AltTableau) -> PermTableau:
     """Grow an alternative tableau into a permutation tableau one longer.
 
     A new top row (labeled one below the current minimum) gets a 1 over every
-    free column; up arrows and free cells become 1s, everything else 0.
+    free column; up arrows and free cells become 1s, everything else 0.  Row
+    by row, the 1s below the top row are the cells no arrow points at, less
+    the left arrow's, so they come in order.
     """
     _check_valid(t)
     new = t.labels[0] - 1 if t.labels else 0
     if new < 0:
         raise DomainError("label-order", "no nonnegative label available for the new top row")
-    stats = free_stats(t)
-    ones = [(new, j) for j in stats.free_cols]
-    ones.extend((a.row, a.col) for a in t.arrows if a.kind == UP)
-    ones.extend(stats.free_cells)
-    return PermTableau((new,) + t.labels, "D" + t.word, tuple(sorted(ones)))
+    rows, cols = t.rows, t.columns
+    left_in_row, up_in_col = _arrow_ends(t)
+    ones = [(new, j) for j in cols if j not in up_in_col]
+    ones += _unpointed(rows, cols, left_in_row, up_in_col)
+    return _perm_assembled((new,) + t.labels, "D" + t.word, tuple(ones))
 
 
 # ---------------------------------------------------------------------------

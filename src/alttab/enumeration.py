@@ -329,7 +329,7 @@ def weight_poly(word: str) -> Poly3:
     return _corner_sums(word)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class AsepParams:
     """Open exclusion process on n sites with entry rate alpha, exit rate beta,
     forward hop rate 1 and backward hop rate q (all scaled by 1/(n+1)).
@@ -353,6 +353,12 @@ class AsepParams:
                 raise DomainError("bad-params", f"{name}={_shown_number(v)} is not a real number")
             if not 0 <= v <= 1:
                 raise DomainError("bad-params", f"{name}={_shown_number(v)} outside [0, 1]")
+
+    def __repr__(self) -> str:
+        # The dataclass repr, with n shown as error messages show numbers:
+        # an int of more digits than str() converts would make it raise.
+        rates = f"q={self.q!r}, alpha={self.alpha!r}, beta={self.beta!r}"
+        return f"{type(self).__qualname__}(n={_shown_number(self.n)}, {rates})"
 
 
 def states(n: int) -> Iterator[str]:
@@ -393,7 +399,11 @@ def asep_distribution(p: AsepParams) -> dict[str, Fraction]:
 
 
 def transition_matrix(p: AsepParams) -> list[list[Fraction]]:
+    """The chain's one-step transition probabilities, exact: the rates are
+    read through ``Fraction``, so a float rate counts as the binary fraction
+    it holds, as in :func:`asep_distribution`."""
     n = p.n
+    q, alpha, beta = Fraction(p.q), Fraction(p.alpha), Fraction(p.beta)
     scale = Fraction(1, n + 1)
     names = list(states(n))
     index = {s: k for k, s in enumerate(names)}
@@ -413,11 +423,11 @@ def transition_matrix(p: AsepParams) -> list[list[Fraction]]:
             if pair == PARTICLE + HOLE:
                 hop(s[:i] + HOLE + PARTICLE + s[i + 2 :], scale)
             elif pair == HOLE + PARTICLE:
-                hop(s[:i] + PARTICLE + HOLE + s[i + 2 :], p.q * scale)
+                hop(s[:i] + PARTICLE + HOLE + s[i + 2 :], q * scale)
         if n and s[0] == HOLE:
-            hop(PARTICLE + s[1:], p.alpha * scale)
+            hop(PARTICLE + s[1:], alpha * scale)
         if n and s[-1] == PARTICLE:
-            hop(s[:-1] + HOLE, p.beta * scale)
+            hop(s[:-1] + HOLE, beta * scale)
         m[k][k] = 1 - out
     return m
 

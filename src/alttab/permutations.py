@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from operator import attrgetter
 from typing import Iterator, Sequence
 
@@ -37,10 +38,13 @@ Word = tuple[int, ...]
 
 def check_word(word: Sequence[int]) -> Word:
     w = tuple(word)
+    odd = [a for a in w if not isinstance(a, Integral)]
+    if odd:
+        raise DomainError("bad-letter", f"letter {_shown_number(odd[0])} is not an integer")
     if len(set(w)) != len(w):
-        raise DomainError("repeated-letter", f"word {w} repeats a letter")
+        raise DomainError("repeated-letter", f"word {_shown_number(w)} repeats a letter")
     if any(a < 0 for a in w):
-        raise DomainError("negative-letter", f"word {w} has a negative letter")
+        raise DomainError("negative-letter", f"word {_shown_number(w)} has a negative letter")
     return w
 
 
@@ -180,20 +184,30 @@ def insertion_steps(t: AltTableau) -> list[Word]:
     its up-arrow row (left of 0 when the column has none), then the rows of
     its left arrows, in increasing order, immediately left of it.
     """
-    return [tuple(word) for word in _insertion_words(t)]
+    return list(_insertion_words(t))
 
 
 def to_permutation_by_insertion(t: AltTableau) -> Word:
     """The last word of :func:`insertion_steps`, keeping only the current one."""
-    for word in _insertion_words(t):
+    for after in _insertion_links(t):
         pass
-    return tuple(word)
+    return _linked_word(after)
 
 
-def _insertion_words(t: AltTableau) -> Iterator[list[int]]:
+def _insertion_words(t: AltTableau) -> Iterator[Word]:
+    """The words of :func:`insertion_steps`, one at a time."""
+    return (_linked_word(after) for after in _insertion_links(t))
+
+
+def _insertion_links(t: AltTableau) -> Iterator[dict[int | None, int | None]]:
     """The word of :func:`insertion_steps` at the start and after each
-    column: one list, yielded again after each change, so a caller that
-    keeps a step copies it."""
+    column, as links: a map from each letter to the next, with ``None``
+    before the first letter and after the last.  One map, yielded again
+    after each change; :func:`_linked_word` reads it.
+
+    A second map links each letter to the one before, so each letter is
+    placed in constant time, wherever it goes.
+    """
     _check_valid(t)
     if not t.is_standard():
         raise DomainError("non-standard-labels", "insertion needs labels 1..n")
@@ -203,14 +217,31 @@ def _insertion_words(t: AltTableau) -> Iterator[list[int]]:
         if a.kind == LEFT:
             lefts_in_col.setdefault(a.col, []).append(a.row)
     left_rows = {i for rows in lefts_in_col.values() for i in rows}
-    word = [0] + [i for i in t.rows if i not in left_rows]  # the free rows, increasing
-    yield word
+    start = [0] + [i for i in t.rows if i not in left_rows]  # the free rows, increasing
+    after: dict[int | None, int | None] = dict(zip([None] + start, start + [None]))
+    before = {b: a for a, b in after.items()}
+
+    def insert(letter: int, target: int) -> None:  # immediately left of target
+        prev = before[target]
+        after[prev] = before[target] = letter
+        after[letter], before[letter] = target, prev
+
+    yield after
     for j in sorted(t.columns, reverse=True):
-        target = up_in_col.get(j, 0)
-        word.insert(word.index(target), j)
+        insert(j, up_in_col.get(j, 0))
         for i in sorted(lefts_in_col.get(j, ())):
-            word.insert(word.index(j), i)
-        yield word
+            insert(i, j)
+        yield after
+
+
+def _linked_word(after: dict[int | None, int | None]) -> Word:
+    """The word of the links of :func:`_insertion_links`."""
+    word = []
+    letter = after[None]
+    while letter is not None:
+        word.append(letter)
+        letter = after[letter]
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +257,11 @@ class SignedPerm:
 
     def __post_init__(self) -> None:
         n = len(self.word)
-        if sorted(self.word) != list(range(1, n + 1)):
-            raise DomainError("bad-word", f"{self.word} is not a permutation of 1..{n}")
-        if any(p < 0 or p >= n for p in self.barred):
+        letters = sorted(a for a in self.word if isinstance(a, Integral))
+        if letters != list(range(1, n + 1)):  # a letter that is not an integer is left out
+            shown = _shown_number(self.word)
+            raise DomainError("bad-word", f"{shown} is not a permutation of 1..{n}")
+        if not all(isinstance(p, Integral) and 0 <= p < n for p in self.barred):
             raise DomainError("bad-word", "barred position out of range")
 
 

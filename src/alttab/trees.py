@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Container, Iterable, Mapping, TypeVar
 
 from .core import _VALID, AltTableau, _parse_int, _remembered, _shown
 from .decomposition import _arrow_forest, _tableau_from_edges
@@ -41,21 +41,6 @@ def _nodes(roots: Iterable[Node], kids: Callable[[Node], Iterable[Node]]) -> lis
     for node in order:
         order.extend(kids(node))
     return order
-
-
-def _subtree_spans(
-    order: list[Node], kids: Callable[[Node], Iterable[Node]]
-) -> dict[int, tuple[int, int]]:
-    """The smallest and largest label of each node's subtree, keyed by ``id``,
-    bottom-up over ``order`` from :func:`_nodes`."""
-    span: dict[int, tuple[int, int]] = {}
-    for node in reversed(order):
-        lo = hi = node.label
-        for c in kids(node):
-            c_lo, c_hi = span[id(c)]
-            lo, hi = min(lo, c_lo), max(hi, c_hi)
-        span[id(node)] = (lo, hi)
-    return span
 
 
 def _flat_text(root: object, parts: Callable[[Node], list]) -> str:
@@ -190,42 +175,25 @@ def validate_tree(t: PlaneAltTree) -> None:
     violations.  Labels must be distinct and non-negative.
 
     Nodes are checked in preorder; the children of a node with a bad color
-    are not checked.
+    are not checked.  One preorder listing of the nodes checked, then one
+    bottom-up pass over it (:func:`_plane_violations`).
     """
-    order = _nodes([t], _plane_kids)
-    span = _subtree_spans(order, _plane_kids)
-    bad: list[Violation] = []
-    seen: set[int] = set()
+    order = []
     stack = [t]
     while stack:
         node = stack.pop()
-        if node.label in seen:
-            bad.append(Violation("duplicate-label", f"label {node.label} repeats"))
-        seen.add(node.label)
-        if node.label < 0:
-            bad.append(Violation("label-order", f"negative label {node.label}"))
-        if node.color not in (WHITE, BLACK):
-            bad.append(Violation("bad-color", f"color {node.color!r} at {node.label}"))
-            continue
-        if not node.children:
-            continue
-        child_roots = [c.label for c in node.children]
-        if node.color == WHITE:
-            if any(c.color != BLACK for c in node.children):
-                bad.append(Violation("bad-color", f"white {node.label} has a white child"))
-            if any(a <= b for a, b in zip(child_roots, child_roots[1:])):
-                bad.append(Violation("bad-order", f"children of white {node.label} not decreasing"))
-        else:
-            if any(c.color != WHITE for c in node.children):
-                bad.append(Violation("bad-color", f"black {node.label} has a black child"))
-            if any(a >= b for a, b in zip(child_roots, child_roots[1:])):
-                bad.append(Violation("bad-order", f"children of black {node.label} not increasing"))
-        below = [span[id(c)] for c in node.children]
-        if node.color == WHITE and any(lo <= node.label for lo, _ in below):
-            bad.append(Violation("not-minimal", f"white {node.label} is not minimal"))
-        if node.color == BLACK and any(hi >= node.label for _, hi in below):
-            bad.append(Violation("not-maximal", f"black {node.label} is not maximal"))
-        stack.extend(reversed(node.children))
+        order.append(node)
+        if node.children and (node.color == WHITE or node.color == BLACK):
+            stack.extend(node.children[::-1])
+    labels = [node.label for node in order]
+    repeats: set[int] = set()
+    if len(set(labels)) != len(labels):
+        seen: set[int] = set()
+        for k, label in enumerate(labels):
+            if label in seen:
+                repeats.add(k)
+            seen.add(label)
+    bad = _plane_violations(order, repeats)
     if bad:
         raise ValidationError(bad)
 
@@ -238,12 +206,77 @@ def validate_forest(f: PlaneAltForest) -> None:
     """
     if _VALID in f.__dict__:
         return
-    sizes = sum(t.size() for t in f.trees)
-    if len(f.labels()) != sizes:
+    nodes = _nodes(f.trees, _plane_kids)
+    if len({node.label for node in nodes}) != len(nodes):
         raise ValidationError([Violation("duplicate-label", "trees share labels")])
     for t in f.trees:
         validate_tree(t)
     f.__dict__[_VALID] = True
+
+
+def _plane_violations(order: list[PlaneAltTree], repeats: Container[int]) -> list[Violation]:
+    """Every violation of the nodes of ``order``, the nodes :func:`validate_tree`
+    checks in preorder, in that order; ``repeats`` are the positions of
+    repeated labels.
+
+    One bottom-up pass: in reversed preorder each node comes right after its
+    subtrees, so the smallest and largest labels of its children's subtrees
+    are on top of a stack.  The subtree below a node of bad color is read in
+    full for its extremes.  Each node's violations are found last check
+    first, since the list is reversed at the end.
+    """
+    found: list[Violation] = []
+    spans: list[tuple[int, int]] = []  # (smallest, largest) label of each subtree
+    for k in range(len(order) - 1, -1, -1):
+        node = order[k]
+        label, color, kids = node.label, node.color, node.children
+        lo = hi = label
+        if color != WHITE and color != BLACK:
+            found.append(Violation("bad-color", f"color {color!r} at {label}"))
+            for below in _nodes(kids, _plane_kids):
+                lo, hi = min(lo, below.label), max(hi, below.label)
+        elif kids:
+            kid_lo, kid_hi = spans.pop()
+            for _ in range(len(kids) - 1):
+                c_lo, c_hi = spans.pop()
+                if c_lo < kid_lo:
+                    kid_lo = c_lo
+                if c_hi > kid_hi:
+                    kid_hi = c_hi
+            lo, hi = min(lo, kid_lo), max(hi, kid_hi)
+            if color == WHITE:
+                if kid_lo <= label:
+                    found.append(Violation("not-minimal", f"white {label} is not minimal"))
+                for a, b in zip(kids, kids[1:]):
+                    if a.label <= b.label:
+                        found.append(
+                            Violation("bad-order", f"children of white {label} not decreasing")
+                        )
+                        break
+                for c in kids:
+                    if c.color != BLACK:
+                        found.append(Violation("bad-color", f"white {label} has a white child"))
+                        break
+            else:
+                if kid_hi >= label:
+                    found.append(Violation("not-maximal", f"black {label} is not maximal"))
+                for a, b in zip(kids, kids[1:]):
+                    if a.label >= b.label:
+                        found.append(
+                            Violation("bad-order", f"children of black {label} not increasing")
+                        )
+                        break
+                for c in kids:
+                    if c.color != WHITE:
+                        found.append(Violation("bad-color", f"black {label} has a black child"))
+                        break
+        spans.append((lo, hi))
+        if label < 0:
+            found.append(Violation("label-order", f"negative label {label}"))
+        if k in repeats:
+            found.append(Violation("duplicate-label", f"label {label} repeats"))
+    found.reverse()
+    return found
 
 
 def _colors(t: AltTableau) -> dict[int, str]:
@@ -259,7 +292,7 @@ def _plane_trees(
         order.extend(children[label])
     built: dict[int, PlaneAltTree] = {}
     for label in reversed(order):
-        kids = tuple(built.pop(c) for c in children[label])
+        kids = tuple(map(built.pop, children[label]))
         built[label] = PlaneAltTree(color[label], label, kids)
     return tuple(built[r] for r in roots)
 
@@ -388,11 +421,9 @@ def _extreme_ends(d: ArcDiagram) -> tuple[dict[int, int], dict[int, int]]:
     An arc (i, j) is topmost at its left end when j is the largest right end
     of i, and topmost at its right end when i is the smallest left end of j.
     """
-    right: dict[int, int] = {}
-    left: dict[int, int] = {}
-    for i, j in d.arcs:
-        right[i] = max(right.get(i, j), j)
-        left[j] = min(left.get(j, i), i)
+    # The arcs are sorted, so the last arc written for an end wins.
+    right = {i: j for i, j in d.arcs}
+    left = {j: i for i, j in reversed(d.arcs)}
     return right, left
 
 
@@ -453,11 +484,14 @@ def arcs_to_forest(d: ArcDiagram) -> PlaneAltForest:
         if i != lo and j != hi:
             neighbors[i].append(j)
             neighbors[j].append(i)
+    # The arcs are sorted, so each point's neighbors come in increasing order.
     children: dict[int, list[int]] = {}
     seen = set(roots)
     order = list(roots)
     for p in order:  # breadth first from the roots orients every edge
-        kids = sorted((q for q in neighbors[p] if q not in seen), reverse=color[p] == WHITE)
+        kids = [q for q in neighbors[p] if q not in seen]
+        if color[p] == WHITE:
+            kids.reverse()
         seen.update(kids)
         children[p] = kids
         order.extend(kids)
@@ -559,29 +593,39 @@ def validate_bin_tree(t: BinAltTree | None, kind: str) -> None:
     ``kind``; labels must be non-negative.
 
     Nodes are checked in preorder; a node's extremality ignores descendants
-    that carry its own label.
+    that carry its own label.  One preorder listing with the kind each node
+    must have, then one bottom-up pass as in :func:`_plane_violations`.
     """
+    order: list[tuple[BinAltTree, str]] = []
+    stack = [] if t is None else [(t, kind)]
+    while stack:
+        item = stack.pop()
+        order.append(item)
+        node = item[0]
+        if node.right is not None:
+            stack.append((node.right, MIN_ROOTED))
+        if node.left is not None:
+            stack.append((node.left, MAX_ROOTED))
     bad: list[Violation] = []
-    if t is not None:
-        order = _nodes([t], _bin_kids)
-        span = _subtree_spans(order, _bin_kids)
-        stack = [(t, kind)]
-        while stack:
-            node, want = stack.pop()
-            if node.label < 0:
-                bad.append(Violation("label-order", f"negative label {node.label}"))
-            if node.kind != want:
-                bad.append(Violation("bad-kind", f"node {node.label} marked {node.kind}, expected {want}"))
-            below = [span[id(c)] for c in _bin_kids(node)]
-            if want == MIN_ROOTED and any(lo < node.label for lo, _ in below):
-                bad.append(Violation("not-minimal", f"node {node.label} is not minimal"))
-            if want == MAX_ROOTED and any(hi > node.label for _, hi in below):
-                bad.append(Violation("not-maximal", f"node {node.label} is not maximal"))
-            if node.right:
-                stack.append((node.right, MIN_ROOTED))
-            if node.left:
-                stack.append((node.left, MAX_ROOTED))
+    spans: list[tuple[int, int]] = []  # (smallest, largest) label of each subtree
+    for node, want in reversed(order):
+        label = node.label
+        lo = hi = label
+        for child in (node.left, node.right):  # the left subtree's span is on top
+            if child is not None:
+                c_lo, c_hi = spans.pop()
+                lo, hi = min(lo, c_lo), max(hi, c_hi)
+        spans.append((lo, hi))
+        if want == MIN_ROOTED and lo < label:
+            bad.append(Violation("not-minimal", f"node {label} is not minimal"))
+        if want == MAX_ROOTED and hi > label:
+            bad.append(Violation("not-maximal", f"node {label} is not maximal"))
+        if node.kind != want:
+            bad.append(Violation("bad-kind", f"node {label} marked {node.kind}, expected {want}"))
+        if label < 0:
+            bad.append(Violation("label-order", f"negative label {label}"))
     if bad:
+        bad.reverse()  # each node's violations were found last check first
         raise ValidationError(bad)
 
 

@@ -120,10 +120,9 @@ def alt_violations_by_scan(labels, word, arrows) -> list[Violation]:
             hits = [(i, j2) for j2 in cols if j2 > j and (i, j2) in seen]
         else:
             hits = [(i2, j) for i2 in rows if i2 < i and (i2, j) in seen]
-        bad.extend(
-            Violation("pointed-cell-occupied", f"{kind} arrow at ({i},{j}) points at occupied cell {cell}")
-            for cell in hits
-        )
+        for cell in hits:
+            detail = f"{kind} arrow at ({i},{j}) points at occupied cell {cell}"
+            bad.append(Violation("pointed-cell-occupied", detail))
     return bad
 
 

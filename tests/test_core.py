@@ -316,6 +316,7 @@ class TestPermTableauBijection:
     def test_ones_equal_the_sorted_construction(self, t):
         p = to_perm_tableau(t)
         assert type(p.ones) is tuple and p.ones == perm_ones_by_sorting(t)
+        assert type(p.labels) is tuple and p == PermTableau(p.labels, p.word, p.ones)
 
     def test_ones_equal_the_sorted_construction_at_large_n(self):
         t = from_permutation(tuple(random.Random(7).sample(range(301), 301)))

@@ -364,6 +364,21 @@ class TestAsep:
         dist = asep_distribution(AsepParams(3, 0.5, Fraction(1, 3), 1))
         assert dist == chain_stationary(AsepParams(3, Fraction(1, 2), Fraction(1, 3), 1))
 
+    def test_the_chain_oracle_is_exact_at_float_rates(self):
+        p = AsepParams(2, 0.1, 0.3, 1)
+        solved = chain_stationary(p)
+        assert all(type(v) is Fraction for v in solved.values())
+        assert solved == asep_distribution(p)
+        assert list(solved) == list(asep_distribution(p))
+
+    def test_repr_shows_any_site_count(self):
+        assert repr(AsepParams(3, Fraction(1, 2), 1, 0.25)) == (
+            "AsepParams(n=3, q=Fraction(1, 2), alpha=1, beta=0.25)"
+        )
+        assert repr(AsepParams(10**5000, 1, 1, 1)) == (
+            "AsepParams(n=<a number too long to print>, q=1, alpha=1, beta=1)"
+        )
+
     @pytest.mark.parametrize("n", range(9))
     def test_corner_split_matches_the_word(self, n):
         def code(word):

@@ -86,6 +86,30 @@ class TestPermStats:
             perm_stats((1, 1))
         assert err.value.code == "repeated-letter"
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: from_permutation(["a"]),
+            lambda: from_permutation([0, 1.0]),
+            lambda: perm_stats([[1], 0]),
+            lambda: SignedPerm((1, "a")),
+            lambda: SignedPerm((1, 2.0)),
+            lambda: SignedPerm((1,), frozenset({"x"})),
+            lambda: SignedPerm((10**5000,)),
+            lambda: from_permutation([10**5000, 10**5000, 0]),
+            lambda: from_permutation([-(10**5000), 0]),
+        ],
+        ids=[
+            "str-letter", "float-letter", "list-letter", "signed-str-letter",
+            "signed-float-letter", "str-bar", "huge-signed-letter", "huge-repeated-letter",
+            "huge-negative-letter",
+        ],
+    )
+    def test_a_bad_letter_is_a_domain_error(self, make):
+        with pytest.raises(DomainError) as err:
+            make()
+        assert err.value.code in ("bad-letter", "bad-word", "repeated-letter", "negative-letter")
+
     def test_last_letter_is_min_and_max(self):
         stats = perm_stats((3, 1, 2))
         assert 2 in stats.rl_minima and 2 in stats.rl_maxima
