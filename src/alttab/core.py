@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from operator import lt
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .errors import DomainError, ParseError, ValidationError, Violation, _shown
+from .errors import DomainError, ParseError, ValidationError, Violation, _shown, _shown_number
 
 LEFT = "L"
 UP = "U"
@@ -36,14 +36,20 @@ class Arrow(NamedTuple):
     kind: str  # LEFT or UP
 
 
+def _cell(i: int, j: int, sep: str = ",") -> str:
+    """A cell as error messages show it, each label through ``_shown_number``."""
+    return f"({_shown_number(i)}{sep}{_shown_number(j)})"
+
+
 def _check_labels_word(labels: Sequence[int], word: str) -> list[Violation]:
     bad = []
     if len(labels) != len(word):
         bad.append(Violation("size-mismatch", f"{len(labels)} labels for word of length {len(word)}"))
     if labels and min(labels) < 0:
-        bad.append(Violation("label-order", f"negative label in {labels}"))
+        bad.append(Violation("label-order", f"negative label in {_shown_number(labels)}"))
     if not all(map(lt, labels, labels[1:])):
-        bad.append(Violation("label-order", f"labels not strictly increasing: {labels}"))
+        shown = _shown_number(labels)
+        bad.append(Violation("label-order", f"labels not strictly increasing: {shown}"))
     if word.strip("DE"):
         bad.append(Violation("bad-step", f"word {word!r} has letters outside D/E"))
     return bad
@@ -55,11 +61,11 @@ class _Shape:
     strictly increasing and ``word`` is the aligned D/E border word.
 
     What is computed once and remembered on an instance (``rows``,
-    ``columns``, and a tableau's passed check, free statistics, forest, arc
-    diagram and binary pair) lives in its ``__dict__`` beside the fields, so
-    ``==``, ``hash`` and ``repr`` see only the fields.  Being true of the
-    immutable value, it is pickled and copied with it; the tree values
-    pickle as a flat list of nodes, so this works at any depth.
+    ``columns``, and a tableau's passed check, free lines, free statistics,
+    closures, forest, arc diagram and binary pair) lives in its ``__dict__``
+    beside the fields, so ``==``, ``hash`` and ``repr`` see only the fields.
+    Being true of the immutable value, it is pickled and copied with it; the
+    tree values pickle as a flat list of nodes, so this works at any depth.
     """
 
     labels: tuple[int, ...]
@@ -105,7 +111,7 @@ class AltTableau(_Shape):
         bad = _check_labels_word(self.labels, self.word)
         arrows = tuple(Arrow(*a) for a in self.arrows)
         bad.extend(
-            Violation("bad-arrow-kind", f"{a.kind!r} at ({a.row},{a.col})")
+            Violation("bad-arrow-kind", f"{a.kind!r} at {_cell(a.row, a.col)}")
             for a in arrows
             if a.kind not in (LEFT, UP)
         )
@@ -213,13 +219,14 @@ def _alt_violations(
     seen: dict[tuple[int, int], str] = {}
     for i, j, kind in arrows:
         if kind not in (LEFT, UP):
-            bad.append(Violation("bad-arrow-kind", f"{kind!r} at ({i},{j})"))
+            bad.append(Violation("bad-arrow-kind", f"{kind!r} at {_cell(i, j)}"))
             continue
         if i not in rows or j not in cols or i >= j:
-            bad.append(Violation("arrow-off-shape", f"{kind} arrow on nonexistent cell ({i},{j})"))
+            detail = f"{kind} arrow on nonexistent cell {_cell(i, j)}"
+            bad.append(Violation("arrow-off-shape", detail))
             continue
         if (i, j) in seen:
-            bad.append(Violation("duplicate-cell", f"two arrows on cell ({i},{j})"))
+            bad.append(Violation("duplicate-cell", f"two arrows on cell {_cell(i, j)}"))
             continue
         seen[(i, j)] = kind
     # Emptiness: cells pointed at by an arrow must not be occupied.  In
@@ -263,7 +270,7 @@ def _alt_violations(
             bad.append(
                 Violation(
                     "pointed-cell-occupied",
-                    f"{kind} arrow at ({i},{j}) points at occupied cell {cell}",
+                    f"{kind} arrow at {_cell(i, j)} points at occupied cell {_cell(*cell, ', ')}",
                 )
             )
     return bad
@@ -298,12 +305,26 @@ def free_stats(t: AltTableau) -> FreeStats:
     return _remembered(t, "_free_stats", _free_stats)
 
 
+def free_lines(t: AltTableau) -> tuple[frozenset[int], frozenset[int]]:
+    """The free rows and free columns of :func:`free_stats`, without its
+    cells; computed once per tableau and remembered on it."""
+    return _remembered(t, "_free_lines", lambda t: _free_lines(t.rows, t.columns, *_arrow_ends(t)))
+
+
+def _free_lines(
+    rows: tuple[int, ...],
+    cols: tuple[int, ...],
+    left_in_row: dict[int, int],
+    up_in_col: dict[int, int],
+) -> tuple[frozenset[int], frozenset[int]]:
+    return frozenset(rows).difference(left_in_row), frozenset(cols).difference(up_in_col)
+
+
 def _free_stats(t: AltTableau) -> FreeStats:
     rows, cols = t.rows, t.columns
-    left_in_row, up_in_col = _arrow_ends(t)
-    free_rows = frozenset(i for i in rows if i not in left_in_row)
-    free_cols = frozenset(j for j in cols if j not in up_in_col)
-    unpointed = frozenset(_unpointed(rows, cols, left_in_row, up_in_col))
+    ends = _arrow_ends(t)
+    free_rows, free_cols = _remembered(t, "_free_lines", lambda t: _free_lines(rows, cols, *ends))
+    unpointed = frozenset(_unpointed(rows, cols, *ends))
     return FreeStats(free_rows, free_cols, unpointed.difference(t.arrow_map()))
 
 
@@ -353,7 +374,7 @@ def _check_arrow_labels(t: AltTableau, labels: Container[int]) -> None:
     """Raise ``arrow-off-shape`` for every arrow of ``t`` (built without
     validation) that names a label outside ``labels``."""
     bad = [
-        Violation("arrow-off-shape", f"{a.kind} arrow on nonexistent cell ({a.row},{a.col})")
+        Violation("arrow-off-shape", f"{a.kind} arrow on nonexistent cell {_cell(a.row, a.col)}")
         for a in t.arrows
         if a.row not in labels or a.col not in labels
     ]
@@ -446,10 +467,11 @@ def validate_perm_tableau(
         cells = {(i, j) for i in rows for j in cols if i < j}
         missing = cells - set(filling)
         for cell in sorted(missing):
-            bad.append(Violation("non-total-filling", f"no value for cell {cell}"))
+            bad.append(Violation("non-total-filling", f"no value for cell {_cell(*cell, ', ')}"))
         extra = set(filling) - cells
         for cell in sorted(extra):
-            bad.append(Violation("cell-off-shape", f"value on nonexistent cell {cell}"))
+            detail = f"value on nonexistent cell {_shown_number(cell)}"
+            bad.append(Violation("cell-off-shape", detail))
         if bad:
             raise ValidationError(bad)
         ones = tuple(c for c in sorted(filling) if filling[c] == 1)
@@ -459,11 +481,11 @@ def validate_perm_tableau(
         if i in rows and j in col_set and i < j:
             one_set.add((i, j))
         else:
-            bad.append(Violation("cell-off-shape", f"1 on nonexistent cell {(i, j)}"))
+            bad.append(Violation("cell-off-shape", f"1 on nonexistent cell {_cell(i, j, ', ')}"))
     top = _topmost_ones(rows, one_set)
     for j in cols:
         if j not in top:
-            bad.append(Violation("empty-column", f"column {j} contains no 1"))
+            bad.append(Violation("empty-column", f"column {_shown_number(j)} contains no 1"))
     leftmost: dict[int, int] = {}  # each row's 1 in the largest column
     for i, j in one_set:
         leftmost[i] = max(leftmost.get(i, j), j)
@@ -472,9 +494,8 @@ def validate_perm_tableau(
     for i in sorted(leftmost):
         for j in cols[bisect_right(cols, i) : bisect_left(cols, leftmost[i])]:
             if (i, j) not in one_set and top.get(j, i) < i:  # a 1 above it
-                bad.append(
-                    Violation("zero-with-one-above-and-left", f"cell ({i},{j}) is 0 but blocked")
-                )
+                detail = f"cell {_cell(i, j)} is 0 but blocked"
+                bad.append(Violation("zero-with-one-above-and-left", detail))
     if bad:
         raise ValidationError(bad)
     return _perm_assembled(tuple(labels), word, tuple(sorted(one_set)))

@@ -10,13 +10,30 @@ The components are the trees of the tableau's plane alternative forest,
 which reads straight off the arrows (:func:`_arrow_forest`): its edges are
 the arrow cells and its roots the free lines.  ``split`` and ``divide`` group
 the labels by tree in one pass.
+
+The paper's own primitives, which the recursive oracles are built from, do
+one pass per tableau as well, without the forest: ``packed_class``,
+``block`` and ``closure`` read only the free rows and columns
+(``core.free_lines``, remembered, never the free cells); ``closure`` finds
+the component of every free label by graph search over one adjacency map
+of the arrows, remembered on the tableau; and ``restrict`` checks its input
+once and assembles the part, since any part of a valid tableau is valid.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Literal, Mapping
 
-from .core import LEFT, UP, AltTableau, Arrow, _assembled, _check_valid, free_stats, validate_alt
+from .core import (
+    LEFT,
+    UP,
+    AltTableau,
+    Arrow,
+    _assembled,
+    _check_valid,
+    _remembered,
+    free_lines,
+)
 from .errors import DomainError, ValidationError, Violation
 
 ROW_PACKED = "row"
@@ -28,14 +45,14 @@ Axis = Literal["row", "col"]
 
 def packed_class(t: AltTableau) -> str:
     """Classify as ROW_PACKED (one free row, no free column), COL_PACKED, or NOT_PACKED."""
-    stats = free_stats(t)
-    if (stats.frow, stats.fcol) == (1, 0):
+    free_rows, free_cols = free_lines(t)
+    if (len(free_rows), len(free_cols)) == (1, 0):
         return ROW_PACKED
-    if (stats.frow, stats.fcol) == (0, 1):
+    if (len(free_rows), len(free_cols)) == (0, 1):
         if len(t) > 1:
             # Consistency: the top-left cell of a column-packed tableau holds a left arrow.
             top, left = min(t.rows), max(t.columns)
-            if t.arrow_map().get((top, left)) != LEFT:
+            if Arrow(top, left, LEFT) not in t.arrows:
                 raise ValidationError(
                     [Violation("packed-corner", f"no left arrow at top-left cell ({top},{left})")]
                 )
@@ -51,23 +68,22 @@ def cut(t: AltTableau, axis: Axis) -> AltTableau:
     need every column nonempty (and dually), otherwise the border would not
     shrink consistently.
     """
-    rows, cols = t.rows, t.columns
+    # The topmost row is the first step of the word unless a column comes
+    # before it, and the leftmost column is the last step unless a row comes after.
     if axis == "row":
-        if not rows:
+        if "D" not in t.word:
             raise DomainError("nothing-to-cut", "tableau has no row")
-        gone = min(rows)
-        if any(j < gone for j in cols):
+        if t.word[0] != "D":
             raise DomainError("empty-line-obstruction", "an empty column blocks the row cut")
+        gone, keep, word = t.labels[0], t.labels[1:], t.word[1:]
     elif axis == "col":
-        if not cols:
+        if "E" not in t.word:
             raise DomainError("nothing-to-cut", "tableau has no column")
-        gone = max(cols)
-        if any(i > gone for i in rows):
+        if t.word[-1] != "E":
             raise DomainError("empty-line-obstruction", "an empty row blocks the column cut")
+        gone, keep, word = t.labels[-1], t.labels[:-1], t.word[:-1]
     else:
         raise DomainError("bad-axis", f"unknown axis {axis!r}")
-    keep = tuple(l for l in t.labels if l != gone)
-    word = "".join(c for l, c in zip(t.labels, t.word) if l != gone)
     arrows = tuple(a for a in t.arrows if gone not in (a.row, a.col))
     return _assembled(keep, word, arrows)
 
@@ -80,16 +96,16 @@ def block(t: AltTableau, axis: Axis, label: int) -> AltTableau:
     full-height leftmost column (above every label) with a left arrow on each
     free row.  Either way ``cut`` on the dual axis restores ``t``.
     """
-    stats = free_stats(t)
+    free_rows, free_cols = free_lines(t)
     if axis == "col":
         if label < 0 or (t.labels and label >= t.labels[0]):
             raise DomainError("label-not-extremal", f"{label} is not below all labels")
-        arrows = sorted(t.arrows + tuple(Arrow(label, j, UP) for j in stats.free_cols))
+        arrows = sorted(t.arrows + tuple(Arrow(label, j, UP) for j in free_cols))
         return _assembled((label,) + t.labels, "D" + t.word, tuple(arrows))
     if axis == "row":
         if label < 0 or (t.labels and label <= t.labels[-1]):
             raise DomainError("label-not-extremal", f"{label} is not above all labels")
-        arrows = sorted(t.arrows + tuple(Arrow(i, label, LEFT) for i in stats.free_rows))
+        arrows = sorted(t.arrows + tuple(Arrow(i, label, LEFT) for i in free_rows))
         return _assembled(t.labels + (label,), t.word + "E", tuple(arrows))
     raise DomainError("bad-axis", f"unknown axis {axis!r}")
 
@@ -109,45 +125,67 @@ def closure(t: AltTableau, k: int) -> frozenset[int]:
     """Smallest label set containing free label ``k`` with arrow endpoints paired.
 
     Arrows tie their row and column labels together, so this is the connected
-    component of ``k`` in the graph with one edge per arrow-filled cell.
+    component of ``k`` in the graph with one edge per arrow-filled cell.  The
+    closures of all free labels are found in one pass and remembered on ``t``.
     """
-    stats = free_stats(t)
-    if k not in stats.free_rows and k not in stats.free_cols:
-        raise DomainError("not-free", f"label {k} is not a free row or column")
+    try:
+        return _remembered(t, "_closures", _closures)[k]
+    except KeyError:
+        raise DomainError("not-free", f"label {k} is not a free row or column") from None
+
+
+def _closures(t: AltTableau) -> dict[int, frozenset[int]]:
+    """The closure of every free label, by graph search over one adjacency
+    map of the arrows; each label is searched from at most once."""
+    free_rows, free_cols = free_lines(t)
     adjacent: dict[int, list[int]] = {}
-    for a in t.arrows:
-        adjacent.setdefault(a.row, []).append(a.col)
-        adjacent.setdefault(a.col, []).append(a.row)
-    seen = {k}
-    frontier = [k]
-    while frontier:
-        nxt = []
-        for v in frontier:
+    for i, j, _ in t.arrows:
+        adjacent.setdefault(i, []).append(j)
+        adjacent.setdefault(j, []).append(i)
+    free = free_rows | free_cols
+    closures: dict[int, frozenset[int]] = {}
+    for k in free:
+        if k in closures:  # two free labels meet only on a tableau that is not valid
+            continue
+        seen = {k}
+        frontier = [k]
+        while frontier:
+            v = frontier.pop()
             for w in adjacent.get(v, ()):
                 if w not in seen:
                     seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
+                    frontier.append(w)
+        found = frozenset(seen)
+        closures.update(dict.fromkeys(found & free, found))
+    return closures
 
 
 def restrict(t: AltTableau, subset: Iterable[int]) -> AltTableau:
     """Sub-tableau on a label subset, keeping arrows with both endpoints inside.
 
-    Unions of closures always restrict cleanly; for arbitrary subsets the
-    result is re-validated before being returned.
+    Removing lines never fills a cell an arrow points at, so every subset of
+    a valid tableau restricts to a valid tableau: ``t`` itself is checked
+    (once, as every conversion checks it) and raises ``invalid-restriction``
+    if it is not valid, whatever the subset.  The part is then assembled
+    directly; it is ``t`` itself for the whole label set and the empty
+    tableau for the empty set.
     """
     wanted = frozenset(subset)
     extra = wanted - set(t.labels)
     if extra:
         raise DomainError("not-a-subset", f"labels {sorted(extra)} not in tableau")
-    labels = tuple(l for l in t.labels if l in wanted)
-    word = "".join(c for l, c in zip(t.labels, t.word) if l in wanted)
-    arrows = [(a.row, a.col, a.kind) for a in t.arrows if a.row in wanted and a.col in wanted]
     try:
-        return validate_alt(labels, word, arrows)
+        _check_valid(t)
     except ValidationError as exc:
         raise DomainError("invalid-restriction", str(exc))
+    if len(wanted) == len(t):
+        return t
+    if not wanted:
+        return _assembled((), "", ())
+    labels = tuple(l for l in t.labels if l in wanted)
+    word = "".join(c for l, c in zip(t.labels, t.word) if l in wanted)
+    arrows = tuple(a for a in t.arrows if a.row in wanted and a.col in wanted)
+    return _assembled(labels, word, arrows)
 
 
 def _arrow_forest(t: AltTableau) -> tuple[dict[int, list[int]], list[int]]:

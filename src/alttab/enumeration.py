@@ -355,10 +355,19 @@ class AsepParams:
                 raise DomainError("bad-params", f"{name}={_shown_number(v)} outside [0, 1]")
 
     def __repr__(self) -> str:
-        # The dataclass repr, with n shown as error messages show numbers:
-        # an int of more digits than str() converts would make it raise.
-        rates = f"q={self.q!r}, alpha={self.alpha!r}, beta={self.beta!r}"
+        # The dataclass repr, with n and each rate's numerator and denominator
+        # shown as error messages show numbers: an int of more digits than
+        # str() converts would make it raise.
+        q, alpha, beta = map(_shown_rate, (self.q, self.alpha, self.beta))
+        rates = f"q={q}, alpha={alpha}, beta={beta}"
         return f"{type(self).__qualname__}(n={_shown_number(self.n)}, {rates})"
+
+
+def _shown_rate(v: Real) -> str:
+    """``repr(v)``, with a ``Fraction``'s two ints shown by ``_shown_number``."""
+    if isinstance(v, Fraction):
+        return f"Fraction({_shown_number(v.numerator)}, {_shown_number(v.denominator)})"
+    return repr(v)
 
 
 def states(n: int) -> Iterator[str]:
@@ -436,41 +445,60 @@ def solve_stationary(m: list[list[Fraction]]) -> list[Fraction]:
     """Exact solution of pi M = pi with sum(pi) = 1 by Gauss-Jordan elimination.
 
     Each row is kept as a map from column to nonzero entry, so the work
-    follows the nonzeros: a chain row has at most n + 2 of them.
+    follows the nonzeros: a chain row has at most n + 2 of them.  Each row is
+    scaled by the lcm of its denominators and stays integral: with pivot p,
+    a row whose entry in the pivot column is f becomes (p/g).row - (f/g).pivot
+    row, g = gcd(p, f), divided by the gcd of its entries.  That is the
+    rational elimination with every row scaled by a nonzero factor, so the
+    same entries vanish and the same pivots are taken; each state's
+    ``Fraction`` is built once, from its row's right-hand side and pivot.
     """
     size = len(m)
     # Rows of A are the balance equations (M^T - I) pi = 0, last one replaced
     # by the normalization.
-    a: list[dict[int, Fraction]] = [{} for _ in range(size)]
+    rational: list[dict[int, Fraction]] = [{} for _ in range(size)]
     for j, row in enumerate(m):
         for i, v in enumerate(row):
             if i == j:
                 v -= 1
             if v:
-                a[i][j] = v
-    a[-1] = {j: Fraction(1) for j in range(size)}
-    rhs = [Fraction(0)] * (size - 1) + [Fraction(1)]
+                rational[i][j] = v
+    rational[-1] = {j: 1 for j in range(size)}
+    a: list[dict[int, int]] = []
+    for row in rational:
+        scale = math.lcm(*(v.denominator for v in row.values()))
+        a.append({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
+    rhs = [0] * (size - 1) + [1]
     for col in range(size):
         pivot = next((r for r in range(col, size) if col in a[r]), None)
         if pivot is None:
             raise DomainError("singular-system", "no pivot; the chain matrix is malformed")
         a[col], a[pivot] = a[pivot], a[col]
         rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / a[col][col]
-        top = a[col] = {c: v * inv for c, v in a[col].items()}
-        rhs[col] *= inv
+        top, b = a[col], rhs[col]
+        p = top[col]
         for r, row in enumerate(a):
             f = row.get(col)
             if r == col or f is None:
                 continue
-            for c, w in top.items():
-                v = row.get(c, 0) - f * w
-                if v:
-                    row[c] = v
+            g = math.gcd(p, f)
+            u, w = p // g, f // g
+            if u != 1:
+                for c in row:
+                    row[c] *= u
+            for c, v in top.items():
+                x = row.get(c, 0) - w * v
+                if x:
+                    row[c] = x
                 else:
                     del row[c]
-            rhs[r] -= f * rhs[col]
-    return rhs
+            rhs[r] = u * rhs[r] - w * b
+            g = math.gcd(rhs[r], *row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
+                rhs[r] //= g
+    return [Fraction(rhs[r], a[r][r]) for r in range(size)]
 
 
 def chain_stationary(p: AsepParams) -> dict[str, Fraction]:

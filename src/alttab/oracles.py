@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .core import AltTableau, PermTableau, free_stats
+from .core import AltTableau, PermTableau, free_lines, free_stats
 from .decomposition import (
     COL_PACKED,
     ROW_PACKED,
@@ -69,19 +69,19 @@ def _bounded(n: int, oracle: str) -> None:
 
 def split_by_closure(t: AltTableau) -> tuple[AltTableau, ...]:
     """Oracle for ``split``: restrict to the closure of each free label."""
-    stats = free_stats(t)
-    parts = [restrict(t, closure(t, k)) for k in sorted(stats.free_rows | stats.free_cols)]
+    free_rows, free_cols = free_lines(t)
+    parts = [restrict(t, closure(t, k)) for k in sorted(free_rows | free_cols)]
     return tuple(sorted(parts, key=lambda p: p.labels[0]))
 
 
 def divide_by_closure(t: AltTableau) -> tuple[AltTableau, AltTableau]:
     """Oracle for ``divide``: restrict to the union of the closures."""
-    stats = free_stats(t)
+    free_rows, free_cols = free_lines(t)
     row_side: set[int] = set()
-    for k in stats.free_rows:
+    for k in free_rows:
         row_side |= closure(t, k)
     col_side: set[int] = set()
-    for k in stats.free_cols:
+    for k in free_cols:
         col_side |= closure(t, k)
     return restrict(t, row_side), restrict(t, col_side)
 

@@ -14,7 +14,7 @@ import pickle
 import pytest
 from hypothesis import given
 
-from alttab import core, trees
+from alttab import core, decomposition, oracles, trees
 from alttab.core import (
     AltTableau,
     Arrow,
@@ -25,6 +25,7 @@ from alttab.core import (
 )
 from alttab.cli import main
 from alttab.decomposition import _tableau_from_edges, merge_all, split
+from alttab.enumeration import all_tableaux
 from alttab.errors import ValidationError
 from alttab.permutations import from_permutation, to_permutation, to_permutation_by_insertion
 from alttab.trees import (
@@ -222,6 +223,7 @@ def test_what_is_remembered_does_not_change_the_value():
     assert set(fresh.__dict__) == FIELDS
     assert set(t.__dict__) - set(fresh.__dict__) == {
         "_valid",
+        "_free_lines",
         "_free_stats",
         "rows",
         "columns",
@@ -253,3 +255,28 @@ def test_free_stats_of_an_unchecked_tableau_equal_the_grid_scan(t):
         assert core._VALID not in t.__dict__
     assert free_stats(t) == free_stats_by_grid(t)
     assert free_stats(t) is free_stats(t)
+
+
+@pytest.mark.parametrize("oracle", (oracles.to_forest_by_cut, oracles.binary_pair_by_divide))
+def test_the_recursive_oracles_check_each_tableau_they_cut_once(monkeypatch, oracle):
+    # Every tableau the oracle restricts (kept alive, so ids stay distinct)
+    # and every tableau it asks a closure of.
+    restricted, closed = [], []
+    restrict, closure = decomposition.restrict, decomposition.closure
+    monkeypatch.setattr(oracles, "restrict", lambda t, s: restricted.append(t) or restrict(t, s))
+    monkeypatch.setattr(oracles, "closure", lambda t, k: closed.append(t) or closure(t, k))
+    checks = count_calls(monkeypatch, core, "_alt_violations")
+    adjacencies = count_calls(monkeypatch, decomposition, "_closures")
+    cells = count_calls(monkeypatch, core, "_unpointed")
+    forest = count_calls(monkeypatch, decomposition, "_arrow_forest")
+    for n in range(6):
+        for t in all_tableaux(n):
+            for calls in (restricted, closed, checks, adjacencies):
+                calls.clear()
+            oracle(t)
+            cut = {id(r): r for r in restricted}.values()
+            assert len(checks) == len(cut)
+            assert all(core._VALID in r.__dict__ for r in cut)
+            assert len(adjacencies) == len({id(c) for c in closed})
+    assert not cells and not forest
+

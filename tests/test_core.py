@@ -46,6 +46,9 @@ from conftest import (
     validate_perm_tableau_by_scan,
 )
 
+# A label of more digits than str() converts by default (4300).
+BIG = 10**5000
+
 # More digits than ``int`` converts by default (4300).
 HUGE = "1" * 5000
 
@@ -130,6 +133,34 @@ class TestValidation:
             ("pointed-cell-occupied", "L arrow at (2,3) points at occupied cell (2, 4)"),
             ("pointed-cell-occupied", "U arrow at (2,4) points at occupied cell (1, 4)"),
         ]
+
+    @pytest.mark.parametrize(
+        "check, code",
+        [
+            (lambda: AltTableau((-1, BIG), "DE"), "label-order"),
+            (lambda: validate_alt((BIG, 1), "DE", []), "label-order"),
+            (lambda: validate_alt((1, BIG), "DE", [(1, BIG, "X")]), "bad-arrow-kind"),
+            (lambda: AltTableau((1, BIG), "DE", ((1, BIG, "X"),)), "bad-arrow-kind"),
+            (lambda: validate_alt((1, BIG), "DE", [(BIG, 1, "L")]), "arrow-off-shape"),
+            (
+                lambda: validate_alt((1, BIG), "DE", [(1, BIG, "L"), (1, BIG, "U")]),
+                "duplicate-cell",
+            ),
+            (
+                lambda: validate_alt((1, 2, BIG), "DDE", [(1, BIG, "U"), (2, BIG, "U")]),
+                "pointed-cell-occupied",
+            ),
+            (lambda: validate_perm_tableau((1, BIG), "DE", []), "empty-column"),
+            (lambda: validate_perm_tableau((1, BIG), "DE", [(BIG, 1)]), "cell-off-shape"),
+        ],
+    )
+    def test_a_big_label_is_shown_in_the_violation(self, check, code):
+        # The label is shown as error messages show numbers, so the check
+        # raises its own error rather than the ValueError of str().
+        with pytest.raises(ValidationError) as err:
+            check()
+        assert code in [v.code for v in err.value.violations]
+        assert "<a number too long to print>" in str(err.value)
 
     def test_constructor_rejects_unknown_arrow_kind(self):
         with pytest.raises(ValidationError) as err:

@@ -188,6 +188,19 @@ class TestRestrict:
     def test_restrict_to_everything(self, t0):
         assert restrict(t0, t0.labels) == t0
 
+    def test_the_whole_and_the_empty_set(self, t0):
+        assert restrict(t0, t0.labels) is t0
+        assert restrict(t0, ()) == empty_tableau()
+
+    @pytest.mark.parametrize("subset", [{1, 4}, {1, 2, 3}, set()])
+    def test_an_invalid_tableau_does_not_restrict(self, subset):
+        # The up arrow at (2,3) points at the up arrow at (1,3); every part
+        # is refused, including {1, 4}, which avoids both arrows.
+        bad = AltTableau((1, 2, 3, 4), "DDEE", ((1, 3, "U"), (2, 3, "U")))
+        with pytest.raises(DomainError) as err:
+            restrict(bad, subset)
+        assert err.value.code == "invalid-restriction"
+
     def test_restrict_pair(self, t0):
         sub = restrict(t0, {3, 5})
         assert sub.word == "DE" and packed_class(sub) == COL_PACKED

@@ -22,6 +22,7 @@ from alttab.core import (
     validate_alt,
 )
 from alttab.enumeration import (
+    CHAIN_CAP,
     AsepParams,
     MarkedTableau,
     all_tableaux,
@@ -332,6 +333,16 @@ class TestSparseSolve:
 
         assert outcome(solve_stationary) == outcome(dense_solve)
 
+    @pytest.mark.parametrize("rates", [*ASEP_TRIPLES, (0.25, 0.1, 0.7)])
+    def test_equals_the_dense_elimination_at_the_chain_cap(self, rates):
+        # The float rates are binary fractions with denominators up to 2^55,
+        # so the integer rows grow large before their gcds are divided out.
+        p = AsepParams(CHAIN_CAP[1], *rates)
+        m = transition_matrix(p)
+        pi = solve_stationary(m)
+        assert pi == dense_solve(m)
+        assert dict(zip(states(p.n), pi)) == asep_distribution(p)
+
     def test_a_matrix_without_a_pivot_is_singular(self):
         m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
         with pytest.raises(DomainError) as err:
@@ -377,6 +388,15 @@ class TestAsep:
         )
         assert repr(AsepParams(10**5000, 1, 1, 1)) == (
             "AsepParams(n=<a number too long to print>, q=1, alpha=1, beta=1)"
+        )
+
+    def test_repr_shows_any_rate(self):
+        assert repr(AsepParams(1, Fraction(1, 10**5000), 1, 1)) == (
+            "AsepParams(n=1, q=Fraction(1, <a number too long to print>), alpha=1, beta=1)"
+        )
+        assert repr(AsepParams(2, 0, Fraction(10**5000 - 1, 10**5000), True)) == (
+            "AsepParams(n=2, q=0, alpha=Fraction(<a number too long to print>,"
+            " <a number too long to print>), beta=True)"
         )
 
     @pytest.mark.parametrize("n", range(9))

@@ -180,6 +180,7 @@ ASSEMBLERS = {
     ("core", "from_perm_tableau"),
     ("decomposition", "cut"),
     ("decomposition", "block"),
+    ("decomposition", "restrict"),
     ("decomposition", "_parts"),
     ("decomposition", "merge"),
     ("decomposition", "merge_all"),
