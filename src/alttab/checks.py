@@ -148,62 +148,84 @@ def _perm_transport(t) -> bool:
 
 
 # The bijection battery, in report order: (name, largest n it is checked at,
-# or None for every n, property of one tableau).
-BIJECTIONS: tuple[tuple[str, int | None, Callable[[AltTableau], bool]], ...] = (
-    ("merge of split components restores the tableau", None, lambda t: merge_all(split(t)) == t),
-    ("forest encoding round trip", None, lambda t: from_forest(to_forest(t)) == t),
+# or None for every n, property of one tableau and the size's oracle memo).
+BIJECTIONS: tuple[tuple[str, int | None, Callable[[AltTableau, dict], bool]], ...] = (
+    (
+        "merge of split components restores the tableau",
+        None,
+        lambda t, _: merge_all(split(t)) == t,
+    ),
+    ("forest encoding round trip", None, lambda t, _: from_forest(to_forest(t)) == t),
     (
         "forest equals the cut/split construction",
         None,
-        lambda t: to_forest(t) == to_forest_by_cut(t),
+        lambda t, memo: to_forest(t) == to_forest_by_cut(t, memo),
     ),
     (
         "arc diagram agrees with the forest route",
         None,
-        lambda t: arc_diagram(t) == forest_to_arcs(to_forest(t)),
+        lambda t, _: arc_diagram(t) == forest_to_arcs(to_forest(t)),
     ),
     (
         "arc diagram decodes back to the forest",
         None,
-        lambda t: arcs_to_forest(arc_diagram(t)) == to_forest(t),
+        lambda t, _: arcs_to_forest(arc_diagram(t)) == to_forest(t),
     ),
-    ("permutation-tableau round trip", None, lambda t: from_perm_tableau(to_perm_tableau(t)) == t),
-    ("parse of render is the identity", None, lambda t: parse_tableau(render_tableau(t)) == t),
-    ("permutation encoding round trip", None, lambda t: from_permutation(to_permutation(t)) == t),
+    (
+        "permutation-tableau round trip",
+        None,
+        lambda t, _: from_perm_tableau(to_perm_tableau(t)) == t,
+    ),
+    ("parse of render is the identity", None, lambda t, _: parse_tableau(render_tableau(t)) == t),
+    (
+        "permutation encoding round trip",
+        None,
+        lambda t, _: from_permutation(to_permutation(t)) == t,
+    ),
     (
         "insertion algorithm matches the forest bijection",
         None,
-        lambda t: to_permutation_by_insertion(t) == to_permutation(t),
+        lambda t, _: to_permutation_by_insertion(t) == to_permutation(t),
     ),
-    ("transposition is an involution", None, lambda t: transpose(transpose(t)) == t),
-    ("binary-tree pair round trip", 5, lambda t: binary_pair_inv(binary_pair(t)) == t),
+    ("transposition is an involution", None, lambda t, _: transpose(transpose(t)) == t),
+    ("binary-tree pair round trip", 5, lambda t, _: binary_pair_inv(binary_pair(t)) == t),
     (
         "binary pair equals the divide construction",
         5,
-        lambda t: binary_pair(t) == binary_pair_by_divide(t),
+        lambda t, memo: binary_pair(t) == binary_pair_by_divide(t, memo),
     ),
     (
         "free cells equal arc out-crossings",
         None,
-        lambda t: out_crossings(arc_diagram(t)) == free_stats(t).free_cells,
+        lambda t, _: out_crossings(arc_diagram(t)) == free_stats(t).free_cells,
     ),
-    ("forests validate", None, _forest_valid),
-    ("letter statistics transport", None, _statistics_transport),
-    ("permutation-tableau statistics transport", None, _perm_transport),
+    ("forests validate", None, lambda t, _: _forest_valid(t)),
+    ("letter statistics transport", None, lambda t, _: _statistics_transport(t)),
+    ("permutation-tableau statistics transport", None, lambda t, _: _perm_transport(t)),
 )
 
 
 def bijection_checks(n_max: int) -> list[FormulaCheck]:
     """Every property of :data:`BIJECTIONS` on every tableau up to ``n_max``
     (or the property's own bound), in one walk per size; a property stops at
-    its first counterexample."""
+    its first counterexample.
+
+    The recursive oracles share one memo per size, so each subproblem they
+    meet in the walk is solved once; its keys are (tableau, class) for the
+    forest and (tableau, kind) for the pair, whose class and kind names
+    differ.  It is emptied when the size is done, also when a property raises.
+    """
     failed: dict[str, str] = {}
     for n in range(n_max + 1):
         live = [(name, prop) for name, bound, prop in BIJECTIONS if bound is None or n <= bound]
-        for t in all_tableaux(n):
-            for name, prop in live:
-                if name not in failed and not prop(t):
-                    failed[name] = f"fails on {render_tableau(t)}"
+        memo: dict = {}
+        try:
+            for t in all_tableaux(n):
+                for name, prop in live:
+                    if name not in failed and not prop(t, memo):
+                        failed[name] = f"fails on {render_tableau(t)}"
+        finally:
+            memo.clear()
     return [
         FormulaCheck(name, name not in failed, failed.get(name, "")) for name, _, _ in BIJECTIONS
     ]

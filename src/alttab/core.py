@@ -24,7 +24,15 @@ from dataclasses import dataclass
 from operator import lt
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .errors import DomainError, ParseError, ValidationError, Violation, _shown, _shown_number
+from .errors import (
+    DomainError,
+    ParseError,
+    ValidationError,
+    Violation,
+    _shown,
+    _shown_number,
+    _shown_value,
+)
 
 LEFT = "L"
 UP = "U"
@@ -62,10 +70,11 @@ class _Shape:
 
     What is computed once and remembered on an instance (``rows``,
     ``columns``, and a tableau's passed check, free lines, free statistics,
-    closures, forest, arc diagram and binary pair) lives in its ``__dict__``
-    beside the fields, so ``==``, ``hash`` and ``repr`` see only the fields.
-    Being true of the immutable value, it is pickled and copied with it; the
-    tree values pickle as a flat list of nodes, so this works at any depth.
+    closures, forest, permutation, arc diagram and binary pair) lives in its
+    ``__dict__`` beside the fields, so ``==``, ``hash`` and ``repr`` see only
+    the fields.  Being true of the immutable value, it is pickled and copied
+    with it; the tree values pickle as a flat list of nodes, so this works at
+    any depth.
     """
 
     labels: tuple[int, ...]
@@ -111,7 +120,7 @@ class AltTableau(_Shape):
         bad = _check_labels_word(self.labels, self.word)
         arrows = tuple(Arrow(*a) for a in self.arrows)
         bad.extend(
-            Violation("bad-arrow-kind", f"{a.kind!r} at {_cell(a.row, a.col)}")
+            Violation("bad-arrow-kind", f"{_shown_value(a.kind)} at {_cell(a.row, a.col)}")
             for a in arrows
             if a.kind not in (LEFT, UP)
         )
@@ -219,7 +228,7 @@ def _alt_violations(
     seen: dict[tuple[int, int], str] = {}
     for i, j, kind in arrows:
         if kind not in (LEFT, UP):
-            bad.append(Violation("bad-arrow-kind", f"{kind!r} at {_cell(i, j)}"))
+            bad.append(Violation("bad-arrow-kind", f"{_shown_value(kind)} at {_cell(i, j)}"))
             continue
         if i not in rows or j not in cols or i >= j:
             detail = f"{kind} arrow on nonexistent cell {_cell(i, j)}"

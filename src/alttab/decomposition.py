@@ -34,7 +34,7 @@ from .core import (
     _remembered,
     free_lines,
 )
-from .errors import DomainError, ValidationError, Violation
+from .errors import DomainError, ValidationError, Violation, _shown_number, _shown_value
 
 ROW_PACKED = "row"
 COL_PACKED = "col"
@@ -83,7 +83,7 @@ def cut(t: AltTableau, axis: Axis) -> AltTableau:
             raise DomainError("empty-line-obstruction", "an empty row blocks the column cut")
         gone, keep, word = t.labels[-1], t.labels[:-1], t.word[:-1]
     else:
-        raise DomainError("bad-axis", f"unknown axis {axis!r}")
+        raise DomainError("bad-axis", f"unknown axis {_shown_value(axis)}")
     arrows = tuple(a for a in t.arrows if gone not in (a.row, a.col))
     return _assembled(keep, word, arrows)
 
@@ -99,15 +99,19 @@ def block(t: AltTableau, axis: Axis, label: int) -> AltTableau:
     free_rows, free_cols = free_lines(t)
     if axis == "col":
         if label < 0 or (t.labels and label >= t.labels[0]):
-            raise DomainError("label-not-extremal", f"{label} is not below all labels")
+            raise DomainError(
+                "label-not-extremal", f"{_shown_number(label)} is not below all labels"
+            )
         arrows = sorted(t.arrows + tuple(Arrow(label, j, UP) for j in free_cols))
         return _assembled((label,) + t.labels, "D" + t.word, tuple(arrows))
     if axis == "row":
         if label < 0 or (t.labels and label <= t.labels[-1]):
-            raise DomainError("label-not-extremal", f"{label} is not above all labels")
+            raise DomainError(
+                "label-not-extremal", f"{_shown_number(label)} is not above all labels"
+            )
         arrows = sorted(t.arrows + tuple(Arrow(i, label, LEFT) for i in free_rows))
         return _assembled(t.labels + (label,), t.word + "E", tuple(arrows))
-    raise DomainError("bad-axis", f"unknown axis {axis!r}")
+    raise DomainError("bad-axis", f"unknown axis {_shown_value(axis)}")
 
 
 def block_standard(t: AltTableau, axis: Axis) -> AltTableau:
@@ -131,7 +135,9 @@ def closure(t: AltTableau, k: int) -> frozenset[int]:
     try:
         return _remembered(t, "_closures", _closures)[k]
     except KeyError:
-        raise DomainError("not-free", f"label {k} is not a free row or column") from None
+        raise DomainError(
+            "not-free", f"label {_shown_number(k)} is not a free row or column"
+        ) from None
 
 
 def _closures(t: AltTableau) -> dict[int, frozenset[int]]:
@@ -173,7 +179,7 @@ def restrict(t: AltTableau, subset: Iterable[int]) -> AltTableau:
     wanted = frozenset(subset)
     extra = wanted - set(t.labels)
     if extra:
-        raise DomainError("not-a-subset", f"labels {sorted(extra)} not in tableau")
+        raise DomainError("not-a-subset", f"labels {_shown_number(sorted(extra))} not in tableau")
     try:
         _check_valid(t)
     except ValidationError as exc:
@@ -260,11 +266,15 @@ def split(t: AltTableau) -> tuple[AltTableau, ...]:
     return tuple(sorted(parts.values(), key=lambda p: p.labels[0]))
 
 
+def _collision(overlap: Iterable[int]) -> str:
+    return f"labels {_shown_number(sorted(overlap))} appear on both sides"
+
+
 def merge(t: AltTableau, u: AltTableau) -> AltTableau:
     """Interleave two tableaux labeled on disjoint sets; mixed cells stay empty."""
     overlap = set(t.labels) & set(u.labels)
     if overlap:
-        raise DomainError("label-collision", f"labels {sorted(overlap)} appear on both sides")
+        raise DomainError("label-collision", _collision(overlap))
     kind = dict(zip(t.labels, t.word)) | dict(zip(u.labels, u.word))
     labels = tuple(sorted(kind))
     word = "".join(kind[l] for l in labels)
@@ -282,7 +292,7 @@ def merge_all(parts: Iterable[AltTableau]) -> AltTableau:
     for part in parts:
         overlap = [l for l in part.labels if l in kind]
         if overlap:
-            raise DomainError("label-collision", f"labels {sorted(overlap)} appear on both sides")
+            raise DomainError("label-collision", _collision(overlap))
         kind.update(zip(part.labels, part.word))
         arrows.extend(part.arrows)
     labels = tuple(sorted(kind))

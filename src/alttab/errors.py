@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from numbers import Integral
 
 
 def _shown(text: str) -> str:
@@ -21,6 +22,15 @@ def _shown_number(value: object) -> str:
     except ValueError:  # more digits than the interpreter converts (4300 by default)
         return "<a number too long to print>"
     return text if len(text) <= 20 else _shown(text)
+
+
+def _shown_value(value: object) -> str:
+    """A value of any type as an error message shows it: a string by its
+    ``repr`` up to 20 characters, else cut by :func:`_shown`, and anything
+    else as :func:`_shown_number` shows it."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 20 else _shown(value)
+    return _shown_number(value)
 
 
 class TableauError(Exception):
@@ -91,7 +101,10 @@ def cap_limit(setting: tuple[str, int]) -> int:
 
 def check_cap(n: int, what: str, setting: tuple[str, int]) -> None:
     """Refuse size ``n`` of workload ``what`` above the cap ``setting``, naming
-    the variable that raises it; a negative size is a :class:`DomainError`."""
+    the variable that raises it; a size that is negative or not an integer
+    is a :class:`DomainError`."""
+    if type(n) is not int and not isinstance(n, Integral):
+        raise DomainError("bad-size", f"size {_shown_value(n)} is not an integer")
     limit = cap_limit(setting)
     if n > limit:
         raise ResourceLimitError(

@@ -86,24 +86,39 @@ def divide_by_closure(t: AltTableau) -> tuple[AltTableau, AltTableau]:
     return restrict(t, row_side), restrict(t, col_side)
 
 
-def to_forest_by_cut(t: AltTableau) -> PlaneAltForest:
-    """Oracle for ``to_forest``: cut the root line, split, recurse."""
+def to_forest_by_cut(t: AltTableau, memo: dict | None = None) -> PlaneAltForest:
+    """Oracle for ``to_forest``: cut the root line, split, recurse.
+
+    ``memo`` maps each (packed tableau, class) solved so far to its tree, so
+    callers that walk many tableaux of one size can pass one dict and solve
+    each subproblem once; without it the call gets a fresh one."""
     _bounded(len(t), "to_forest_by_cut")
-    return PlaneAltForest(tuple(_tree_rec(c, packed_class(c)) for c in split_by_closure(t)))
+    memo = {} if memo is None else memo
+    return PlaneAltForest(tuple(_tree_rec(c, None, memo) for c in split_by_closure(t)))
 
 
-def _tree_rec(t: AltTableau, cls: str) -> PlaneAltTree:
+def _tree_rec(t: AltTableau, cls: str | None, memo: dict) -> PlaneAltTree:
+    """The tree of the packed tableau ``t`` of class ``cls``, or of its own
+    class, which is only worked out when ``memo`` does not hold the tree."""
+    key = (t, cls)
+    tree = memo.get(key)
+    if tree is not None:
+        return tree
+    if cls is None:
+        cls = packed_class(t)
     if cls == ROW_PACKED:
         root = t.labels[0]  # the free row is the topmost one
         rest = cut(t, "row")
-        kids = [_tree_rec(c, COL_PACKED) for c in split_by_closure(rest)]
+        kids = [_tree_rec(c, COL_PACKED, memo) for c in split_by_closure(rest)]
         kids.sort(key=lambda k: -k.label)
-        return PlaneAltTree(WHITE, root, tuple(kids))
+        tree = memo[key] = PlaneAltTree(WHITE, root, tuple(kids))
+        return tree
     root = t.labels[-1]  # the free column is the leftmost one
     rest = cut(t, "col")
-    kids = [_tree_rec(c, ROW_PACKED) for c in split_by_closure(rest)]
+    kids = [_tree_rec(c, ROW_PACKED, memo) for c in split_by_closure(rest)]
     kids.sort(key=lambda k: k.label)
-    return PlaneAltTree(BLACK, root, tuple(kids))
+    tree = memo[key] = PlaneAltTree(BLACK, root, tuple(kids))
+    return tree
 
 
 def from_forest_by_block(f: PlaneAltForest) -> AltTableau:
@@ -119,16 +134,26 @@ def _from_tree_rec(tree: PlaneAltTree) -> AltTableau:
     return block(body, axis, tree.label)
 
 
-def binary_pair_by_divide(t: AltTableau) -> tuple[BinAltTree | None, BinAltTree | None]:
-    """Oracle for ``binary_pair``: cut the root line, divide, recurse."""
+def binary_pair_by_divide(
+    t: AltTableau, memo: dict | None = None
+) -> tuple[BinAltTree | None, BinAltTree | None]:
+    """Oracle for ``binary_pair``: cut the root line, divide, recurse.
+
+    ``memo`` maps each (tableau, kind) solved so far to its tree, as in
+    :func:`to_forest_by_cut`."""
     _bounded(len(t), "binary_pair_by_divide")
+    memo = {} if memo is None else memo
     p, q = divide_by_closure(t)
-    return _bin_rec(p, MIN_ROOTED), _bin_rec(q, MAX_ROOTED)
+    return _bin_rec(p, MIN_ROOTED, memo), _bin_rec(q, MAX_ROOTED, memo)
 
 
-def _bin_rec(t: AltTableau, kind: str) -> BinAltTree | None:
+def _bin_rec(t: AltTableau, kind: str, memo: dict) -> BinAltTree | None:
     if not t.labels:
         return None
+    key = (t, kind)
+    tree = memo.get(key)
+    if tree is not None:
+        return tree
     if kind == MIN_ROOTED:
         root = t.labels[0]
         rest = cut(t, "row")
@@ -136,7 +161,10 @@ def _bin_rec(t: AltTableau, kind: str) -> BinAltTree | None:
         root = t.labels[-1]
         rest = cut(t, "col")
     p, q = divide_by_closure(rest)
-    return BinAltTree(root, _bin_rec(q, MAX_ROOTED), _bin_rec(p, MIN_ROOTED), kind)
+    tree = memo[key] = BinAltTree(
+        root, _bin_rec(q, MAX_ROOTED, memo), _bin_rec(p, MIN_ROOTED, memo), kind
+    )
+    return tree
 
 
 def binary_pair_inv_by_block(pair: tuple[BinAltTree | None, BinAltTree | None]) -> AltTableau:

@@ -18,7 +18,17 @@ from numbers import Integral
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .core import LEFT, UP, AltTableau, _check_valid, _parse_int, _shown, relabel, transpose
+from .core import (
+    LEFT,
+    UP,
+    AltTableau,
+    _check_valid,
+    _parse_int,
+    _remembered,
+    _shown,
+    relabel,
+    transpose,
+)
 from .decomposition import _arrow_forest, _tableau_from_edges, merge
 from .errors import DomainError, ParseError, _shown_number
 from .trees import (
@@ -38,7 +48,8 @@ Word = tuple[int, ...]
 
 def check_word(word: Sequence[int]) -> Word:
     w = tuple(word)
-    odd = [a for a in w if not isinstance(a, Integral)]
+    # ``type(a) is int`` first: the ABC test is slow, and nearly every letter is an int.
+    odd = [a for a in w if type(a) is not int and not isinstance(a, Integral)]
     if odd:
         raise DomainError("bad-letter", f"letter {_shown_number(odd[0])} is not an integer")
     if len(set(w)) != len(w):
@@ -130,7 +141,12 @@ def forest_word(f: PlaneAltForest, separator: int) -> Word:
 
 
 def to_permutation(t: AltTableau, separator: int = 0) -> Word:
-    """Bijection from tableaux labeled by L to permutations of L plus the separator."""
+    """Bijection from tableaux labeled by L to permutations of L plus the separator.
+
+    The word for the default separator 0 is worked out once and remembered
+    on ``t``."""
+    if type(separator) is int and separator == 0:
+        return _remembered(t, "_permutation", lambda t: forest_word(to_forest(t), 0))
     return forest_word(to_forest(t), separator)
 
 

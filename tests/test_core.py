@@ -141,6 +141,8 @@ class TestValidation:
             (lambda: validate_alt((BIG, 1), "DE", []), "label-order"),
             (lambda: validate_alt((1, BIG), "DE", [(1, BIG, "X")]), "bad-arrow-kind"),
             (lambda: AltTableau((1, BIG), "DE", ((1, BIG, "X"),)), "bad-arrow-kind"),
+            (lambda: validate_alt((1, 2), "DE", [(1, 2, BIG)]), "bad-arrow-kind"),
+            (lambda: AltTableau((1, 2), "DE", ((1, 2, BIG),)), "bad-arrow-kind"),
             (lambda: validate_alt((1, BIG), "DE", [(BIG, 1, "L")]), "arrow-off-shape"),
             (
                 lambda: validate_alt((1, BIG), "DE", [(1, BIG, "L"), (1, BIG, "U")]),

@@ -339,3 +339,31 @@ def test_format_split(t0):
     assert lines[0] == "{1} :: E|"
     assert lines[1] == "{2} :: labels=2|E|"
     assert lines[3] == "{4,6,7,8,9} :: labels=4,6,7,8,9|DDDEE|U4,9;U6,8;L6,9;L7,9"
+
+
+BIG = 10**5000
+LONE = AltTableau((BIG,), "D")
+
+
+@pytest.mark.parametrize(
+    "call, code",
+    [
+        (lambda t0: restrict(t0, {BIG}), "not-a-subset"),
+        (lambda t0: block(t0, "row", -BIG), "label-not-extremal"),
+        (lambda t0: block(t0, "col", BIG), "label-not-extremal"),
+        (lambda t0: closure(t0, BIG), "not-free"),
+        (lambda t0: merge(LONE, LONE), "label-collision"),
+        (lambda t0: merge_all([LONE, LONE]), "label-collision"),
+        (lambda t0: cut(t0, BIG), "bad-axis"),
+        (lambda t0: block(t0, BIG, 1), "bad-axis"),
+    ],
+    ids=["restrict", "block-row", "block-col", "closure", "merge", "merge-all", "cut-axis",
+         "block-axis"],
+)
+def test_a_number_too_long_to_print_is_still_a_domain_error(t0, call, code):
+    # The number is shown as error messages show numbers, so the call raises
+    # its own error rather than the ValueError of str().
+    with pytest.raises(DomainError) as err:
+        call(t0)
+    assert err.value.code == code
+    assert "<a number too long to print>" in str(err.value)

@@ -516,6 +516,21 @@ class TestAsep:
             run(10**5000)
         assert len(str(err.value)) < 200
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: count_table("5"),
+            lambda: count_table(3.0),
+            lambda: list(all_tableaux("3")),
+            lambda: formula_report("3"),
+        ],
+        ids=["count-str", "count-float", "enumeration-str", "formula-str"],
+    )
+    def test_a_size_that_is_not_an_integer_is_a_domain_error(self, run):
+        with pytest.raises(DomainError) as err:
+            run()
+        assert err.value.code == "bad-size"
+
     def test_chain_cap_is_its_own(self, monkeypatch):
         # Raising the enumeration cap must not raise the dense 2^n solve.
         monkeypatch.setenv("ALTAB_MAX_N", "9")

@@ -1,10 +1,11 @@
 """Layout of the package: the oracles live in one module that only the
-verification battery imports, the battery walks each size once, and the
-public names stay put."""
+verification battery imports, the battery walks each size once and shares
+one oracle memo per size, and the public names stay put."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 import alttab
 from alttab import checks, enumeration, oracles, trees
 from alttab.checks import BIJECTIONS, bijection_checks, count_checks
+from alttab.cli import main
 from alttab.enumeration import shape_words
 
 PACKAGE = Path(alttab.__file__).parent
@@ -137,6 +139,86 @@ def test_count_battery_walks_each_size_once_per_generator(monkeypatch):
     assert sorted(filled) == sorted(w for n in range(6) for w in shape_words(n))
     assert len(filled) == 63
     assert len(results) == 44 and all(c.passed for c in results)
+
+
+def test_a_shared_memo_changes_no_oracle_result():
+    # One memo per size for both oracles, as the battery shares it: the cut
+    # oracle up to n = 6, the divide oracle up to n = 5.
+    for n in range(7):
+        memo: dict = {}
+        for t in alttab.all_tableaux(n):
+            assert oracles.to_forest_by_cut(t, memo) == oracles.to_forest_by_cut(t)
+            if n <= 5:
+                assert oracles.binary_pair_by_divide(t, memo) == oracles.binary_pair_by_divide(t)
+        assert len(memo) > 0 or n == 0
+
+
+@pytest.mark.parametrize(
+    "rec, name, roots, kids",
+    [
+        (
+            "_tree_rec",
+            "forest equals the cut/split construction",
+            lambda t: alttab.to_forest(t).trees,
+            trees._plane_kids,
+        ),
+        (
+            "_bin_rec",
+            "binary pair equals the divide construction",
+            lambda t: [b for b in alttab.binary_pair(t) if b is not None],
+            trees._bin_kids,
+        ),
+    ],
+    ids=["cut", "divide"],
+)
+def test_a_wrong_root_label_still_fails_the_battery(monkeypatch, capsys, rec, name, roots, kids):
+    # Each subproblem of two labels gets its root label raised by 100, when
+    # it is solved and when it is served from the memo, so the first tableau
+    # of the walk whose image has a subtree of two nodes is the counterexample.
+    real = getattr(oracles, rec)
+
+    def wrong(t, *args):
+        tree = real(t, *args)
+        return dataclasses.replace(tree, label=tree.label + 100) if len(t) == 2 else tree
+
+    monkeypatch.setattr(oracles, rec, wrong)
+    first = next(
+        t
+        for n in range(5)
+        for t in alttab.all_tableaux(n)
+        if any(node.size() == 2 for node in trees._nodes(roots(t), kids))
+    )
+    assert main(["verify", "--suite", "bijections", "--n", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "FAIL" in line] == [
+        f"{name} FAIL fails on {alttab.render_tableau(first)}"
+    ]
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_the_battery_empties_each_memo_after_its_size(monkeypatch, raises):
+    # Every memo the battery hands the cut oracle, and its largest size.
+    memos: dict[int, dict] = {}
+    largest: dict[int, int] = {}
+    real = checks.to_forest_by_cut
+
+    def recording(t, memo):
+        if raises and len(t) == 3 and memo:
+            raise RuntimeError("a property raised")
+        memos[id(memo)] = memo
+        forest = real(t, memo)
+        largest[id(memo)] = max(largest.get(id(memo), 0), len(memo))
+        return forest
+
+    monkeypatch.setattr(checks, "to_forest_by_cut", recording)
+    if raises:
+        with pytest.raises(RuntimeError):
+            bijection_checks(4)
+    else:
+        assert all(c.passed for c in bijection_checks(4))
+    assert len(memos) == (4 if raises else 5)  # one per size, sizes 0..3 or 0..4
+    assert max(largest.values()) > 0
+    assert all(not memo for memo in memos.values())
 
 
 def test_the_formula_report_lives_in_checks_only():

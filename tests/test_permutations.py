@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alttab.core import free_stats, standard_tableau
+from alttab.core import AltTableau, free_stats, relabel, standard_tableau
 from alttab.decomposition import restrict
 from alttab.enumeration import all_tableaux, symmetric_tableaux
 from alttab.errors import DomainError, ParseError
@@ -98,11 +98,14 @@ class TestPermStats:
             lambda: SignedPerm((10**5000,)),
             lambda: from_permutation([10**5000, 10**5000, 0]),
             lambda: from_permutation([-(10**5000), 0]),
+            lambda: from_permutation([0, None]),
+            lambda: check_word([2.0, 0]),
+            lambda: check_word(["1"]),
         ],
         ids=[
             "str-letter", "float-letter", "list-letter", "signed-str-letter",
             "signed-float-letter", "str-bar", "huge-signed-letter", "huge-repeated-letter",
-            "huge-negative-letter",
+            "huge-negative-letter", "none-letter", "float-word", "str-word",
         ],
     )
     def test_a_bad_letter_is_a_domain_error(self, make):
@@ -237,6 +240,22 @@ class TestTableauBijection:
                 convert(word)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_a_remembered_word_equals_a_fresh_one(self, n):
+        for t in all_tableaux(n):
+            word = to_permutation(t)
+            assert to_permutation(t) is word
+            assert word == forest_word(to_forest(AltTableau(t.labels, t.word, t.arrows)), 0)
+
+    def test_another_separator_is_never_served_from_memory(self):
+        t = relabel(standard_tableau("DEDE", [(1, 2, "L"), (3, 4, "U")]), (2, 3, 4, 5))
+        assert to_permutation(t) == forest_word(to_forest(t), 0)
+        assert to_permutation(t, 1) == forest_word(to_forest(t), 1) != to_permutation(t)
+        # An equal separator of another type is not the default either.
+        assert [type(a) for a in to_permutation(t, False)].count(bool) == 1
+        with pytest.raises(DomainError):
+            to_permutation(t, 2)
 
     def test_words_beyond_the_oracle_bound_round_trip(self):
         # Past the bound of the recursive oracle: the direct pass has none.

@@ -528,8 +528,9 @@ class TestPlaneTrees:
 
     @pytest.mark.parametrize("n", range(8))
     def test_forest_equals_the_cut_split_construction(self, n):
+        memo: dict = {}
         for t in all_tableaux(n):
-            assert to_forest(t) == to_forest_by_cut(t)
+            assert to_forest(t) == to_forest_by_cut(t, memo)
 
     @given(forests())
     def test_from_forest_agrees_with_the_block_construction(self, f):
@@ -656,8 +657,9 @@ class TestBinaryTrees:
 
     @pytest.mark.parametrize("n", range(7))
     def test_pair_equals_the_divide_construction(self, n):
+        memo: dict = {}
         for t in all_tableaux(n):
-            assert binary_pair(t) == binary_pair_by_divide(t)
+            assert binary_pair(t) == binary_pair_by_divide(t, memo)
 
     @given(bin_pairs())
     def test_pair_inverse_agrees_with_the_block_construction(self, pair):
