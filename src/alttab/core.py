@@ -21,8 +21,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import partial
 from operator import lt
-from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Container, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     DomainError,
@@ -42,6 +43,10 @@ class Arrow(NamedTuple):
     row: int
     col: int
     kind: str  # LEFT or UP
+
+
+# ``Arrow(*fields)`` for checked data, made in C without the Python-level constructor.
+_arrow = partial(tuple.__new__, Arrow)
 
 
 def _cell(i: int, j: int, sep: str = ",") -> str:
@@ -70,11 +75,11 @@ class _Shape:
 
     What is computed once and remembered on an instance (``rows``,
     ``columns``, and a tableau's passed check, free lines, free statistics,
-    closures, forest, permutation, arc diagram and binary pair) lives in its
-    ``__dict__`` beside the fields, so ``==``, ``hash`` and ``repr`` see only
-    the fields.  Being true of the immutable value, it is pickled and copied
-    with it; the tree values pickle as a flat list of nodes, so this works at
-    any depth.
+    closures, arrow forest, forest, permutation, arc diagram and binary pair)
+    lives in its ``__dict__`` beside the fields, so ``==``, ``hash`` and
+    ``repr`` see only the fields.  Being true of the immutable value, it is
+    pickled and copied with it; the tree values pickle as a flat list of
+    nodes, so this works at any depth.
     """
 
     labels: tuple[int, ...]
@@ -177,13 +182,14 @@ V = TypeVar("V")
 
 def _remembered(obj: object, key: str, build: Callable[..., V]) -> V:
     """``build(obj)``, worked out once and remembered in ``obj.__dict__``
-    under ``key``; nothing is remembered when ``build`` raises."""
+    under ``key``; nothing is remembered when ``build`` raises.  A miss is
+    tested, not caught: most values are asked for once, and a raised
+    ``KeyError`` costs more than the lookup."""
     known = obj.__dict__
-    try:
+    if key in known:
         return known[key]
-    except KeyError:
-        value = known[key] = build(obj)
-        return value
+    value = known[key] = build(obj)
+    return value
 
 
 # Key under which a passed check is remembered in an instance's ``__dict__``;
@@ -198,7 +204,7 @@ def validate_alt(
     bad = _alt_violations(labels, word, arrows)
     if bad:
         raise ValidationError(bad)
-    t = _assembled(tuple(labels), word, tuple(sorted(Arrow(i, j, k) for i, j, k in arrows)))
+    t = _assembled(tuple(labels), word, tuple(sorted(_arrow((i, j, k)) for i, j, k in arrows)))
     t.__dict__[_VALID] = True
     return t
 
@@ -379,6 +385,30 @@ def _unpointed(
     return cells
 
 
+def _free_counts(t: AltTableau) -> tuple[int, int, int]:
+    """The ``frow``, ``fcol`` and ``fcell`` of :func:`free_stats`, remembered
+    or counted without listing the cells: the sweep of :func:`_unpointed`
+    adds the length of each row's slice, less the arrows on those cells."""
+    known = t.__dict__.get("_free_stats")
+    if known is not None:
+        return known.frow, known.fcol, known.fcell
+    rows, cols = t.rows, t.columns
+    left_in_row, up_in_col = _arrow_ends(t)
+    open_cols = [j for j in cols if j not in up_in_col]
+    ups = sorted([(up_in_col[j], j) for j in cols if j in up_in_col], reverse=True)
+    cells = 0
+    for i in rows:
+        while ups and ups[-1][0] <= i:
+            insort(open_cols, ups.pop()[1])
+        left = left_in_row.get(i)
+        stop = len(open_cols) if left is None else bisect_left(open_cols, left)
+        cells += max(stop - bisect_right(open_cols, i), 0)
+    row_set, col_set = set(rows), set(cols)
+    on_cells = {(i, j) for i, j, _ in t.arrows if i in row_set and j in col_set}
+    cells -= sum(up_in_col.get(j, i) <= i < j < left_in_row.get(i, j + 1) for i, j in on_cells)
+    return len(row_set.difference(left_in_row)), len(col_set.difference(up_in_col)), cells
+
+
 def _check_arrow_labels(t: AltTableau, labels: Container[int]) -> None:
     """Raise ``arrow-off-shape`` for every arrow of ``t`` (built without
     validation) that names a label outside ``labels``."""
@@ -485,29 +515,37 @@ def validate_perm_tableau(
             raise ValidationError(bad)
         ones = tuple(c for c in sorted(filling) if filling[c] == 1)
     col_set = set(cols)
-    one_set = set()
+    kept = []  # the 1s on the shape, sorted
     for i, j in sorted(set(ones)):
         if i in rows and j in col_set and i < j:
-            one_set.add((i, j))
+            kept.append((i, j))
         else:
             bad.append(Violation("cell-off-shape", f"1 on nonexistent cell {_cell(i, j, ', ')}"))
-    top = _topmost_ones(rows, one_set)
+    p = _perm_assembled(tuple(labels), word, tuple(kept))
+    topmost, arrows = _perm_arrows(p, None)
     for j in cols:
-        if j not in top:
+        if j not in topmost:
             bad.append(Violation("empty-column", f"column {_shown_number(j)} contains no 1"))
-    leftmost: dict[int, int] = {}  # each row's 1 in the largest column
-    for i, j in one_set:
-        leftmost[i] = max(leftmost.get(i, j), j)
-    # A blocked 0 has a 1 left of it in its row, so it lies strictly between
-    # the row and the row's leftmost 1.
-    for i in sorted(leftmost):
-        for j in cols[bisect_right(cols, i) : bisect_left(cols, leftmost[i])]:
-            if (i, j) not in one_set and top.get(j, i) < i:  # a 1 above it
-                detail = f"cell {_cell(i, j)} is 0 but blocked"
-                bad.append(Violation("zero-with-one-above-and-left", detail))
+    # A blocked 0 is restricted and has a 1 left of it in its row, so it lies
+    # between the row's rightmost restricted 0 (its left arrow) and its
+    # leftmost 1.  Only a row whose left arrow lies there reads the restricted
+    # columns between the two, from one sorted list grown row by row.
+    leftmost = dict(kept)  # each row's 1 in the largest column
+    one_set = set(kept)
+    joins = sorted([(r, j) for j, r in topmost.items()], reverse=True)
+    restricted: list[int] = []
+    for i, left, kind in arrows:
+        if kind == LEFT and left < leftmost.get(i, left):
+            while joins and joins[-1][0] < i:
+                insort(restricted, joins.pop()[1])
+            stop = bisect_left(restricted, leftmost[i])
+            for j in restricted[bisect_left(restricted, left) : stop]:
+                if (i, j) not in one_set:
+                    detail = f"cell {_cell(i, j)} is 0 but blocked"
+                    bad.append(Violation("zero-with-one-above-and-left", detail))
     if bad:
         raise ValidationError(bad)
-    return _perm_assembled(tuple(labels), word, tuple(sorted(one_set)))
+    return p
 
 
 @dataclass(frozen=True)
@@ -520,15 +558,44 @@ class PermTableauStats:
     superfluous_cells: frozenset[tuple[int, int]]
 
 
-def _topmost_ones(rows: Iterable[int], ones: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """The row of each column's topmost 1 (its smallest row label), counting
-    only the 1s in ``rows``."""
-    row_set = set(rows)
+def _perm_arrows(p: PermTableau, top: int | None) -> tuple[dict[int, int], list[Arrow]]:
+    """The row of each column's topmost 1 among the rows, and the arrows of
+    :func:`from_perm_tableau` off row ``top``: up arrows on the 1s that are
+    not superfluous, then each row's left arrow.  The 1s are sorted, so a
+    column's first 1 in a row is its topmost; its 0s are restricted below
+    it, so the restricted columns are one sorted list, grown row by row, and
+    a row's left arrow is the first of them right of it that holds no 1."""
+    rows = p.rows
+    row_set, col_set = set(rows), set(p.columns)
+    ones = dict.fromkeys(p.ones)  # in order, without repeats
     topmost: dict[int, int] = {}
+    join_rows, join_cols = [], []  # each column and the row of its topmost 1, by row
+    arrows = []
     for i, j in ones:
-        if i in row_set and i < topmost.get(j, i + 1):
+        if i not in row_set:  # off the rows, on a tableau not checked
+            if not topmost.get(j, i) < i:
+                arrows.append(_arrow((i, j, UP)))
+        elif j not in topmost:
             topmost[j] = i
-    return topmost
+            if i != top:
+                arrows.append(_arrow((i, j, UP)))
+            if j in col_set:
+                join_rows.append(i)
+                join_cols.append(j)
+    restricted: list[int] = []
+    joined = 0
+    for i in rows[1:]:  # no 1 lies above the first row
+        below = bisect_left(join_rows, i)
+        if below > joined:
+            for j in join_cols[joined:below]:
+                insort(restricted, j)
+            joined = below
+        k = bisect_right(restricted, i)
+        while k < len(restricted) and (i, restricted[k]) in ones:
+            k += 1
+        if k < len(restricted):
+            arrows.append(_arrow((i, restricted[k], LEFT)))
+    return topmost, arrows
 
 
 def perm_tableau_stats(p: PermTableau) -> PermTableauStats:
@@ -536,13 +603,9 @@ def perm_tableau_stats(p: PermTableau) -> PermTableauStats:
     ones = set(p.ones)
     top = min(p.labels) if p.labels else None
     # A 1 is superfluous, and a 0 restricted, when its column has a 1 above it.
-    topmost = _topmost_ones(rows, ones)
+    topmost, arrows = _perm_arrows(p, top)
     superfluous = frozenset((i, j) for (i, j) in ones if topmost.get(j, i) < i)
-    restricted_rows = {
-        i
-        for i in rows
-        if any(topmost.get(j, i) < i and (i, j) not in ones for j in cols[bisect_right(cols, i) :])
-    }
+    restricted_rows = {i for i, _, kind in arrows if kind == LEFT}
     unrestricted = frozenset(i for i in rows if i not in restricted_rows and i != top)
     top_one = frozenset(j for j in cols if top is not None and (top, j) in ones)
     return PermTableauStats(unrestricted, top_one, superfluous)
@@ -558,18 +621,9 @@ def from_perm_tableau(p: PermTableau) -> AltTableau:
     """
     if not p.labels:
         raise DomainError("nothing-to-cut", "permutation tableau has no top row")
-    top = p.labels[0]
     if p.word[0] != "D":
         raise DomainError("bad-top-row", "smallest label does not label a row")
-    rows, cols = p.rows, p.columns
-    ones = set(p.ones)
-    topmost = _topmost_ones(rows, ones)
-    arrows = [Arrow(i, j, UP) for i, j in ones if i != top and not topmost.get(j, i) < i]
-    for i in rows[1:]:  # rows[0] is the top row
-        for j in cols[bisect_right(cols, i) :]:  # right to left along the row
-            if (i, j) not in ones and topmost.get(j, i) < i:
-                arrows.append(Arrow(i, j, LEFT))  # the row's rightmost restricted 0
-                break
+    _, arrows = _perm_arrows(p, p.labels[0])
     return _assembled(p.labels[1:], p.word[1:], tuple(sorted(arrows)))
 
 
@@ -602,8 +656,12 @@ def to_perm_tableau(t: AltTableau) -> PermTableau:
 #             statistics (emitted, never parsed).
 # Perm compact: [labels=...|]<word>|<i>,<j>;...   (cells filled with 1)
 
-_ARROW_RE = re.compile(r"([LU])(\d+),(\d+)$")
-_CELL_RE = re.compile(r"(\d+),(\d+)$")
+# A list of arrows or of 1-cells.  A part may end in one newline, since
+# permutation-tableau text has always allowed a line break before a ``;``.
+_ARROW_LIST_RE = re.compile(r"(?:[LU]\d+,\d+\n?)?(?:;(?:[LU]\d+,\d+\n?)?)*")
+_CELL_LIST_RE = re.compile(r"(?:\d+,\d+\n?)?(?:;(?:\d+,\d+\n?)?)*")
+_NUMBER_RE = re.compile(r"\d+")
+_KIND_RE = re.compile(r"[LU]")
 
 
 def _parse_int(digits: str, pos: int) -> int:
@@ -624,37 +682,55 @@ def _parse_labels_prefix(text: str) -> tuple[tuple[int, ...] | None, str, int]:
     if cut < 0:
         raise ParseError("labels prefix missing '|'", len(text))
     body = text[len("labels=") : cut]
-    try:
-        labels = tuple(int(p) for p in body.split(",")) if body else ()
-    except ValueError:
-        raise ParseError(f"bad label list {_shown(body)}", len("labels="))
+    labels = _parse_labels(body, len("labels=")) if body else ()
     return labels, text[cut + 1 :], cut + 1
+
+
+def _parse_labels(body: str, pos: int) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, body.split(",")))
+    except ValueError:
+        raise ParseError(f"bad label list {_shown(body)}", pos) from None
 
 
 def parse_tableau(text: str) -> AltTableau:
     """Parse the compact or record format into a validated tableau."""
     text = text.strip()
-    if not text:
-        raise ParseError("empty input", 0)
     if "\n" in text or text.startswith("word="):
         return _parse_record(text)
+    labels, word, body, numbers = _parse_compact(text, "arrows", _ARROW_LIST_RE, "arrow")
+    arrows = zip(numbers[::2], numbers[1::2], _KIND_RE.findall(body))
+    return validate_alt(labels, word, list(arrows))
+
+
+def _parse_compact(
+    text: str, items: str, list_re: re.Pattern, what: str
+) -> tuple[tuple[int, ...], str, str, list[int]]:
+    """The labels (standard when absent), word and ``;``-separated list of
+    stripped compact text ``[labels=...|]<word>|<items>``, and the list's
+    numbers, two per part, read in one pass when ``list_re`` matches the
+    list.  Else the parts are read one by one for the first bad one."""
+    if not text:
+        raise ParseError("empty input", 0)
     labels, rest, offset = _parse_labels_prefix(text)
     if rest.count("|") != 1:
-        raise ParseError("expected <word>|<arrows>", offset)
-    word, _, arrowstr = rest.partition("|")
+        raise ParseError(f"expected <word>|<{items}>", offset)
+    word, _, body = rest.partition("|")
     if labels is None:
         labels = tuple(range(1, len(word) + 1))
-    arrows = []
+    try:
+        if list_re.fullmatch(body):
+            return labels, word, body, list(map(int, _NUMBER_RE.findall(body)))
+    except ValueError:
+        pass
     pos = offset + len(word) + 1
-    for part in arrowstr.split(";"):
-        if not part:
-            continue
-        m = _ARROW_RE.match(part)
-        if not m:
-            raise ParseError(f"bad arrow {_shown(part)}", pos)
-        arrows.append((_parse_int(m.group(2), pos), _parse_int(m.group(3), pos), m.group(1)))
+    for part in filter(None, body.split(";")):  # an empty part takes no room
+        if not list_re.fullmatch(part):
+            raise ParseError(f"bad {what} {_shown(part)}", pos)
+        for digits in _NUMBER_RE.findall(part):
+            _parse_int(digits, pos)
         pos += len(part) + 1
-    return validate_alt(labels, word, arrows)
+    raise AssertionError("a list that does not match has a bad part")
 
 
 def _parse_record(text: str) -> AltTableau:
@@ -677,10 +753,7 @@ def _parse_record(text: str) -> AltTableau:
         raise ParseError("record missing 'word'", 0)
     word = fields["word"]
     if "labels" in fields and fields["labels"]:
-        try:
-            labels = tuple(int(p) for p in fields["labels"].split(","))
-        except ValueError:
-            raise ParseError(f"bad label list {_shown(fields['labels'])}", 0)
+        labels = _parse_labels(fields["labels"], 0)
     else:
         labels = tuple(range(1, len(word) + 1))
     arrows = []
@@ -700,12 +773,12 @@ def render_tableau(t: AltTableau, style: str = "compact") -> str:
     if style == "compact":
         return _render_compact(t.labels, t.word, [f"{a.kind}{a.row},{a.col}" for a in t.arrows])
     if style == "record":
-        stats = free_stats(t)
+        frow, fcol, fcell = _free_counts(t)
         lines = [
             "labels=" + ",".join(str(l) for l in t.labels),
             "word=" + t.word,
             "arrows=" + ";".join(f"[{a.row},{a.col},{a.kind}]" for a in t.arrows),
-            f"statistics=frow:{stats.frow};fcol:{stats.fcol};fcell:{stats.fcell}",
+            f"statistics=frow:{frow};fcol:{fcol};fcell:{fcell}",
         ]
         return "\n".join(lines)
     if style == "grid":
@@ -739,25 +812,8 @@ def _render_grid(t: AltTableau) -> str:
 
 def parse_perm_tableau(text: str) -> PermTableau:
     text = text.strip()
-    if not text:
-        raise ParseError("empty input", 0)
-    labels, rest, offset = _parse_labels_prefix(text)
-    if rest.count("|") != 1:
-        raise ParseError("expected <word>|<one-cells>", offset)
-    word, _, onestr = rest.partition("|")
-    if labels is None:
-        labels = tuple(range(1, len(word) + 1))
-    ones = []
-    pos = offset + len(word) + 1
-    for part in onestr.split(";"):
-        if not part:
-            continue
-        m = _CELL_RE.match(part)
-        if not m:
-            raise ParseError(f"bad cell {_shown(part)}", pos)
-        ones.append((_parse_int(m.group(1), pos), _parse_int(m.group(2), pos)))
-        pos += len(part) + 1
-    return validate_perm_tableau(labels, word, ones)
+    labels, word, _, numbers = _parse_compact(text, "one-cells", _CELL_LIST_RE, "cell")
+    return validate_perm_tableau(labels, word, list(zip(numbers[::2], numbers[1::2])))
 
 
 def render_perm_tableau(p: PermTableau) -> str:

@@ -7,9 +7,9 @@ extremal row/column, and ``divide`` groups the components into a rows-only
 part and a columns-only part.
 
 The components are the trees of the tableau's plane alternative forest,
-which reads straight off the arrows (:func:`_arrow_forest`): its edges are
-the arrow cells and its roots the free lines.  ``split`` and ``divide`` group
-the labels by tree in one pass.
+which reads straight off the arrows once per tableau (:func:`_arrow_forest`,
+remembered on it): its edges are the arrow cells and its roots the free
+lines.  ``split`` and ``divide`` group the labels by tree in one pass.
 
 The paper's own primitives, which the recursive oracles are built from, do
 one pass per tableau as well, without the forest: ``packed_class``,
@@ -29,6 +29,7 @@ from .core import (
     UP,
     AltTableau,
     Arrow,
+    _arrow,
     _assembled,
     _check_valid,
     _remembered,
@@ -195,6 +196,12 @@ def restrict(t: AltTableau, subset: Iterable[int]) -> AltTableau:
 
 
 def _arrow_forest(t: AltTableau) -> tuple[dict[int, list[int]], list[int]]:
+    """The forest of :func:`_forest_of_arrows`, built once per tableau and
+    remembered on it; every reader shares its lists and must not change them."""
+    return _remembered(t, "_arrow_forest", _forest_of_arrows)
+
+
+def _forest_of_arrows(t: AltTableau) -> tuple[dict[int, list[int]], list[int]]:
     """The plane alternative forest of ``t``, read straight off its arrows.
 
     An up arrow at (i, j) makes column j a child of row i, a left arrow makes
@@ -222,7 +229,7 @@ def _tableau_from_edges(kinds: Mapping[int, str], edges: Iterable[tuple[int, int
     """Inverse of :func:`_arrow_forest`: the tableau on the labels of ``kinds``
     (``D`` row, ``E`` column) whose arrows are the forest edges (parent, child)."""
     labels = tuple(sorted(kinds))
-    arrows = sorted(Arrow(p, c, UP) if kinds[p] == "D" else Arrow(c, p, LEFT) for p, c in edges)
+    arrows = sorted(_arrow((p, c, UP) if kinds[p] == "D" else (c, p, LEFT)) for p, c in edges)
     return _assembled(labels, "".join(kinds[l] for l in labels), tuple(arrows))
 
 

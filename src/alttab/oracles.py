@@ -209,12 +209,14 @@ def _word_to_tree(w: Word, color: str) -> PlaneAltTree:
     body = w[:-1]
     if color == BLACK:
         if body and root != max(w):
-            raise DomainError("bad-terminal-letter", f"{root} is not the maximum of {w}")
+            shown = f"{_shown_number(root)} is not the maximum of {_shown_number(w)}"
+            raise DomainError("bad-terminal-letter", shown)
         bounds = rl_minima(body)
         child_color = WHITE
     elif color == WHITE:
         if body and root != min(w):
-            raise DomainError("bad-terminal-letter", f"{root} is not the minimum of {w}")
+            shown = f"{_shown_number(root)} is not the minimum of {_shown_number(w)}"
+            raise DomainError("bad-terminal-letter", shown)
         bounds = rl_maxima(body)
         child_color = BLACK
     else:

@@ -273,11 +273,12 @@ class SignedPerm:
 
     def __post_init__(self) -> None:
         n = len(self.word)
-        letters = sorted(a for a in self.word if isinstance(a, Integral))
+        # ``type(a) is int`` first: the ABC test is slow, and nearly every value is an int.
+        letters = sorted(a for a in self.word if type(a) is int or isinstance(a, Integral))
         if letters != list(range(1, n + 1)):  # a letter that is not an integer is left out
             shown = _shown_number(self.word)
             raise DomainError("bad-word", f"{shown} is not a permutation of 1..{n}")
-        if not all(isinstance(p, Integral) and 0 <= p < n for p in self.barred):
+        if not all((type(p) is int or isinstance(p, Integral)) and 0 <= p < n for p in self.barred):
             raise DomainError("bad-word", "barred position out of range")
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Container, Iterable, Mapping, TypeVar
 
 from .core import _VALID, AltTableau, _parse_int, _remembered, _shown
 from .decomposition import _arrow_forest, _tableau_from_edges
-from .errors import DomainError, ParseError, ValidationError, Violation
+from .errors import DomainError, ParseError, ValidationError, Violation, _shown_number, _shown_value
 
 WHITE = "W"
 BLACK = "B"
@@ -226,13 +226,17 @@ def _plane_violations(order: list[PlaneAltTree], repeats: Container[int]) -> lis
     first, since the list is reversed at the end.
     """
     found: list[Violation] = []
+
+    def bad(code: str, before: str, after: str = "") -> None:  # the node's label in between
+        found.append(Violation(code, f"{before}{_shown_number(label)}{after}"))
+
     spans: list[tuple[int, int]] = []  # (smallest, largest) label of each subtree
     for k in range(len(order) - 1, -1, -1):
         node = order[k]
         label, color, kids = node.label, node.color, node.children
         lo = hi = label
         if color != WHITE and color != BLACK:
-            found.append(Violation("bad-color", f"color {color!r} at {label}"))
+            bad("bad-color", f"color {_shown_value(color)} at ")
             for below in _nodes(kids, _plane_kids):
                 lo, hi = min(lo, below.label), max(hi, below.label)
         elif kids:
@@ -246,35 +250,31 @@ def _plane_violations(order: list[PlaneAltTree], repeats: Container[int]) -> lis
             lo, hi = min(lo, kid_lo), max(hi, kid_hi)
             if color == WHITE:
                 if kid_lo <= label:
-                    found.append(Violation("not-minimal", f"white {label} is not minimal"))
+                    bad("not-minimal", "white ", " is not minimal")
                 for a, b in zip(kids, kids[1:]):
                     if a.label <= b.label:
-                        found.append(
-                            Violation("bad-order", f"children of white {label} not decreasing")
-                        )
+                        bad("bad-order", "children of white ", " not decreasing")
                         break
                 for c in kids:
                     if c.color != BLACK:
-                        found.append(Violation("bad-color", f"white {label} has a white child"))
+                        bad("bad-color", "white ", " has a white child")
                         break
             else:
                 if kid_hi >= label:
-                    found.append(Violation("not-maximal", f"black {label} is not maximal"))
+                    bad("not-maximal", "black ", " is not maximal")
                 for a, b in zip(kids, kids[1:]):
                     if a.label >= b.label:
-                        found.append(
-                            Violation("bad-order", f"children of black {label} not increasing")
-                        )
+                        bad("bad-order", "children of black ", " not increasing")
                         break
                 for c in kids:
                     if c.color != WHITE:
-                        found.append(Violation("bad-color", f"black {label} has a black child"))
+                        bad("bad-color", "black ", " has a black child")
                         break
         spans.append((lo, hi))
         if label < 0:
-            found.append(Violation("label-order", f"negative label {label}"))
+            bad("label-order", "negative label ")
         if k in repeats:
-            found.append(Violation("duplicate-label", f"label {label} repeats"))
+            bad("duplicate-label", "label ", " repeats")
     found.reverse()
     return found
 
@@ -617,13 +617,14 @@ def validate_bin_tree(t: BinAltTree | None, kind: str) -> None:
                 lo, hi = min(lo, c_lo), max(hi, c_hi)
         spans.append((lo, hi))
         if want == MIN_ROOTED and lo < label:
-            bad.append(Violation("not-minimal", f"node {label} is not minimal"))
+            bad.append(Violation("not-minimal", f"node {_shown_number(label)} is not minimal"))
         if want == MAX_ROOTED and hi > label:
-            bad.append(Violation("not-maximal", f"node {label} is not maximal"))
+            bad.append(Violation("not-maximal", f"node {_shown_number(label)} is not maximal"))
         if node.kind != want:
-            bad.append(Violation("bad-kind", f"node {label} marked {node.kind}, expected {want}"))
+            marked = f"node {_shown_number(label)} marked {_shown_number(node.kind)}"
+            bad.append(Violation("bad-kind", f"{marked}, expected {want}"))
         if label < 0:
-            bad.append(Violation("label-order", f"negative label {label}"))
+            bad.append(Violation("label-order", f"negative label {_shown_number(label)}"))
     if bad:
         bad.reverse()  # each node's violations were found last check first
         raise ValidationError(bad)
@@ -705,7 +706,7 @@ def _binary_tableau(trees: Iterable[BinAltTree | None]) -> AltTableau:
         if node is None:
             continue
         if node.label in kinds:
-            raise DomainError("label-collision", f"label {node.label} appears twice")
+            raise DomainError("label-collision", f"label {_shown_number(node.label)} appears twice")
         white = node.kind == MIN_ROOTED
         kinds[node.label] = "D" if white else "E"
         if parent is not None:

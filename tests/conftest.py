@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
+
 import pytest
 from hypothesis import strategies as st
 
@@ -13,7 +16,7 @@ from alttab.core import (
     parse_tableau,
 )
 from alttab.decomposition import merge
-from alttab.errors import ValidationError, Violation
+from alttab.errors import DomainError, ParseError, ValidationError, Violation, _shown
 
 T0_COMPACT = "EEDDEDDEEDDED|L3,5;U4,9;U6,8;L6,9;L7,9;L10,12"
 
@@ -65,6 +68,83 @@ def raw_tableaux(draw) -> AltTableau:
     cells = st.tuples(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
     arrows = draw(st.lists(st.tuples(cells, st.sampled_from("LU")), max_size=8))
     return AltTableau(tuple(labels), word, tuple(Arrow(i, j, k) for (i, j), k in arrows))
+
+
+@st.composite
+def raw_perm_tableaux(draw) -> PermTableau:
+    """Permutation tableau built without the filling checks: any labels and
+    word, most often starting with a row, and 1s on any cells, on the shape
+    or off it, in rows or not, possibly repeated."""
+    labels = sorted(draw(st.sets(st.integers(min_value=0, max_value=9), min_size=1, max_size=8)))
+    word = "".join(draw(st.sampled_from("DE")) for _ in labels)
+    if draw(st.integers(0, 4)):
+        word = "D" + word[1:]
+    cell = st.tuples(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
+    return PermTableau(tuple(labels), word, tuple(draw(st.lists(cell, max_size=14))))
+
+
+@st.composite
+def compact_texts(draw) -> tuple[bool, str]:
+    """Whether the text lists 1-cells, and compact text of a permutation
+    tableau if so, else of a tableau: an optional labels prefix, a word and
+    a ``;``-separated list whose parts are well formed, empty, or drawn from
+    the characters the formats use and a few they refuse, newline included,
+    sometimes with a number too long for ``int``."""
+    cells = draw(st.booleans())
+    word = "".join(draw(st.sampled_from("DE")) for _ in range(draw(st.integers(0, 6))))
+    prefix = draw(st.sampled_from(["", "labels=1,2,3,4,5,6|", "labels=|", "labels=1,x|"]))
+    number = st.integers(min_value=0, max_value=7).map(str)
+    good = st.tuples(st.just("") if cells else st.sampled_from("LU"), number, number).map(
+        lambda p: f"{p[0]}{p[1]},{p[2]}"
+    )
+    junk = st.text(alphabet="LU0123456789,;x\n²٣ ", max_size=6)
+    huge = st.just(("" if cells else "L") + "1," + "9" * 5000)
+    parts = draw(st.lists(st.one_of(good, good, st.just(""), junk, huge), max_size=6))
+    return cells, prefix + word + "|" + ";".join(parts)
+
+
+def parse_compact_by_parts(text: str, cells: bool):
+    """Reference for the compact forms of ``parse_tableau`` (``cells`` false)
+    and ``parse_perm_tableau``: every part of the list is matched and read
+    on its own.  Returns the data that is then validated: labels, word and
+    arrows or 1-cells."""
+    text = text.strip()
+    if not text:
+        raise ParseError("empty input", 0)
+    labels, rest, offset = None, text, 0
+    if text.startswith("labels="):
+        cut = text.find("|")
+        if cut < 0:
+            raise ParseError("labels prefix missing '|'", len(text))
+        body = text[len("labels=") : cut]
+        try:
+            labels = tuple(int(p) for p in body.split(",")) if body else ()
+        except ValueError:
+            raise ParseError(f"bad label list {_shown(body)}", len("labels="))
+        rest, offset = text[cut + 1 :], cut + 1
+    if rest.count("|") != 1:
+        raise ParseError(f"expected <word>|<{'one-cells' if cells else 'arrows'}>", offset)
+    word, _, items = rest.partition("|")
+    if labels is None:
+        labels = tuple(range(1, len(word) + 1))
+    part_re = re.compile(r"(\d+),(\d+)$" if cells else r"([LU])(\d+),(\d+)$")
+    found = []
+    pos = offset + len(word) + 1
+    for part in items.split(";"):
+        if not part:
+            continue
+        m = part_re.match(part)
+        if not m:
+            raise ParseError(f"bad {'cell' if cells else 'arrow'} {_shown(part)}", pos)
+        numbers = []
+        for digits in m.groups()[-2:]:
+            try:
+                numbers.append(int(digits))
+            except ValueError:
+                raise ParseError(f"bad number {_shown(digits)}", pos) from None
+        found.append(tuple(numbers) if cells else (*numbers, m.group(1)))
+        pos += len(part) + 1
+    return labels, word, found
 
 
 def free_stats_by_grid(t: AltTableau) -> FreeStats:
@@ -172,6 +252,43 @@ def from_perm_tableau_by_lists(p: PermTableau) -> AltTableau:
         if restricted:
             arrows.append(Arrow(i, min(restricted), "L"))
     return AltTableau(p.labels[1:], p.word[1:], tuple(arrows))
+
+
+def from_perm_tableau_by_cell_probes(p: PermTableau) -> AltTableau:
+    """Reference for ``from_perm_tableau`` on any permutation tableau, checked
+    or not: each row probes its cells one by one, right to left, for its
+    first restricted 0, and a column's topmost 1 counts the 1s in rows only."""
+    if not p.labels:
+        raise DomainError("nothing-to-cut", "permutation tableau has no top row")
+    top = p.labels[0]
+    if p.word[0] != "D":
+        raise DomainError("bad-top-row", "smallest label does not label a row")
+    rows, cols = p.rows, p.columns
+    ones = set(p.ones)
+    topmost: dict[int, int] = {}
+    for i, j in ones:
+        if i in rows and i < topmost.get(j, i + 1):
+            topmost[j] = i
+    arrows = [Arrow(i, j, "U") for i, j in ones if i != top and not topmost.get(j, i) < i]
+    for i in rows[1:]:
+        for j in cols[bisect_right(cols, i) :]:
+            if (i, j) not in ones and topmost.get(j, i) < i:
+                arrows.append(Arrow(i, j, "L"))
+                break
+    return AltTableau(p.labels[1:], p.word[1:], tuple(arrows))
+
+
+def record_by_grid(t: AltTableau) -> str:
+    """Reference for the record form: its statistics line from the whole set
+    of free cells of the grid scan."""
+    stats = free_stats_by_grid(t)
+    lines = [
+        "labels=" + ",".join(map(str, t.labels)),
+        "word=" + t.word,
+        "arrows=" + ";".join(f"[{a.row},{a.col},{a.kind}]" for a in t.arrows),
+        f"statistics=frow:{stats.frow};fcol:{stats.fcol};fcell:{stats.fcell}",
+    ]
+    return "\n".join(lines)
 
 
 def validate_perm_tableau_by_scan(labels, word, ones, filling=None) -> PermTableau:

@@ -146,6 +146,21 @@ def test_each_image_is_built_once():
         assert IMAGES <= set(t.__dict__)
 
 
+def test_the_arrow_forest_is_built_once_per_tableau(monkeypatch):
+    # Every reader takes the forest remembered on the tableau and leaves its
+    # lists as they were built.
+    build = decomposition._forest_of_arrows
+    builds = count_calls(monkeypatch, decomposition, "_forest_of_arrows")
+    tableaux = [parse_tableau(T0_COMPACT), from_permutation((5, 3, 0, 4, 1, 2, 6))]
+    tableaux += all_tableaux(4)
+    for t in tableaux:
+        for fn in (to_forest, arc_diagram, split, binary_pair, decomposition.divide):
+            fn(t)
+            fn(t)
+        assert t.__dict__["_arrow_forest"] == build(t)
+    assert [args[0] for args in builds] == tableaux
+
+
 def test_images_are_not_marked_checked_until_they_are(monkeypatch):
     t = parse_tableau(T0_COMPACT)
     forest, diagram = to_forest(t), arc_diagram(t)
@@ -227,6 +242,7 @@ def test_what_is_remembered_does_not_change_the_value():
         "_free_stats",
         "rows",
         "columns",
+        "_arrow_forest",
         "_forest",
         "_arc_diagram",
         "_binary_pair",

@@ -8,7 +8,7 @@ import tracemalloc
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from alttab.core import (
@@ -37,11 +37,16 @@ from alttab.permutations import from_permutation
 from conftest import (
     T0_COMPACT,
     alt_violations_by_scan,
+    compact_texts,
     free_stats_by_grid,
+    from_perm_tableau_by_cell_probes,
     from_perm_tableau_by_lists,
+    parse_compact_by_parts,
     perm_ones_by_sorting,
     perm_tableau_stats_by_scan,
+    raw_perm_tableaux,
     raw_tableaux,
+    record_by_grid,
     tableaux,
     validate_perm_tableau_by_scan,
 )
@@ -59,6 +64,23 @@ def outcome(fn, *args):
         return fn(*args)
     except ValidationError as err:
         return err.violations
+
+
+def result_or_error(fn, *args):
+    """What ``fn`` returns, or the type, message and any position of the
+    ``TableauError`` it raises."""
+    try:
+        return fn(*args)
+    except (DomainError, ParseError, ValidationError) as err:
+        return type(err), str(err), getattr(err, "position", None)
+
+
+def staircase(n: int) -> tuple[tuple[int, ...], str, list[tuple[int, int]]]:
+    """Labels 1..n, word ``DE`` repeated, and a 1 just above each column's
+    diagonal and in the leftmost column of each row: no 0 between a row and
+    its leftmost 1 is restricted, as the one 1 of its column lies below it."""
+    ones = [(j - 1, j) for j in range(2, n + 1, 2)] + [(i, n) for i in range(1, n, 2)]
+    return tuple(range(1, n + 1)), "DE" * (n // 2), ones
 
 
 @st.composite
@@ -361,6 +383,38 @@ class TestPermTableauBijection:
             p = to_perm_tableau(t)
             assert from_perm_tableau(p) == from_perm_tableau_by_lists(p) == t
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_equals_the_cell_probes_exhaustive(self, n):
+        for t in all_tableaux(n):
+            p = to_perm_tableau(t)
+            assert from_perm_tableau(p) == from_perm_tableau_by_cell_probes(p) == t
+
+    @given(raw_perm_tableaux())
+    def test_equals_the_cell_probes_on_any_permutation_tableau(self, p):
+        # Off the shape, outside the rows and repeated 1s included.
+        want = result_or_error(from_perm_tableau_by_cell_probes, p)
+        assert result_or_error(from_perm_tableau, p) == want
+
+    @pytest.mark.parametrize("top_row", [False, True], ids=["staircase", "with-a-full-top-row"])
+    def test_a_staircase_is_checked_along_its_restricted_columns(self, top_row):
+        # With a 1 atop every column, every 0 left of a row is blocked.
+        labels, word, ones = staircase(200)
+        if top_row:
+            ones += [(1, j) for j in range(4, 201, 2)]
+        want = outcome(validate_perm_tableau_by_scan, labels, word, ones)
+        assert outcome(validate_perm_tableau, labels, word, ones) == want
+        p = PermTableau(labels, word, ones)
+        assert perm_tableau_stats(p) == perm_tableau_stats_by_scan(p)
+        assert from_perm_tableau(p) == from_perm_tableau_by_cell_probes(p)
+
+    def test_a_large_staircase_is_valid(self):
+        # 3 000 rows whose leftmost 1 is 3 000 columns away: a 64 KB text.
+        labels, word, ones = staircase(6000)
+        p = validate_perm_tableau(labels, word, ones)
+        assert p == parse_perm_tableau(render_perm_tableau(p))
+        assert p == PermTableau(labels, word, tuple(set(ones)))  # (5999, 6000) is listed twice
+        assert perm_tableau_stats(p).superfluous_cells == {(i, 6000) for i in range(3, 6000, 2)}
+
     def test_empty_column_rejected(self):
         with pytest.raises(ValidationError) as err:
             validate_perm_tableau((1, 2), "ED", [])
@@ -452,6 +506,42 @@ class TestTextFormats:
         record = render_tableau(t0, "record")
         assert "statistics=frow:3;fcol:4;fcell:4" in record
         assert parse_tableau(record) == t0
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_record_statistics_equal_free_stats(self, n):
+        for t in all_tableaux(n):
+            self.check_record_statistics(t)
+
+    def test_record_statistics_equal_free_stats_at_large_n(self):
+        word = tuple(random.Random(7).sample(range(301), 301))
+        self.check_record_statistics(from_permutation(word))
+
+    @staticmethod
+    def check_record_statistics(t):
+        record = render_tableau(t, "record")
+        assert "_free_stats" not in t.__dict__  # counted, not listed
+        stats = free_stats(t)
+        assert record.splitlines()[-1] == (
+            f"statistics=frow:{stats.frow};fcol:{stats.fcol};fcell:{stats.fcell}"
+        )
+        assert render_tableau(t, "record") == record  # from the remembered statistics
+
+    @given(raw_tableaux())
+    @example(AltTableau((1, 2, 3), "DDE", ((1, 3, "U"), (2, 3, "U"))))  # an up arrow above another
+    @example(AltTableau((1, 2, 3), "DEE", ((1, 2, "L"), (1, 3, "U"))))  # left of a left arrow
+    @example(AltTableau((1, 2), "DE", ((1, 2, "U"), (1, 2, "U"))))  # two arrows on one cell
+    def test_record_of_an_unchecked_tableau_equals_the_grid_scan(self, t):
+        assert render_tableau(t, "record") == record_by_grid(t)
+
+    @given(compact_texts())
+    def test_compact_parse_equals_reading_part_by_part(self, drawn):
+        cells, text = drawn
+        assume(cells or not ("\n" in text.strip() or text.strip().startswith("word=")))
+        parse, validate = (
+            (parse_perm_tableau, validate_perm_tableau) if cells else (parse_tableau, validate_alt)
+        )
+        want = result_or_error(lambda: validate(*parse_compact_by_parts(text, cells)))
+        assert result_or_error(parse, text) == want
 
     def test_grid(self):
         assert render_tableau(standard_tableau("DE", [(1, 2, "L")]), "grid") == (

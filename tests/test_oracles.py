@@ -361,6 +361,16 @@ def test_no_production_function_recurses():
     assert recursive == RECURSIVE
 
 
+@pytest.mark.parametrize("color", ["B", "W"])
+def test_a_big_terminal_letter_is_a_domain_error(color):
+    # The letter and the word are shown as error messages show numbers.
+    word = (10**5000, 0) if color == "B" else (0, 10**5000)
+    with pytest.raises(alttab.DomainError) as err:
+        oracles.word_to_tree(word, color)
+    assert err.value.code == "bad-terminal-letter"
+    assert "<a number too long to print>" in str(err.value)
+
+
 def test_recursive_oracles_refuse_beyond_their_bound():
     t = alttab.standard_tableau("D" * (oracles.RECURSION_BOUND + 1))
     word = tuple(range(oracles.RECURSION_BOUND + 2))

@@ -337,6 +337,12 @@ class TestSignedPermutations:
         assert len(t) == 2 * n
         assert to_signed_permutation(t) == sp
 
+    def test_integers_that_are_not_ints_are_still_letters_and_positions(self):
+        # An int is taken at once; any other Integral through the ABC, as before.
+        assert SignedPerm((2, True), frozenset({False})).barred == {0}
+        with pytest.raises(DomainError):
+            SignedPerm((2, 1), frozenset({2}))
+
     def test_roundtrip_beyond_the_depth_cap_is_refused(self):
         # Named for the 200-letter cap this once hit: it now round-trips.
         sp = SignedPerm(tuple(range(1, 202)))

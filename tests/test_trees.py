@@ -263,6 +263,41 @@ def test_a_negative_label_is_refused_by_the_tree_validators(entry, arg):
     assert [v.code for v in violations(entry, arg)] == ["label-order"]
 
 
+BIG = 10**5000
+
+
+@pytest.mark.parametrize(
+    "entry, arg, code",
+    [
+        (
+            validate_forest,
+            PlaneAltForest((PlaneAltTree("W", BIG, (PlaneAltTree("W", BIG + 1),)),)),
+            "bad-color",
+        ),
+        (validate_tree, PlaneAltTree("B", BIG, (PlaneAltTree("W", BIG + 1),)), "not-maximal"),
+        (validate_tree, PlaneAltTree(BIG, 1), "bad-color"),
+        (
+            lambda b: validate_bin_tree(b, MIN_ROOTED),
+            BinAltTree(BIG, BinAltTree(1, kind=MAX_ROOTED), None, MIN_ROOTED),
+            "not-minimal",
+        ),
+        (lambda b: validate_bin_tree(b, MIN_ROOTED), BinAltTree(1, kind=BIG), "bad-kind"),
+    ],
+    ids=["forest", "tree", "color", "binary", "kind"],
+)
+def test_a_big_label_is_shown_in_the_violation(entry, arg, code):
+    # Shown as error messages show numbers, not by str(), which refuses it.
+    found = violations(entry, arg)
+    assert code in [v.code for v in found]
+    assert "<a number too long to print>" in "; ".join(v.detail for v in found)
+
+
+def test_a_big_label_twice_in_a_binary_pair_is_a_domain_error():
+    with pytest.raises(DomainError) as err:
+        binary_pair_inv((BinAltTree(BIG), BinAltTree(BIG, kind=MAX_ROOTED)))
+    assert err.value.code == "label-collision"
+
+
 def deep_plane_chain(size: int) -> PlaneAltTree:
     """The valid path white 1 - black size - white 2 - black size-1 - ..."""
     chain = [label for k in range(size // 2) for label in (1 + k, size - k)]
