@@ -33,7 +33,9 @@ from .enumeration import (
     WEIGHT_CAP,
     AsepParams,
     CountTable,
+    _corner_table,
     _mirrored_halves,
+    _poly_leaf,
     all_tableaux,
     all_via_perm,
     asep_distribution,
@@ -58,7 +60,7 @@ from .permutations import (
     to_permutation,
     to_permutation_by_insertion,
 )
-from .series import Series, geometric, neg_log_one_minus_z
+from .series import Poly3, Series, geometric, neg_log_one_minus_z
 from .trees import (
     arc_diagram,
     arcs_to_forest,
@@ -437,12 +439,14 @@ def formula_report(n_max: int = 7) -> FormulaReport:
 def asep_checks(n_max: int) -> list[FormulaCheck]:
     checks = []
     for n in range(n_max + 1):
+        # The q-tracked corner table by code; shape_words lists the codes downwards.
+        by_corners, _ = _corner_table(n, _poly_leaf, Poly3.var("q"))
         checks.append(
             _all_hold(
                 f"corner-recursion weights equal enumeration at n={n}",
                 (
-                    (weight_poly(w) == weight_poly_by_fillings(w), f"fails on shape {w}")
-                    for w in shape_words(n)
+                    (weight_poly(w) == weight_poly_by_fillings(w) == z, f"fails on shape {w}")
+                    for w, z in zip(shape_words(n), reversed(by_corners))
                 ),
             )
         )
@@ -451,11 +455,7 @@ def asep_checks(n_max: int) -> list[FormulaCheck]:
             weights = asep_distribution(p)
             solved = chain_stationary(p)
             name = f"stationary law at n={n}, (q,a,b)=({q},{alpha},{beta})"
-            ok = (
-                weights == solved
-                and sum(weights.values()) == 1
-                and sum(solved.values()) == 1
-            )
+            ok = weights == solved and sum(weights.values()) == 1 == sum(solved.values())
             checks.append(FormulaCheck(name, ok))
     return checks
 

@@ -461,7 +461,7 @@ def standardize(t: AltTableau) -> AltTableau:
 
 @dataclass(frozen=True)
 class PermTableau(_Shape):
-    """Labeled shape with a total 0/1 filling; only the 1-cells are stored."""
+    """Labeled shape with a total 0/1 filling; only the 1-cells are stored, each once."""
 
     ones: tuple[tuple[int, int], ...]
 
@@ -469,7 +469,7 @@ class PermTableau(_Shape):
         bad = _check_labels_word(self.labels, self.word)
         if bad:
             raise ValidationError(bad)
-        object.__setattr__(self, "ones", tuple(sorted(self.ones)))
+        object.__setattr__(self, "ones", tuple(sorted(set(self.ones))))
 
 
 def _perm_assembled(
@@ -567,11 +567,11 @@ def _perm_arrows(p: PermTableau, top: int | None) -> tuple[dict[int, int], list[
     a row's left arrow is the first of them right of it that holds no 1."""
     rows = p.rows
     row_set, col_set = set(rows), set(p.columns)
-    ones = dict.fromkeys(p.ones)  # in order, without repeats
+    ones = set(p.ones)
     topmost: dict[int, int] = {}
     join_rows, join_cols = [], []  # each column and the row of its topmost 1, by row
     arrows = []
-    for i, j in ones:
+    for i, j in p.ones:
         if i not in row_set:  # off the rows, on a tableau not checked
             if not topmost.get(j, i) < i:
                 arrows.append(_arrow((i, j, UP)))
@@ -662,6 +662,10 @@ _ARROW_LIST_RE = re.compile(r"(?:[LU]\d+,\d+\n?)?(?:;(?:[LU]\d+,\d+\n?)?)*")
 _CELL_LIST_RE = re.compile(r"(?:\d+,\d+\n?)?(?:;(?:\d+,\d+\n?)?)*")
 _NUMBER_RE = re.compile(r"\d+")
 _KIND_RE = re.compile(r"[LU]")
+# A labels list, and the record's arrows field ``[i,j,K];...`` and its entries.
+_LABEL_LIST_RE = re.compile(r"\d+(?:,\d+)*")
+_RECORD_ARROWS_RE = re.compile(r"(?:\[\d+,\d+,[LU]\])?(?:;(?:\[\d+,\d+,[LU]\])?)*")
+_RECORD_ARROW_RE = re.compile(r"\[(\d+),(\d+),([LU])\]")
 
 
 def _parse_int(digits: str, pos: int) -> int:
@@ -687,10 +691,12 @@ def _parse_labels_prefix(text: str) -> tuple[tuple[int, ...] | None, str, int]:
 
 
 def _parse_labels(body: str, pos: int) -> tuple[int, ...]:
-    try:
-        return tuple(map(int, body.split(",")))
-    except ValueError:
-        raise ParseError(f"bad label list {_shown(body)}", pos) from None
+    if _LABEL_LIST_RE.fullmatch(body):
+        try:
+            return tuple(map(int, _NUMBER_RE.findall(body)))
+        except ValueError:
+            pass
+    raise ParseError(f"bad label list {_shown(body)}", pos)
 
 
 def parse_tableau(text: str) -> AltTableau:
@@ -737,14 +743,11 @@ def _parse_record(text: str) -> AltTableau:
     fields: dict[str, str] = {}
     pos = 0
     for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            pos += len(line) + 1
-            continue
-        key, eq, value = stripped.partition("=")
-        if not eq:
-            raise ParseError(f"expected key=value, got {_shown(stripped)}", pos)
-        fields[key.strip()] = value.strip()
+        key, eq, value = line.strip().partition("=")
+        if eq:
+            fields[key.strip()] = value.strip()
+        elif key:  # a line with text but no "="
+            raise ParseError(f"expected key=value, got {_shown(key)}", pos)
         pos += len(line) + 1
     unknown = set(fields) - {"labels", "word", "arrows", "statistics"}
     if unknown:
@@ -752,19 +755,17 @@ def _parse_record(text: str) -> AltTableau:
     if "word" not in fields:
         raise ParseError("record missing 'word'", 0)
     word = fields["word"]
-    if "labels" in fields and fields["labels"]:
-        labels = _parse_labels(fields["labels"], 0)
-    else:
-        labels = tuple(range(1, len(word) + 1))
+    body = fields.get("labels")
+    labels = _parse_labels(body, 0) if body else tuple(range(1, len(word) + 1))
+    field = fields.get("arrows", "")
+    if not _RECORD_ARROWS_RE.fullmatch(field):
+        raise ParseError(f"bad arrow list {_shown(field)}", 0)
     arrows = []
-    for part in re.findall(r"\[([^\]]*)\]", fields.get("arrows", "")):
-        bits = [b.strip() for b in part.split(",")]
-        if len(bits) != 3 or bits[2] not in (LEFT, UP):
-            raise ParseError(f"bad arrow entry {_shown(part)}", 0)
+    for i, j, kind in _RECORD_ARROW_RE.findall(field):
         try:
-            arrows.append((int(bits[0]), int(bits[1]), bits[2]))
+            arrows.append((int(i), int(j), kind))
         except ValueError:
-            raise ParseError(f"bad arrow entry {_shown(part)}", 0)
+            raise ParseError(f"bad arrow entry {_shown(f'{i},{j},{kind}')}", 0) from None
     return validate_alt(labels, word, arrows)
 
 

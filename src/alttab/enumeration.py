@@ -11,8 +11,8 @@ or is an empty free cell (weight ``q``, swap the step), and a shape
 in the top bit), so a swap lowers the code and a drop shortens the word.
 The law of all 2^n states is one ascending pass per length over the 2^(n+1)
 codes, on integer numerators over a known power of the rates' denominators;
-the polynomial of one word is a top-down memo over the words it reaches.
-Either way the cost per shape is polynomial instead of one step per filling.
+the polynomial of one word is one vector pass through bidiagonal matrices
+that obey the same relation.  Either way a shape costs polynomial time.
 
 The backtracking generator walks every shape word in lexicographic order and
 fills cells leftmost column first, top to bottom, trying empty, then a left
@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from .core import AltTableau, Arrow, _assembled, free_stats, relabel, transpose
 from .decomposition import _parts, _tree_roots, divide, merge
-from .errors import DomainError, _shown_number, check_cap
+from .errors import DomainError, _shown_number, _shown_value, check_cap
 from .permutations import from_permutation
 from .series import Poly3
 
@@ -52,8 +52,6 @@ CHAIN_CAP = ("ALTAB_MAX_CHAIN_N", 6)
 
 PARTICLE = "*"
 HOLE = "o"
-
-_BITS = str.maketrans("DE", "10")  # a border word as the binary digits of its code
 
 V = TypeVar("V")
 
@@ -162,8 +160,8 @@ def _corner_table(
     holds the polynomials themselves.  A swap lowers the code and a drop
     shortens the word, so one ascending pass per length, keeping only the
     previous length, sees every operand first: 2^(n+1) entries, no memo and
-    no stack.  This is the traversal for all 2^n words of a size; for one
-    word the top-down memo of :func:`_corner_sums` visits far fewer.
+    no stack.  This is the only walk of the recursion, for all 2^n words of
+    a size; one word's polynomial is :func:`_bidiagonal_pass`.
     """
     # A row or a column holds fewer than n cells.
     row_factor = [qd**e * yd for e in range(n)]
@@ -191,48 +189,8 @@ def _corner_table(
     return prev, prev_cells
 
 
-def _corner_sums(word: str) -> Poly3:
-    """Z(word) as a polynomial in q, x, y, by the same recursion top down.
-
-    Only the words the corner recursion reaches from this one are visited,
-    memoised by length and code, with an explicit stack for the n + n^2/4
-    levels of a long word.  This is the traversal for one word: filling the
-    whole table of :func:`_corner_table` for one word of length 12 costs
-    tens of times more.
-    """
-    n = len(word)
-    code = int(word.translate(_BITS) or "0", 2)
-    memo: list[dict[int, Poly3]] = [{} for _ in range(n + 1)]
-    stack = [(n, code)]
-    while stack:
-        m, w = stack[-1]
-        if w in memo[m]:
-            stack.pop()
-            continue
-        split = _corner(w)
-        if split is None:
-            b = w.bit_length()
-            memo[m][w] = _poly_leaf(m - b, b)
-            stack.pop()
-            continue
-        swap, no_row, no_col = split
-        missing = [
-            (l, v) for l, v in ((m, swap), (m - 1, no_row), (m - 1, no_col)) if v not in memo[l]
-        ]
-        if missing:
-            stack.extend(missing)
-        else:
-            memo[m][w] = _poly_times_q(memo[m][swap]) + memo[m - 1][no_row] + memo[m - 1][no_col]
-            stack.pop()
-    return memo[n][code]
-
-
 def _poly_leaf(a: int, b: int) -> Poly3:
     return Poly3.monomial(0, a, b)
-
-
-def _poly_times_q(p: Poly3) -> Poly3:
-    return Poly3({(eq + 1, ex, ey): c for (eq, ex, ey), c in p.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +277,51 @@ def product_formula(n: int) -> Poly3:
 def weight_poly(word: str) -> Poly3:
     """Sum of q^fcell x^fcol y^frow over all fillings of the shape.
 
-    Leading E steps and trailing D steps bound no cell and are only carried to
-    the leaves, so the cap applies to the steps between them.
+    Leading E steps and trailing D steps bound no cell and only multiply the
+    weight by x and y, so the cap applies to the steps between them.
     """
     if set(word) - {"D", "E"}:
         raise DomainError("bad-word", f"border word {word!r} is not over D and E")
-    core = len(word.lstrip("E").rstrip("D"))
-    check_cap(core, "weight polynomial (steps from the first D to the last E)", WEIGHT_CAP)
-    return _corner_sums(word)
+    rest = word.lstrip("E")
+    core = rest.rstrip("D")
+    check_cap(len(core), "weight polynomial (steps from the first D to the last E)", WEIGHT_CAP)
+    return _bidiagonal_pass(core, Poly3.monomial(0, len(word) - len(rest), len(rest) - len(core)))
+
+
+def _bidiagonal_pass(core: str, ends: Poly3) -> Poly3:
+    """``ends`` times <0|M(c_1)...M(c_m)|0>.  With [h] = 1 + q + ... + q^(h-1),
+    D[h][h] = [h] + q^h.y, D[h][h+1] = 1, E[h][h] = [h] + q^h.x and
+    E[h+1][h] = [h+1].([h] + q^h.(x + y - (1-q).x.y)).  These satisfy
+    DE = qED + D + E, <0|E = x<0| and D|0> = y|0>: the corner recursion and
+    its leaves.  A row vector runs along the word; a level above the number
+    of Es still to come cannot return to 0, so it is dropped."""
+    es = core.count("E")
+    top = min(len(core) - es, es)
+    box = [{(k, 0, 0): 1 for k in range(h)} for h in range(top + 1)]  # [h] by (q, x, y) exponents
+    d = [Poly3({**box[h], (h, 0, 1): 1}) for h in range(top + 1)]
+    e = [Poly3({**box[h], (h, 1, 0): 1}) for h in range(top + 1)]
+    low = [
+        Poly3(box[h + 1]) * Poly3({**d[h].coeffs, (h, 1, 0): 1, (h, 1, 1): -1, (h + 1, 1, 1): 1})
+        for h in range(top)
+    ]
+    v = [ends]
+    for c in core:
+        if c == "D":
+            h = len(v) - 1
+            if h < es:
+                v.append(v[h])  # D[h][h+1] = 1 opens the next level
+            for h in range(h, 0, -1):
+                v[h] = v[h] * d[h] + v[h - 1]
+            v[0] *= d[0]
+        else:
+            es -= 1
+            for h in range(len(v) - 1):
+                v[h] = v[h] * e[h] + v[h + 1] * low[h]
+            if len(v) > es + 1:
+                v.pop()
+            else:
+                v[-1] *= e[len(v) - 1]
+    return v[0]
 
 
 @dataclass(frozen=True, repr=False)
@@ -530,7 +525,7 @@ class MarkedTableau:
     def __post_init__(self) -> None:
         extra = self.marked - set(self.tableau.labels)
         if extra:
-            raise DomainError("bad-mark", f"marks {sorted(extra)} not on any line")
+            raise DomainError("bad-mark", f"marks {_shown_number(sorted(extra))} not on any line")
 
 
 def _non_free_labels(t: AltTableau) -> frozenset[int]:
@@ -588,8 +583,9 @@ def symmetric_tableaux(size: int) -> Iterator[AltTableau]:
     Pick a tableau with no free columns on half the labels (one from each
     pair {i, size+1-i}), then merge it with its mirrored transpose.
     """
-    if size % 2:
-        raise DomainError("bad-size", f"symmetric tableaux have even length, got {size}")
+    if not isinstance(size, Integral) or size % 2:
+        shown = _shown_value(size)
+        raise DomainError("bad-size", f"symmetric tableaux have even integer length, got {shown}")
     n = size // 2
     check_cap(n, "symmetric generation", ENUMERATION_CAP)  # the work scales with the halves
     yield from _mirrored_halves(size, [t for t in all_tableaux(n) if free_stats(t).fcol == 0])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DomainError
+from .errors import DomainError, _shown_number
 
 Monomial = tuple[int, int, int]  # exponents of (q, x, y)
 
@@ -136,7 +136,8 @@ class Series:
 
     def coefficient(self, n: int) -> Fraction:
         if n > self.order:
-            raise DomainError("truncation-too-small", f"coefficient {n} beyond order {self.order}")
+            shown = f"coefficient {_shown_number(n)} beyond order {self.order}"
+            raise DomainError("truncation-too-small", shown)
         return self.coeffs[n]
 
     def egf_count(self, n: int) -> Fraction:
@@ -156,7 +157,8 @@ class Series:
         if order == self.order:
             return self
         if order > self.order:
-            raise DomainError("truncation-too-small", f"cannot extend order {self.order} to {order}")
+            shown = f"cannot extend order {self.order} to {_shown_number(order)}"
+            raise DomainError("truncation-too-small", shown)
         return Series(order, self.coeffs[: order + 1])
 
     def __add__(self, other: Series | int | Fraction) -> Series:

@@ -376,13 +376,14 @@ def validate_arc_diagram(d: ArcDiagram) -> None:
     pset = set(points)
     for i, j in d.arcs:
         if i >= j or i not in pset or j not in pset:
-            bad.append(Violation("bad-arc", f"arc ({i},{j}) off the points"))
+            bad.append(Violation("bad-arc", f"arc {_shown_number((i, j))} off the points"))
     if bad:
         raise ValidationError(bad)
     outs = {i for i, _ in d.arcs}
     ins = {j for _, j in d.arcs}
     for p in sorted(outs & ins):
-        bad.append(Violation("in-and-out", f"point {p} has both incoming and outgoing arcs"))
+        detail = f"point {_shown_number(p)} has both incoming and outgoing arcs"
+        bad.append(Violation("in-and-out", detail))
     # Tree on the whole point set: right count and connected.
     if len(d.arcs) != len(points) - 1:
         bad.append(Violation("not-a-tree", f"{len(d.arcs)} arcs on {len(points)} points"))
@@ -407,9 +408,8 @@ def validate_arc_diagram(d: ArcDiagram) -> None:
                 continue
             sides = int(right[i] == j) + int(left[j] == i)
             if sides != 1:
-                bad.append(
-                    Violation("topmost", f"arc {(i, j)} is topmost on {sides} sides, expected 1")
-                )
+                detail = f"arc {_shown_number((i, j))} is topmost on {sides} sides, expected 1"
+                bad.append(Violation("topmost", detail))
     if bad:
         raise ValidationError(bad)
     d.__dict__[_VALID] = True
@@ -455,7 +455,7 @@ def forest_to_arcs(f: PlaneAltForest) -> ArcDiagram:
     labels = sorted(kinds)
     n = len(labels)
     if labels != list(range(1, n + 1)):
-        raise DomainError("label-gap", f"labels {labels} are not 1..{n}")
+        raise DomainError("label-gap", f"labels {_shown_number(labels)} are not 1..{n}")
     arcs: list[tuple[int, int]] = [(0, n + 1)]
     arcs.extend((0, t.label) if t.color == BLACK else (t.label, n + 1) for t in f.trees)
     arcs.extend((min(e), max(e)) for e in edges)

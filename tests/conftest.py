@@ -92,7 +92,11 @@ def compact_texts(draw) -> tuple[bool, str]:
     sometimes with a number too long for ``int``."""
     cells = draw(st.booleans())
     word = "".join(draw(st.sampled_from("DE")) for _ in range(draw(st.integers(0, 6))))
-    prefix = draw(st.sampled_from(["", "labels=1,2,3,4,5,6|", "labels=|", "labels=1,x|"]))
+    prefix = draw(
+        st.sampled_from(
+            ["", "labels=1,2,3,4,5,6|", "labels=|", "labels=1,x|", "labels=1_0,2|", "labels= +1|"]
+        )
+    )
     number = st.integers(min_value=0, max_value=7).map(str)
     good = st.tuples(st.just("") if cells else st.sampled_from("LU"), number, number).map(
         lambda p: f"{p[0]}{p[1]},{p[2]}"
@@ -117,8 +121,11 @@ def parse_compact_by_parts(text: str, cells: bool):
         if cut < 0:
             raise ParseError("labels prefix missing '|'", len(text))
         body = text[len("labels=") : cut]
+        parts = body.split(",") if body else []
+        if not all(re.fullmatch(r"\d+", p) for p in parts):
+            raise ParseError(f"bad label list {_shown(body)}", len("labels="))
         try:
-            labels = tuple(int(p) for p in body.split(",")) if body else ()
+            labels = tuple(int(p) for p in parts)
         except ValueError:
             raise ParseError(f"bad label list {_shown(body)}", len("labels="))
         rest, offset = text[cut + 1 :], cut + 1

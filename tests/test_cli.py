@@ -349,10 +349,10 @@ class TestVerify:
         # The oracles call ``fillings`` through their own binding.
         monkeypatch.setattr("alttab.enumeration.fillings", no_enumeration)
         monkeypatch.setattr("alttab.oracles.fillings", no_enumeration)
-        monkeypatch.setattr("alttab.enumeration._corner_sums", no_enumeration)
+        monkeypatch.setattr("alttab.enumeration._bidiagonal_pass", no_enumeration)
         # The oracles reach the corner recursion through ``_corner_table``;
-        # ``_corner_sums`` stays patched there so that a binding of it is caught.
-        monkeypatch.setattr("alttab.oracles._corner_sums", no_enumeration, raising=False)
+        # ``_bidiagonal_pass`` stays patched there so that a binding of it is caught.
+        monkeypatch.setattr("alttab.oracles._bidiagonal_pass", no_enumeration, raising=False)
         monkeypatch.setattr("alttab.enumeration._corner_table", no_enumeration)
         monkeypatch.setattr("alttab.oracles._corner_table", no_enumeration)
         monkeypatch.setattr("alttab.enumeration._insert_label", no_enumeration)

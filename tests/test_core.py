@@ -415,6 +415,12 @@ class TestPermTableauBijection:
         assert p == PermTableau(labels, word, tuple(set(ones)))  # (5999, 6000) is listed twice
         assert perm_tableau_stats(p).superfluous_cells == {(i, 6000) for i in range(3, 6000, 2)}
 
+    def test_constructor_keeps_each_one_cell_once(self):
+        p = PermTableau((1, 2), "DE", ((1, 2), (1, 2)))
+        assert p.ones == ((1, 2),)
+        assert p == validate_perm_tableau((1, 2), "DE", [(1, 2), (1, 2)])
+        assert render_perm_tableau(p) == "DE|1,2"
+
     def test_empty_column_rejected(self):
         with pytest.raises(ValidationError) as err:
             validate_perm_tableau((1, 2), "ED", [])
@@ -566,6 +572,29 @@ class TestTextFormats:
     def test_record_with_a_bad_number_is_a_parse_error(self, text):
         with pytest.raises(ParseError):
             parse_tableau(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "word=DE\narrows=garbage[1,2,L]more[junk",
+            "word=DE\narrows=[ 1 , 2 , L ]",
+            "word=DE\narrows=[+1,2,L]",
+            "word=DE\nlabels=1,20\narrows=[1,2_0,L]",
+            "word=DE\narrows=[1,2,L]x",
+            "word=DE\nlabels= +1,+2\narrows=[ +1 , 2 , L ]",
+            "word=DE\nlabels=1_0,2_0",
+            "labels=1_0,2_0|DE|",
+            "labels=1, 2|DE|",
+        ],
+    )
+    def test_text_outside_the_grammar_is_a_parse_error(self, text):
+        # Each of these once read as a tableau: text around the brackets was
+        # skipped and every entry went through a plain int().
+        with pytest.raises(ParseError):
+            parse_tableau(text)
+
+    def test_record_arrow_list_may_have_empty_parts_as_compact_lists_do(self):
+        assert parse_tableau("word=DE\narrows=[1,2,L];") == parse_tableau("DE|L1,2;")
 
     @pytest.mark.parametrize(
         "parse, text",

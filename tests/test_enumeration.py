@@ -17,6 +17,7 @@ from alttab.checks import ASEP_TRIPLES, formula_report
 from alttab.core import (
     free_stats,
     render_tableau,
+    standard_tableau,
     to_perm_tableau,
     transpose,
     validate_alt,
@@ -183,7 +184,7 @@ class TestCountTable:
         def no_shapes(*args):
             raise AssertionError("counting walked the 2^n shapes")
 
-        monkeypatch.setattr(enumeration, "_corner_sums", no_shapes)
+        monkeypatch.setattr(enumeration, "_bidiagonal_pass", no_shapes)
         monkeypatch.setattr(enumeration, "_corner_table", no_shapes)
         monkeypatch.setattr(oracles, "_corner_table", no_shapes)
         monkeypatch.setattr(enumeration, "shape_words", no_shapes)
@@ -248,6 +249,34 @@ class TestWeights:
     def test_recursion_matches_enumeration(self, n):
         for word in shape_words(n):
             assert weight_poly(word) == weight_poly_by_fillings(word), word
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_vector_pass_matches_the_corner_table(self, n):
+        # The q-tracked corner table lists the codes from 0 up, shape_words
+        # from 2^n - 1 down.
+        table, _ = enumeration._corner_table(n, enumeration._poly_leaf, Poly3.var("q"))
+        for word, z in zip(shape_words(n), reversed(table)):
+            assert weight_poly(word) == z, word
+
+    def test_vector_pass_matches_the_corner_table_past_enumeration(self):
+        q = Poly3.var("q")
+        tables = {n: enumeration._corner_table(n, enumeration._poly_leaf, q)[0] for n in (11, 12)}
+
+        def by_corners(word: str) -> Poly3:
+            return tables[len(word)][int(word.replace("D", "1").replace("E", "0"), 2)]
+
+        @given(st.text("DE", min_size=11, max_size=12))
+        @example("DDDDDDEEEEEE")
+        @example("DEDEDEDEDEDE")
+        @settings(max_examples=40, deadline=None)
+        def check(word):
+            assert weight_poly(word) == by_corners(word)
+
+        check()
+        # Leading Es and trailing Ds only multiply the weight by x and y.
+        for core in ("DDEDDEEDEDEE", "DEEDDDEEDDE"):
+            padded = "E" * 60 + core + "D" * 60
+            assert weight_poly(padded) == Poly3.monomial(0, 60, 60) * by_corners(core)
 
     def test_total_weight_counts_fillings(self):
         one = Fraction(1)
@@ -426,7 +455,7 @@ class TestAsep:
     @example(n=8, q=Fraction(1), alpha=Fraction(5, 12), beta=Fraction(7, 11))
     @example(n=7, q=Fraction(1), alpha=Fraction(1), beta=Fraction(1))
     def test_the_law_is_the_normalized_weight_polynomials(self, n, q, alpha, beta):
-        # The integer pass over all shapes against the top-down polynomial of
+        # The integer pass over all shapes against the vector-pass polynomial of
         # each shape, evaluated at x = 1/alpha and y = 1/beta.
         weights = {s: _weight(shape_of_state(s)).evaluate(q, 1 / alpha, 1 / beta) for s in states(n)}
         z = sum(weights.values())
@@ -440,9 +469,9 @@ class TestAsep:
 
             return refuse
 
-        # The law and the count oracle read the full table, never the memo.
-        monkeypatch.setattr(enumeration, "_corner_sums", walked("the one-word memo"))
-        monkeypatch.setattr(oracles, "_corner_sums", walked("the one-word memo"), raising=False)
+        # The law and the count oracle read the full table, never the vector pass.
+        monkeypatch.setattr(enumeration, "_bidiagonal_pass", walked("the one-word pass"))
+        monkeypatch.setattr(oracles, "_bidiagonal_pass", walked("the one-word pass"), raising=False)
         p = AsepParams(5, Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))
         assert asep_distribution(p) == chain_stationary(p)
         assert count_table_by_corners(6).counts == count_table(6).counts
@@ -508,8 +537,10 @@ class TestAsep:
             (lambda n: list(all_tableaux(n)), ResourceLimitError),
             (lambda n: AsepParams(-n, 1, 1, 1), DomainError),
             (lambda n: AsepParams(1, n, 1, 1), DomainError),
+            (lambda n: list(symmetric_tableaux(n + 1)), DomainError),
+            (lambda n: MarkedTableau(standard_tableau("D"), frozenset({n})), DomainError),
         ],
-        ids=["count-cap", "enumeration-cap", "negative-sites", "rate"],
+        ids=["count-cap", "enumeration-cap", "negative-sites", "rate", "odd-size", "mark"],
     )
     def test_a_number_too_long_to_print_is_still_refused(self, run, error):
         with pytest.raises(error) as err:
@@ -523,8 +554,9 @@ class TestAsep:
             lambda: count_table(3.0),
             lambda: list(all_tableaux("3")),
             lambda: formula_report("3"),
+            lambda: list(symmetric_tableaux("4")),
         ],
-        ids=["count-str", "count-float", "enumeration-str", "formula-str"],
+        ids=["count-str", "count-float", "enumeration-str", "formula-str", "symmetric-str"],
     )
     def test_a_size_that_is_not_an_integer_is_a_domain_error(self, run):
         with pytest.raises(DomainError) as err:

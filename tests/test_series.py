@@ -85,6 +85,17 @@ class TestSeries:
         with pytest.raises(DomainError):
             geometric(3).truncate(5)
 
+    @pytest.mark.parametrize(
+        "run",
+        [lambda n: geometric(3).coefficient(n), lambda n: geometric(3).truncate(n)],
+        ids=["coefficient", "truncate"],
+    )
+    def test_truncation_guard_shows_a_number_too_long_to_print(self, run):
+        with pytest.raises(DomainError) as err:
+            run(10**5000)
+        assert err.value.code == "truncation-too-small"
+        assert "<a number too long to print>" in str(err.value)
+
     @given(st.lists(fractions, min_size=1, max_size=6))
     def test_exp_log_roundtrip(self, coeffs):
         f = Series.from_coeffs([0] + coeffs, len(coeffs) + 1)

@@ -292,6 +292,27 @@ def test_a_big_label_is_shown_in_the_violation(entry, arg, code):
     assert "<a number too long to print>" in "; ".join(v.detail for v in found)
 
 
+@pytest.mark.parametrize(
+    "diagram, code",
+    [
+        (ArcDiagram((0, 1), ((0, BIG),)), "bad-arc"),
+        (ArcDiagram((0, BIG, BIG + 1), ((0, BIG), (BIG, BIG + 1))), "in-and-out"),
+        (ArcDiagram((0, BIG, BIG + 1), ((0, BIG), (BIG, BIG + 1))), "topmost"),
+    ],
+    ids=["bad-arc", "in-and-out", "topmost"],
+)
+def test_a_big_point_is_shown_in_the_arc_violation(diagram, code):
+    found = [v for v in violations(validate_arc_diagram, diagram) if v.code == code]
+    assert found and all("<a number too long to print>" in v.detail for v in found)
+
+
+def test_a_big_label_in_a_forest_with_a_gap_is_a_domain_error():
+    with pytest.raises(DomainError) as err:
+        forest_to_arcs(PlaneAltForest((PlaneAltTree("W", BIG),)))
+    assert err.value.code == "label-gap"
+    assert "<a number too long to print>" in str(err.value)
+
+
 def test_a_big_label_twice_in_a_binary_pair_is_a_domain_error():
     with pytest.raises(DomainError) as err:
         binary_pair_inv((BinAltTree(BIG), BinAltTree(BIG, kind=MAX_ROOTED)))
