@@ -740,32 +740,34 @@ def _parse_compact(
 
 
 def _parse_record(text: str) -> AltTableau:
-    fields: dict[str, str] = {}
+    fields: dict[str, tuple[str, int]] = {}  # key -> (value, offset of the value)
     pos = 0
-    for line in text.splitlines():
-        key, eq, value = line.strip().partition("=")
+    for line in text.splitlines(keepends=True):
+        head, eq, rest = line.partition("=")
+        key = head.strip()
         if eq:
-            fields[key.strip()] = value.strip()
+            fields[key] = (rest.strip(), pos + len(line) - len(rest.lstrip()))
         elif key:  # a line with text but no "="
             raise ParseError(f"expected key=value, got {_shown(key)}", pos)
-        pos += len(line) + 1
+        pos += len(line)
     unknown = set(fields) - {"labels", "word", "arrows", "statistics"}
     if unknown:
         raise ParseError(f"unknown keys {sorted(unknown)}", 0)
     if "word" not in fields:
         raise ParseError("record missing 'word'", 0)
-    word = fields["word"]
-    body = fields.get("labels")
-    labels = _parse_labels(body, 0) if body else tuple(range(1, len(word) + 1))
-    field = fields.get("arrows", "")
+    word = fields["word"][0]
+    body, at = fields.get("labels", ("", 0))
+    labels = _parse_labels(body, at) if body else tuple(range(1, len(word) + 1))
+    field, at = fields.get("arrows", ("", 0))
     if not _RECORD_ARROWS_RE.fullmatch(field):
-        raise ParseError(f"bad arrow list {_shown(field)}", 0)
+        raise ParseError(f"bad arrow list {_shown(field)}", at)
     arrows = []
     for i, j, kind in _RECORD_ARROW_RE.findall(field):
         try:
             arrows.append((int(i), int(j), kind))
-        except ValueError:
-            raise ParseError(f"bad arrow entry {_shown(f'{i},{j},{kind}')}", 0) from None
+        except ValueError:  # the first entry of this text is the first bad one
+            at += field.index(f"[{i},{j},{kind}]")
+            raise ParseError(f"bad arrow entry {_shown(f'{i},{j},{kind}')}", at) from None
     return validate_alt(labels, word, arrows)
 
 

@@ -218,6 +218,12 @@ class CountTable:
         return Poly3({(0, i, j): c for (i, j), c in self.by_free().items()})
 
 
+# T(0), and the last table ``count_table`` built as (length, counts).  Neither
+# dict is ever changed: ``_insert_label`` builds a new one and callers get copies.
+_EMPTY_TABLE: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
+_last_table: tuple[int, dict[tuple[int, int, int], int]] = (0, _EMPTY_TABLE)
+
+
 def count_table(n: int) -> CountTable:
     """Exact count table by the insertion recurrence: T(0; 0,0,0) = 1 and
 
@@ -232,12 +238,21 @@ def count_table(n: int) -> CountTable:
     Eulerian recurrence of permutation tableaux by rows (Williams 2005).
     The identity is what is checked, not the reading: ``checks.count_checks``
     ties every table to enumeration and to the corner recursion.
+
+    The last table built is kept and extended when a table at least as long
+    is asked for, so an ascending sweep n = 0..N runs N steps, not
+    N(N+1)/2; a shorter one starts again from T(0).  Each caller gets its
+    own copy of the counts.
     """
+    global _last_table
     check_cap(n, "counting", COUNT_CAP)
-    counts = {(0, 0, 0): 1}
-    for m in range(n):
-        counts = _insert_label(counts, m)
-    return CountTable(n, counts)
+    m, counts = _last_table
+    if n < m:
+        m, counts = 0, _EMPTY_TABLE
+    for step in range(m, n):
+        counts = _insert_label(counts, step)
+    _last_table = (n, counts)  # one rebinding, after every step has run
+    return CountTable(n, dict(counts))
 
 
 def _insert_label(
@@ -517,15 +532,26 @@ def decorated_count(n: int) -> int:
 
 @dataclass(frozen=True)
 class MarkedTableau:
-    """A tableau with a set of marked line labels."""
+    """A tableau with a set of marked line labels, given as any iterable of
+    labels and kept as a frozenset."""
 
     tableau: AltTableau
     marked: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        extra = self.marked - set(self.tableau.labels)
+        try:
+            marked = frozenset(self.marked)
+        except TypeError:
+            shown = _shown_value(self.marked)
+            raise DomainError("bad-mark", f"marks must be a set of line labels, got {shown}") from None
+        object.__setattr__(self, "marked", marked)
+        extra = marked - set(self.tableau.labels)
         if extra:
-            raise DomainError("bad-mark", f"marks {_shown_number(sorted(extra))} not on any line")
+            try:
+                extra = sorted(extra)
+            except TypeError:  # marks of types that do not compare
+                pass
+            raise DomainError("bad-mark", f"marks {_shown_number(extra)} not on any line")
 
 
 def _non_free_labels(t: AltTableau) -> frozenset[int]:
@@ -583,9 +609,11 @@ def symmetric_tableaux(size: int) -> Iterator[AltTableau]:
     Pick a tableau with no free columns on half the labels (one from each
     pair {i, size+1-i}), then merge it with its mirrored transpose.
     """
-    if not isinstance(size, Integral) or size % 2:
+    if not isinstance(size, Integral) or size < 0 or size % 2:
         shown = _shown_value(size)
-        raise DomainError("bad-size", f"symmetric tableaux have even integer length, got {shown}")
+        raise DomainError(
+            "bad-size", f"symmetric tableaux have even nonnegative integer length, got {shown}"
+        )
     n = size // 2
     check_cap(n, "symmetric generation", ENUMERATION_CAP)  # the work scales with the halves
     yield from _mirrored_halves(size, [t for t in all_tableaux(n) if free_stats(t).fcol == 0])

@@ -42,6 +42,21 @@ class TestValidate:
         code, out, err = run(capsys, monkeypatch, ["validate"], record)
         assert code == 1 and out == "" and "at position" in err
 
+    @pytest.mark.parametrize(
+        "argv", (["validate"], ["convert", "--from", "alt", "--to", "perm"]), ids=["validate", "convert"]
+    )
+    @pytest.mark.parametrize(
+        "record, position",
+        [("word=DE\n\narrows=[1,2,L]x", 16), ("word=DE\nlabels=1,x", 15)],
+        ids=["arrows", "labels"],
+    )
+    def test_record_error_names_the_field_position(
+        self, capsys, monkeypatch, argv, record, position
+    ):
+        code, out, err = run(capsys, monkeypatch, argv, record + "\n")
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad") and f"(at position {position})" in err
+
     def test_usage_error_exits_two(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             run(capsys, monkeypatch, ["convert", "--from", "alt"])

@@ -559,6 +559,23 @@ class TestTextFormats:
             parse_tableau("DE|X1,2")
         assert err.value.position == 3
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("word=DE\n\narrows=[1,2,L]x", 16),
+            ("word=DE\nlabels=1,x", 15),
+            ("labels=1,x\nword=DE", 7),
+            ("word=DE\r\n  labels =  1,x", 21),
+            (f"word=DE\narrows=[1,2,L];[1,{HUGE},L]", 23),
+        ],
+        ids=["arrows", "labels", "labels-first", "spaces-and-crlf", "arrow-entry"],
+    )
+    def test_record_error_position_is_where_the_value_starts(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_tableau(text)
+        assert err.value.position == position
+        assert text[position] in "1["
+
     def test_perm_tableau_roundtrip(self, t0):
         p = to_perm_tableau(t0)
         assert parse_perm_tableau(render_perm_tableau(p)) == p

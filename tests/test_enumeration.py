@@ -52,6 +52,20 @@ from alttab.series import Poly3
 _weight = functools.lru_cache(maxsize=None)(weight_poly)
 
 
+@functools.lru_cache(maxsize=None)
+def _folded_table(n):
+    """The count table of length n folded from T(0) by the insertion step,
+    checked once against the corner recursion."""
+    counts = functools.reduce(enumeration._insert_label, range(n), {(0, 0, 0): 1})
+    assert counts == count_table_by_corners(n).counts
+    return counts
+
+
+def _reset_chain(monkeypatch):
+    """Start ``count_table`` from T(0) whatever ran before; restored after the test."""
+    monkeypatch.setattr(enumeration, "_last_table", (0, {(0, 0, 0): 1}))
+
+
 class TestGenerators:
     def test_smallest_sizes(self):
         assert [render_tableau(t) for t in all_tableaux(0)] == ["|"]
@@ -189,6 +203,79 @@ class TestCountTable:
         monkeypatch.setattr(oracles, "_corner_table", no_shapes)
         monkeypatch.setattr(enumeration, "shape_words", no_shapes)
         assert count_table(24).total() == math.factorial(25)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.sampled_from(("keep", "clear", "edit"))),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @example([(3, "clear"), (3, "edit"), (5, "keep"), (2, "edit"), (2, "keep"), (12, "keep")])
+    def test_the_chain_returns_the_folded_table_in_any_order(self, requests):
+        # The last table built is extended or restarted from; a caller's copy
+        # may be cleared or edited without reaching the chain.
+        for n, change in requests:
+            table = count_table(n)
+            assert table.n == n and table.counts == _folded_table(n)
+            if change == "clear":
+                table.counts.clear()
+            elif change == "edit":
+                table.counts[(0, 0, 0)] = -1
+                table.counts[next(iter(table.counts))] += 7
+
+    def test_a_step_that_raises_leaves_later_tables_right(self, monkeypatch):
+        _reset_chain(monkeypatch)
+        step = enumeration._insert_label
+
+        def fails_at_five(counts, m):
+            if m == 5:
+                raise RuntimeError("step 5 failed")
+            return step(counts, m)
+
+        assert count_table(3).counts == _folded_table(3)
+        monkeypatch.setattr(enumeration, "_insert_label", fails_at_five)
+        with pytest.raises(RuntimeError):
+            count_table(8)  # steps 3 and 4 run, then the sixth label fails
+        assert enumeration._last_table[0] == 3
+        monkeypatch.setattr(enumeration, "_insert_label", step)
+        for n in (8, 4, 9, 2):
+            assert count_table(n).counts == _folded_table(n)
+
+    def test_an_ascending_sweep_steps_once_per_label(self, monkeypatch):
+        _reset_chain(monkeypatch)
+        step = enumeration._insert_label
+        steps = []
+
+        def counted(counts, m):
+            steps.append(m)
+            return step(counts, m)
+
+        monkeypatch.setattr(enumeration, "_insert_label", counted)
+        tables = [count_table(n) for n in range(9)]
+        assert steps == list(range(8))
+        assert [t.total() for t in tables] == [math.factorial(n + 1) for n in range(9)]
+        count_table(8)
+        assert len(steps) == 8  # the same length again costs nothing
+        count_table(2)
+        assert steps[8:] == [0, 1]  # a shorter one starts again from T(0)
+
+    def test_the_cap_refuses_before_the_chain_is_read(self, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("stepped before refusing")
+
+        # Reading the chain as (length, counts) fails on None.
+        monkeypatch.setattr(enumeration, "_last_table", None)
+        monkeypatch.setattr(enumeration, "_insert_label", no_steps)
+        monkeypatch.setenv("ALTAB_MAX_COUNT_N", "3")
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_COUNT_N"):
+            count_table(4)
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_COUNT_N"):
+            decorated_count(4)
+        with pytest.raises(DomainError):
+            count_table(-1)
+        assert enumeration._last_table is None
 
     def test_weight_cap(self, monkeypatch):
         with pytest.raises(ResourceLimitError, match="ALTAB_MAX_COUNT_N"):
@@ -677,6 +764,24 @@ class TestDecoratedAndSymmetric:
     def test_symmetric_odd_size_rejected(self):
         with pytest.raises(DomainError):
             list(symmetric_tableaux(3))
+
+    @pytest.mark.parametrize("size", (3, -3, -4))
+    def test_symmetric_size_must_be_even_and_nonnegative(self, size):
+        with pytest.raises(DomainError) as err:
+            list(symmetric_tableaux(size))
+        assert err.value.code == "bad-size" and str(err.value).endswith(f"got {size}")
+
+    def test_marks_from_any_iterable_are_kept_as_a_frozenset(self):
+        mt = MarkedTableau(standard_tableau("D"), [1])
+        assert mt.marked == frozenset({1}) and isinstance(mt.marked, frozenset)
+        assert mt == MarkedTableau(standard_tableau("D"), frozenset({1}))
+        assert decorated_bijection(MarkedTableau(standard_tableau("DE", [(1, 2, "L")]), (1,)))
+
+    @pytest.mark.parametrize("marked", (5, [[1]], ["a", 2]), ids=["number", "unhashable", "mixed"])
+    def test_marks_that_are_not_labels_are_a_domain_error(self, marked):
+        with pytest.raises(DomainError) as err:
+            MarkedTableau(standard_tableau("D"), marked)
+        assert err.value.code == "bad-mark"
 
     @pytest.mark.parametrize("n", range(7))
     def test_catalan_filter(self, n):
