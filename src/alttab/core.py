@@ -656,37 +656,41 @@ def to_perm_tableau(t: AltTableau) -> PermTableau:
 #             statistics (emitted, never parsed).
 # Perm compact: [labels=...|]<word>|<i>,<j>;...   (cells filled with 1)
 
+# Every number in every text format is ASCII digits, ``[0-9]+``: no sign,
+# no ``_`` and no other script's digits, though ``int`` reads all three.
 # A list of arrows or of 1-cells.  A part may end in one newline, since
 # permutation-tableau text has always allowed a line break before a ``;``.
-_ARROW_LIST_RE = re.compile(r"(?:[LU]\d+,\d+\n?)?(?:;(?:[LU]\d+,\d+\n?)?)*")
-_CELL_LIST_RE = re.compile(r"(?:\d+,\d+\n?)?(?:;(?:\d+,\d+\n?)?)*")
-_NUMBER_RE = re.compile(r"\d+")
+_ARROW_LIST_RE = re.compile(r"(?:[LU][0-9]+,[0-9]+\n?)?(?:;(?:[LU][0-9]+,[0-9]+\n?)?)*")
+_CELL_LIST_RE = re.compile(r"(?:[0-9]+,[0-9]+\n?)?(?:;(?:[0-9]+,[0-9]+\n?)?)*")
+_NUMBER_RE = re.compile(r"[0-9]+")
 _KIND_RE = re.compile(r"[LU]")
 # A labels list, and the record's arrows field ``[i,j,K];...`` and its entries.
-_LABEL_LIST_RE = re.compile(r"\d+(?:,\d+)*")
-_RECORD_ARROWS_RE = re.compile(r"(?:\[\d+,\d+,[LU]\])?(?:;(?:\[\d+,\d+,[LU]\])?)*")
-_RECORD_ARROW_RE = re.compile(r"\[(\d+),(\d+),([LU])\]")
+_LABEL_LIST_RE = re.compile(r"[0-9]+(?:,[0-9]+)*")
+_RECORD_ARROWS_RE = re.compile(r"(?:\[[0-9]+,[0-9]+,[LU]\])?(?:;(?:\[[0-9]+,[0-9]+,[LU]\])?)*")
+_RECORD_ARROW_RE = re.compile(r"\[([0-9]+),([0-9]+),([LU])\]")
+_RECORD_KEYS = ("labels", "word", "arrows", "statistics")
 
 
 def _parse_int(digits: str, pos: int) -> int:
-    """``int(digits)``, or a :class:`ParseError` at ``pos`` where ``int``
-    refuses the text: a digit it does not read, such as ``"²"``, or more
-    digits than the interpreter converts (4300 by default)."""
+    """``int(digits)`` of ASCII ``digits``, or a :class:`ParseError` at
+    ``pos`` when there are more than the interpreter converts (4300 by
+    default)."""
     try:
         return int(digits)
     except ValueError:
         raise ParseError(f"bad number {_shown(digits)}", pos) from None
 
 
-def _parse_labels_prefix(text: str) -> tuple[tuple[int, ...] | None, str, int]:
-    """Split an optional ``labels=...|`` prefix; returns (labels, rest, offset)."""
+def _parse_labels_prefix(text: str, at: int) -> tuple[tuple[int, ...] | None, str, int]:
+    """Split an optional ``labels=...|`` prefix off ``text``, which starts at
+    position ``at``; returns (labels, rest, offset of rest in ``text``)."""
     if not text.startswith("labels="):
         return None, text, 0
     cut = text.find("|")
     if cut < 0:
-        raise ParseError("labels prefix missing '|'", len(text))
+        raise ParseError("labels prefix missing '|'", at + len(text))
     body = text[len("labels=") : cut]
-    labels = _parse_labels(body, len("labels=")) if body else ()
+    labels = _parse_labels(body, at + len("labels=")) if body else ()
     return labels, text[cut + 1 :], cut + 1
 
 
@@ -700,9 +704,13 @@ def _parse_labels(body: str, pos: int) -> tuple[int, ...]:
 
 
 def parse_tableau(text: str) -> AltTableau:
-    """Parse the compact or record format into a validated tableau."""
-    text = text.strip()
-    if "\n" in text or text.startswith("word="):
+    """Parse the compact or record format into a validated tableau.
+
+    Whitespace around the text is ignored; a :class:`ParseError` gives its
+    position in ``text`` as given.
+    """
+    body = text.strip()
+    if "\n" in body or body.startswith("word="):
         return _parse_record(text)
     labels, word, body, numbers = _parse_compact(text, "arrows", _ARROW_LIST_RE, "arrow")
     arrows = zip(numbers[::2], numbers[1::2], _KIND_RE.findall(body))
@@ -713,12 +721,16 @@ def _parse_compact(
     text: str, items: str, list_re: re.Pattern, what: str
 ) -> tuple[tuple[int, ...], str, str, list[int]]:
     """The labels (standard when absent), word and ``;``-separated list of
-    stripped compact text ``[labels=...|]<word>|<items>``, and the list's
-    numbers, two per part, read in one pass when ``list_re`` matches the
-    list.  Else the parts are read one by one for the first bad one."""
+    compact text ``[labels=...|]<word>|<items>`` with whitespace around it,
+    and the list's numbers, two per part, read in one pass when ``list_re``
+    matches the list.  Else the parts are read one by one for the first bad
+    one.  Error positions count from the start of ``text`` as given."""
+    at = len(text) - len(text.lstrip())  # where the compact text starts
+    text = text.strip()
     if not text:
         raise ParseError("empty input", 0)
-    labels, rest, offset = _parse_labels_prefix(text)
+    labels, rest, offset = _parse_labels_prefix(text, at)
+    offset += at
     if rest.count("|") != 1:
         raise ParseError(f"expected <word>|<{items}>", offset)
     word, _, body = rest.partition("|")
@@ -741,18 +753,20 @@ def _parse_compact(
 
 def _parse_record(text: str) -> AltTableau:
     fields: dict[str, tuple[str, int]] = {}  # key -> (value, offset of the value)
+    unknown: dict[str, int] = {}  # key -> offset of its first line
     pos = 0
     for line in text.splitlines(keepends=True):
         head, eq, rest = line.partition("=")
         key = head.strip()
         if eq:
             fields[key] = (rest.strip(), pos + len(line) - len(rest.lstrip()))
+            if key not in _RECORD_KEYS:
+                unknown.setdefault(key, pos)
         elif key:  # a line with text but no "="
             raise ParseError(f"expected key=value, got {_shown(key)}", pos)
         pos += len(line)
-    unknown = set(fields) - {"labels", "word", "arrows", "statistics"}
     if unknown:
-        raise ParseError(f"unknown keys {sorted(unknown)}", 0)
+        raise ParseError(f"unknown keys {sorted(unknown)}", min(unknown.values()))
     if "word" not in fields:
         raise ParseError("record missing 'word'", 0)
     word = fields["word"][0]
@@ -814,7 +828,7 @@ def _render_grid(t: AltTableau) -> str:
 
 
 def parse_perm_tableau(text: str) -> PermTableau:
-    text = text.strip()
+    """Parse compact permutation-tableau text, as :func:`parse_tableau` does."""
     labels, word, _, numbers = _parse_compact(text, "one-cells", _CELL_LIST_RE, "cell")
     return validate_perm_tableau(labels, word, list(zip(numbers[::2], numbers[1::2])))
 

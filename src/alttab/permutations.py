@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 from .core import (
     LEFT,
     UP,
+    _NUMBER_RE,
     AltTableau,
     _check_valid,
     _parse_int,
@@ -333,11 +334,14 @@ def render_word(word: Sequence[int]) -> str:
 
 
 def parse_word(text: str) -> Word:
+    """Read whitespace-separated letters, each ASCII digits."""
     parts = text.split()
     try:
-        return check_word(int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"bad letter in {_shown(text)}", 0)
+        if all(map(_NUMBER_RE.fullmatch, parts)):
+            return check_word(int(p) for p in parts)
+    except ValueError:  # more digits than the interpreter converts
+        pass
+    raise ParseError(f"bad letter in {_shown(text)}", 0)
 
 
 def render_signed(sp: SignedPerm) -> str:
@@ -352,7 +356,7 @@ def parse_signed(text: str) -> SignedPerm:
     for pos, part in enumerate(text.split()):
         bar = part.endswith("'")
         body = part[:-1] if bar else part
-        if not body.isdigit():
+        if not _NUMBER_RE.fullmatch(body):
             raise ParseError(f"bad signed letter {_shown(part)}", 0)
         letters.append(_parse_int(body, 0))
         if bar:

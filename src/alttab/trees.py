@@ -12,15 +12,30 @@ Three equivalent pictures of the recursive decomposition:
 All three are read straight off the arrows: the forest edges are the arrow
 cells and its roots the free lines (``decomposition._arrow_forest``), and the
 binary pair is the forest's first-child/next-sibling form.
+
+Each decoder lists its input once and takes both its check and its output
+from that one listing.  The rules of a plane tree are stated once, in
+:func:`_plane_violations`, and those of a binary tree in
+:func:`_bin_violations`: one bottom-up pass over a listing of the nodes.
+``from_forest`` runs it on its listing of the nodes, unless the forest's pass
+is remembered, and reads the edges off the same listing; ``binary_pair_inv``
+lists both trees once, each node with the kind it must have and its parent
+in the forest; ``arcs_to_forest`` lists the points once, makes the nodes
+bottom-up and runs the pass on the list of nodes it made.
+Only a failing input is listed again, by the public validator, which
+reports its violations.  The builders (``to_forest``, ``binary_pair``,
+``arcs_to_forest``, unpickling) make nodes through :func:`_plane_node` and
+:func:`_bin_node`, which set the fields without the dataclass constructor.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import lt
 from typing import Callable, Container, Iterable, Mapping, TypeVar
 
-from .core import _VALID, AltTableau, _parse_int, _remembered, _shown
+from .core import _NUMBER_RE, _VALID, AltTableau, _parse_int, _remembered, _shown
 from .decomposition import _arrow_forest, _tableau_from_edges
 from .errors import DomainError, ParseError, ValidationError, Violation, _shown_number, _shown_value
 
@@ -32,6 +47,9 @@ MAX_ROOTED = "max"
 
 Node = TypeVar("Node")
 T = TypeVar("T")
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 def _nodes(roots: Iterable[Node], kids: Callable[[Node], Iterable[Node]]) -> list[Node]:
@@ -137,12 +155,23 @@ class PlaneAltTree:
         return len(_nodes([self], _plane_kids))
 
 
+def _plane_node(color: str, label: int, children: tuple[PlaneAltTree, ...]) -> PlaneAltTree:
+    """``PlaneAltTree(color, label, children)``, its fields set without the
+    dataclass constructor, as ``core._assembled`` sets a tableau's: only for
+    builders, whose ``children`` is a tuple of nodes."""
+    node = _new(PlaneAltTree)
+    _set(node, "color", color)
+    _set(node, "label", label)
+    _set(node, "children", children)
+    return node
+
+
 def _plane_key(t: PlaneAltTree) -> list[tuple[str, int, int]]:
     """The (color, label, number of children) of every node, in postorder."""
     return _postorder(t, _plane_kids, lambda n: (n.color, n.label, len(n.children)))
 
 
-def _plane_tree(key: list[tuple[str, int, int]], make: Callable = PlaneAltTree):
+def _plane_tree(key: list[tuple[str, int, int]], make: Callable = _plane_node):
     """The tree of a :func:`_plane_key`, each node made as
     ``make(color, label, children)``."""
     built: list = []
@@ -186,14 +215,15 @@ def validate_tree(t: PlaneAltTree) -> None:
         if node.children and (node.color == WHITE or node.color == BLACK):
             stack.extend(node.children[::-1])
     labels = [node.label for node in order]
-    repeats: set[int] = set()
+    repeats: set[int] = set()  # positions, counted from the end of ``order``
     if len(set(labels)) != len(labels):
         seen: set[int] = set()
+        last = len(labels) - 1
         for k, label in enumerate(labels):
             if label in seen:
-                repeats.add(k)
+                repeats.add(last - k)
             seen.add(label)
-    bad = _plane_violations(order, repeats)
+    bad = _plane_violations(reversed(order), repeats)
     if bad:
         raise ValidationError(bad)
 
@@ -202,7 +232,9 @@ def validate_forest(f: PlaneAltForest) -> None:
     """Check that the trees share no label and each is valid.
 
     Runs the check once per forest: a pass is remembered in ``f.__dict__``
-    (outside the dataclass field), a failure is not.
+    (outside the dataclass field), a failure is not.  The decoders check a
+    forest by the shared pass instead (:func:`_forest_edges`), and call this
+    only to report a forest that fails it.
     """
     if _VALID in f.__dict__:
         return
@@ -214,16 +246,62 @@ def validate_forest(f: PlaneAltForest) -> None:
     f.__dict__[_VALID] = True
 
 
-def _plane_violations(order: list[PlaneAltTree], repeats: Container[int]) -> list[Violation]:
-    """Every violation of the nodes of ``order``, the nodes :func:`validate_tree`
-    checks in preorder, in that order; ``repeats`` are the positions of
-    repeated labels.
+def _plane_listing(
+    trees: Iterable[PlaneAltTree],
+) -> tuple[list[PlaneAltTree], dict[int, str], list[tuple[int, int]]]:
+    """The nodes :func:`validate_tree` checks (none below a node of bad
+    color), each before its subtrees, which are listed last child first; each
+    listed label's step (``D`` white, ``E`` otherwise), so labels repeat when
+    there are fewer steps than nodes; and the (parent, child) edges."""
+    order: list[PlaneAltTree] = []
+    kinds: dict[int, str] = {}
+    edges: list[tuple[int, int]] = []
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        label, color, kids = node.label, node.color, node.children
+        if color == WHITE:
+            kinds[label] = "D"
+        else:
+            kinds[label] = "E"
+            if color != BLACK:
+                continue
+        for c in kids:
+            edges.append((label, c.label))
+            stack.append(c)
+    return order, kinds, edges
 
-    One bottom-up pass: in reversed preorder each node comes right after its
-    subtrees, so the smallest and largest labels of its children's subtrees
-    are on top of a stack.  The subtree below a node of bad color is read in
-    full for its extremes.  Each node's violations are found last check
-    first, since the list is reversed at the end.
+
+def _forest_edges(f: PlaneAltForest) -> tuple[dict[int, str], list[tuple[int, int]]]:
+    """Each label's step and the (parent, child) edges of ``f``, read off one
+    listing of its nodes.  Unless a pass is remembered, the same listing is
+    checked first (distinct labels, then the shared pass), and a pass is
+    remembered; a forest that fails is reported by :func:`validate_forest`."""
+    order, kinds, edges = _plane_listing(f.trees)
+    if _VALID not in f.__dict__:
+        if len(kinds) != len(order) or _plane_violations(reversed(order)):
+            validate_forest(f)
+            raise AssertionError("a forest that fails the shared pass fails validate_forest")
+        f.__dict__[_VALID] = True
+    return kinds, edges
+
+
+def _plane_violations(
+    bottom_up: Iterable[PlaneAltTree], repeats: Container[int] = ()
+) -> list[Violation]:
+    """Every violation of the nodes :func:`validate_tree` checks, given as a
+    listing with each node before its subtrees (preorder, or its mirror),
+    reversed; they are reported in the order of that listing.  ``repeats``
+    are the positions in ``bottom_up`` of the labels listed earlier.  The one
+    statement of the plane-tree rules: every check of a tree or forest runs
+    it, and :func:`arcs_to_forest` runs it on the nodes it has just made.
+
+    One bottom-up pass: each node comes right after its subtrees, so the
+    smallest and largest labels of its children's subtrees are on top of a
+    stack.  The subtree below a node of bad color is read in full for its
+    extremes.  Each node's violations are found last check first, since the
+    list is reversed at the end.
     """
     found: list[Violation] = []
 
@@ -231,8 +309,7 @@ def _plane_violations(order: list[PlaneAltTree], repeats: Container[int]) -> lis
         found.append(Violation(code, f"{before}{_shown_number(label)}{after}"))
 
     spans: list[tuple[int, int]] = []  # (smallest, largest) label of each subtree
-    for k in range(len(order) - 1, -1, -1):
-        node = order[k]
+    for k, node in enumerate(bottom_up):
         label, color, kids = node.label, node.color, node.children
         lo = hi = label
         if color != WHITE and color != BLACK:
@@ -247,14 +324,18 @@ def _plane_violations(order: list[PlaneAltTree], repeats: Container[int]) -> lis
                     kid_lo = c_lo
                 if c_hi > kid_hi:
                     kid_hi = c_hi
-            lo, hi = min(lo, kid_lo), max(hi, kid_hi)
+            if kid_lo < lo:
+                lo = kid_lo
+            if kid_hi > hi:
+                hi = kid_hi
             if color == WHITE:
                 if kid_lo <= label:
                     bad("not-minimal", "white ", " is not minimal")
-                for a, b in zip(kids, kids[1:]):
-                    if a.label <= b.label:
-                        bad("bad-order", "children of white ", " not decreasing")
-                        break
+                if len(kids) > 1:
+                    for a, b in zip(kids, kids[1:]):
+                        if a.label <= b.label:
+                            bad("bad-order", "children of white ", " not decreasing")
+                            break
                 for c in kids:
                     if c.color != BLACK:
                         bad("bad-color", "white ", " has a white child")
@@ -262,10 +343,11 @@ def _plane_violations(order: list[PlaneAltTree], repeats: Container[int]) -> lis
             else:
                 if kid_hi >= label:
                     bad("not-maximal", "black ", " is not maximal")
-                for a, b in zip(kids, kids[1:]):
-                    if a.label >= b.label:
-                        bad("bad-order", "children of black ", " not increasing")
-                        break
+                if len(kids) > 1:
+                    for a, b in zip(kids, kids[1:]):
+                        if a.label >= b.label:
+                            bad("bad-order", "children of black ", " not increasing")
+                            break
                 for c in kids:
                     if c.color != WHITE:
                         bad("bad-color", "black ", " has a black child")
@@ -292,25 +374,9 @@ def _plane_trees(
         order.extend(children[label])
     built: dict[int, PlaneAltTree] = {}
     for label in reversed(order):
-        kids = tuple(map(built.pop, children[label]))
-        built[label] = PlaneAltTree(color[label], label, kids)
+        kids = children[label]
+        built[label] = _plane_node(color[label], label, tuple(map(built.pop, kids)) if kids else ())
     return tuple(built[r] for r in roots)
-
-
-def _forest_edges(
-    trees: Iterable[PlaneAltTree],
-) -> tuple[dict[int, str], list[tuple[int, int]]]:
-    """Each label's step (``D`` white, ``E`` black) and the (parent, child) edges."""
-    kinds: dict[int, str] = {}
-    edges: list[tuple[int, int]] = []
-    stack = list(trees)
-    while stack:
-        node = stack.pop()
-        kinds[node.label] = "D" if node.color == WHITE else "E"
-        for c in node.children:
-            edges.append((node.label, c.label))
-            stack.append(c)
-    return kinds, edges
 
 
 def to_tree(t: AltTableau) -> PlaneAltTree:
@@ -328,7 +394,8 @@ def to_tree(t: AltTableau) -> PlaneAltTree:
 def from_tree(tree: PlaneAltTree) -> AltTableau:
     """Inverse of :func:`to_tree`: the tree edges become the arrows."""
     validate_tree(tree)
-    return _tableau_from_edges(*_forest_edges([tree]))
+    _, kinds, edges = _plane_listing((tree,))
+    return _tableau_from_edges(kinds, edges)
 
 
 def to_forest(t: AltTableau) -> PlaneAltForest:
@@ -343,8 +410,8 @@ def _to_forest(t: AltTableau) -> PlaneAltForest:
 
 
 def from_forest(f: PlaneAltForest) -> AltTableau:
-    validate_forest(f)
-    return _tableau_from_edges(*_forest_edges(f.trees))
+    """Inverse of :func:`to_forest`: the forest edges become the arrows."""
+    return _tableau_from_edges(*_forest_edges(f))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +438,7 @@ def validate_arc_diagram(d: ArcDiagram) -> None:
         return
     bad: list[Violation] = []
     points = d.points
-    if any(a >= b for a, b in zip(points, points[1:])):
+    if not all(map(lt, points, points[1:])):
         raise ValidationError([Violation("bad-points", "points not strictly increasing")])
     pset = set(points)
     for i, j in d.arcs:
@@ -384,21 +451,22 @@ def validate_arc_diagram(d: ArcDiagram) -> None:
     for p in sorted(outs & ins):
         detail = f"point {_shown_number(p)} has both incoming and outgoing arcs"
         bad.append(Violation("in-and-out", detail))
-    # Tree on the whole point set: right count and connected.
+    # Tree on the whole point set: one arc fewer than points, and connected,
+    # that is, every arc joins two parts (union-find, halving the paths).
     if len(d.arcs) != len(points) - 1:
         bad.append(Violation("not-a-tree", f"{len(d.arcs)} arcs on {len(points)} points"))
     else:
-        parent = {p: p for p in points}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in d.arcs:
-            parent[find(i)] = find(j)
-        if len({find(p) for p in points}) > 1:
+        part = {p: p for p in points}
+        unions = 0
+        for i, j in d.arcs:  # i and j climb to the roots of their parts
+            while part[i] != i:
+                part[i] = i = part[part[i]]
+            while part[j] != j:
+                part[j] = j = part[part[j]]
+            if i != j:
+                part[i] = j
+                unions += 1
+        if unions != len(d.arcs):
             bad.append(Violation("not-a-tree", "arcs do not connect all points"))
     if points:
         extremal = (points[0], points[-1])
@@ -450,8 +518,7 @@ def _arc_diagram(t: AltTableau) -> ArcDiagram:
 
 def forest_to_arcs(f: PlaneAltForest) -> ArcDiagram:
     """Arc encoding of a forest on labels 1..n: tree edges plus virtual arcs."""
-    validate_forest(f)
-    kinds, edges = _forest_edges(f.trees)
+    kinds, edges = _forest_edges(f)
     labels = sorted(kinds)
     n = len(labels)
     if labels != list(range(1, n + 1)):
@@ -466,37 +533,59 @@ def arcs_to_forest(d: ArcDiagram) -> PlaneAltForest:
     """Inverse of :func:`forest_to_arcs`: drop the virtual arcs and recolor.
 
     A point is white when all its arcs leave to the right, black otherwise;
-    points that were tied to 0 or n+1 become roots.
+    points that were tied to 0 or n+1 become roots.  The points are listed in
+    preorder once; the nodes are made bottom-up in that order and the shared
+    pass runs on the list of them, so the forest comes out checked without a
+    second walk.
     """
     validate_arc_diagram(d)
-    if len(d.points) < 2:
+    points = d.points
+    if len(points) < 2:
         raise DomainError("bad-points", "diagram needs at least the two virtual points")
-    lo, hi = d.points[0], d.points[-1]
-    roots = sorted(
-        {i for i, j in d.arcs if j == hi and i != lo}
-        | {j for i, j in d.arcs if i == lo and j != hi}
-    )
-    color = {p: BLACK for p in d.points[1:-1]}
+    lo, hi = points[0], points[-1]
+    color = dict.fromkeys(points[1:-1], BLACK)
     neighbors: dict[int, list[int]] = {p: [] for p in color}
+    roots = []
     for i, j in d.arcs:
-        if i != lo:
-            color[i] = WHITE  # i has an outgoing arc
-        if i != lo and j != hi:
+        if i == lo:
+            if j != hi:
+                roots.append(j)
+            continue
+        color[i] = WHITE  # i has an outgoing arc
+        if j == hi:
+            roots.append(i)
+        else:
             neighbors[i].append(j)
             neighbors[j].append(i)
-    # The arcs are sorted, so each point's neighbors come in increasing order.
-    children: dict[int, list[int]] = {}
-    seen = set(roots)
-    order = list(roots)
-    for p in order:  # breadth first from the roots orients every edge
-        kids = [q for q in neighbors[p] if q not in seen]
+    # A valid diagram holds the arc (lo, hi), so each part of the forest is
+    # tied to lo or hi once: one root each, and a node's children are its
+    # neighbors less its parent, which is taken off their lists as each is
+    # reached.  The arcs are sorted, so each point's neighbors come in
+    # increasing order.
+    roots.sort()
+    order = []
+    stack = roots[::-1]
+    while stack:  # preorder
+        p = stack.pop()
+        order.append(p)
+        kids = neighbors[p]
         if color[p] == WHITE:
             kids.reverse()
-        seen.update(kids)
-        children[p] = kids
-        order.extend(kids)
-    forest = PlaneAltForest(_plane_trees(roots, children, color))
-    validate_forest(forest)
+        for q in kids:
+            neighbors[q].remove(p)
+        stack.extend(reversed(kids))
+    built: dict[int, PlaneAltTree] = {}
+    made = []
+    for p in reversed(order):
+        kids = neighbors[p]
+        node = built[p] = _plane_node(color[p], p, tuple(map(built.pop, kids)) if kids else ())
+        made.append(node)
+    failed = _plane_violations(made)  # the points are distinct labels
+    forest = PlaneAltForest(tuple(map(built.pop, roots)))
+    if failed:
+        validate_forest(forest)
+        raise AssertionError("a forest that fails the shared pass fails validate_forest")
+    forest.__dict__[_VALID] = True
     return forest
 
 
@@ -570,6 +659,19 @@ def _bin_kids(node: BinAltTree) -> tuple[BinAltTree, ...]:
     return (left,) if right is None else (left, right)
 
 
+def _bin_node(
+    label: int, left: BinAltTree | None, right: BinAltTree | None, kind: str
+) -> BinAltTree:
+    """``BinAltTree(label, left, right, kind)``, its fields set without the
+    dataclass constructor: only for builders, as :func:`_plane_node`."""
+    node = _new(BinAltTree)
+    _set(node, "label", label)
+    _set(node, "left", left)
+    _set(node, "right", right)
+    _set(node, "kind", kind)
+    return node
+
+
 def _bin_key(t: BinAltTree) -> list[tuple[int, str, bool, bool]]:
     """The (label, kind, has left, has right) of every node, in postorder."""
     return _postorder(
@@ -577,7 +679,7 @@ def _bin_key(t: BinAltTree) -> list[tuple[int, str, bool, bool]]:
     )
 
 
-def _bin_tree(key: list[tuple[int, str, bool, bool]], make: Callable = BinAltTree):
+def _bin_tree(key: list[tuple[int, str, bool, bool]], make: Callable = _bin_node):
     """The tree of a :func:`_bin_key`, each node made as
     ``make(label, left, right, kind)``."""
     built: list = []
@@ -594,27 +696,41 @@ def validate_bin_tree(t: BinAltTree | None, kind: str) -> None:
 
     Nodes are checked in preorder; a node's extremality ignores descendants
     that carry its own label.  One preorder listing with the kind each node
-    must have, then one bottom-up pass as in :func:`_plane_violations`.
+    must have, then one bottom-up pass (:func:`_bin_violations`).
     """
-    order: list[tuple[BinAltTree, str]] = []
-    stack = [] if t is None else [(t, kind)]
+    order: list[tuple[BinAltTree, str, None]] = []
+    stack = [] if t is None else [(t, kind, None)]
     while stack:
         item = stack.pop()
         order.append(item)
         node = item[0]
         if node.right is not None:
-            stack.append((node.right, MIN_ROOTED))
+            stack.append((node.right, MIN_ROOTED, None))
         if node.left is not None:
-            stack.append((node.left, MAX_ROOTED))
+            stack.append((node.left, MAX_ROOTED, None))
+    bad = _bin_violations(reversed(order))
+    if bad:
+        raise ValidationError(bad)
+
+
+def _bin_violations(bottom_up: Iterable[tuple[BinAltTree, str, object]]) -> list[Violation]:
+    """Every violation of the (node, kind it must have, anything) entries of
+    a preorder listing, given in reverse, reported in that preorder.  The one
+    statement of the binary-tree rules, as :func:`_plane_violations` is of
+    the plane-tree ones: each node's subtree span is read off a stack of the
+    spans of the subtrees done, whichever child is listed first."""
     bad: list[Violation] = []
     spans: list[tuple[int, int]] = []  # (smallest, largest) label of each subtree
-    for node, want in reversed(order):
+    for node, want, _ in bottom_up:
         label = node.label
         lo = hi = label
-        for child in (node.left, node.right):  # the left subtree's span is on top
+        for child in (node.left, node.right):
             if child is not None:
                 c_lo, c_hi = spans.pop()
-                lo, hi = min(lo, c_lo), max(hi, c_hi)
+                if c_lo < lo:
+                    lo = c_lo
+                if c_hi > hi:
+                    hi = c_hi
         spans.append((lo, hi))
         if want == MIN_ROOTED and lo < label:
             bad.append(Violation("not-minimal", f"node {_shown_number(label)} is not minimal"))
@@ -625,9 +741,8 @@ def validate_bin_tree(t: BinAltTree | None, kind: str) -> None:
             bad.append(Violation("bad-kind", f"{marked}, expected {want}"))
         if label < 0:
             bad.append(Violation("label-order", f"negative label {_shown_number(label)}"))
-    if bad:
-        bad.reverse()  # each node's violations were found last check first
-        raise ValidationError(bad)
+    bad.reverse()  # each node's violations were found last check first
+    return bad
 
 
 def to_binary_tree(t: AltTableau, kind: str) -> BinAltTree | None:
@@ -648,8 +763,7 @@ def to_binary_tree(t: AltTableau, kind: str) -> BinAltTree | None:
 
 
 def from_binary_tree(tree: BinAltTree | None, kind: str) -> AltTableau:
-    validate_bin_tree(tree, kind)
-    return _binary_tableau([tree])
+    return _binary_tableau(((tree, kind),))
 
 
 def binary_pair(t: AltTableau) -> tuple[BinAltTree | None, BinAltTree | None]:
@@ -681,39 +795,61 @@ def _binary_pair(t: AltTableau) -> tuple[BinAltTree | None, BinAltTree | None]:
         first = built[kids[0]] if kids else None
         after = built[sibling.get(label)]
         if kinds[label] == "D":
-            built[label] = BinAltTree(label, first, after, MIN_ROOTED)
+            built[label] = _bin_node(label, first, after, MIN_ROOTED)
         else:
-            built[label] = BinAltTree(label, after, first, MAX_ROOTED)
+            built[label] = _bin_node(label, after, first, MAX_ROOTED)
     return built[whites[0] if whites else None], built[blacks[0] if blacks else None]
 
 
 def binary_pair_inv(pair: tuple[BinAltTree | None, BinAltTree | None]) -> AltTableau:
     b_min, b_max = pair
-    validate_bin_tree(b_min, MIN_ROOTED)
-    validate_bin_tree(b_max, MAX_ROOTED)
-    return _binary_tableau(pair)
+    return _binary_tableau(((b_min, MIN_ROOTED), (b_max, MAX_ROOTED)))
 
 
-def _binary_tableau(trees: Iterable[BinAltTree | None]) -> AltTableau:
-    """The tableau of validated binary trees: each node's first child (left of
-    a min node, right of a max node) hangs below it in the forest, and its
-    next sibling (the other child) below its parent."""
+def _binary_tableau(roots: tuple[tuple[BinAltTree | None, str], ...]) -> AltTableau:
+    """The tableau of the binary trees of ``roots``, each given with the kind
+    its root must have, read off one listing: (node, kind it must have,
+    label of its parent in the forest) for every node, the last tree first,
+    each node before its subtrees, with each label's step and the forest
+    edges.  A min node's first child in the forest is its left child and its
+    next sibling its right child; a max node's are the other way round; the
+    next sibling's subtree is listed first.  The shared pass checks the
+    listing: trees that fail are reported by :func:`validate_bin_tree`, in
+    order; then the first label listed twice is a ``label-collision``."""
+    order: list[tuple[BinAltTree, str, int | None]] = []
     kinds: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
-    stack: list[tuple[BinAltTree | None, int | None]] = [(b, None) for b in trees]
+    stack = [(tree, kind, None) for tree, kind in roots if tree is not None]
     while stack:
-        node, parent = stack.pop()
-        if node is None:
-            continue
-        if node.label in kinds:
-            raise DomainError("label-collision", f"label {_shown_number(node.label)} appears twice")
-        white = node.kind == MIN_ROOTED
-        kinds[node.label] = "D" if white else "E"
+        item = stack.pop()
+        order.append(item)
+        node, want, parent = item
+        label, left, right = node.label, node.left, node.right
         if parent is not None:
-            edges.append((parent, node.label))
-        first, after = (node.left, node.right) if white else (node.right, node.left)
-        stack.append((first, node.label))
-        stack.append((after, parent))
+            edges.append((parent, label))
+        if want == MIN_ROOTED:
+            kinds[label] = "D"
+            if left is not None:
+                stack.append((left, MAX_ROOTED, label))
+            if right is not None:
+                stack.append((right, MIN_ROOTED, parent))
+        else:
+            kinds[label] = "E"
+            if right is not None:
+                stack.append((right, MIN_ROOTED, label))
+            if left is not None:
+                stack.append((left, MAX_ROOTED, parent))
+    if _bin_violations(reversed(order)):
+        for tree, kind in roots:
+            validate_bin_tree(tree, kind)
+        raise AssertionError("a listing that fails the shared pass fails its validator")
+    if len(kinds) != len(order):
+        seen: set[int] = set()
+        for node, _, _ in order:
+            if node.label in seen:
+                label = _shown_number(node.label)
+                raise DomainError("label-collision", f"label {label} appears twice")
+            seen.add(node.label)
     return _tableau_from_edges(kinds, edges)
 
 
@@ -732,7 +868,7 @@ def render_forest(f: PlaneAltForest) -> str:
     return " ".join(render_tree(t) for t in f.trees)
 
 
-_TOKEN_RE = re.compile(r"\(|\)|[A-Za-z]+|\d+")
+_TOKEN_RE = re.compile(r"\(|\)|[A-Za-z]+|[0-9]+")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -772,7 +908,7 @@ def parse_forest(text: str) -> PlaneAltForest:
             continue
         expect(idx, lambda s: s == "(", "'('")
         color, _ = expect(idx + 1, lambda s: s in (WHITE, BLACK), "color W or B")
-        label, pos = expect(idx + 2, str.isdigit, "label")
+        label, pos = expect(idx + 2, _NUMBER_RE.fullmatch, "label")
         open_nodes.append((color, label, pos, []))
         idx += 3
     forest = PlaneAltForest(tuple(trees))
@@ -785,18 +921,19 @@ def render_arcs(d: ArcDiagram) -> str:
     return "points=" + pts + " arcs=" + "".join(f"({i},{j})" for i, j in d.arcs)
 
 
-_ARCS_RE = re.compile(r"points=(\d+)\.\.(\d+) arcs=((?:\(\d+,\d+\))*)$")
+_ARCS_RE = re.compile(r"points=([0-9]+)\.\.([0-9]+) arcs=((?:\([0-9]+,[0-9]+\))*)$")
+_ARC_RE = re.compile(r"\(([0-9]+),([0-9]+)\)")
 
 
 def parse_arcs(text: str) -> ArcDiagram:
-    m = _ARCS_RE.match(text.strip())
+    """Parse ``points=a..b arcs=(i,j)...``; whitespace around the text is
+    ignored, and a :class:`ParseError` gives its position in ``text``."""
+    m = _ARCS_RE.match(text, len(text) - len(text.lstrip()), len(text.rstrip()))
     if not m:
         raise ParseError("expected 'points=a..b arcs=(i,j)...'", 0)
     lo, hi = _parse_int(m.group(1), m.start(1)), _parse_int(m.group(2), m.start(2))
     at = m.start(3)
-    arcs = [
-        (_parse_int(i, at), _parse_int(j, at)) for i, j in re.findall(r"\((\d+),(\d+)\)", m.group(3))
-    ]
+    arcs = [(_parse_int(i, at), _parse_int(j, at)) for i, j in _ARC_RE.findall(m.group(3))]
     # A tree has one arc fewer than points: checked before the range is built,
     # so the text bounds the point count.
     if hi - lo != len(arcs):
@@ -830,7 +967,7 @@ def parse_bin_pair(text: str) -> tuple[BinAltTree | None, BinAltTree | None]:
     return first, second
 
 
-_BIN_LABEL_RE = re.compile(r"\s*(\d+)\s*L:")
+_BIN_LABEL_RE = re.compile(r"\s*([0-9]+)\s*L:")
 _BIN_RIGHT_RE = re.compile(r"\s*R:")
 _UNREAD = object()  # the left subtree of an open node, before it is read
 

@@ -17,6 +17,18 @@ from alttab.core import (
 )
 from alttab.decomposition import merge
 from alttab.errors import DomainError, ParseError, ValidationError, Violation, _shown
+from alttab.trees import (
+    BLACK,
+    MAX_ROOTED,
+    MIN_ROOTED,
+    WHITE,
+    ArcDiagram,
+    BinAltTree,
+    PlaneAltForest,
+    PlaneAltTree,
+    validate_bin_tree,
+    validate_tree,
+)
 
 T0_COMPACT = "EEDDEDDEEDDED|L3,5;U4,9;U6,8;L6,9;L7,9;L10,12"
 
@@ -89,8 +101,10 @@ def compact_texts(draw) -> tuple[bool, str]:
     tableau if so, else of a tableau: an optional labels prefix, a word and
     a ``;``-separated list whose parts are well formed, empty, or drawn from
     the characters the formats use and a few they refuse, newline included,
-    sometimes with a number too long for ``int``."""
+    sometimes with a number too long for ``int``, and sometimes after
+    leading whitespace."""
     cells = draw(st.booleans())
+    lead = draw(st.sampled_from(["", "", "  ", "\n\t "]))
     word = "".join(draw(st.sampled_from("DE")) for _ in range(draw(st.integers(0, 6))))
     prefix = draw(
         st.sampled_from(
@@ -104,37 +118,39 @@ def compact_texts(draw) -> tuple[bool, str]:
     junk = st.text(alphabet="LU0123456789,;x\n²٣ ", max_size=6)
     huge = st.just(("" if cells else "L") + "1," + "9" * 5000)
     parts = draw(st.lists(st.one_of(good, good, st.just(""), junk, huge), max_size=6))
-    return cells, prefix + word + "|" + ";".join(parts)
+    return cells, lead + prefix + word + "|" + ";".join(parts)
 
 
 def parse_compact_by_parts(text: str, cells: bool):
     """Reference for the compact forms of ``parse_tableau`` (``cells`` false)
     and ``parse_perm_tableau``: every part of the list is matched and read
     on its own.  Returns the data that is then validated: labels, word and
-    arrows or 1-cells."""
+    arrows or 1-cells.  Numbers are ASCII digits, and positions count the
+    whitespace before the text."""
+    at = len(text) - len(text.lstrip())
     text = text.strip()
     if not text:
         raise ParseError("empty input", 0)
-    labels, rest, offset = None, text, 0
+    labels, rest, offset = None, text, at
     if text.startswith("labels="):
         cut = text.find("|")
         if cut < 0:
-            raise ParseError("labels prefix missing '|'", len(text))
+            raise ParseError("labels prefix missing '|'", at + len(text))
         body = text[len("labels=") : cut]
         parts = body.split(",") if body else []
-        if not all(re.fullmatch(r"\d+", p) for p in parts):
-            raise ParseError(f"bad label list {_shown(body)}", len("labels="))
+        if not all(re.fullmatch(r"[0-9]+", p) for p in parts):
+            raise ParseError(f"bad label list {_shown(body)}", at + len("labels="))
         try:
             labels = tuple(int(p) for p in parts)
         except ValueError:
-            raise ParseError(f"bad label list {_shown(body)}", len("labels="))
-        rest, offset = text[cut + 1 :], cut + 1
+            raise ParseError(f"bad label list {_shown(body)}", at + len("labels="))
+        rest, offset = text[cut + 1 :], at + cut + 1
     if rest.count("|") != 1:
         raise ParseError(f"expected <word>|<{'one-cells' if cells else 'arrows'}>", offset)
     word, _, items = rest.partition("|")
     if labels is None:
         labels = tuple(range(1, len(word) + 1))
-    part_re = re.compile(r"(\d+),(\d+)$" if cells else r"([LU])(\d+),(\d+)$")
+    part_re = re.compile(r"([0-9]+),([0-9]+)$" if cells else r"([LU])([0-9]+),([0-9]+)$")
     found = []
     pos = offset + len(word) + 1
     for part in items.split(";"):
@@ -355,3 +371,148 @@ def perm_tableau_stats_by_scan(p: PermTableau) -> PermTableauStats:
     unrestricted = frozenset(i for i in rows if i not in restricted_rows and i != top)
     top_one = frozenset(j for j in cols if top is not None and (top, j) in ones)
     return PermTableauStats(unrestricted, top_one, superfluous)
+
+
+# References for the tree decoders: each checks its input in a walk of its
+# own, builds in another and checks what it built in a third, as the
+# decoders did before they took check and output from one listing.  Nodes
+# come from the public constructors, and tableaux from ``AltTableau``.
+
+
+def _tableau_of_edges(kinds: dict[int, str], edges) -> AltTableau:
+    labels = tuple(sorted(kinds))
+    arrows = [Arrow(p, c, "U") if kinds[p] == "D" else Arrow(c, p, "L") for p, c in edges]
+    return AltTableau(labels, "".join(kinds[l] for l in labels), tuple(arrows))
+
+
+def validate_forest_by_trees(f: PlaneAltForest) -> None:
+    """Reference for ``validate_forest``: every node listed for the shared
+    labels, then each tree checked on its own."""
+    nodes, stack = [], list(f.trees)
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children)
+    if len({node.label for node in nodes}) != len(nodes):
+        raise ValidationError([Violation("duplicate-label", "trees share labels")])
+    for t in f.trees:
+        validate_tree(t)
+
+
+def from_forest_by_walks(f: PlaneAltForest) -> AltTableau:
+    """Reference for ``from_forest``: the check, then a walk for the edges."""
+    validate_forest_by_trees(f)
+    kinds, edges, stack = {}, [], list(f.trees)
+    while stack:
+        node = stack.pop()
+        kinds[node.label] = "D" if node.color == WHITE else "E"
+        for c in node.children:
+            edges.append((node.label, c.label))
+            stack.append(c)
+    return _tableau_of_edges(kinds, edges)
+
+
+def validate_arc_diagram_by_find(d: ArcDiagram) -> None:
+    """Reference for ``validate_arc_diagram``: connectivity by the number of
+    parts a union-find leaves, each found by a nested ``find``."""
+    bad = []
+    points = d.points
+    if any(a >= b for a, b in zip(points, points[1:])):
+        raise ValidationError([Violation("bad-points", "points not strictly increasing")])
+    pset = set(points)
+    for i, j in d.arcs:
+        if i >= j or i not in pset or j not in pset:
+            bad.append(Violation("bad-arc", f"arc {(i, j)} off the points"))
+    if bad:
+        raise ValidationError(bad)
+    outs = {i for i, _ in d.arcs}
+    ins = {j for _, j in d.arcs}
+    for p in sorted(outs & ins):
+        bad.append(Violation("in-and-out", f"point {p} has both incoming and outgoing arcs"))
+    if len(d.arcs) != len(points) - 1:
+        bad.append(Violation("not-a-tree", f"{len(d.arcs)} arcs on {len(points)} points"))
+    else:
+        parent = {p: p for p in points}
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, j in d.arcs:
+            parent[find(i)] = find(j)
+        if len({find(p) for p in points}) > 1:
+            bad.append(Violation("not-a-tree", "arcs do not connect all points"))
+    if points:
+        right = {i: j for i, j in d.arcs}
+        left = {j: i for i, j in reversed(d.arcs)}
+        for i, j in d.arcs:
+            if (i, j) == (points[0], points[-1]):
+                continue
+            sides = int(right[i] == j) + int(left[j] == i)
+            if sides != 1:
+                bad.append(Violation("topmost", f"arc {(i, j)} is topmost on {sides} sides, expected 1"))
+    if bad:
+        raise ValidationError(bad)
+
+
+def arcs_to_forest_by_walks(d: ArcDiagram) -> PlaneAltForest:
+    """Reference for ``arcs_to_forest``: the diagram checked, the children
+    found breadth first, the trees built, then the forest checked."""
+    validate_arc_diagram_by_find(d)
+    if len(d.points) < 2:
+        raise DomainError("bad-points", "diagram needs at least the two virtual points")
+    lo, hi = d.points[0], d.points[-1]
+    roots = sorted(
+        {i for i, j in d.arcs if j == hi and i != lo}
+        | {j for i, j in d.arcs if i == lo and j != hi}
+    )
+    color = {p: BLACK for p in d.points[1:-1]}
+    neighbors: dict[int, list[int]] = {p: [] for p in color}
+    for i, j in d.arcs:
+        if i != lo:
+            color[i] = WHITE
+        if i != lo and j != hi:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+    children: dict[int, list[int]] = {}
+    seen = set(roots)
+    order = list(roots)
+    for p in order:
+        kids = [q for q in neighbors[p] if q not in seen]
+        if color[p] == WHITE:
+            kids.reverse()
+        seen.update(kids)
+        children[p] = kids
+        order.extend(kids)
+    built: dict[int, PlaneAltTree] = {}
+    for p in reversed(order):
+        built[p] = PlaneAltTree(color[p], p, tuple(built.pop(c) for c in children[p]))
+    forest = PlaneAltForest(tuple(built[r] for r in roots))
+    validate_forest_by_trees(forest)
+    return forest
+
+
+def binary_pair_inv_by_walks(pair: tuple[BinAltTree | None, BinAltTree | None]) -> AltTableau:
+    """Reference for ``binary_pair_inv``: each tree checked, then one walk
+    for the edges, each node's role read off the kind it is marked with."""
+    b_min, b_max = pair
+    validate_bin_tree(b_min, MIN_ROOTED)
+    validate_bin_tree(b_max, MAX_ROOTED)
+    kinds, edges = {}, []
+    stack = [(b_min, None), (b_max, None)]
+    while stack:
+        node, parent = stack.pop()
+        if node is None:
+            continue
+        if node.label in kinds:
+            raise DomainError("label-collision", f"label {node.label} appears twice")
+        white = node.kind == MIN_ROOTED
+        kinds[node.label] = "D" if white else "E"
+        if parent is not None:
+            edges.append((parent, node.label))
+        first, after = (node.left, node.right) if white else (node.right, node.left)
+        stack.append((first, node.label))
+        stack.append((after, parent))
+    return _tableau_of_edges(kinds, edges)

@@ -128,14 +128,26 @@ def test_each_tableau_is_checked_once(monkeypatch):
 
 
 def test_each_forest_is_checked_once(monkeypatch):
+    # One shared pass checks a whole forest, on the listing its edges are
+    # read from; ``arcs_to_forest`` runs it as it makes the nodes, so the
+    # forest it returns is not checked again.
     t = parse_tableau(T0_COMPACT)
     forest = to_forest(t)
-    calls = count_calls(monkeypatch, trees, "validate_tree")
+    assert len(forest.trees) > 1
+    calls = count_calls(monkeypatch, trees, "_plane_violations")
     assert from_forest(forest) == from_forest(forest) == t
-    assert len(calls) == len(forest.trees)
+    assert len(calls) == 1
     calls.clear()
     assert from_forest(arcs_to_forest(arc_diagram(t))) == t
-    assert len(calls) == len(forest.trees)
+    assert len(calls) == 1
+    # A forest that fails runs the pass again on every call, and then its
+    # validator's report.
+    bad = PlaneAltForest((PlaneAltTree("W", 1, (PlaneAltTree("W", 2),)),))
+    calls.clear()
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            from_forest(bad)
+    assert len(calls) == 4 and core._VALID not in bad.__dict__
 
 
 def test_each_image_is_built_once():
@@ -165,14 +177,17 @@ def test_images_are_not_marked_checked_until_they_are(monkeypatch):
     t = parse_tableau(T0_COMPACT)
     forest, diagram = to_forest(t), arc_diagram(t)
     assert core._VALID not in forest.__dict__ and core._VALID not in diagram.__dict__
-    trees_checked = count_calls(monkeypatch, trees, "validate_tree")
+    trees_checked = count_calls(monkeypatch, trees, "_plane_violations")
     arcs_checked = count_calls(monkeypatch, trees, "_extreme_ends")
     forest_to_arcs(forest)
     forest_to_arcs(forest)
-    assert len(trees_checked) == len(forest.trees) and core._VALID in forest.__dict__
-    arcs_to_forest(diagram)
-    arcs_to_forest(diagram)
+    assert len(trees_checked) == 1 and core._VALID in forest.__dict__
+    # Each decode checks the diagram once and the forest it makes as it
+    # makes it.
+    decoded = [arcs_to_forest(diagram), arcs_to_forest(diagram)]
     assert len(arcs_checked) == 1 and core._VALID in diagram.__dict__
+    assert len(trees_checked) == 3
+    assert all(core._VALID in f.__dict__ for f in decoded)
 
 
 def test_decoded_tableaux_carry_no_image():
@@ -187,7 +202,7 @@ def test_decoded_tableaux_carry_no_image():
     ]
     for back in decoded:
         assert back == t and back is not t
-        assert not IMAGES & set(back.__dict__)
+        assert set(back.__dict__) == FIELDS  # not marked checked, and no image
         assert to_forest(back) is not to_forest(t) and to_forest(back) == to_forest(t)
 
 

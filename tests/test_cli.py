@@ -47,8 +47,13 @@ class TestValidate:
     )
     @pytest.mark.parametrize(
         "record, position",
-        [("word=DE\n\narrows=[1,2,L]x", 16), ("word=DE\nlabels=1,x", 15)],
-        ids=["arrows", "labels"],
+        [
+            ("word=DE\n\narrows=[1,2,L]x", 16),
+            ("word=DE\nlabels=1,x", 15),
+            ("\n\nword=DE\nlabels=1,x", 17),
+            ("  DE|X1,2", 5),
+        ],
+        ids=["arrows", "labels", "labels-after-blank-lines", "compact-after-spaces"],
     )
     def test_record_error_names_the_field_position(
         self, capsys, monkeypatch, argv, record, position

@@ -32,7 +32,8 @@ from alttab.core import (
 )
 from alttab.enumeration import all_tableaux
 from alttab.errors import DomainError, ParseError, ValidationError
-from alttab.permutations import from_permutation
+from alttab.permutations import from_permutation, parse_signed, parse_word
+from alttab.trees import parse_arcs, parse_bin_pair, parse_forest
 
 from conftest import (
     T0_COMPACT,
@@ -575,6 +576,72 @@ class TestTextFormats:
             parse_tableau(text)
         assert err.value.position == position
         assert text[position] in "1["
+
+    @pytest.mark.parametrize(
+        "parse, text, position",
+        [
+            (parse_tableau, "\n\nword=DE\nlabels=1,x", 17),
+            (parse_tableau, " \n word=DE\narrows=[1,2,L]x", 18),
+            (parse_tableau, "  DE|X1,2", 5),
+            (parse_tableau, "\t labels=1,x|DE|", 9),
+            (parse_perm_tableau, "  DE|x", 5),
+            (parse_arcs, f"  points=0..{HUGE} arcs=", 12),
+        ],
+        ids=["record-labels", "record-arrows", "compact", "compact-labels", "permtab", "arcs"],
+    )
+    def test_error_position_counts_the_whitespace_before_the_text(self, parse, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
+        assert text[position] in "1[X9x"
+
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            ("word=DE\nfoo=1", 8, "unknown keys ['foo']"),
+            ("foo=1\nword=DE\nbar=2", 0, "unknown keys ['bar', 'foo']"),
+            ("word=DE\n  zz = 3\nfoo=1", 8, "unknown keys ['foo', 'zz']"),
+            ("\n\nword=DE\nfoo=1", 10, "unknown keys ['foo']"),
+            ("labels=1,2\narrows=", 0, "record missing 'word'"),
+            ("\n labels=1,2\narrows=", 0, "record missing 'word'"),
+        ],
+        ids=["second-line", "first-line", "first-of-two", "after-blank-lines", "no-word", "no-word-lead"],
+    )
+    def test_record_key_errors_are_reported_at_the_first_bad_line(self, text, position, message):
+        # An unknown key is reported where its line starts; a missing word
+        # has no line, and is reported at the start of the text.
+        with pytest.raises(ParseError) as err:
+            parse_tableau(text)
+        assert err.value.position == position and str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("digits", ["\u0662", "+2", "0_2", "\u00b2"], ids=["arabic", "sign", "underscore", "sup"])
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_tableau, "DE|L1,{}"),
+            (parse_tableau, "labels=1,{}|DE|"),
+            (parse_tableau, "word=DE\nlabels=1,{}"),
+            (parse_tableau, "word=DE\narrows=[1,{},L]"),
+            (parse_perm_tableau, "DE|1,{}"),
+            (parse_perm_tableau, "labels=1,{}|DE|1,{}"),
+            (parse_arcs, "points=0..{} arcs=(0,1)(0,2)"),
+            (parse_arcs, "points=0..2 arcs=(0,1)(0,{})"),
+            (parse_forest, "(W 1 (B {}))"),
+            (parse_bin_pair, "({} L:- R:-) -"),
+            (parse_word, "1 {} 0"),
+            (parse_signed, "1 {}'"),
+        ],
+        ids=[
+            "compact", "compact-labels", "record-labels", "record-arrows", "permtab",
+            "permtab-labels", "arcs-points", "arcs", "forest", "bin-pair", "word", "signed",
+        ],
+    )
+    def test_every_reader_takes_ascii_digits_only(self, parse, text, digits):
+        # Each text reads with the number 2; ``int`` reads the other forms
+        # of it (but "²"), and the grammar refuses them all.
+        parse(text.format("2", "2"))
+        with pytest.raises(ParseError):
+            parse(text.format(digits, digits))
 
     def test_perm_tableau_roundtrip(self, t0):
         p = to_perm_tableau(t0)
