@@ -171,13 +171,18 @@ def cmd_split(args) -> int:
 
 def cmd_merge(args) -> int:
     parts = []
-    for line in _read_input(args.file).splitlines():
-        line = line.strip()
-        if not line:
+    for number, line in enumerate(_read_input(args.file).splitlines(), 1):
+        body = line.strip()
+        if not body:
             continue
-        if " :: " in line:
-            line = line.split(" :: ", 1)[1]
-        parts.append(parse_tableau(line))
+        # The tableau after a ``{labels} :: `` head; positions count in the line as given.
+        start = 0
+        if " :: " in body:
+            start = len(line) - len(line.lstrip()) + body.index(" :: ") + 4
+        try:
+            parts.append(parse_tableau(line[start:]))
+        except ParseError as exc:
+            raise ParseError(exc.message, start + exc.position, number) from None
     print(_render_alt(merge_all(parts)))
     return 0
 

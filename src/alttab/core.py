@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right, insort
+from collections import abc
 from dataclasses import dataclass
 from functools import partial
+from numbers import Real
 from operator import lt
 from typing import Callable, Container, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -55,6 +57,21 @@ def _cell(i: int, j: int, sep: str = ",") -> str:
 
 
 def _check_labels_word(labels: Sequence[int], word: str) -> list[Violation]:
+    try:
+        return _labels_word_violations(labels, word)
+    except (TypeError, AttributeError):
+        # Only values of the wrong type get here, so valid input pays nothing.
+        # A string word leaves the labels at fault.
+        bad = []
+        if not isinstance(word, str):
+            bad.append(Violation("bad-step", f"word {_shown_value(word)} is not a string"))
+        if bad and isinstance(labels, abc.Sequence) and all(isinstance(l, Real) for l in labels):
+            return bad
+        shown = _shown_value(labels)
+        return [*bad, Violation("bad-label", f"labels {shown} are not a sequence of integers")]
+
+
+def _labels_word_violations(labels: Sequence[int], word: str) -> list[Violation]:
     bad = []
     if len(labels) != len(word):
         bad.append(Violation("size-mismatch", f"{len(labels)} labels for word of length {len(word)}"))

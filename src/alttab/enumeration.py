@@ -9,8 +9,10 @@ recursion of the matrix ansatz, ``DE = qED + D + E``: the corner cell of a
 or is an empty free cell (weight ``q``, swap the step), and a shape
 ``E^a D^b`` has no cells.  Words are coded as integers (D = 1, first letter
 in the top bit), so a swap lowers the code and a drop shortens the word.
-The law of all 2^n states is one ascending pass per length over the 2^(n+1)
-codes, on integer numerators over a known power of the rates' denominators;
+The law of all 2^n states is built length by length from the boundary
+steps: a word E.w is x times w and a word w.D is y times w, so only the
+words D...E of each length, 2^(n-1) - 1 in all, take a corner step.  It
+works on integer numerators over a known power of the rates' denominators;
 the polynomial of one word is one vector pass through bidiagonal matrices
 that obey the same relation.  Either way a shape costs polynomial time.
 
@@ -148,36 +150,43 @@ def _corner_table(
 ) -> tuple[list[V], list[int]]:
     """Every word of length n by code: its scaled Z and its number of cells.
 
-    Z(X.DE.Y) = q.Z(X.ED.Y) + Z(X.E.Y) + Z(X.D.Y) at the first ``DE`` corner
-    with q = qn/qd.  Entry w holds Z(w).qd^cells(w).xd^#E(w).yd^#D(w), so
-    the step is
+    Entry w holds Z(w).qd^cells(w).xd^#E(w).yd^#D(w), and ``leaf(a, b)`` is
+    the scaled Z of ``E^a D^b``, a product x^a.y^b as the matrix ansatz's
+    boundary relations <W|E = x<W| and D|V> = y|V> make it; only leaf(0, 0),
+    leaf(1, 0) and leaf(0, 1) are read.  Length m comes from length m - 1:
+
+    - a code below 2^(m-1) is E.w, x times entry w, with the same cells;
+    - an odd code is w.D, y times entry w >> 1, with the same cells;
+    - the other codes, the words D...E, split at their first ``DE`` corner,
+      Z(X.DE.Y) = q.Z(X.ED.Y) + Z(X.E.Y) + Z(X.D.Y) with q = qn/qd, so the
+      step is
 
         qn.Z(swap) + qd^(cells dropped with the row).yd.Z(no row)
-                   + qd^(cells dropped with the column).xd.Z(no column),
+                   + qd^(cells dropped with the column).xd.Z(no column).
 
-    and ``leaf(a, b)`` is the scaled Z of ``E^a D^b``.  On ints every entry is
-    an integer numerator; on ``Poly3`` values at the default q = 1 the table
-    holds the polynomials themselves.  A swap lowers the code and a drop
-    shortens the word, so one ascending pass per length, keeping only the
-    previous length, sees every operand first: 2^(n+1) entries, no memo and
-    no stack.  This is the only walk of the recursion, for all 2^n words of
-    a size; one word's polynomial is :func:`_bidiagonal_pass`.
+    A swap lowers the code and a drop shortens the word, so an ascending
+    pass per length, keeping only the previous length, sees every operand
+    first: 2^(n+1) entries, 2^(n-1) - 1 corner steps, no memo and no stack.
+    On ints every entry is an integer numerator; on ``Poly3`` values at the
+    default q = 1 the table holds the polynomials themselves.  This is the
+    only walk of the recursion, for all 2^n words of a size; one word's
+    polynomial is :func:`_bidiagonal_pass`.
     """
     # A row or a column holds fewer than n cells.
     row_factor = [qd**e * yd for e in range(n)]
     col_factor = [qd**e * xd for e in range(n)]
+    x, y = leaf(1, 0), leaf(0, 1)
     prev, prev_cells = [leaf(0, 0)], [0]
     for m in range(1, n + 1):
-        cur: list[V] = []
-        cells: list[int] = []
-        for w in range(1 << m):
-            split = _corner(w)
-            if split is None:
-                b = w.bit_length()
-                cur.append(leaf(m - b, b))
-                cells.append(0)
+        half = len(prev)
+        cur = [x * v for v in prev]
+        cells = prev_cells.copy()
+        for w in range(half, 2 * half):
+            if w & 1:
+                cur.append(y * prev[w >> 1])
+                cells.append(prev_cells[w >> 1])
                 continue
-            swap, no_row, no_col = split
+            swap, no_row, no_col = _corner(w)
             c = cells[swap] + 1
             cur.append(
                 qn * cur[swap]

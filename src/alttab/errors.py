@@ -61,11 +61,15 @@ class ValidationError(TableauError):
 
 
 class ParseError(TableauError):
-    """Malformed textual input; ``position`` is a character offset."""
+    """Malformed textual input; ``position`` is a character offset, in the
+    1-based ``line`` of a many-line input when one is given."""
 
-    def __init__(self, message: str, position: int = 0):
+    def __init__(self, message: str, position: int = 0, line: int | None = None):
+        self.message = message
         self.position = position
-        super().__init__(f"{message} (at position {position})")
+        self.line = line
+        at = f"position {position}" if line is None else f"line {line}, position {position}"
+        super().__init__(f"{message} (at {at})")
 
 
 class DomainError(TableauError):

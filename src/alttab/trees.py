@@ -757,13 +757,18 @@ def to_binary_tree(t: AltTableau, kind: str) -> BinAltTree | None:
         raise DomainError("wrong-class", "min-rooted encoding needs a tableau with no free columns")
     if kind == MAX_ROOTED and b_min is not None:
         raise DomainError("wrong-class", "max-rooted encoding needs a tableau with no free rows")
-    if kind not in (MIN_ROOTED, MAX_ROOTED):
-        raise DomainError("bad-kind", f"unknown kind {kind!r}")
+    _check_kind(kind)
     return b_min if kind == MIN_ROOTED else b_max
 
 
 def from_binary_tree(tree: BinAltTree | None, kind: str) -> AltTableau:
+    _check_kind(kind)
     return _binary_tableau(((tree, kind),))
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in (MIN_ROOTED, MAX_ROOTED):
+        raise DomainError("bad-kind", f"unknown kind {_shown_value(kind)}")
 
 
 def binary_pair(t: AltTableau) -> tuple[BinAltTree | None, BinAltTree | None]:

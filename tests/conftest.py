@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from typing import Callable, TypeVar
 
 import pytest
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from alttab.core import (
     parse_tableau,
 )
 from alttab.decomposition import merge
+from alttab.enumeration import _corner
 from alttab.errors import DomainError, ParseError, ValidationError, Violation, _shown
 from alttab.trees import (
     BLACK,
@@ -31,6 +33,8 @@ from alttab.trees import (
 )
 
 T0_COMPACT = "EEDDEDDEEDDED|L3,5;U4,9;U6,8;L6,9;L7,9;L10,12"
+
+V = TypeVar("V")
 
 
 @pytest.fixture(scope="session")
@@ -516,3 +520,37 @@ def binary_pair_inv_by_walks(pair: tuple[BinAltTree | None, BinAltTree | None]) 
         stack.append((first, node.label))
         stack.append((after, parent))
     return _tableau_of_edges(kinds, edges)
+
+
+# Reference for the corner table: every word with a ``DE`` takes a corner
+# step, and every word E^a D^b is a leaf, as the table was built before the
+# boundary steps (E.w and w.D one letter shorter) were read off directly.
+
+
+def corner_table_at_every_corner(
+    n: int, leaf: Callable[[int, int], V], qn: int = 1, qd: int = 1, xd: int = 1, yd: int = 1
+) -> tuple[list[V], list[int]]:
+    # A row or a column holds fewer than n cells.
+    row_factor = [qd**e * yd for e in range(n)]
+    col_factor = [qd**e * xd for e in range(n)]
+    prev, prev_cells = [leaf(0, 0)], [0]
+    for m in range(1, n + 1):
+        cur: list[V] = []
+        cells: list[int] = []
+        for w in range(1 << m):
+            split = _corner(w)
+            if split is None:
+                b = w.bit_length()
+                cur.append(leaf(m - b, b))
+                cells.append(0)
+                continue
+            swap, no_row, no_col = split
+            c = cells[swap] + 1
+            cur.append(
+                qn * cur[swap]
+                + row_factor[c - prev_cells[no_row]] * prev[no_row]
+                + col_factor[c - prev_cells[no_col]] * prev[no_col]
+            )
+            cells.append(c)
+        prev, prev_cells = cur, cells
+    return prev, prev_cells

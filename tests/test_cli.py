@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
@@ -276,6 +277,23 @@ class TestSplitMerge:
         code, merged, _ = run(capsys, monkeypatch, ["merge"], out)
         assert code == 0 and merged.strip() == T0_COMPACT
 
+    @pytest.mark.parametrize(
+        "text, line, position",
+        [
+            ("DE|L1,2\n  DE|X1\n", 2, 5),
+            ("\n{1} :: E|\n  {2,3} :: DE|X1\n", 3, 14),
+            ("DE|L1,2\n\t\n{2} ::  ED|Y\n", 3, 11),
+        ],
+        ids=["indented", "after-a-head", "head-then-spaces"],
+    )
+    def test_merge_error_names_the_line_and_its_position(
+        self, capsys, monkeypatch, text, line, position
+    ):
+        # The position counts in the line as given, leading space and head included.
+        code, out, err = run(capsys, monkeypatch, ["merge"], text)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and f"(at line {line}, position {position})" in err
+
     def test_split_empty(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["split"], "")
         assert code == 0 and out.strip() == ""
@@ -341,6 +359,15 @@ class TestVerify:
         code, out, _ = run(capsys, monkeypatch, ["verify", "--suite", "asep", "--n", "2"])
         assert code == 0 and "FAIL" not in out
         assert "corner-recursion weights equal enumeration at n=2 PASS" in out
+
+    def test_asep_suite_lines_are_unchanged(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["verify", "--suite", "asep", "--n", "6"])
+        want = []
+        for n in range(7):
+            want.append(f"corner-recursion weights equal enumeration at n={n} PASS")
+            for triple in ("(1,1/2,1/3)", "(1/2,1,1)", "(1/3,2/3,1/2)"):
+                want.append(f"stationary law at n={n}, (q,a,b)={triple} PASS")
+        assert code == 0 and out.splitlines() == [*want, "28/28 checks passed"]
 
     def test_series_suite_up_to_the_count_cap(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["verify", "--suite", "series", "--n", "24"])
@@ -548,6 +575,16 @@ class TestAsepRender:
         assert code == 0
         assert lines[0] == "o 2/5 [0.400000]"
         assert lines[1] == "* 3/5 [0.600000]"
+
+    def test_the_law_at_twelve_sites_is_byte_identical(self, capsys, monkeypatch):
+        # The sha256 of this output as the corner recursion printed it when
+        # every word with a DE took a corner step.
+        argv = ["asep", "--n", "12", "--q", "1/3", "--alpha", "2/5", "--beta", "5/7"]
+        code, out, _ = run(capsys, monkeypatch, argv)
+        assert code == 0 and len(out.splitlines()) == 4096
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "129b5987ebadb4670dd0f4d519814313ac2aff3e49671eddd40331282f0bb856"
+        )
 
     def test_a_probability_too_long_to_print_is_an_error(self, capsys, monkeypatch):
         # The rate passes its range check, but the weights it makes have more

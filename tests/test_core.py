@@ -187,6 +187,27 @@ class TestValidation:
         assert code in [v.code for v in err.value.violations]
         assert "<a number too long to print>" in str(err.value)
 
+    @pytest.mark.parametrize("make", [AltTableau, lambda l, w: PermTableau(l, w, ())], ids=["alt", "perm"])
+    @pytest.mark.parametrize(
+        "labels, word, codes",
+        [
+            ((None, 2), "DE", ["bad-label"]),
+            ((1, "a"), "DE", ["bad-label"]),
+            ("12", "DE", ["bad-label"]),
+            ({1, 2}, "DE", ["bad-label"]),
+            (None, "DE", ["bad-label"]),
+            ((1, 2), 12, ["bad-step"]),
+            ((1, 2), b"DE", ["bad-step"]),
+            ((1, 2), ["D", "E"], ["bad-step"]),
+            (None, None, ["bad-step", "bad-label"]),
+            ((BIG, "a"), "DE", ["bad-label"]),
+        ],
+    )
+    def test_constructor_refuses_labels_or_word_of_the_wrong_type(self, make, labels, word, codes):
+        with pytest.raises(ValidationError) as err:
+            make(labels, word)
+        assert [v.code for v in err.value.violations] == codes
+
     def test_constructor_rejects_unknown_arrow_kind(self):
         with pytest.raises(ValidationError) as err:
             AltTableau((1, 2), "DE", ((1, 2, "X"),))

@@ -48,6 +48,8 @@ from alttab.errors import DomainError, ResourceLimitError
 from alttab.oracles import all_perm_tableaux, count_table_by_corners, weight_poly_by_fillings
 from alttab.series import Poly3
 
+from conftest import corner_table_at_every_corner
+
 # Weight polynomials by shape, shared by the hypothesis examples.
 _weight = functools.lru_cache(maxsize=None)(weight_poly)
 
@@ -528,6 +530,69 @@ class TestAsep:
             else:
                 head, tail = word[:k], word[k + 2 :]
                 assert split == tuple(code(head + mid + tail) for mid in ("ED", "E", "D"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=12),
+        rates=st.tuples(*[st.integers(min_value=1, max_value=10**6)] * 4),
+        leaves=st.tuples(*[st.integers(min_value=0, max_value=10**6)] * 2),
+    )
+    @example(n=12, rates=(1, 1, 1, 1), leaves=(1, 1))
+    @example(n=12, rates=(0, 7, 5, 3), leaves=(2, 9))
+    @example(n=1, rates=(2, 3, 5, 7), leaves=(0, 0))
+    def test_boundary_steps_give_the_table_of_every_corner(self, n, rates, leaves):
+        # On integer numerators at q = qn/qd, x = xn/xd and y = yn/yd.
+        qn, qd, xd, yd = rates
+        xn, yn = leaves
+
+        def leaf(a, b):
+            return xn**a * yn**b
+
+        got = enumeration._corner_table(n, leaf, qn, qd, xd, yd)
+        assert got == corner_table_at_every_corner(n, leaf, qn, qd, xd, yd)
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_boundary_steps_give_the_polynomial_table_of_every_corner(self, n):
+        leaf = enumeration._poly_leaf
+        for q in (Poly3.var("q"), 1):
+            got = enumeration._corner_table(n, leaf, q)
+            assert got == corner_table_at_every_corner(n, leaf, q)
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_only_words_from_d_to_e_take_a_corner_step(self, n, monkeypatch):
+        split, corner = [], enumeration._corner
+
+        def counted(w):
+            split.append(w)
+            return corner(w)
+
+        monkeypatch.setattr(enumeration, "_corner", counted)
+        enumeration._corner_table(n, lambda a, b: 2**a * 3**b, 1, 2, 3, 5)
+        # Length m splits its even codes from 2^(m-1) up: D first, E last.
+        assert split == [w for m in range(2, n + 1) for w in range(1 << (m - 1), 1 << m, 2)]
+        assert len(split) == max(2 ** (n - 1) - 1, 0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=12),
+        q=st.fractions(min_value=0, max_value=1, max_denominator=50),
+        alpha=st.fractions(min_value=0, max_value=1, max_denominator=50).filter(bool),
+        beta=st.fractions(min_value=0, max_value=1, max_denominator=50).filter(bool),
+    )
+    def test_the_law_is_the_law_of_every_corner(self, n, q, alpha, beta):
+        self.assert_law_of_every_corner(AsepParams(n, q, alpha, beta))
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_the_law_of_every_corner_at_the_suite_rates(self, n):
+        for q, alpha, beta in ASEP_TRIPLES:
+            self.assert_law_of_every_corner(AsepParams(n, q, alpha, beta))
+
+    @staticmethod
+    def assert_law_of_every_corner(p):
+        got = list(asep_distribution(p).items())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(enumeration, "_corner_table", corner_table_at_every_corner)
+            assert got == list(asep_distribution(p).items())
 
     @settings(max_examples=25, deadline=None)
     @given(

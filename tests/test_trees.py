@@ -263,6 +263,21 @@ def test_a_negative_label_is_refused_by_the_tree_validators(entry, arg):
     assert [v.code for v in violations(entry, arg)] == ["label-order"]
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [BinAltTree(1, kind="x"), None, NEGATIVE_BIN],
+    ids=["node-of-that-kind", "no-tree", "bad-tree"],
+)
+def test_an_unknown_kind_is_refused_before_the_tree_is_read(tree):
+    # As to_binary_tree refuses it, whatever the tree holds.
+    with pytest.raises(DomainError) as want:
+        to_binary_tree(empty_tableau(), "x")
+    with pytest.raises(DomainError) as got:
+        from_binary_tree(tree, "x")
+    assert got.value.code == want.value.code == "bad-kind"
+    assert str(got.value) == str(want.value) == "bad-kind: unknown kind 'x'"
+
+
 BIG = 10**5000
 
 
