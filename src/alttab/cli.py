@@ -2,12 +2,14 @@
 
 Input comes from a file argument or standard input, output goes to standard
 output.  Exit codes: 0 on success, 1 on validation or domain failures, 2 on
-usage errors.
+usage errors, 141 when standard output is closed before the output is
+written, as a process that SIGPIPE ends reports it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -323,12 +325,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except UsageError as exc:
         parser.error(str(exc))
     except TableauError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader has gone: what is still buffered goes nowhere, so the
+        # flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

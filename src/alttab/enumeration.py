@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
-from itertools import product
+from itertools import product, repeat
 from numbers import Integral, Real
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -145,6 +145,55 @@ def _corner(w: int) -> tuple[int, int, int] | None:
     return w - low, no_row, no_row | low
 
 
+# The plan ``_corner_plan`` built last, as (length, corner steps by length from
+# 2 up, cells, state names, rows); nothing in it is ever changed.
+_Plan = tuple[
+    int, tuple[tuple[tuple[int, ...], ...], ...], tuple[int, ...], tuple[str, ...], tuple[int, ...]
+]
+_last_plan: _Plan = (0, (), (0,), ("",), (0,))
+
+
+def _corner_plan(n: int) -> _Plan:
+    """The rate-free part of :func:`_corner_table` for words of length n.
+
+    Which entries a code reads and how many cells each drop takes depend on
+    n alone, not on (q, x, y).  For each length m from 2 to n the plan lists
+    the D...E codes in ascending order, each as the five ints (swap, no row,
+    cells dropped with the row, no column, cells dropped with the column);
+    the odd code after each of them is w.D, read from entry w >> 1, the
+    upper half of length m - 1 in order, and the codes below 2^(m-1) are E.w.
+    With them it holds the cells of every word of length n, the state names
+    in the order of :func:`states` (a hole being an E step) and each code's
+    number of rows, its bit count.
+
+    Only the plan built last is kept, so a sweep of rates at one n walks the
+    recursion once and a call at another n builds its own plan in place of
+    it: at n = 12 about 0.7 MB (2^11 - 1 steps, 4096 names).
+    """
+    global _last_plan
+    if _last_plan[0] == n:
+        return _last_plan
+    steps = []
+    prev_cells = [0, 0] if n else [0]  # E and D bound no cell
+    for m in range(2, n + 1):
+        half = len(prev_cells)
+        cells = prev_cells.copy()
+        at_length = []
+        for w in range(half, 2 * half):
+            if w & 1:
+                cells.append(prev_cells[w >> 1])
+                continue
+            swap, no_row, no_col = _corner(w)
+            c = cells[swap] + 1
+            at_length.append((swap, no_row, c - prev_cells[no_row], no_col, c - prev_cells[no_col]))
+            cells.append(c)
+        steps.append(tuple(at_length))
+        prev_cells = cells
+    rows = tuple(w.bit_count() for w in range(1 << n))
+    _last_plan = (n, tuple(steps), tuple(prev_cells), tuple(states(n)), rows)  # one rebinding
+    return _last_plan
+
+
 def _corner_table(
     n: int, leaf: Callable[[int, int], V], qn: int = 1, qd: int = 1, xd: int = 1, yd: int = 1
 ) -> tuple[list[V], list[int]]:
@@ -167,35 +216,35 @@ def _corner_table(
     A swap lowers the code and a drop shortens the word, so an ascending
     pass per length, keeping only the previous length, sees every operand
     first: 2^(n+1) entries, 2^(n-1) - 1 corner steps, no memo and no stack.
-    On ints every entry is an integer numerator; on ``Poly3`` values at the
-    default q = 1 the table holds the polynomials themselves.  This is the
-    only walk of the recursion, for all 2^n words of a size; one word's
-    polynomial is :func:`_bidiagonal_pass`.
+    Which codes each step reads, and the cells, come from
+    :func:`_corner_plan`, built once per n; this pass does only the
+    arithmetic.  On ints every entry is an integer numerator; on ``Poly3``
+    values at the default q = 1 the table holds the polynomials themselves.
+    This is the only walk of the recursion, for all 2^n words of a size; one
+    word's polynomial is :func:`_bidiagonal_pass`.
     """
+    _, steps, cells, _, _ = _corner_plan(n)
     # A row or a column holds fewer than n cells.
     row_factor = [qd**e * yd for e in range(n)]
     col_factor = [qd**e * xd for e in range(n)]
     x, y = leaf(1, 0), leaf(0, 1)
-    prev, prev_cells = [leaf(0, 0)], [0]
-    for m in range(1, n + 1):
-        half = len(prev)
+    prev = [leaf(0, 0)]
+    if n:
+        prev = [x * prev[0], y * prev[0]]
+    for at_length in steps:
         cur = [x * v for v in prev]
-        cells = prev_cells.copy()
-        for w in range(half, 2 * half):
-            if w & 1:
-                cur.append(y * prev[w >> 1])
-                cells.append(prev_cells[w >> 1])
-                continue
-            swap, no_row, no_col = _corner(w)
-            c = cells[swap] + 1
+        # Each D...E code w is followed by the odd code w + 1, y times entry
+        # w >> 1: the upper half of the length before, in order.
+        parents = prev[len(prev) >> 1 :]
+        for (swap, no_row, row_cells, no_col, col_cells), v in zip(at_length, parents):
             cur.append(
                 qn * cur[swap]
-                + row_factor[c - prev_cells[no_row]] * prev[no_row]
-                + col_factor[c - prev_cells[no_col]] * prev[no_col]
+                + row_factor[row_cells] * prev[no_row]
+                + col_factor[col_cells] * prev[no_col]
             )
-            cells.append(c)
-        prev, prev_cells = cur, cells
-    return prev, prev_cells
+            cur.append(y * v)
+        prev = cur
+    return prev, list(cells)
 
 
 def _poly_leaf(a: int, b: int) -> Poly3:
@@ -267,9 +316,12 @@ def count_table(n: int) -> CountTable:
 def _insert_label(
     counts: dict[tuple[int, int, int], int], m: int
 ) -> dict[tuple[int, int, int], int]:
-    """The table of length m + 1 from the table of length m, one pass,
-    pushing each entry to the four keys a new label can reach."""
-    out: dict[tuple[int, int, int], int] = {}
+    """The table of length m + 1 from the table of length m, pushing each
+    entry to the four keys a new label can reach.  A non-free column keeps
+    its entry's key, so those pushes come first and reuse the key tuple:
+    consecutive tables share most of their keys, and the tables of
+    n = 0..8 hold about 150 key tuples where a new tuple per push made 395."""
+    out = {key: key[2] * c for key, c in counts.items() if key[2]}
     get = out.get
     for (i, j, k), c in counts.items():
         key = (i + 1, j, k + 1)
@@ -279,9 +331,6 @@ def _insert_label(
         if m > k:
             key = (i, j, k + 1)
             out[key] = get(key, 0) + (m - k) * c
-        if k:
-            key = (i, j, k)
-            out[key] = get(key, 0) + k * c
     return out
 
 
@@ -406,7 +455,10 @@ def asep_distribution(p: AsepParams) -> dict[str, Fraction]:
     One integer pass of :func:`_corner_table` weighs every shape (codes in
     the order of :func:`states`, a hole being an E step); each weight is
     then raised to the one denominator qd^maxcells.xd^n.yd^n, and the only
-    ``Fraction`` built per state is its share of the sum.
+    ``Fraction`` built per state is its share of the sum.  The state names
+    and each code's rows come with the corner steps from
+    :func:`_corner_plan`, which keeps the plan of the last n asked for, so a
+    sweep of rates at one n does only the arithmetic after its first call.
     """
     check_cap(p.n, "stationary distribution", WEIGHT_CAP)
     if p.alpha == 0 or p.beta == 0:
@@ -416,14 +468,14 @@ def asep_distribution(p: AsepParams) -> dict[str, Fraction]:
     qn, qd = q.numerator, q.denominator
     xn, xd, yn, yd = alpha.denominator, alpha.numerator, beta.denominator, beta.numerator
     n = p.n
+    _, _, _, names, rows = _corner_plan(n)
     weights, cells = _corner_table(n, lambda a, b: xn**a * yn**b, qn, qd, xd, yd)
-    # Entry w carries qd^cells(w).xd^#E(w).yd^#D(w); #D(w) is its bit count.
+    # Entry w carries qd^cells(w).xd^#E(w).yd^#D(w), #D(w) being its rows.
     top = max(cells)
     q_up = [qd ** (top - c) for c in range(top + 1)]
     xy_up = [xd**d * yd ** (n - d) for d in range(n + 1)]
-    nums = [v * q_up[c] * xy_up[w.bit_count()] for w, (v, c) in enumerate(zip(weights, cells))]
-    z = sum(nums)
-    return {s: Fraction(v, z) for s, v in zip(states(n), nums)}
+    nums = [v * q_up[c] * xy_up[r] for v, c, r in zip(weights, cells, rows)]
+    return dict(zip(names, map(Fraction, nums, repeat(sum(nums)))))
 
 
 def transition_matrix(p: AsepParams) -> list[list[Fraction]]:

@@ -59,6 +59,11 @@ class ValidationError(TableauError):
         self.violations = list(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
 
+    def __reduce__(self):
+        # Each error here pickles as what its ``__init__`` takes; ``args``
+        # holds only the text built from it.
+        return type(self), (self.violations,)
+
 
 class ParseError(TableauError):
     """Malformed textual input; ``position`` is a character offset, in the
@@ -71,17 +76,25 @@ class ParseError(TableauError):
         at = f"position {position}" if line is None else f"line {line}, position {position}"
         super().__init__(f"{message} (at {at})")
 
+    def __reduce__(self):
+        return type(self), (self.message, self.position, self.line)
+
 
 class DomainError(TableauError):
     """An operation was applied outside its domain.
 
     ``code`` identifies the precondition that failed, e.g. ``nothing-to-cut``
-    or ``label-collision``; tests match on it.
+    or ``label-collision``; tests match on it.  ``message`` is the text
+    shown after it.
     """
 
     def __init__(self, code: str, message: str):
         self.code = code
+        self.message = message
         super().__init__(f"{code}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.code, self.message)
 
 
 class ResourceLimitError(TableauError):

@@ -7,6 +7,7 @@ from typing import Callable, TypeVar
 import pytest
 from hypothesis import strategies as st
 
+from alttab import enumeration
 from alttab.core import (
     AltTableau,
     Arrow,
@@ -40,6 +41,13 @@ V = TypeVar("V")
 @pytest.fixture(scope="session")
 def t0() -> AltTableau:
     return parse_tableau(T0_COMPACT)
+
+
+@pytest.fixture
+def no_kept_plan(monkeypatch):
+    """Drop the corner plan an earlier call kept (a plan of no length matches
+    no n), so the next corner table builds its own; restored after the test."""
+    monkeypatch.setattr(enumeration, "_last_plan", (-1, (), (), (), ()))
 
 
 @st.composite

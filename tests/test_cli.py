@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -680,3 +683,26 @@ def test_fuzzed_input_exits_cleanly(verb, to, text):
     assert "Traceback" not in err
     if code == 1:
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["asep", "--n", "12", "--q", "1/3", "--alpha", "2/5", "--beta", "5/7"], ["enumerate", "--n", "7"]],
+    ids=["asep", "enumerate"],
+)
+def test_a_reader_that_stops_early_gets_no_traceback(argv):
+    # As ``alttab ... | head -1``: the output is far longer than a pipe holds,
+    # so the writer is still writing when the reader closes its end.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "alttab", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""

@@ -3,6 +3,7 @@ bijection, and the text formats."""
 
 from __future__ import annotations
 
+import pickle
 import random
 import tracemalloc
 from itertools import combinations, product
@@ -31,7 +32,14 @@ from alttab.core import (
     validate_perm_tableau,
 )
 from alttab.enumeration import all_tableaux
-from alttab.errors import DomainError, ParseError, ValidationError
+from alttab.errors import (
+    DomainError,
+    ParseError,
+    ResourceLimitError,
+    TableauError,
+    ValidationError,
+    Violation,
+)
 from alttab.permutations import from_permutation, parse_signed, parse_word
 from alttab.trees import parse_arcs, parse_bin_pair, parse_forest
 
@@ -731,3 +739,24 @@ class TestTextFormats:
         message = str(exc.value)
         assert f"'{field[:20]}...' ({len(field)} characters)" in message
         assert len(message) < 100
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        TableauError("bad input"),
+        ResourceLimitError("counting for n=25 exceeds the cap 24; set ALTAB_MAX_COUNT_N to raise it"),
+        DomainError("label-collision", "labels 3 and 3 collide"),
+        ParseError("x", 3),
+        ParseError("unknown keys ['foo']", 0, 2),
+        ValidationError([Violation("a", "b"), Violation("not-minimal", "white 5 is not minimal")]),
+        ValidationError([]),
+    ],
+    ids=["base", "cap", "domain", "parse", "parse-line", "validation", "no-violations"],
+)
+def test_every_error_survives_pickle(error):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    for field in ("code", "message", "position", "line", "violations"):
+        assert getattr(back, field, None) == getattr(error, field, None), field

@@ -263,6 +263,13 @@ class TestCountTable:
         count_table(2)
         assert steps[8:] == [0, 1]  # a shorter one starts again from T(0)
 
+    def test_consecutive_tables_share_their_keys(self, monkeypatch):
+        # A key reached again is the same tuple, so a sweep keeps few objects.
+        _reset_chain(monkeypatch)
+        tables = [count_table(n) for n in range(9)]
+        assert sum(len(t.counts) for t in tables) == 395
+        assert len({id(key) for t in tables for key in t.counts}) == 150
+
     def test_the_cap_refuses_before_the_chain_is_read(self, monkeypatch):
         def no_steps(*args):
             raise AssertionError("stepped before refusing")
@@ -559,7 +566,7 @@ class TestAsep:
             assert got == corner_table_at_every_corner(n, leaf, q)
 
     @pytest.mark.parametrize("n", range(10))
-    def test_only_words_from_d_to_e_take_a_corner_step(self, n, monkeypatch):
+    def test_only_words_from_d_to_e_take_a_corner_step(self, n, monkeypatch, no_kept_plan):
         split, corner = [], enumeration._corner
 
         def counted(w):
@@ -571,6 +578,65 @@ class TestAsep:
         # Length m splits its even codes from 2^(m-1) up: D first, E last.
         assert split == [w for m in range(2, n + 1) for w in range(1 << (m - 1), 1 << m, 2)]
         assert len(split) == max(2 ** (n - 1) - 1, 0)
+
+    def test_a_kept_plan_gives_the_table_of_every_corner(self):
+        # Lengths interleaved, so a plan is read where it was kept and
+        # rebuilt where another length came between.
+        def leaf(a, b):
+            return 2**a * 3**b
+
+        q = Poly3.var("q")
+        for n in (7, 3, 7, 12, 0, 7):
+            want = corner_table_at_every_corner(n, leaf, 5, 12, 7, 11)
+            assert enumeration._corner_table(n, leaf, 5, 12, 7, 11) == want
+            assert enumeration._last_plan[0] == n
+            got = enumeration._corner_table(n, enumeration._poly_leaf, q)
+            assert got == corner_table_at_every_corner(n, enumeration._poly_leaf, q)
+            # A caller's copy of the cells may be edited without reaching the plan.
+            got[1].append(-1)
+            assert enumeration._corner_table(n, leaf, 5, 12, 7, 11) == want
+
+    def test_a_plan_is_built_once_per_length(self, monkeypatch, no_kept_plan):
+        split, corner = [], enumeration._corner
+
+        def counted(w):
+            split.append(w)
+            return corner(w)
+
+        monkeypatch.setattr(enumeration, "_corner", counted)
+        p = AsepParams(7, Fraction(1, 3), Fraction(2, 5), Fraction(5, 7))
+        law = asep_distribution(p)
+        assert len(split) == 63
+        # The same length again, at other rates and by another caller: no step.
+        assert asep_distribution(p) == law
+        asep_distribution(AsepParams(7, Fraction(1), Fraction(1), Fraction(1, 2)))
+        enumeration._corner_table(7, enumeration._poly_leaf)
+        assert len(split) == 63
+        # Another length takes the place of the kept plan.
+        count_table_by_corners(5)
+        assert len(split) == 63 + 15 and enumeration._last_plan[0] == 5
+        assert list(asep_distribution(p).items()) == list(law.items())
+        assert len(split) == 63 + 15 + 63
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=9),
+        before=st.lists(st.integers(min_value=0, max_value=12), max_size=3),
+        q=st.fractions(min_value=0, max_value=1, max_denominator=20),
+        alpha=st.fractions(min_value=0, max_value=1, max_denominator=20).filter(bool),
+        beta=st.fractions(min_value=0, max_value=1, max_denominator=20).filter(bool),
+    )
+    @example(n=7, before=[7], q=Fraction(1, 3), alpha=Fraction(2, 5), beta=Fraction(5, 7))
+    @example(n=4, before=[12, 0], q=Fraction(0), alpha=Fraction(1), beta=Fraction(1, 2))
+    def test_the_law_does_not_depend_on_what_ran_before(self, n, before, q, alpha, beta):
+        p = AsepParams(n, q, alpha, beta)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(enumeration, "_last_plan", (-1, (), (), (), ()))
+            want = list(asep_distribution(p).items())
+        for m in before:
+            enumeration._corner_table(m, lambda a, b: 2**a * 3**b, 1, 2, 3, 5)
+        assert list(asep_distribution(p).items()) == want
+        assert list(asep_distribution(p).items()) == want
 
     @settings(max_examples=15, deadline=None)
     @given(

@@ -617,6 +617,22 @@ class TestPlaneTrees:
         with pytest.raises(ValidationError):
             validate_tree(bad)
 
+    @pytest.mark.parametrize(
+        "check",
+        [validate_tree, lambda t: validate_forest(PlaneAltForest((t,))),
+         lambda t: from_forest(PlaneAltForest((t,)))],
+        ids=["validate_tree", "validate_forest", "from_forest"],
+    )
+    def test_a_smaller_label_below_a_later_child_is_not_minimal(self, check):
+        # 2 sits below the second child, so the smallest label under white 5
+        # is in the subtree of a child other than the first.
+        bad = PlaneAltTree(
+            "W", 5, (PlaneAltTree("B", 9), PlaneAltTree("B", 7, (PlaneAltTree("W", 2),)))
+        )
+        with pytest.raises(ValidationError) as err:
+            check(bad)
+        assert [v.code for v in err.value.violations] == ["not-minimal"]
+
     @given(tableaux(max_len=10))
     def test_forest_roundtrip_random(self, t):
         assert from_forest(to_forest(t)) == t
