@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -239,18 +240,27 @@ def cmd_render(args) -> int:
     return 0
 
 
+# Numbers on the command line are ASCII, as in every text format: ``int``
+# and ``Fraction`` would also read ``_``, a sign, spaces and other scripts' digits.
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
 def _rate(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        if text.isascii() and "_" not in text:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {_shown(text)}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"not a rational number: {_shown(text)}")
 
 
 def _integer(text: str) -> int:
     try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}") from None
+        if _INTEGER_RE.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}")
 
 
 def _size(text: str) -> int:

@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     ValidationError,
     Violation,
+    _integral,
     _shown,
     _shown_number,
     _shown_value,
@@ -73,6 +74,9 @@ def _check_labels_word(labels: Sequence[int], word: str) -> list[Violation]:
 
 def _labels_word_violations(labels: Sequence[int], word: str) -> list[Violation]:
     bad = []
+    if not all(type(l) is int for l in labels) and not all(map(_integral, labels)):
+        shown = _shown_number(labels)
+        bad.append(Violation("bad-label", f"labels {shown} are not all integers"))
     if len(labels) != len(word):
         bad.append(Violation("size-mismatch", f"{len(labels)} labels for word of length {len(word)}"))
     if labels and min(labels) < 0:
@@ -724,14 +728,21 @@ def parse_tableau(text: str) -> AltTableau:
     """Parse the compact or record format into a validated tableau.
 
     Whitespace around the text is ignored; a :class:`ParseError` gives its
-    position in ``text`` as given.
+    position in ``text`` as given, and input that is not a ``str`` is one
+    at position 0.
     """
+    _check_text(text)
     body = text.strip()
     if "\n" in body or body.startswith("word="):
         return _parse_record(text)
     labels, word, body, numbers = _parse_compact(text, "arrows", _ARROW_LIST_RE, "arrow")
     arrows = zip(numbers[::2], numbers[1::2], _KIND_RE.findall(body))
     return validate_alt(labels, word, list(arrows))
+
+
+def _check_text(text: object) -> None:
+    if not isinstance(text, str):
+        raise ParseError(f"input of type {type(text).__name__} is not a str", 0)
 
 
 def _parse_compact(
@@ -846,6 +857,7 @@ def _render_grid(t: AltTableau) -> str:
 
 def parse_perm_tableau(text: str) -> PermTableau:
     """Parse compact permutation-tableau text, as :func:`parse_tableau` does."""
+    _check_text(text)
     labels, word, _, numbers = _parse_compact(text, "one-cells", _CELL_LIST_RE, "cell")
     return validate_perm_tableau(labels, word, list(zip(numbers[::2], numbers[1::2])))
 

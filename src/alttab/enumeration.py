@@ -31,12 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from itertools import product, repeat
-from numbers import Integral, Real
+from numbers import Real
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .core import AltTableau, Arrow, _assembled, free_stats, relabel, transpose
 from .decomposition import _parts, _tree_roots, divide, merge
-from .errors import DomainError, _shown_number, _shown_value, check_cap
+from .errors import DomainError, _integral, _shown_number, _shown_value, check_cap
 from .permutations import from_permutation
 from .series import Poly3
 
@@ -411,7 +411,7 @@ class AsepParams:
     beta: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, Integral):
+        if not _integral(self.n):
             raise DomainError("bad-size", f"site count {_shown_number(self.n)} is not an integer")
         if self.n < 0:
             raise DomainError("bad-size", f"negative site count {_shown_number(self.n)}")
@@ -670,7 +670,7 @@ def symmetric_tableaux(size: int) -> Iterator[AltTableau]:
     Pick a tableau with no free columns on half the labels (one from each
     pair {i, size+1-i}), then merge it with its mirrored transpose.
     """
-    if not isinstance(size, Integral) or size < 0 or size % 2:
+    if not _integral(size) or size < 0 or size % 2:
         shown = _shown_value(size)
         raise DomainError(
             "bad-size", f"symmetric tableaux have even nonnegative integer length, got {shown}"

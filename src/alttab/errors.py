@@ -24,6 +24,11 @@ def _shown_number(value: object) -> str:
     return text if len(text) <= 20 else _shown(text)
 
 
+def _integral(value: object) -> bool:
+    """Whether ``value`` is an integer: an ``Integral`` that is not a ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _shown_value(value: object) -> str:
     """A value of any type as an error message shows it: a string by its
     ``repr`` up to 20 characters, else cut by :func:`_shown`, and anything
@@ -105,22 +110,25 @@ class ResourceLimitError(TableauError):
 
 def cap_limit(setting: tuple[str, int]) -> int:
     """The cap ``(variable, default)`` as set now: the environment variable's
-    integer value, or the default when it is unset."""
+    value, ASCII digits ``[0-9]+`` as in every text format, or the default
+    when it is unset."""
     var, default = setting
     text = os.environ.get(var)
     if text is None:
         return default
     try:
-        return int(text)
-    except ValueError:
-        raise ResourceLimitError(f"{var}={text[:20]!r} is not an integer") from None
+        if text.isascii() and text.isdigit():
+            return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        pass
+    raise ResourceLimitError(f"{var}={text[:20]!r} is not a non-negative integer")
 
 
 def check_cap(n: int, what: str, setting: tuple[str, int]) -> None:
     """Refuse size ``n`` of workload ``what`` above the cap ``setting``, naming
-    the variable that raises it; a size that is negative or not an integer
-    is a :class:`DomainError`."""
-    if type(n) is not int and not isinstance(n, Integral):
+    the variable that raises it; a size that is negative or not an integer,
+    ``bool`` included, is a :class:`DomainError`."""
+    if type(n) is not int and not _integral(n):
         raise DomainError("bad-size", f"size {_shown_value(n)} is not an integer")
     limit = cap_limit(setting)
     if n > limit:

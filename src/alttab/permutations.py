@@ -31,7 +31,7 @@ from .core import (
     transpose,
 )
 from .decomposition import _arrow_forest, _tableau_from_edges, merge
-from .errors import DomainError, ParseError, _shown_number
+from .errors import DomainError, ParseError, _integral, _shown_number
 from .trees import (
     BLACK,
     WHITE,
@@ -50,7 +50,7 @@ Word = tuple[int, ...]
 def check_word(word: Sequence[int]) -> Word:
     w = tuple(word)
     # ``type(a) is int`` first: the ABC test is slow, and nearly every letter is an int.
-    odd = [a for a in w if type(a) is not int and not isinstance(a, Integral)]
+    odd = [a for a in w if type(a) is not int and not _integral(a)]
     if odd:
         raise DomainError("bad-letter", f"letter {_shown_number(odd[0])} is not an integer")
     if len(set(w)) != len(w):

@@ -553,6 +553,47 @@ class TestLongArguments:
         assert err.startswith("error:") and len(err.strip().encode()) < 200
 
 
+class TestAsciiNumbers:
+    """Numbers on the command line are ASCII, as in every text format, though
+    ``int`` and ``Fraction`` read more."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--n", "\uff13"],
+            ["count", "--n", "1_0"],
+            ["count", "--n", "+3"],
+            ["count", "--n", " 3"],
+            ["count", "--n", "3 "],
+            ["enumerate", "--n", "\u0663"],
+            ["asep", "--n", "\u0663"],
+            ["verify", "--suite", "all", "--n", "1_0"],
+            ["convert", "--from", "perm", "--to", "perm", "--separator", "1_0"],
+            ["convert", "--from", "perm", "--to", "perm", "--separator", "+1"],
+        ],
+    )
+    def test_an_integer_argument_is_ascii_digits(self, capsys, monkeypatch, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, monkeypatch, argv, "0 1")
+        assert exc.value.code == 2 and "not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ("--q", "--alpha", "--beta"))
+    @pytest.mark.parametrize("rate", ["1_0/30", "\u0663/4", "1/\u0663", "0.5_0", "\uff11"])
+    def test_a_rate_is_ascii_without_underscores(self, capsys, monkeypatch, flag, rate):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, monkeypatch, ["asep", "--n", "2", flag, rate])
+        assert exc.value.code == 2 and "not a rational number" in capsys.readouterr().err
+
+    def test_ascii_numbers_are_still_read(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["count", "--n", "3"])
+        assert code == 0 and out.splitlines()[-1] == "#total\t3\t24"
+        argv = ["asep", "--n", "2", "--q", "1/2", "--alpha", "0.5", "--beta", "1"]
+        code, out, _ = run(capsys, monkeypatch, argv)
+        assert code == 0 and len(out.splitlines()) == 4
+        code, out, err = run(capsys, monkeypatch, ["count", "--n", "-1"])  # read, then refused
+        assert code == 1 and out == "" and "bad-size" in err
+
+
 class TestNegativeLabels:
     @pytest.mark.parametrize(
         "rep, text",

@@ -209,12 +209,24 @@ class TestValidation:
             ((1, 2), ["D", "E"], ["bad-step"]),
             (None, None, ["bad-step", "bad-label"]),
             ((BIG, "a"), "DE", ["bad-label"]),
+            ((0.5, 2), "DE", ["bad-label"]),
+            ((1.0, 2), "DE", ["bad-label"]),
+            ((True, 2), "DE", ["bad-label"]),
+            ((False, 2), "DE", ["bad-label"]),
+            ((1, True), "DE", ["bad-label", "label-order"]),
         ],
     )
     def test_constructor_refuses_labels_or_word_of_the_wrong_type(self, make, labels, word, codes):
         with pytest.raises(ValidationError) as err:
             make(labels, word)
         assert [v.code for v in err.value.violations] == codes
+
+    def test_an_integral_label_that_is_not_an_int_is_accepted(self):
+        class Label(int):
+            pass
+
+        t = AltTableau((Label(1), Label(2)), "DE", ((1, 2, "L"),))
+        assert t == AltTableau((1, 2), "DE", ((1, 2, "L"),))
 
     def test_constructor_rejects_unknown_arrow_kind(self):
         with pytest.raises(ValidationError) as err:
@@ -520,6 +532,15 @@ class TestTextFormats:
     def test_corpus_parse_render(self, t0):
         assert render_tableau(t0) == T0_COMPACT
         assert parse_tableau(T0_COMPACT) == t0
+
+    @pytest.mark.parametrize("parse", [parse_tableau, parse_perm_tableau], ids=["alt", "perm"])
+    @pytest.mark.parametrize(
+        "text", [None, b"DE|L1,2", 12, ["DE|L1,2"]], ids=["none", "bytes", "int", "list"]
+    )
+    def test_input_that_is_not_a_str_is_a_parse_error(self, parse, text):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == 0 and type(text).__name__ in str(err.value)
 
     def test_empty_string_is_a_parse_error(self):
         with pytest.raises(ParseError):

@@ -44,7 +44,7 @@ from alttab.enumeration import (
     transition_matrix,
     weight_poly,
 )
-from alttab.errors import DomainError, ResourceLimitError
+from alttab.errors import DomainError, ResourceLimitError, cap_limit, check_cap
 from alttab.oracles import all_perm_tableaux, count_table_by_corners, weight_poly_by_fillings
 from alttab.series import Poly3
 
@@ -780,6 +780,33 @@ class TestAsep:
         with pytest.raises(DomainError) as err:
             run()
         assert err.value.code == "bad-size"
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: count_table(True),
+            lambda: count_table(False),
+            lambda: list(all_tableaux(True)),
+            lambda: formula_report(True),
+            lambda: AsepParams(True, 1, 1, 1),
+            lambda: check_cap(False, "a size", ("ALTAB_MAX_N", 9)),
+            lambda: list(symmetric_tableaux(False)),
+        ],
+        ids=[
+            "count-true", "count-false", "enumeration", "formula", "sites", "check-cap",
+            "symmetric",
+        ],
+    )
+    def test_a_bool_size_is_a_domain_error(self, run):
+        with pytest.raises(DomainError) as err:
+            run()
+        assert err.value.code == "bad-size"
+
+    @pytest.mark.parametrize("text", ["\u0663", "-1", " 3", "3 ", "+3", "1_0", "\uff13", ""])
+    def test_a_cap_is_ascii_digits(self, monkeypatch, text):
+        monkeypatch.setenv("ALTAB_MAX_N", text)
+        with pytest.raises(ResourceLimitError, match="ALTAB_MAX_N"):
+            cap_limit(("ALTAB_MAX_N", 9))
 
     def test_chain_cap_is_its_own(self, monkeypatch):
         # Raising the enumeration cap must not raise the dense 2^n solve.

@@ -241,6 +241,66 @@ def test_bijection_battery_reports_each_first_counterexample(monkeypatch):
     ]
 
 
+def test_the_battery_draws_at_most_one_block_ahead(monkeypatch):
+    # The k-th tableau drawn (from 1) is seen by a property while at most
+    # one block beyond it has been drawn, so no size is ever listed whole.
+    drawn = [0]
+    index: dict[int, int] = {}
+    kept = []  # keeps every tableau alive, so ids stay distinct
+    real_walk = checks.all_tableaux
+
+    def counting(n):
+        for t in real_walk(n):
+            drawn[0] += 1
+            index[id(t)] = drawn[0]
+            kept.append(t)
+            yield t
+
+    ahead = []
+
+    def watched(prop):
+        return lambda t, memo: ahead.append(drawn[0] - index[id(t)]) or prop(t, memo)
+
+    battery = tuple((name, bound, watched(prop)) for name, bound, prop in BIJECTIONS)
+    monkeypatch.setattr(checks, "all_tableaux", counting)
+    monkeypatch.setattr(checks, "BIJECTIONS", battery)
+    assert all(c.passed for c in bijection_checks(5))
+    assert drawn[0] == 873 and len(ahead) == 16 * 873
+    assert 0 <= min(ahead) and max(ahead) == checks._BLOCK - 1
+
+
+def test_each_property_reports_its_first_failure_across_blocks(monkeypatch):
+    # At n = 5 the walk's tableaux 10 and 100 lie in different blocks; one
+    # property fails on both, another only on tableaux past the first block.
+    walk = list(alttab.all_tableaux(5))
+    assert 10 // checks._BLOCK != 100 // checks._BLOCK
+    failing = {
+        "transposition is an involution": {walk[100], walk[10]},
+        "forests validate": {walk[200], walk[100]},
+    }
+    seen = {name: [] for name in failing}
+
+    def failing_on(name, prop):
+        def patched(t, memo):
+            if name not in failing:
+                return prop(t, memo)
+            seen[name].append(t)
+            return t not in failing[name] and prop(t, memo)
+
+        return patched
+
+    battery = tuple((name, bound, failing_on(name, prop)) for name, bound, prop in BIJECTIONS)
+    monkeypatch.setattr(checks, "BIJECTIONS", battery)
+    failed = [(c.name, c.detail) for c in bijection_checks(5) if not c.passed]
+    assert failed == [
+        ("transposition is an involution", f"fails on {alttab.render_tableau(walk[10])}"),
+        ("forests validate", f"fails on {alttab.render_tableau(walk[100])}"),
+    ]
+    # A property that has failed is not run again.
+    assert seen["transposition is an involution"][-1] == walk[10]
+    assert seen["forests validate"][-1] == walk[100]
+
+
 def test_public_names_are_pinned():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     names = sorted(

@@ -101,11 +101,12 @@ class TestPermStats:
             lambda: from_permutation([0, None]),
             lambda: check_word([2.0, 0]),
             lambda: check_word(["1"]),
+            lambda: from_permutation([2, True, 0]),
         ],
         ids=[
             "str-letter", "float-letter", "list-letter", "signed-str-letter",
             "signed-float-letter", "str-bar", "huge-signed-letter", "huge-repeated-letter",
-            "huge-negative-letter", "none-letter", "float-word", "str-word",
+            "huge-negative-letter", "none-letter", "float-word", "str-word", "bool-letter",
         ],
     )
     def test_a_bad_letter_is_a_domain_error(self, make):
