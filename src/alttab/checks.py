@@ -225,9 +225,12 @@ def bijection_checks(n_max: int) -> list[FormulaCheck]:
     the first property's in report order, not the first in walk order.
 
     The recursive oracles share one memo per size, so each subproblem they
-    meet in the walk is solved once; its keys are (tableau, class) for the
-    forest and (tableau, kind) for the pair, whose class and kind names
-    differ.  It is emptied when the size is done, also when a property raises.
+    meet in the walk is solved once.  Its keys are the sub-tableau's fields,
+    ``(labels, word, arrows, class)`` for the forest and ``(labels, word,
+    arrows, kind)`` for the pair, whose class and kind names differ; they
+    hold no tableau, so each tableau of the walk, and all that is remembered
+    on it, is freed once its block is done.  The memo is emptied when the
+    size is done, also when a property raises.
     """
     failed: dict[str, str] = {}
     for n in range(n_max + 1):
@@ -250,6 +253,14 @@ def bijection_checks(n_max: int) -> list[FormulaCheck]:
     ]
 
 
+def _flat_key(t: AltTableau) -> tuple:
+    """A tableau's fields as one flat tuple of ints and strings: the word,
+    the labels (as many as its letters) and each arrow's row, column and
+    kind.  The garbage collector stops tracking such a tuple, and it holds
+    nothing remembered on the tableau."""
+    return (t.word, *t.labels, *chain.from_iterable(t.arrows))
+
+
 def count_checks(n_max: int) -> list[FormulaCheck]:
     """The counting identities up to ``n_max``, grouped by identity.  Each
     size's tableaux are walked once by each generator, and every check that
@@ -270,7 +281,7 @@ def count_checks(n_max: int) -> list[FormulaCheck]:
                 "" if counts[n] == want else f"expected {want}",
             )
         )
-        listed: set[AltTableau] = set()
+        listed: set[tuple] = set()  # the flat keys of the tableaux, for n <= 5
         enumerated: dict[tuple[int, int, int], int] = {}  # by (frow, fcol, rows)
         no_free_cell = decorations = fixed = 0
         halves[n] = []
@@ -282,7 +293,7 @@ def count_checks(n_max: int) -> list[FormulaCheck]:
             key = (stats.frow, stats.fcol, t.word.count("D"))
             enumerated[key] = enumerated.get(key, 0) + 1
             if n <= 5:
-                listed.add(t)
+                listed.add(_flat_key(t))
             if stats.fcell == 0:
                 no_free_cell += 1
                 if crossing_fail is None and crossings(arc_diagram(t)):
@@ -299,13 +310,13 @@ def count_checks(n_max: int) -> list[FormulaCheck]:
             )
         )
         pairs = set()
-        via: set[AltTableau] = set()
+        via: set[tuple] = set()
         for t in all_via_perm(n):
             # A flat key of ints and strings, which the garbage collector
             # stops tracking: the (n+1)! keys would otherwise be rescanned.
             pairs.add((t.word, *chain.from_iterable(t.arrows)))
             if n <= 5:
-                via.add(t)
+                via.add(_flat_key(t))
         if n <= 5:
             same_sets.append(FormulaCheck(f"generator sets agree at n={n}", listed == via))
         distinct = len(pairs)

@@ -172,21 +172,46 @@ def cmd_split(args) -> int:
     return 0
 
 
+class LineError(TableauError):
+    """An error that one line of a many-line input causes, with that line's
+    number: ``<error> (at line <number>)``."""
+
+    def __init__(self, error: TableauError, line: int):
+        self.error = error
+        self.line = line
+        super().__init__(f"{error} (at line {line})")
+
+    def __reduce__(self):
+        return type(self), (self.error, self.line)
+
+
 def cmd_merge(args) -> int:
-    parts = []
-    for number, line in enumerate(_read_input(args.file).splitlines(), 1):
-        body = line.strip()
-        if not body:
-            continue
-        # The tableau after a ``{labels} :: `` head; positions count in the line as given.
-        start = 0
-        if " :: " in body:
-            start = len(line) - len(line.lstrip()) + body.index(" :: ") + 4
-        try:
-            parts.append(parse_tableau(line[start:]))
-        except ParseError as exc:
-            raise ParseError(exc.message, start + exc.position, number) from None
-    print(_render_alt(merge_all(parts)))
+    text = _read_input(args.file)
+    number = 0  # the line being read, which every error it causes names
+
+    def parts():
+        nonlocal number
+        for number, line in enumerate(text.splitlines(), 1):
+            body = line.strip()
+            if not body:
+                continue
+            # The tableau after a ``{labels} :: `` head; positions count in the line as given.
+            start = 0
+            if " :: " in body:
+                start = len(line) - len(line.lstrip()) + body.index(" :: ") + 4
+            try:
+                t = parse_tableau(line[start:])
+            except ParseError as exc:
+                raise ParseError(exc.message, start + exc.position, number) from None
+            yield t
+
+    try:
+        merged = merge_all(parts())
+    except ParseError:
+        raise
+    except TableauError as exc:  # a part that breaks the rules or shares labels
+        raise LineError(exc, number) from None
+    print(_render_alt(merged))
     return 0
 
 

@@ -152,6 +152,7 @@ class AltTableau(_Shape):
         )
         if bad:
             raise ValidationError(bad)
+        object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "arrows", tuple(sorted(arrows)))
 
     @property
@@ -490,6 +491,7 @@ class PermTableau(_Shape):
         bad = _check_labels_word(self.labels, self.word)
         if bad:
             raise ValidationError(bad)
+        object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "ones", tuple(sorted(set(self.ones))))
 
 

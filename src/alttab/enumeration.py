@@ -34,7 +34,7 @@ from itertools import product, repeat
 from numbers import Real
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .core import AltTableau, Arrow, _assembled, free_stats, relabel, transpose
+from .core import UP, AltTableau, Arrow, _assembled, free_stats, relabel, transpose
 from .decomposition import _parts, _tree_roots, divide, merge
 from .errors import DomainError, _integral, _shown_number, _shown_value, check_cap
 from .permutations import from_permutation
@@ -677,7 +677,13 @@ def symmetric_tableaux(size: int) -> Iterator[AltTableau]:
         )
     n = size // 2
     check_cap(n, "symmetric generation", ENUMERATION_CAP)  # the work scales with the halves
-    yield from _mirrored_halves(size, [t for t in all_tableaux(n) if free_stats(t).fcol == 0])
+    # A valid tableau has at most one up arrow per column, so it has no free
+    # column when it has as many up arrows as columns: the halves are kept
+    # with nothing worked out and remembered on them.
+    halves = [
+        t for t in all_tableaux(n) if sum(a.kind == UP for a in t.arrows) == t.word.count("E")
+    ]
+    yield from _mirrored_halves(size, halves)
 
 
 def _mirrored_halves(size: int, halves: Sequence[AltTableau]) -> Iterator[AltTableau]:

@@ -89,9 +89,11 @@ def divide_by_closure(t: AltTableau) -> tuple[AltTableau, AltTableau]:
 def to_forest_by_cut(t: AltTableau, memo: dict | None = None) -> PlaneAltForest:
     """Oracle for ``to_forest``: cut the root line, split, recurse.
 
-    ``memo`` maps each (packed tableau, class) solved so far to its tree, so
-    callers that walk many tableaux of one size can pass one dict and solve
-    each subproblem once; without it the call gets a fresh one."""
+    ``memo`` maps each packed tableau solved so far, keyed by its fields and
+    class as ``(labels, word, arrows, class)``, to its tree, so callers that
+    walk many tableaux of one size can pass one dict and solve each
+    subproblem once; without it the call gets a fresh one.  The memo holds
+    no tableau, so nothing remembered on one outlives it."""
     _bounded(len(t), "to_forest_by_cut")
     memo = {} if memo is None else memo
     return PlaneAltForest(tuple(_tree_rec(c, None, memo) for c in split_by_closure(t)))
@@ -100,7 +102,7 @@ def to_forest_by_cut(t: AltTableau, memo: dict | None = None) -> PlaneAltForest:
 def _tree_rec(t: AltTableau, cls: str | None, memo: dict) -> PlaneAltTree:
     """The tree of the packed tableau ``t`` of class ``cls``, or of its own
     class, which is only worked out when ``memo`` does not hold the tree."""
-    key = (t, cls)
+    key = (t.labels, t.word, t.arrows, cls)
     tree = memo.get(key)
     if tree is not None:
         return tree
@@ -139,8 +141,10 @@ def binary_pair_by_divide(
 ) -> tuple[BinAltTree | None, BinAltTree | None]:
     """Oracle for ``binary_pair``: cut the root line, divide, recurse.
 
-    ``memo`` maps each (tableau, kind) solved so far to its tree, as in
-    :func:`to_forest_by_cut`."""
+    ``memo`` maps each tableau solved so far, keyed by its fields and kind
+    as ``(labels, word, arrows, kind)``, to its tree, as in
+    :func:`to_forest_by_cut`; the kind names differ from the class names, so
+    the two oracles can share one memo."""
     _bounded(len(t), "binary_pair_by_divide")
     memo = {} if memo is None else memo
     p, q = divide_by_closure(t)
@@ -150,7 +154,7 @@ def binary_pair_by_divide(
 def _bin_rec(t: AltTableau, kind: str, memo: dict) -> BinAltTree | None:
     if not t.labels:
         return None
-    key = (t, kind)
+    key = (t.labels, t.word, t.arrows, kind)
     tree = memo.get(key)
     if tree is not None:
         return tree

@@ -13,6 +13,7 @@ shifted right-to-left maxima.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from numbers import Integral
 from operator import attrgetter
@@ -329,19 +330,29 @@ def from_signed_permutation(sp: SignedPerm) -> AltTableau:
 # Text formats
 
 
+# A whitespace-separated letter: ``\s`` is the whitespace ``str.split`` splits at.
+_LETTER_RE = re.compile(r"\S+")
+
+
 def render_word(word: Sequence[int]) -> str:
     return " ".join(str(a) for a in word)
 
 
 def parse_word(text: str) -> Word:
-    """Read whitespace-separated letters, each ASCII digits."""
+    """Read whitespace-separated letters, each ASCII digits; a
+    :class:`ParseError` is at the first bad letter's offset in ``text``."""
     parts = text.split()
     try:
         if all(map(_NUMBER_RE.fullmatch, parts)):
             return check_word(int(p) for p in parts)
     except ValueError:  # more digits than the interpreter converts
         pass
-    raise ParseError(f"bad letter in {_shown(text)}", 0)
+    for m in _LETTER_RE.finditer(text):
+        if _NUMBER_RE.fullmatch(m[0]):
+            _parse_int(m[0], m.start())
+        else:
+            raise ParseError(f"bad letter in {_shown(text)}", m.start())
+    raise AssertionError("a word that does not read has a bad letter")
 
 
 def render_signed(sp: SignedPerm) -> str:
@@ -351,14 +362,18 @@ def render_signed(sp: SignedPerm) -> str:
 
 
 def parse_signed(text: str) -> SignedPerm:
+    """Read whitespace-separated letters, each ASCII digits and barred by a
+    trailing ``'``; a :class:`ParseError` is at the first bad letter's
+    offset in ``text``."""
     letters = []
     barred = set()
-    for pos, part in enumerate(text.split()):
+    for pos, m in enumerate(_LETTER_RE.finditer(text)):
+        part = m[0]
         bar = part.endswith("'")
         body = part[:-1] if bar else part
         if not _NUMBER_RE.fullmatch(body):
-            raise ParseError(f"bad signed letter {_shown(part)}", 0)
-        letters.append(_parse_int(body, 0))
+            raise ParseError(f"bad signed letter {_shown(part)}", m.start())
+        letters.append(_parse_int(body, m.start()))
         if bar:
             barred.add(pos)
     return SignedPerm(tuple(letters), frozenset(barred))

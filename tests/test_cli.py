@@ -297,6 +297,23 @@ class TestSplitMerge:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and f"(at line {line}, position {position})" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("DE|L1,2\n\nDE|L1,2;U1,2\n", "duplicate-cell: two arrows on cell (1,2) (at line 3)"),
+            ("E|\nDE|L2,1\n", "arrow-off-shape: L arrow on nonexistent cell (2,1) (at line 2)"),
+            (
+                "{1} :: labels=1|D|\n  {2} :: labels=2|E|\nlabels=2,3|DE|L2,3\n",
+                "label-collision: labels [2] appear on both sides (at line 3)",
+            ),
+        ],
+        ids=["duplicate-cell", "off-shape", "label-collision"],
+    )
+    def test_every_merge_error_names_its_line(self, capsys, monkeypatch, text, message):
+        code, out, err = run(capsys, monkeypatch, ["merge"], text)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_split_empty(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["split"], "")
         assert code == 0 and out.strip() == ""

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from alttab.cli import LineError
 from alttab.core import (
     AltTableau,
     PermTableau,
@@ -130,6 +131,25 @@ def naive_free_cells(t: AltTableau) -> set[tuple[int, int]]:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "build, render, shown",
+        [
+            (lambda labels: AltTableau(labels, "DE"), render_tableau, "DE|"),
+            (
+                lambda labels: PermTableau([0, *labels], "DDE", ((0, 2),)),
+                render_perm_tableau,
+                "labels=0,1,2|DDE|0,2",
+            ),
+        ],
+        ids=["alt", "perm"],
+    )
+    def test_list_labels_are_kept_as_a_tuple(self, build, render, shown):
+        from_list, from_tuple = build([1, 2]), build((1, 2))
+        assert type(from_list.labels) is tuple
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+        assert render(from_list) == shown
+        assert pickle.loads(pickle.dumps(from_list)) == from_tuple
+
     def test_single_cell_left_arrow_is_valid(self):
         t = validate_alt((1, 2), "DE", [(1, 2, "L")])
         assert t.arrows == ((1, 2, "L"),)
@@ -772,8 +792,9 @@ class TestTextFormats:
         ParseError("unknown keys ['foo']", 0, 2),
         ValidationError([Violation("a", "b"), Violation("not-minimal", "white 5 is not minimal")]),
         ValidationError([]),
+        LineError(DomainError("label-collision", "labels [2] appear on both sides"), 3),
     ],
-    ids=["base", "cap", "domain", "parse", "parse-line", "validation", "no-violations"],
+    ids=["base", "cap", "domain", "parse", "parse-line", "validation", "no-violations", "line"],
 )
 def test_every_error_survives_pickle(error):
     back = pickle.loads(pickle.dumps(error))

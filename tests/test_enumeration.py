@@ -912,6 +912,18 @@ class TestDecoratedAndSymmetric:
         filtered = sum(1 for t in all_tableaux(size) if transpose(t) == t)
         assert filtered == len(built)
 
+    def test_symmetric_halves_are_picked_with_nothing_remembered(self, monkeypatch):
+        # The halves are held while the tableaux are yielded, so they are
+        # picked without working out, and keeping, anything on them.
+        walked = []
+        real = enumeration.all_tableaux
+        monkeypatch.setattr(
+            enumeration, "all_tableaux", lambda n: (walked.append(t) or t for t in real(n))
+        )
+        assert len(list(symmetric_tableaux(6))) == 2**3 * math.factorial(3)
+        assert len(walked) == math.factorial(4)
+        assert all(t.__dict__.keys() == {"labels", "word", "arrows"} for t in walked)
+
     def test_symmetric_construction_checks_symmetry(self, monkeypatch):
         # The check is an explicit raise, so it holds under python -O too.
         monkeypatch.setattr("alttab.enumeration.merge", lambda half, mirror: half)

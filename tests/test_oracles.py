@@ -7,6 +7,8 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import alttab
 from alttab import checks, enumeration, oracles, trees
 from alttab.checks import BIJECTIONS, bijection_checks, count_checks
 from alttab.cli import main
+from alttab.core import AltTableau, relabel
 from alttab.enumeration import shape_words
 
 PACKAGE = Path(alttab.__file__).parent
@@ -70,6 +73,29 @@ def test_only_checks_imports_the_oracles():
         if any(map(_imports_oracles, ast.walk(ast.parse(path.read_text()))))
     )
     assert importers == ["checks.py"]
+
+
+def _imported_modules(tree: ast.AST) -> list[str]:
+    """The top-level name of every module an import in ``tree`` names, with
+    relative imports as the package's own name."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("alttab" if node.level else node.module.partition(".")[0])
+    return names
+
+
+def test_the_package_imports_only_the_standard_library():
+    imported = {
+        path.name: set(_imported_modules(ast.parse(path.read_text())))
+        for path in PACKAGE.glob("*.py")
+    }
+    assert len(imported) >= 12 and any("alttab" in names for names in imported.values())
+    allowed = sys.stdlib_module_names | {"alttab"}
+    outside = {name: sorted(names - allowed) for name, names in imported.items()}
+    assert {name: names for name, names in outside.items() if names} == {}
 
 
 def test_moved_oracles_are_gone_from_their_old_modules():
@@ -151,6 +177,54 @@ def test_a_shared_memo_changes_no_oracle_result():
             if n <= 5:
                 assert oracles.binary_pair_by_divide(t, memo) == oracles.binary_pair_by_divide(t)
         assert len(memo) > 0 or n == 0
+
+
+def _holds_a_tableau(value) -> bool:
+    if isinstance(value, AltTableau):
+        return True
+    return isinstance(value, (tuple, frozenset)) and any(map(_holds_a_tableau, value))
+
+
+def test_the_memo_keeps_no_tableau_alive(monkeypatch):
+    # A battery-style walk at n = 5 with one memo for both oracles: every
+    # key is made of fields alone, and every tableau of the walk, and every
+    # cut the oracles make of it, is freed when the calls return.
+    real_cut = oracles.cut
+    cuts: list[weakref.ref] = []
+
+    def recording(t, axis):
+        rest = real_cut(t, axis)
+        cuts.append(weakref.ref(rest))
+        return rest
+
+    monkeypatch.setattr(oracles, "cut", recording)
+    memo: dict = {}
+    walked: list[weakref.ref] = []
+    for t in alttab.all_tableaux(5):
+        assert oracles.to_forest_by_cut(t, memo) == alttab.to_forest(t)
+        assert oracles.binary_pair_by_divide(t, memo) == alttab.binary_pair(t)
+        walked.append(weakref.ref(t))
+    del t
+    assert len(walked) == 720 and len(memo) == 876 and len(cuts) > 0
+    assert not any(map(_holds_a_tableau, memo))
+    assert [ref for ref in walked + cuts if ref() is not None] == []
+
+
+def test_the_generator_sets_compare_labels(monkeypatch):
+    # One tableau of the permutation generator, moved up by one label, has
+    # the word and arrows of the one it replaces, so only the set check sees it.
+    real = checks.all_via_perm
+
+    def shifted(n):
+        walk = real(n)
+        if n == 3:
+            t = next(walk)
+            yield relabel(t, [l + 1 for l in t.labels])
+        yield from walk
+
+    monkeypatch.setattr(checks, "all_via_perm", shifted)
+    failed = [c.line() for c in count_checks(4) if not c.passed]
+    assert failed == ["generator sets agree at n=3 FAIL"]
 
 
 @pytest.mark.parametrize(

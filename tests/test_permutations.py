@@ -366,14 +366,20 @@ class TestTextFormats:
             check_word((2, 2))
 
     @pytest.mark.parametrize(
-        "parse, text",
+        "parse, text, position",
         [
-            (parse_word, "0 " + "1" * 5000),
-            (parse_signed, "1" * 5000),
-            (parse_signed, "1 \u00b2"),  # "²" is a digit to isdigit() but not to int()
+            (parse_word, "0 " + "1" * 5000, 2),
+            (parse_signed, "1" * 5000, 0),
+            (parse_signed, "1 \u00b2", 2),  # "²" is a digit to isdigit() but not to int()
+            (parse_word, "0 1 x 2", 4),
+            (parse_signed, "1 2x 3", 2),
+            (parse_word, " \t0 1 x 2 y", 6),
+            (parse_signed, "  1\u00a02x' 3", 4),  # a no-break space separates letters
         ],
-        ids=["word", "signed", "signed-sup2"],
+        ids=["word", "signed", "signed-sup2", "word-x", "signed-x", "word-indented", "signed-nbsp"],
     )
-    def test_letter_int_refuses_is_a_parse_error(self, parse, text):
-        with pytest.raises(ParseError):
+    def test_letter_int_refuses_is_a_parse_error(self, parse, text, position):
+        # The position counts in the text as given, leading whitespace included.
+        with pytest.raises(ParseError) as err:
             parse(text)
+        assert err.value.position == position
