@@ -52,7 +52,6 @@ from .oracles import (
     binary_pair_by_divide,
     count_table_by_corners,
     to_forest_by_cut,
-    weight_poly_by_fillings,
 )
 from .permutations import (
     from_permutation,
@@ -232,11 +231,20 @@ def bijection_checks(n_max: int) -> list[FormulaCheck]:
     on it, is freed once its block is done.  The memo is emptied when the
     size is done, also when a property raises.
     """
+    return _bijection_checks(n_max, None)
+
+
+def _bijection_checks(n_max: int, tallies: list[_Tally] | None) -> list[FormulaCheck]:
+    """:func:`bijection_checks`, which also appends each size's
+    :class:`_Tally` to ``tallies`` unless it is ``None``.  Each block goes
+    to the tally once every live property has run over it, so the tally
+    reads the statistics and arc diagrams the properties left on it."""
     failed: dict[str, str] = {}
     for n in range(n_max + 1):
         live = [(name, prop) for name, bound, prop in BIJECTIONS if bound is None or n <= bound]
         walk = all_tableaux(n)
         memo: dict = {}
+        tally = None if tallies is None else _Tally(n, n_max)
         try:
             while block := list(islice(walk, _BLOCK)):
                 for name, prop in live:
@@ -246,8 +254,12 @@ def bijection_checks(n_max: int) -> list[FormulaCheck]:
                         if not prop(t, memo):
                             failed[name] = f"fails on {render_tableau(t)}"
                             break
+                if tally is not None:
+                    tally.add(block)
         finally:
             memo.clear()
+        if tally is not None:
+            tallies.append(tally)
     return [
         FormulaCheck(name, name not in failed, failed.get(name, "")) for name, _, _ in BIJECTIONS
     ]
@@ -261,18 +273,112 @@ def _flat_key(t: AltTableau) -> tuple:
     return (t.word, *t.labels, *chain.from_iterable(t.arrows))
 
 
+class _Tally:
+    """What the count and asep suites read off the walk of one size, filled
+    by :meth:`add` block by block; the halves are the only tableaux it keeps.
+
+    - ``by_word``: per shape word, the number of tableaux by (fcell, fcol,
+      frow), which the weights and the (frow, fcol, rows) counts read;
+    - ``listed``: the flat keys of the tableaux, for n <= 5;
+    - ``crossing_fail``: the first tableau in walk order with no free cell
+      whose arc diagram has a crossing, rendered, or ``None``;
+    - ``decorations``: the sum of 2^arrows;
+    - ``fixed``: how many tableaux are their own transpose;
+    - ``halves``: the tableaux with no free column when 2n <= ``n_max``
+      (the halves of the symmetric tableaux of size 2n), else ``None``.
+    """
+
+    def __init__(self, n: int, n_max: int):
+        self.n = n
+        self.by_word: dict[str, dict[tuple[int, int, int], int]] = {}
+        self.listed: set[tuple] = set()
+        self.crossing_fail: str | None = None
+        self.decorations = 0
+        self.fixed = 0
+        self.halves: list[AltTableau] | None = [] if 2 * n <= n_max else None
+        # A transpose has the word reversed with D and E swapped, so only
+        # tableaux on a word equal to its own mirror can be transpose-fixed.
+        self._mirrored = {
+            w for w in shape_words(n) if all(a != b for a, b in zip(w, reversed(w)))
+        }
+
+    def add(self, walk: Iterable[AltTableau]) -> None:
+        by_word, listed, halves, mirrored = self.by_word, self.listed, self.halves, self._mirrored
+        keyed = self.n <= 5
+        decorations = fixed = 0
+        for t in walk:
+            stats = free_stats(t)
+            word = t.word
+            counts = by_word.get(word)
+            if counts is None:
+                counts = by_word[word] = {}
+            key = (stats.fcell, stats.fcol, stats.frow)
+            counts[key] = counts.get(key, 0) + 1
+            if keyed:
+                listed.add(_flat_key(t))
+            if not key[0] and self.crossing_fail is None and crossings(arc_diagram(t)):
+                self.crossing_fail = f"fails on {render_tableau(t)}"
+            decorations += 2 ** len(t.arrows)
+            if halves is not None and not key[1]:
+                halves.append(t)
+            if word in mirrored and transpose(t) == t:
+                fixed += 1
+        self.decorations += decorations
+        self.fixed += fixed
+
+    def enumerated(self) -> dict[tuple[int, int, int], int]:
+        """The number of tableaux by (free rows, free columns, rows)."""
+        out: dict[tuple[int, int, int], int] = {}
+        for word, counts in self.by_word.items():
+            rows = word.count("D")
+            for (_, fcol, frow), c in counts.items():
+                key = (frow, fcol, rows)
+                out[key] = out.get(key, 0) + c
+        return out
+
+    def no_free_cell(self) -> int:
+        """The number of tableaux with no free cell."""
+        return sum(
+            c
+            for counts in self.by_word.values()
+            for (cells, _, _), c in counts.items()
+            if not cells
+        )
+
+    def weight(self, word: str) -> Poly3:
+        """The sum of q^fcell x^fcol y^frow over the tableaux on ``word``."""
+        return Poly3(self.by_word[word])
+
+
+def _walked(n_max: int) -> list[_Tally]:
+    """The :class:`_Tally` of each size up to ``n_max``, each size walked once."""
+    tallies = []
+    for n in range(n_max + 1):
+        tally = _Tally(n, n_max)
+        tally.add(all_tableaux(n))
+        tallies.append(tally)
+    return tallies
+
+
 def count_checks(n_max: int) -> list[FormulaCheck]:
     """The counting identities up to ``n_max``, grouped by identity.  Each
-    size's tableaux are walked once by each generator, and every check that
-    reads them takes what it needs from that walk."""
+    size's tableaux are walked once by each generator: the backtracking
+    walk fills one :class:`_Tally` per size (under :func:`run_suite`'s
+    ``"all"`` the bijection battery's walk does), and every check that
+    reads that walk takes what it needs from the tally."""
+    return _count_checks(n_max, None)
+
+
+def _count_checks(n_max: int, tallies: list[_Tally] | None) -> list[FormulaCheck]:
+    """:func:`count_checks` on the tallies of the walk, walked here when ``None``."""
+    if tallies is None:
+        tallies = _walked(n_max)
     tables = {n: count_table(n) for n in range(n_max + 1)}
     counts = {n: tables[n].total() for n in range(n_max + 1)}
     totals, by_table, same_sets, perm_counts, catalans, decorated, symmetric = (
         [] for _ in range(7)
     )
-    crossing_fail: str | None = None
-    halves: dict[int, list[AltTableau]] = {}  # no free column, for the symmetric sizes
-    for n in range(n_max + 1):
+    for n, tally in enumerate(tallies):
         want = math.factorial(n + 1)
         totals.append(
             FormulaCheck(
@@ -281,32 +387,10 @@ def count_checks(n_max: int) -> list[FormulaCheck]:
                 "" if counts[n] == want else f"expected {want}",
             )
         )
-        listed: set[tuple] = set()  # the flat keys of the tableaux, for n <= 5
-        enumerated: dict[tuple[int, int, int], int] = {}  # by (frow, fcol, rows)
-        no_free_cell = decorations = fixed = 0
-        halves[n] = []
-        # A transpose has the word reversed with D and E swapped, so only
-        # tableaux on a word equal to its own mirror can be transpose-fixed.
-        mirrored = {w for w in shape_words(n) if all(a != b for a, b in zip(w, reversed(w)))}
-        for t in all_tableaux(n):
-            stats = free_stats(t)
-            key = (stats.frow, stats.fcol, t.word.count("D"))
-            enumerated[key] = enumerated.get(key, 0) + 1
-            if n <= 5:
-                listed.add(_flat_key(t))
-            if stats.fcell == 0:
-                no_free_cell += 1
-                if crossing_fail is None and crossings(arc_diagram(t)):
-                    crossing_fail = f"fails on {render_tableau(t)}"
-            decorations += 2 ** len(t.arrows)
-            if 2 * n <= n_max and stats.fcol == 0:
-                halves[n].append(t)
-            if t.word in mirrored and transpose(t) == t:
-                fixed += 1
         by_table.append(
             FormulaCheck(
                 f"count table equals enumeration and the corner recursion at n={n}",
-                tables[n].counts == enumerated == count_table_by_corners(n).counts,
+                tables[n].counts == tally.enumerated() == count_table_by_corners(n).counts,
             )
         )
         pairs = set()
@@ -318,7 +402,7 @@ def count_checks(n_max: int) -> list[FormulaCheck]:
             if n <= 5:
                 via.add(_flat_key(t))
         if n <= 5:
-            same_sets.append(FormulaCheck(f"generator sets agree at n={n}", listed == via))
+            same_sets.append(FormulaCheck(f"generator sets agree at n={n}", tally.listed == via))
         distinct = len(pairs)
         perm_counts.append(
             FormulaCheck(
@@ -329,23 +413,25 @@ def count_checks(n_max: int) -> list[FormulaCheck]:
         )
         want = catalan(n + 1)
         catalans.append(
-            FormulaCheck(f"free-cell-free count at n={n} is {want}", no_free_cell == want)
+            FormulaCheck(f"free-cell-free count at n={n} is {want}", tally.no_free_cell() == want)
         )
         want = 2**n * math.factorial(n)
         decorated.append(
             FormulaCheck(
                 f"decorated count at n={n} is {want}",
-                decorations == decorated_count(n) == want,
+                tally.decorations == decorated_count(n) == want,
             )
         )
         if n % 2 == 0:
             want = 2 ** (n // 2) * math.factorial(n // 2)
-            built = {(t.word, t.arrows) for t in _mirrored_halves(n, halves[n // 2])}
+            built = {(t.word, t.arrows) for t in _mirrored_halves(n, tallies[n // 2].halves)}
             symmetric.append(
                 FormulaCheck(
-                    f"symmetric tableaux of size {n}: {want}", len(built) == want and fixed == want
+                    f"symmetric tableaux of size {n}: {want}",
+                    len(built) == want and tally.fixed == want,
                 )
             )
+    crossing_fail = next((t.crossing_fail for t in tallies if t.crossing_fail), None)
     crossing_free = FormulaCheck(
         "free-cell-free diagrams have no crossings", crossing_fail is None, crossing_fail or ""
     )
@@ -465,15 +551,27 @@ def formula_report(n_max: int = 7) -> FormulaReport:
 
 
 def asep_checks(n_max: int) -> list[FormulaCheck]:
+    """The exclusion-process identities up to ``n_max``: each shape's weight
+    by the bidiagonal pass, by the corner recursion and as the sum over its
+    fillings, which one walk of each size tallies (the bijection battery's
+    under :func:`run_suite`'s ``"all"``), and the stationary law from the
+    weights against the exact chain solve."""
+    return _asep_checks(n_max, None)
+
+
+def _asep_checks(n_max: int, tallies: list[_Tally] | None) -> list[FormulaCheck]:
+    """:func:`asep_checks` on the tallies of the walk, walked here when ``None``."""
+    if tallies is None:
+        tallies = _walked(n_max)
     checks = []
-    for n in range(n_max + 1):
+    for n, tally in enumerate(tallies):
         # The q-tracked corner table by code; shape_words lists the codes downwards.
         by_corners, _ = _corner_table(n, _poly_leaf, Poly3.var("q"))
         checks.append(
             _all_hold(
                 f"corner-recursion weights equal enumeration at n={n}",
                 (
-                    (weight_poly(w) == weight_poly_by_fillings(w) == z, f"fails on shape {w}")
+                    (weight_poly(w) == tally.weight(w) == z, f"fails on shape {w}")
                     for w, z in zip(shape_words(n), reversed(by_corners))
                 ),
             )
@@ -505,12 +603,27 @@ SUITE_CAPS = {
 }
 
 
+# Each suite as run by :func:`run_suite`: with the list of tallies that the
+# battery fills and the count and asep suites read, or ``None`` for a suite
+# run alone.
+_SUITE_RUNS: dict[str, Callable[[int, list[_Tally] | None], list[FormulaCheck]]] = {
+    "bijections": _bijection_checks,
+    "counts": _count_checks,
+    "series": lambda n_max, _: SUITES["series"](n_max),
+    "asep": _asep_checks,
+}
+
+
 def run_suite(suite: str, n_max: int) -> list[FormulaCheck]:
+    """The checks of one suite, or of every suite for ``"all"``.  Under
+    ``"all"`` each size is walked once: the bijection battery tallies its
+    walk for the count and asep suites."""
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
         for setting in SUITE_CAPS[name]:
             check_cap(n_max, f"verify suite {name}", setting)
+    tallies: list[_Tally] | None = [] if suite == "all" else None
     out = []
     for name in names:
-        out.extend(SUITES[name](n_max))
+        out.extend(_SUITE_RUNS[name](n_max, tallies))
     return out

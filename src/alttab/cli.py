@@ -17,6 +17,7 @@ from fractions import Fraction
 from .checks import FormulaReport, run_suite
 from .core import (
     AltTableau,
+    _parse_labels,
     empty_tableau,
     free_stats,
     from_perm_tableau,
@@ -34,7 +35,7 @@ from .enumeration import (
     asep_distribution,
     count_table,
 )
-from .errors import DomainError, ParseError, TableauError, _shown, _shown_number
+from .errors import DomainError, ParseError, TableauError, _shown, _shown_number, _shown_value
 from .permutations import (
     _insertion_words,
     from_permutation,
@@ -185,6 +186,13 @@ class LineError(TableauError):
         return type(self), (self.error, self.line)
 
 
+def _head_labels(head: str, at: int) -> tuple[int, ...]:
+    """The labels of a ``{labels}`` head that starts at position ``at``."""
+    if len(head) < 2 or head[0] != "{" or head[-1] != "}":
+        raise ParseError(f"bad head {_shown_value(head)}, expected {{labels}}", at)
+    return _parse_labels(head[1:-1], at + 1) if len(head) > 2 else ()
+
+
 def cmd_merge(args) -> int:
     text = _read_input(args.file)
     number = 0  # the line being read, which every error it causes names
@@ -195,21 +203,31 @@ def cmd_merge(args) -> int:
             body = line.strip()
             if not body:
                 continue
-            # The tableau after a ``{labels} :: `` head; positions count in the line as given.
-            start = 0
-            if " :: " in body:
-                start = len(line) - len(line.lstrip()) + body.index(" :: ") + 4
+            # The tableau after a ``{labels} :: `` head, which must list its
+            # labels; positions count in the line as given.
+            lead = len(line) - len(line.lstrip())
+            head, sep, _ = body.partition(" :: ")
+            start = lead + len(head) + len(sep) if sep else 0
             try:
                 t = parse_tableau(line[start:])
             except ParseError as exc:
                 raise ParseError(exc.message, start + exc.position, number) from None
+            if sep:
+                try:
+                    labels = _head_labels(head, lead)
+                except ParseError as exc:
+                    raise ParseError(exc.message, exc.position, number) from None
+                if labels != t.labels:
+                    shown = _shown_value("{" + ",".join(map(str, t.labels)) + "}")
+                    message = f"head {_shown_value(head)} does not list the labels {shown}"
+                    raise DomainError("head-mismatch", f"{message} of its tableau")
             yield t
 
     try:
         merged = merge_all(parts())
     except ParseError:
         raise
-    except TableauError as exc:  # a part that breaks the rules or shares labels
+    except TableauError as exc:  # a part that breaks the rules, shares labels or has a wrong head
         raise LineError(exc, number) from None
     print(_render_alt(merged))
     return 0

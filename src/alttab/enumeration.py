@@ -513,16 +513,21 @@ def transition_matrix(p: AsepParams) -> list[list[Fraction]]:
 
 
 def solve_stationary(m: list[list[Fraction]]) -> list[Fraction]:
-    """Exact solution of pi M = pi with sum(pi) = 1 by Gauss-Jordan elimination.
+    """Exact solution of pi M = pi with sum(pi) = 1 by forward elimination
+    and back substitution.
 
     Each row is kept as a map from column to nonzero entry, so the work
     follows the nonzeros: a chain row has at most n + 2 of them.  Each row is
     scaled by the lcm of its denominators and stays integral: with pivot p,
-    a row whose entry in the pivot column is f becomes (p/g).row - (f/g).pivot
-    row, g = gcd(p, f), divided by the gcd of its entries.  That is the
-    rational elimination with every row scaled by a nonzero factor, so the
-    same entries vanish and the same pivots are taken; each state's
-    ``Fraction`` is built once, from its row's right-hand side and pivot.
+    a row below it whose entry in the pivot column is f becomes (p/g).row -
+    (f/g).pivot row, g = gcd(p, f), divided by the gcd of its entries.  That
+    is the rational elimination with every row scaled by a nonzero factor,
+    so the same entries vanish and the same pivots are taken.  Only the rows
+    below a pivot are reduced; back substitution, from the last row up,
+    keeps the solved entries as integer numerators over one common
+    denominator, which each row multiplies, with every numerator solved
+    before it, by the part of its pivot that does not divide its own
+    numerator.  So each state's ``Fraction`` is built once, at the end.
     """
     size = len(m)
     # Rows of A are the balance equations (M^T - I) pi = 0, last one replaced
@@ -548,9 +553,10 @@ def solve_stationary(m: list[list[Fraction]]) -> list[Fraction]:
         rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
         top, b = a[col], rhs[col]
         p = top[col]
-        for r, row in enumerate(a):
+        for r in range(col + 1, size):
+            row = a[r]
             f = row.get(col)
-            if r == col or f is None:
+            if f is None:
                 continue
             g = math.gcd(p, f)
             u, w = p // g, f // g
@@ -569,7 +575,24 @@ def solve_stationary(m: list[list[Fraction]]) -> list[Fraction]:
                 for c in row:
                     row[c] //= g
                 rhs[r] //= g
-    return [Fraction(rhs[r], a[r][r]) for r in range(size)]
+    # Row r now reads p.pi[r] + (its entries right of r) = rhs[r]; pi[c] is
+    # nums[c] / d for every c already solved, d > 0.
+    nums = [0] * size
+    d = 1
+    for r in range(size - 1, -1, -1):
+        row = a[r]
+        p = row[r]
+        num = rhs[r] * d - sum(v * nums[c] for c, v in row.items() if c != r)
+        g = math.gcd(num, p)
+        s = p // g  # pi[r] = (num / g) / (s.d)
+        if s < 0:
+            s, g = -s, -g
+        if s != 1:
+            for c in range(r + 1, size):
+                nums[c] *= s
+            d *= s
+        nums[r] = num // g
+    return [Fraction(v, d) for v in nums]
 
 
 def chain_stationary(p: AsepParams) -> dict[str, Fraction]:

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alttab.cli import REPS, main
+from alttab.core import render_tableau
+from alttab.enumeration import all_tableaux
 
 from conftest import T0_COMPACT
 
@@ -313,6 +315,58 @@ class TestSplitMerge:
         code, out, err = run(capsys, monkeypatch, ["merge"], text)
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_split_then_merge_every_small_tableau(self, capsys, monkeypatch):
+        for n in range(1, 5):  # the empty tableau splits into no line
+            for t in all_tableaux(n):
+                text = render_tableau(t)
+                code, out, _ = run(capsys, monkeypatch, ["split"], text)
+                assert code == 0
+                code, merged, _ = run(capsys, monkeypatch, ["merge"], out)
+                assert code == 0 and merged == text + "\n", text
+
+    @pytest.mark.parametrize(
+        "text, line, position",
+        [
+            ("{1,2} :: DE|L1,2\n  {x} :: E|\n", 2, 3),
+            ("{1,,2} :: DE|L1,2\n", 1, 1),
+            ("{1,2 :: DE|L1,2\n", 1, 0),
+            ("E|\n 1 :: E|\n", 2, 1),
+        ],
+        ids=["bad-label", "empty-label", "unclosed", "no-braces"],
+    )
+    def test_a_malformed_head_is_a_parse_error_at_its_place(
+        self, capsys, monkeypatch, text, line, position
+    ):
+        code, out, err = run(capsys, monkeypatch, ["merge"], text)
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad ")
+        assert err.endswith(f"(at line {line}, position {position})\n")
+
+    def test_a_parse_error_in_the_body_comes_before_one_in_the_head(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["merge"], "{x} :: DE|X1\n")
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad arrow") and err.endswith("(at line 1, position 10)\n")
+
+    @pytest.mark.parametrize(
+        "text, line, head, labels",
+        [
+            ("{5,6} :: DE|L1,2\n", 1, "{5,6}", "{1,2}"),
+            ("{2,1} :: DE|L1,2\n", 1, "{2,1}", "{1,2}"),
+            ("{1} :: E|\n{2,3} :: labels=2,4|DE|L2,4\n", 2, "{2,3}", "{2,4}"),
+            ("{} :: E|\n", 1, "{}", "{1}"),
+        ],
+        ids=["other-labels", "out-of-order", "second-line", "empty-head"],
+    )
+    def test_a_head_must_list_the_labels_of_its_tableau(
+        self, capsys, monkeypatch, text, line, head, labels
+    ):
+        code, out, err = run(capsys, monkeypatch, ["merge"], text)
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: head-mismatch: head '{head}' does not list the labels '{labels}'"
+            f" of its tableau (at line {line})\n"
+        )
 
     def test_split_empty(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["split"], "")

@@ -7,6 +7,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import math
 import sys
 import weakref
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import alttab
-from alttab import checks, enumeration, oracles, trees
+from alttab import checks, core, enumeration, oracles, trees
 from alttab.checks import BIJECTIONS, bijection_checks, count_checks
 from alttab.cli import main
 from alttab.core import AltTableau, relabel
@@ -165,6 +166,66 @@ def test_count_battery_walks_each_size_once_per_generator(monkeypatch):
     assert sorted(filled) == sorted(w for n in range(6) for w in shape_words(n))
     assert len(filled) == 63
     assert len(results) == 44 and all(c.passed for c in results)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_all_gives_the_suites_run_alone(n):
+    alone = [c for suite in checks.SUITES.values() for c in suite(n)]
+    assert checks.run_suite("all", n) == alone
+
+
+@pytest.mark.parametrize("suite", ["all", "counts", "asep", "series"])
+def test_each_size_is_walked_once_and_its_statistics_worked_out_once(monkeypatch, suite):
+    # Under ``all`` the count and asep suites read the battery's walk;
+    # alone, each walks each size once, and the series suite walks none.
+    sizes = [] if suite == "series" else [0, 1, 2, 3, 4]
+    walked: list[AltTableau] = []  # keeps every tableau alive, so ids stay distinct
+    drawn = []
+    real_walk = checks.all_tableaux
+
+    def walking(n):
+        drawn.append(n)
+        for t in real_walk(n):
+            walked.append(t)
+            yield t
+
+    worked_out: dict[int, int] = {}
+    real_stats = core._free_stats
+
+    def counting(t):
+        worked_out[id(t)] = worked_out.get(id(t), 0) + 1
+        return real_stats(t)
+
+    monkeypatch.setattr(checks, "all_tableaux", walking)
+    monkeypatch.setattr(enumeration, "all_tableaux", walking)
+    monkeypatch.setattr(core, "_free_stats", counting)
+    assert all(c.passed for c in checks.run_suite(suite, 4))
+    assert drawn == sizes
+    assert len(walked) == sum(math.factorial(n + 1) for n in sizes)
+    assert all(worked_out.get(id(t)) == 1 for t in walked)
+
+
+def test_the_tallied_weights_equal_the_fillings_oracle():
+    for n, tally in enumerate(checks._walked(6)):
+        words = list(shape_words(n))
+        assert sorted(tally.by_word) == sorted(words)
+        for w in words:
+            assert tally.weight(w) == oracles.weight_poly_by_fillings(w), w
+
+
+def test_a_failing_battery_leaves_every_count_and_asep_line(monkeypatch):
+    # Every property fails on the first tableau, so the battery runs none
+    # after it and the tallies work out every statistic themselves.
+    expected = [c.line() for c in [*count_checks(4), *checks.formula_report(4).checks]]
+    expected += [c.line() for c in checks.asep_checks(4)]
+    battery = tuple((name, bound, lambda t, memo: False) for name, bound, _ in BIJECTIONS)
+    monkeypatch.setattr(checks, "BIJECTIONS", battery)
+    lines = [c.line() for c in checks.run_suite("all", 4)]
+    first = alttab.render_tableau(alttab.empty_tableau())
+    assert lines[: len(BIJECTIONS)] == [
+        f"{name} FAIL fails on {first}" for name, _, _ in BIJECTIONS
+    ]
+    assert lines[len(BIJECTIONS) :] == expected
 
 
 def test_a_shared_memo_changes_no_oracle_result():
