@@ -13,9 +13,11 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .checks import FormulaReport, run_suite
 from .core import (
+    _NUMBER,
     AltTableau,
     _parse_labels,
     empty_tableau,
@@ -190,7 +192,7 @@ def _head_labels(head: str, at: int) -> tuple[int, ...]:
     """The labels of a ``{labels}`` head that starts at position ``at``."""
     if len(head) < 2 or head[0] != "{" or head[-1] != "}":
         raise ParseError(f"bad head {_shown_value(head)}, expected {{labels}}", at)
-    return _parse_labels(head[1:-1], at + 1) if len(head) > 2 else ()
+    return _parse_labels(head[1:-1], at + 1)
 
 
 def cmd_merge(args) -> int:
@@ -208,19 +210,15 @@ def cmd_merge(args) -> int:
             lead = len(line) - len(line.lstrip())
             head, sep, _ = body.partition(" :: ")
             start = lead + len(head) + len(sep) if sep else 0
-            try:
+            try:  # each position here counts from ``start``; the head is before it
                 t = parse_tableau(line[start:])
+                labels = _head_labels(head, lead - start) if sep else t.labels
             except ParseError as exc:
                 raise ParseError(exc.message, start + exc.position, number) from None
-            if sep:
-                try:
-                    labels = _head_labels(head, lead)
-                except ParseError as exc:
-                    raise ParseError(exc.message, exc.position, number) from None
-                if labels != t.labels:
-                    shown = _shown_value("{" + ",".join(map(str, t.labels)) + "}")
-                    message = f"head {_shown_value(head)} does not list the labels {shown}"
-                    raise DomainError("head-mismatch", f"{message} of its tableau")
+            if labels != t.labels:
+                shown = _shown_value("{" + ",".join(map(str, t.labels)) + "}")
+                message = f"head {_shown_value(head)} does not list the labels {shown}"
+                raise DomainError("head-mismatch", f"{message} of its tableau")
             yield t
 
     try:
@@ -283,27 +281,27 @@ def cmd_render(args) -> int:
     return 0
 
 
-# Numbers on the command line are ASCII, as in every text format: ``int``
-# and ``Fraction`` would also read ``_``, a sign, spaces and other scripts' digits.
-_INTEGER_RE = re.compile(r"-?[0-9]+")
+def _number(pattern: str, read: Callable[[str], object], what: str) -> Callable[[str], object]:
+    """The argument type that reads with ``read`` a text ``pattern`` matches
+    whole, and refuses any other as not ``what``.  Numbers on the command
+    line are ``core``'s token, as in every text format: ``int`` and
+    ``Fraction`` would also read ``_``, a sign, spaces, other scripts' digits
+    and, in a rate, an exponent."""
+    whole = re.compile(pattern)
+
+    def number(text: str):
+        try:
+            if whole.fullmatch(text):
+                return read(text)
+        except (ValueError, ZeroDivisionError):  # too many digits, or a zero denominator
+            pass
+        raise argparse.ArgumentTypeError(f"not {what}: {_shown(text)}")
+
+    return number
 
 
-def _rate(text: str) -> Fraction:
-    try:
-        if text.isascii() and "_" not in text:
-            return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise argparse.ArgumentTypeError(f"not a rational number: {_shown(text)}")
-
-
-def _integer(text: str) -> int:
-    try:
-        if _INTEGER_RE.fullmatch(text):
-            return int(text)
-    except ValueError:  # more digits than the interpreter converts
-        pass
-    raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}")
+_integer = _number(rf"-?{_NUMBER}", int, "an integer")
+_rate = _number(rf"{_NUMBER}(?:[/.]{_NUMBER})?", Fraction, "a rational number")  # p, p/q or p.d
 
 
 def _size(text: str) -> int:

@@ -85,7 +85,7 @@ def _labels_word_violations(labels: Sequence[int], word: str) -> list[Violation]
         shown = _shown_number(labels)
         bad.append(Violation("label-order", f"labels not strictly increasing: {shown}"))
     if word.strip("DE"):
-        bad.append(Violation("bad-step", f"word {word!r} has letters outside D/E"))
+        bad.append(Violation("bad-step", f"word {_shown_value(word)} has letters outside D/E"))
     return bad
 
 
@@ -680,18 +680,31 @@ def to_perm_tableau(t: AltTableau) -> PermTableau:
 # Perm compact: [labels=...|]<word>|<i>,<j>;...   (cells filled with 1)
 
 # Every number in every text format is ASCII digits, ``[0-9]+``: no sign,
-# no ``_`` and no other script's digits, though ``int`` reads all three.
-# A list of arrows or of 1-cells.  A part may end in one newline, since
-# permutation-tableau text has always allowed a line break before a ``;``.
-_ARROW_LIST_RE = re.compile(r"(?:[LU][0-9]+,[0-9]+\n?)?(?:;(?:[LU][0-9]+,[0-9]+\n?)?)*")
-_CELL_LIST_RE = re.compile(r"(?:[0-9]+,[0-9]+\n?)?(?:;(?:[0-9]+,[0-9]+\n?)?)*")
-_NUMBER_RE = re.compile(r"[0-9]+")
-_KIND_RE = re.compile(r"[LU]")
-# A labels list, and the record's arrows field ``[i,j,K];...`` and its entries.
-_LABEL_LIST_RE = re.compile(r"[0-9]+(?:,[0-9]+)*")
-_RECORD_ARROWS_RE = re.compile(r"(?:\[[0-9]+,[0-9]+,[LU]\])?(?:;(?:\[[0-9]+,[0-9]+,[LU]\])?)*")
-_RECORD_ARROW_RE = re.compile(r"\[([0-9]+),([0-9]+),([LU])\]")
+# no ``_`` and no other script's digits, though ``int`` reads all three.  This
+# token, a pattern of one group, is the only one: every pattern that reads a
+# number, in every module, is built on it.
+_NUMBER = "([0-9]+)"
+_NUMBER_RE = re.compile(_NUMBER)
+_LABEL_LIST_RE = re.compile(rf"(?:{_NUMBER}(?:,{_NUMBER})*)?")
 _RECORD_KEYS = ("labels", "word", "arrows", "statistics")
+
+
+def _list_part(part: str, value: Callable[..., tuple]) -> tuple:
+    """The grammar of a ``;``-list by its one part: the part's pattern, the
+    pattern of the whole list, whose parts may be empty, and the value of a
+    part from the pattern's groups."""
+    return re.compile(part), re.compile(f"(?:{part})?(?:;(?:{part})?)*"), value
+
+
+# A compact arrow ``L<i>,<j>``, a compact 1-cell ``<i>,<j>`` and a record
+# arrow ``[<i>,<j>,<K>]``, each as ``(i, j[, K])``.  A 1-cell may end in one
+# newline, since permutation-tableau text has always allowed a line break
+# before a ``;``; a compact tableau with a newline inside is a record.
+_ARROW_PART = _list_part(rf"([LU]){_NUMBER},{_NUMBER}", lambda k, i, j: (int(i), int(j), k))
+_CELL_PART = _list_part(rf"{_NUMBER},{_NUMBER}\n?", lambda i, j: (int(i), int(j)))
+_RECORD_ARROW_PART = _list_part(
+    rf"\[{_NUMBER},{_NUMBER},([LU])\]", lambda i, j, k: (int(i), int(j), k)
+)
 
 
 def _parse_int(digits: str, pos: int) -> int:
@@ -704,17 +717,29 @@ def _parse_int(digits: str, pos: int) -> int:
         raise ParseError(f"bad number {_shown(digits)}", pos) from None
 
 
-def _parse_labels_prefix(text: str, at: int) -> tuple[tuple[int, ...] | None, str, int]:
-    """Split an optional ``labels=...|`` prefix off ``text``, which starts at
-    position ``at``; returns (labels, rest, offset of rest in ``text``)."""
-    if not text.startswith("labels="):
-        return None, text, 0
-    cut = text.find("|")
-    if cut < 0:
-        raise ParseError("labels prefix missing '|'", at + len(text))
-    body = text[len("labels=") : cut]
-    labels = _parse_labels(body, at + len("labels=")) if body else ()
-    return labels, text[cut + 1 :], cut + 1
+def _read_list(body: str, pos: int, part: tuple, what: str) -> list[tuple]:
+    """The values of the parts of the ``;``-list ``body``, which starts at
+    position ``pos``; empty parts are skipped.  The whole list is matched
+    and read in one pass; when that fails, part by part, so a
+    :class:`ParseError` is at the start of the first part that does not
+    match or holds a number too long to convert."""
+    one, every, value = part
+    try:
+        if every.fullmatch(body):
+            return [value(*groups) for groups in one.findall(body)]
+    except ValueError:  # more digits than the interpreter converts
+        pass
+    values = []
+    for text in body.split(";"):
+        if text:
+            m = one.fullmatch(text)
+            if m is None:
+                raise ParseError(f"bad {what} {_shown(text)}", pos)
+            for digits in _NUMBER_RE.findall(text):
+                _parse_int(digits, pos)
+            values.append(value(*m.groups()))
+        pos += len(text) + 1
+    return values
 
 
 def _parse_labels(body: str, pos: int) -> tuple[int, ...]:
@@ -733,52 +758,41 @@ def parse_tableau(text: str) -> AltTableau:
     position in ``text`` as given, and input that is not a ``str`` is one
     at position 0.
     """
-    _check_text(text)
-    body = text.strip()
+    body = _check_text(text).strip()
     if "\n" in body or body.startswith("word="):
         return _parse_record(text)
-    labels, word, body, numbers = _parse_compact(text, "arrows", _ARROW_LIST_RE, "arrow")
-    arrows = zip(numbers[::2], numbers[1::2], _KIND_RE.findall(body))
-    return validate_alt(labels, word, list(arrows))
+    return validate_alt(*_parse_compact(text, "arrows", _ARROW_PART, "arrow"))
 
 
-def _check_text(text: object) -> None:
+def _check_text(text: object) -> str:
+    """``text``, or a :class:`ParseError` at position 0 when it is not a ``str``."""
     if not isinstance(text, str):
         raise ParseError(f"input of type {type(text).__name__} is not a str", 0)
+    return text
 
 
-def _parse_compact(
-    text: str, items: str, list_re: re.Pattern, what: str
-) -> tuple[tuple[int, ...], str, str, list[int]]:
-    """The labels (standard when absent), word and ``;``-separated list of
-    compact text ``[labels=...|]<word>|<items>`` with whitespace around it,
-    and the list's numbers, two per part, read in one pass when ``list_re``
-    matches the list.  Else the parts are read one by one for the first bad
-    one.  Error positions count from the start of ``text`` as given."""
+def _parse_compact(text: str, items: str, part: tuple, what: str) -> tuple[tuple, str, list]:
+    """The labels (standard when absent), word and list values of compact
+    text ``[labels=...|]<word>|<items>`` with whitespace around it, the list
+    read by :func:`_read_list`.  Error positions count from the start of
+    ``text`` as given."""
     at = len(text) - len(text.lstrip())  # where the compact text starts
     text = text.strip()
     if not text:
         raise ParseError("empty input", 0)
-    labels, rest, offset = _parse_labels_prefix(text, at)
-    offset += at
-    if rest.count("|") != 1:
+    labels, offset = None, at  # the labels, and where the text after them starts
+    if text.startswith("labels="):
+        cut = text.find("|")
+        if cut < 0:
+            raise ParseError("labels prefix missing '|'", at + len(text))
+        labels = _parse_labels(text[len("labels=") : cut], at + len("labels="))
+        text, offset = text[cut + 1 :], at + cut + 1
+    if text.count("|") != 1:
         raise ParseError(f"expected <word>|<{items}>", offset)
-    word, _, body = rest.partition("|")
+    word, _, body = text.partition("|")
     if labels is None:
         labels = tuple(range(1, len(word) + 1))
-    try:
-        if list_re.fullmatch(body):
-            return labels, word, body, list(map(int, _NUMBER_RE.findall(body)))
-    except ValueError:
-        pass
-    pos = offset + len(word) + 1
-    for part in filter(None, body.split(";")):  # an empty part takes no room
-        if not list_re.fullmatch(part):
-            raise ParseError(f"bad {what} {_shown(part)}", pos)
-        for digits in _NUMBER_RE.findall(part):
-            _parse_int(digits, pos)
-        pos += len(part) + 1
-    raise AssertionError("a list that does not match has a bad part")
+    return labels, word, _read_list(body, offset + len(word) + 1, part, what)
 
 
 def _parse_record(text: str) -> AltTableau:
@@ -803,16 +817,7 @@ def _parse_record(text: str) -> AltTableau:
     body, at = fields.get("labels", ("", 0))
     labels = _parse_labels(body, at) if body else tuple(range(1, len(word) + 1))
     field, at = fields.get("arrows", ("", 0))
-    if not _RECORD_ARROWS_RE.fullmatch(field):
-        raise ParseError(f"bad arrow list {_shown(field)}", at)
-    arrows = []
-    for i, j, kind in _RECORD_ARROW_RE.findall(field):
-        try:
-            arrows.append((int(i), int(j), kind))
-        except ValueError:  # the first entry of this text is the first bad one
-            at += field.index(f"[{i},{j},{kind}]")
-            raise ParseError(f"bad arrow entry {_shown(f'{i},{j},{kind}')}", at) from None
-    return validate_alt(labels, word, arrows)
+    return validate_alt(labels, word, _read_list(field, at, _RECORD_ARROW_PART, "arrow entry"))
 
 
 def render_tableau(t: AltTableau, style: str = "compact") -> str:
@@ -830,7 +835,7 @@ def render_tableau(t: AltTableau, style: str = "compact") -> str:
         return "\n".join(lines)
     if style == "grid":
         return _render_grid(t)
-    raise DomainError("bad-style", f"unknown render style {style!r}")
+    raise DomainError("bad-style", f"unknown render style {_shown_value(style)}")
 
 
 def _render_compact(labels: tuple[int, ...], word: str, items: list[str]) -> str:
@@ -859,9 +864,7 @@ def _render_grid(t: AltTableau) -> str:
 
 def parse_perm_tableau(text: str) -> PermTableau:
     """Parse compact permutation-tableau text, as :func:`parse_tableau` does."""
-    _check_text(text)
-    labels, word, _, numbers = _parse_compact(text, "one-cells", _CELL_LIST_RE, "cell")
-    return validate_perm_tableau(labels, word, list(zip(numbers[::2], numbers[1::2])))
+    return validate_perm_tableau(*_parse_compact(_check_text(text), "one-cells", _CELL_PART, "cell"))
 
 
 def render_perm_tableau(p: PermTableau) -> str:

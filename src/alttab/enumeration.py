@@ -354,7 +354,7 @@ def weight_poly(word: str) -> Poly3:
     weight by x and y, so the cap applies to the steps between them.
     """
     if set(word) - {"D", "E"}:
-        raise DomainError("bad-word", f"border word {word!r} is not over D and E")
+        raise DomainError("bad-word", f"border word {_shown_value(word)} is not over D and E")
     rest = word.lstrip("E")
     core = rest.rstrip("D")
     check_cap(len(core), "weight polynomial (steps from the first D to the last E)", WEIGHT_CAP)

@@ -110,8 +110,8 @@ class ResourceLimitError(TableauError):
 
 def cap_limit(setting: tuple[str, int]) -> int:
     """The cap ``(variable, default)`` as set now: the environment variable's
-    value, ASCII digits ``[0-9]+`` as in every text format, or the default
-    when it is unset."""
+    value, ASCII digits as in every text format, or the default when it is
+    unset."""
     var, default = setting
     text = os.environ.get(var)
     if text is None:
@@ -121,7 +121,7 @@ def cap_limit(setting: tuple[str, int]) -> int:
             return int(text)
     except ValueError:  # more digits than the interpreter converts
         pass
-    raise ResourceLimitError(f"{var}={text[:20]!r} is not a non-negative integer")
+    raise ResourceLimitError(f"{var}={_shown_value(text)} is not a non-negative integer")
 
 
 def check_cap(n: int, what: str, setting: tuple[str, int]) -> None:

@@ -34,7 +34,7 @@ from .enumeration import (
     fillings,
     shape_words,
 )
-from .errors import DomainError, ResourceLimitError, _shown_number, check_cap
+from .errors import DomainError, ResourceLimitError, _shown_number, _shown_value, check_cap
 from .permutations import Word, check_word, rl_maxima, rl_minima
 from .series import Poly3
 from .trees import (
@@ -224,7 +224,7 @@ def _word_to_tree(w: Word, color: str) -> PlaneAltTree:
         bounds = rl_maxima(body)
         child_color = BLACK
     else:
-        raise DomainError("bad-color", f"unknown color {color!r}")
+        raise DomainError("bad-color", f"unknown color {_shown_value(color)}")
     children = []
     start = 0
     for b in bounds:

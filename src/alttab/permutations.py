@@ -24,15 +24,15 @@ from .core import (
     UP,
     _NUMBER_RE,
     AltTableau,
+    _check_text,
     _check_valid,
     _parse_int,
     _remembered,
-    _shown,
     relabel,
     transpose,
 )
 from .decomposition import _arrow_forest, _tableau_from_edges, merge
-from .errors import DomainError, ParseError, _integral, _shown_number
+from .errors import DomainError, ParseError, _integral, _shown_number, _shown_value
 from .trees import (
     BLACK,
     WHITE,
@@ -334,25 +334,31 @@ def from_signed_permutation(sp: SignedPerm) -> AltTableau:
 _LETTER_RE = re.compile(r"\S+")
 
 
+def _letters(text: str, bars: bool) -> tuple[list[int], set[int]]:
+    """The numbers of the whitespace-separated letters of ``text``, each ASCII
+    digits, and the indexes of the letters barred by a trailing ``'`` when
+    ``bars``; a :class:`ParseError` is at the first bad letter's offset in
+    ``text``, and input that is not a ``str`` is one at position 0."""
+    numbers: list[int] = []
+    barred: set[int] = set()
+    for m in _LETTER_RE.finditer(_check_text(text)):
+        letter = m[0]
+        digits = letter[:-1] if bars and letter[-1] == "'" else letter
+        if not _NUMBER_RE.fullmatch(digits):
+            raise ParseError(f"bad letter {_shown_value(letter)}", m.start())
+        if len(digits) < len(letter):
+            barred.add(len(numbers))
+        numbers.append(_parse_int(digits, m.start()))
+    return numbers, barred
+
+
 def render_word(word: Sequence[int]) -> str:
     return " ".join(str(a) for a in word)
 
 
 def parse_word(text: str) -> Word:
-    """Read whitespace-separated letters, each ASCII digits; a
-    :class:`ParseError` is at the first bad letter's offset in ``text``."""
-    parts = text.split()
-    try:
-        if all(map(_NUMBER_RE.fullmatch, parts)):
-            return check_word(int(p) for p in parts)
-    except ValueError:  # more digits than the interpreter converts
-        pass
-    for m in _LETTER_RE.finditer(text):
-        if _NUMBER_RE.fullmatch(m[0]):
-            _parse_int(m[0], m.start())
-        else:
-            raise ParseError(f"bad letter in {_shown(text)}", m.start())
-    raise AssertionError("a word that does not read has a bad letter")
+    """Read whitespace-separated letters, as :func:`_letters` reads them."""
+    return check_word(_letters(text, bars=False)[0])
 
 
 def render_signed(sp: SignedPerm) -> str:
@@ -362,18 +368,7 @@ def render_signed(sp: SignedPerm) -> str:
 
 
 def parse_signed(text: str) -> SignedPerm:
-    """Read whitespace-separated letters, each ASCII digits and barred by a
-    trailing ``'``; a :class:`ParseError` is at the first bad letter's
-    offset in ``text``."""
-    letters = []
-    barred = set()
-    for pos, m in enumerate(_LETTER_RE.finditer(text)):
-        part = m[0]
-        bar = part.endswith("'")
-        body = part[:-1] if bar else part
-        if not _NUMBER_RE.fullmatch(body):
-            raise ParseError(f"bad signed letter {_shown(part)}", m.start())
-        letters.append(_parse_int(body, m.start()))
-        if bar:
-            barred.add(pos)
+    """Read whitespace-separated letters, each barred by a trailing ``'`` or
+    not, as :func:`_letters` reads them."""
+    letters, barred = _letters(text, bars=True)
     return SignedPerm(tuple(letters), frozenset(barred))

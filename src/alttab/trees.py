@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from operator import lt
 from typing import Callable, Container, Iterable, Mapping, TypeVar
 
-from .core import _NUMBER_RE, _VALID, AltTableau, _parse_int, _remembered, _shown
+from .core import _NUMBER, _NUMBER_RE, _VALID, AltTableau, _check_text, _parse_int, _remembered, _shown
 from .decomposition import _arrow_forest, _tableau_from_edges
 from .errors import DomainError, ParseError, ValidationError, Violation, _shown_number, _shown_value
 
@@ -873,25 +873,23 @@ def render_forest(f: PlaneAltForest) -> str:
     return " ".join(render_tree(t) for t in f.trees)
 
 
-_TOKEN_RE = re.compile(r"\(|\)|[A-Za-z]+|[0-9]+")
+_TOKEN_RE = re.compile(rf"\(|\)|[A-Za-z]+|{_NUMBER}|\Z")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
     pos = 0
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text):  # the last match is the empty one at the end
         if text[pos : m.start()].strip():
             raise ParseError(f"unexpected {_shown(text[pos:m.start()].strip())}", pos)
         tokens.append((m.group(), m.start()))
         pos = m.end()
-    if text[pos:].strip():
-        raise ParseError(f"unexpected {_shown(text[pos:].strip())}", pos)
-    return tokens
+    return tokens[:-1]
 
 
 def parse_forest(text: str) -> PlaneAltForest:
     """Parse whitespace-separated s-expressions like ``(W 4 (B 9))``."""
-    tokens = _tokenize(text)
+    tokens = _tokenize(_check_text(text))
 
     def expect(idx: int, pred: Callable[[str], bool], what: str) -> tuple[str, int]:
         if idx >= len(tokens) or not pred(tokens[idx][0]):
@@ -926,19 +924,24 @@ def render_arcs(d: ArcDiagram) -> str:
     return "points=" + pts + " arcs=" + "".join(f"({i},{j})" for i, j in d.arcs)
 
 
-_ARCS_RE = re.compile(r"points=([0-9]+)\.\.([0-9]+) arcs=((?:\([0-9]+,[0-9]+\))*)$")
-_ARC_RE = re.compile(r"\(([0-9]+),([0-9]+)\)")
+_ARC = rf"\({_NUMBER},{_NUMBER}\)"
+_ARC_RE = re.compile(_ARC)
+_ARCS_RE = re.compile(rf"points={_NUMBER}\.\.{_NUMBER} arcs=((?:{_ARC})*)$")
 
 
 def parse_arcs(text: str) -> ArcDiagram:
     """Parse ``points=a..b arcs=(i,j)...``; whitespace around the text is
-    ignored, and a :class:`ParseError` gives its position in ``text``."""
+    ignored, and a :class:`ParseError` gives its position in ``text``: a
+    number too long to convert is reported where its arc starts."""
+    _check_text(text)
     m = _ARCS_RE.match(text, len(text) - len(text.lstrip()), len(text.rstrip()))
     if not m:
         raise ParseError("expected 'points=a..b arcs=(i,j)...'", 0)
     lo, hi = _parse_int(m.group(1), m.start(1)), _parse_int(m.group(2), m.start(2))
-    at = m.start(3)
-    arcs = [(_parse_int(i, at), _parse_int(j, at)) for i, j in _ARC_RE.findall(m.group(3))]
+    arcs = [
+        (_parse_int(a[1], a.start()), _parse_int(a[2], a.start()))
+        for a in _ARC_RE.finditer(text, m.start(3), m.end(3))
+    ]
     # A tree has one arc fewer than points: checked before the range is built,
     # so the text bounds the point count.
     if hi - lo != len(arcs):
@@ -963,7 +966,7 @@ def render_bin_pair(pair: tuple[BinAltTree | None, BinAltTree | None]) -> str:
 
 def parse_bin_pair(text: str) -> tuple[BinAltTree | None, BinAltTree | None]:
     """Parse two binary trees (min-rooted then max-rooted), ``-`` for empty."""
-    first, idx = _parse_bin_at(text, 0, MIN_ROOTED)
+    first, idx = _parse_bin_at(_check_text(text), 0, MIN_ROOTED)
     second, idx = _parse_bin_at(text, idx, MAX_ROOTED)
     if text[idx:].strip():
         raise ParseError(f"trailing input {_shown(text[idx:].strip())}", idx)
@@ -972,8 +975,9 @@ def parse_bin_pair(text: str) -> tuple[BinAltTree | None, BinAltTree | None]:
     return first, second
 
 
-_BIN_LABEL_RE = re.compile(r"\s*([0-9]+)\s*L:")
+_BIN_LABEL_RE = re.compile(rf"\s*{_NUMBER}\s*L:")
 _BIN_RIGHT_RE = re.compile(r"\s*R:")
+_SPACE_RE = re.compile(r"\s*")
 _UNREAD = object()  # the left subtree of an open node, before it is read
 
 
@@ -982,8 +986,7 @@ def _parse_bin_at(text: str, idx: int, kind: str) -> tuple[BinAltTree | None, in
     # Open nodes, innermost last: label, kind and left subtree.
     open_nodes: list[list] = []
     while True:
-        while idx < len(text) and text[idx].isspace():
-            idx += 1
+        idx = _SPACE_RE.match(text, idx).end()
         if idx < len(text) and text[idx] == "-":
             tree, idx = None, idx + 1
         else:
@@ -999,8 +1002,7 @@ def _parse_bin_at(text: str, idx: int, kind: str) -> tuple[BinAltTree | None, in
         # ends, then is the left subtree of the next one.
         while open_nodes and open_nodes[-1][2] is not _UNREAD:
             label, node_kind, left = open_nodes.pop()
-            while idx < len(text) and text[idx].isspace():
-                idx += 1
+            idx = _SPACE_RE.match(text, idx).end()
             if idx >= len(text) or text[idx] != ")":
                 raise ParseError("expected ')'", idx)
             tree, idx = BinAltTree(label, left, tree, node_kind), idx + 1

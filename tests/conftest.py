@@ -167,6 +167,7 @@ def parse_compact_by_parts(text: str, cells: bool):
     pos = offset + len(word) + 1
     for part in items.split(";"):
         if not part:
+            pos += 1  # an empty part still takes its ``;``
             continue
         m = part_re.match(part)
         if not m:

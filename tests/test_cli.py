@@ -649,7 +649,13 @@ class TestAsciiNumbers:
         assert exc.value.code == 2 and "not an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ("--q", "--alpha", "--beta"))
-    @pytest.mark.parametrize("rate", ["1_0/30", "\u0663/4", "1/\u0663", "0.5_0", "\uff11"])
+    @pytest.mark.parametrize(
+        "rate",
+        [
+            "1_0/30", "\u0663/4", "1/\u0663", "0.5_0", "\uff11",
+            "5e-1", "1e-20000", "+1/2", "-1", " 1/2", "1/2 ", ".5", "5.", "1/2/3", "1.5/2", "",
+        ],
+    )
     def test_a_rate_is_ascii_without_underscores(self, capsys, monkeypatch, flag, rate):
         with pytest.raises(SystemExit) as exc:
             run(capsys, monkeypatch, ["asep", "--n", "2", flag, rate])

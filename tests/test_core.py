@@ -3,15 +3,18 @@ bijection, and the text formats."""
 
 from __future__ import annotations
 
+import ast
 import pickle
 import random
 import tracemalloc
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import alttab
 from alttab.cli import LineError
 from alttab.core import (
     AltTableau,
@@ -32,7 +35,7 @@ from alttab.core import (
     validate_alt,
     validate_perm_tableau,
 )
-from alttab.enumeration import all_tableaux
+from alttab.enumeration import all_tableaux, weight_poly
 from alttab.errors import (
     DomainError,
     ParseError,
@@ -40,7 +43,10 @@ from alttab.errors import (
     TableauError,
     ValidationError,
     Violation,
+    _shown,
+    cap_limit,
 )
+from alttab.oracles import _word_to_tree
 from alttab.permutations import from_permutation, parse_signed, parse_word
 from alttab.trees import parse_arcs, parse_bin_pair, parse_forest
 
@@ -553,7 +559,14 @@ class TestTextFormats:
         assert render_tableau(t0) == T0_COMPACT
         assert parse_tableau(T0_COMPACT) == t0
 
-    @pytest.mark.parametrize("parse", [parse_tableau, parse_perm_tableau], ids=["alt", "perm"])
+    @pytest.mark.parametrize(
+        "parse",
+        [
+            parse_tableau, parse_perm_tableau, parse_arcs, parse_forest, parse_bin_pair,
+            parse_word, parse_signed,
+        ],
+        ids=["alt", "perm", "arcs", "forest", "bin-pair", "word", "signed"],
+    )
     @pytest.mark.parametrize(
         "text", [None, b"DE|L1,2", 12, ["DE|L1,2"]], ids=["none", "bytes", "int", "list"]
     )
@@ -638,8 +651,9 @@ class TestTextFormats:
             ("labels=1,x\nword=DE", 7),
             ("word=DE\r\n  labels =  1,x", 21),
             (f"word=DE\narrows=[1,2,L];[1,{HUGE},L]", 23),
+            ("word=DE\narrows=[1,2,L];[1,x,L]", 23),
         ],
-        ids=["arrows", "labels", "labels-first", "spaces-and-crlf", "arrow-entry"],
+        ids=["arrows", "labels", "labels-first", "spaces-and-crlf", "arrow-entry", "bad-entry"],
     )
     def test_record_error_position_is_where_the_value_starts(self, text, position):
         with pytest.raises(ParseError) as err:
@@ -747,6 +761,40 @@ class TestTextFormats:
         with pytest.raises(ParseError):
             parse_tableau(text)
 
+    @pytest.mark.parametrize(
+        "parse, text, position, message",
+        [
+            (parse_tableau, "DE|;;X", 5, "bad arrow 'X' (1 characters)"),
+            (parse_tableau, " DE|L1,2;;;L1,x", 11, "bad arrow 'L1,x' (4 characters)"),
+            (parse_perm_tableau, "DE|;;x", 5, "bad cell 'x' (1 characters)"),
+            (parse_perm_tableau, "DE|;1,2\n;;x", 10, "bad cell 'x' (1 characters)"),
+            (parse_tableau, "word=DE\narrows=;;x", 17, "bad arrow entry 'x' (1 characters)"),
+            (
+                parse_tableau, "word=DE\narrows=;[1,2,L];;[1,x,L]", 25,
+                "bad arrow entry '[1,x,L]' (7 characters)",
+            ),
+            (parse_tableau, f"DE|;;L1,{HUGE}", 5, f"bad number {_shown(HUGE)}"),
+            (parse_tableau, f"word=DE\narrows=;;[1,{HUGE},L]", 17, f"bad number {_shown(HUGE)}"),
+        ],
+        ids=[
+            "compact", "compact-three", "permtab", "permtab-newline", "record", "record-entry",
+            "compact-number", "record-number",
+        ],
+    )
+    def test_a_bad_part_after_empty_parts_is_reported_where_it_starts(
+        self, parse, text, position, message
+    ):
+        # An empty part still takes the room of its ``;``.
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.position, err.value.message) == (position, message)
+
+    def test_a_bad_arc_is_reported_where_it_starts(self):
+        text = f"points=0..2 arcs=(0,1)(0,{'9' * 5000})"
+        with pytest.raises(ParseError) as err:
+            parse_arcs(text)
+        assert err.value.position == 22 and err.value.message.startswith("bad number '99")
+
     def test_record_arrow_list_may_have_empty_parts_as_compact_lists_do(self):
         assert parse_tableau("word=DE\narrows=[1,2,L];") == parse_tableau("DE|L1,2;")
 
@@ -770,7 +818,7 @@ class TestTextFormats:
         [
             (f"labels=1,{HUGE}|DE|", f"1,{HUGE}"),
             (f"word=DE\nlabels=1,{HUGE}", f"1,{HUGE}"),
-            (f"word=DE\narrows=[1,{HUGE},L]", f"1,{HUGE},L"),
+            (f"word=DE\narrows=[1,{HUGE},L]", HUGE),
         ],
         ids=["compact-labels", "record-labels", "record-arrow"],
     )
@@ -802,3 +850,83 @@ def test_every_error_survives_pickle(error):
     assert str(back) == str(error)
     for field in ("code", "message", "position", "line", "violations"):
         assert getattr(back, field, None) == getattr(error, field, None), field
+
+
+PACKAGE = Path(alttab.__file__).parent
+# Each reads a value of the given length, 200,000 or 1, and raises on it.
+SHOWN_VALUES = {
+    "word": lambda v: AltTableau(tuple(range(1, len(v) + 1)), v),
+    "weight": weight_poly,
+    "style": lambda v: render_tableau(empty_tableau(), v),
+    "color": lambda v: _word_to_tree((1, 2), v),
+}
+
+
+@pytest.mark.parametrize("read", SHOWN_VALUES.values(), ids=SHOWN_VALUES.keys())
+def test_an_error_shows_a_long_value_cut(read):
+    with pytest.raises(TableauError) as err:
+        read("X" * 200_000)
+    message = str(err.value)
+    assert "'XXXXXXXXXXXXXXXXXXXX...' (200000 characters)" in message and len(message) < 200
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (SHOWN_VALUES["word"], "bad-step: word 'X' has letters outside D/E"),
+        (SHOWN_VALUES["weight"], "bad-word: border word 'X' is not over D and E"),
+        (SHOWN_VALUES["style"], "bad-style: unknown render style 'X'"),
+        (SHOWN_VALUES["color"], "bad-color: unknown color 'X'"),
+    ],
+    ids=SHOWN_VALUES.keys(),
+)
+def test_an_error_shows_a_short_value_whole(read, message):
+    with pytest.raises(TableauError) as err:
+        read("X")
+    assert str(err.value) == message
+
+
+def test_a_cap_setting_is_shown_cut(monkeypatch):
+    monkeypatch.setenv("ALTAB_MAX_N", "X")
+    with pytest.raises(ResourceLimitError) as err:
+        cap_limit(("ALTAB_MAX_N", 9))
+    assert str(err.value) == "ALTAB_MAX_N='X' is not a non-negative integer"
+    monkeypatch.setenv("ALTAB_MAX_N", "X" * 100)
+    with pytest.raises(ResourceLimitError) as err:
+        cap_limit(("ALTAB_MAX_N", 9))
+    assert str(err.value) == (
+        "ALTAB_MAX_N='XXXXXXXXXXXXXXXXXXXX...' (100 characters) is not a non-negative integer"
+    )
+
+
+def test_no_error_message_shows_a_value_by_its_repr():
+    # A ``!r`` shows a value whole, however long; messages go through
+    # ``errors._shown_value`` or ``_shown_number``, which cut it.
+    errors = {
+        name
+        for module in vars(alttab).values()
+        if hasattr(module, "__file__")
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, TableauError)
+    } | {"Violation"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in errors:
+                continue
+            for arg in [*call.args, *(k.value for k in call.keywords)]:
+                for node in ast.walk(arg):
+                    if isinstance(node, ast.FormattedValue) and node.conversion == ord("r"):
+                        found.append(f"{path.name}:{node.lineno}")
+    assert errors >= {"ParseError", "DomainError", "ResourceLimitError", "LineError"}
+    assert found == []
+
+
+def test_the_digit_class_is_written_only_in_core():
+    # Every other module builds its numbers on ``core._NUMBER``.
+    writers = [path.name for path in sorted(PACKAGE.glob("*.py")) if "[0-9]" in path.read_text()]
+    assert writers == ["core.py"]

@@ -383,3 +383,18 @@ class TestTextFormats:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.position == position
+
+    @pytest.mark.parametrize("parse", [parse_word, parse_signed], ids=["word", "signed"])
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            (" 1 2x 3", 3, "bad letter '2x'"),
+            ("1 2'' 3", 2, "bad letter \"2''\""),
+            ("1 " + "x" * 100, 2, "bad letter 'xxxxxxxxxxxxxxxxxxxx...' (100 characters)"),
+        ],
+        ids=["x", "two-bars", "long"],
+    )
+    def test_both_readers_name_a_bad_letter_alike(self, parse, text, position, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.position, err.value.message) == (position, message)
