@@ -378,6 +378,18 @@ def _arrow_ends(t: AltTableau) -> tuple[dict[int, int], dict[int, int]]:
     return left_in_row, up_in_col
 
 
+def _sweep(rows: Sequence[int], cols: Sequence[int], opens: dict, visit: Callable) -> None:
+    """Call ``visit(i, open_cols)`` for each row ``i`` in order, ``open_cols``
+    the sorted columns of ``cols`` open at ``i``: those with no entry in
+    ``opens`` or with an entry at most ``i``.  ``visit`` must not change the list."""
+    open_cols = [j for j in cols if j not in opens]
+    joins = sorted([(opens[j], j) for j in cols if j in opens], reverse=True)
+    for i in rows:
+        while joins and joins[-1][0] <= i:
+            insort(open_cols, joins.pop()[1])
+        visit(i, open_cols)
+
+
 def _unpointed(
     rows: tuple[int, ...],
     cols: tuple[int, ...],
@@ -390,41 +402,40 @@ def _unpointed(
 
     A cell is pointed at when it lies above its column's up arrow or left of
     its row's left arrow.  Going down the rows, a column stops being pointed
-    at from its up arrow's row on, so one sorted list of the columns not
-    pointed at grows as the rows go by, and each row reads one slice of it:
-    the columns labeled above i and below the left arrow's column.
+    at from its up arrow's row on, so :func:`_sweep` keeps the columns not
+    pointed at, and each row reads one slice of them: the columns labeled
+    above i and below the left arrow's column.
     """
-    open_cols = [j for j in cols if j not in up_in_col]
-    ups = sorted([(up_in_col[j], j) for j in cols if j in up_in_col], reverse=True)
     cells = []
-    for i in rows:
-        while ups and ups[-1][0] <= i:  # the up arrows at row i or above
-            insort(open_cols, ups.pop()[1])
+
+    def visit(i: int, open_cols: list[int]) -> None:
         left = left_in_row.get(i)
         stop = len(open_cols) if left is None else bisect_left(open_cols, left)
         for j in open_cols[bisect_right(open_cols, i) : stop]:
             cells.append((i, j))
+
+    _sweep(rows, cols, up_in_col, visit)
     return cells
 
 
 def _free_counts(t: AltTableau) -> tuple[int, int, int]:
     """The ``frow``, ``fcol`` and ``fcell`` of :func:`free_stats`, remembered
-    or counted without listing the cells: the sweep of :func:`_unpointed`
-    adds the length of each row's slice, less the arrows on those cells."""
+    or counted without listing the cells: the length of each row's slice of
+    :func:`_unpointed`, less the arrows on those cells."""
     known = t.__dict__.get("_free_stats")
     if known is not None:
         return known.frow, known.fcol, known.fcell
     rows, cols = t.rows, t.columns
     left_in_row, up_in_col = _arrow_ends(t)
-    open_cols = [j for j in cols if j not in up_in_col]
-    ups = sorted([(up_in_col[j], j) for j in cols if j in up_in_col], reverse=True)
     cells = 0
-    for i in rows:
-        while ups and ups[-1][0] <= i:
-            insort(open_cols, ups.pop()[1])
+
+    def visit(i: int, open_cols: list[int]) -> None:
+        nonlocal cells
         left = left_in_row.get(i)
         stop = len(open_cols) if left is None else bisect_left(open_cols, left)
         cells += max(stop - bisect_right(open_cols, i), 0)
+
+    _sweep(rows, cols, up_in_col, visit)
     row_set, col_set = set(rows), set(cols)
     on_cells = {(i, j) for i, j, _ in t.arrows if i in row_set and j in col_set}
     cells -= sum(up_in_col.get(j, i) <= i < j < left_in_row.get(i, j + 1) for i, j in on_cells)
@@ -545,27 +556,26 @@ def validate_perm_tableau(
         else:
             bad.append(Violation("cell-off-shape", f"1 on nonexistent cell {_cell(i, j, ', ')}"))
     p = _perm_assembled(tuple(labels), word, tuple(kept))
-    topmost, arrows = _perm_arrows(p, None)
+    topmost, restricted_from, arrows = _perm_arrows(p, None)
     for j in cols:
         if j not in topmost:
             bad.append(Violation("empty-column", f"column {_shown_number(j)} contains no 1"))
-    # A blocked 0 is restricted and has a 1 left of it in its row, so it lies
-    # between the row's rightmost restricted 0 (its left arrow) and its
-    # leftmost 1.  Only a row whose left arrow lies there reads the restricted
-    # columns between the two, from one sorted list grown row by row.
+    # A blocked 0 (restricted, with a 1 left of it) lies between its row's left
+    # arrow and leftmost 1: only a row with its left arrow there reads between.
     leftmost = dict(kept)  # each row's 1 in the largest column
     one_set = set(kept)
-    joins = sorted([(r, j) for j, r in topmost.items()], reverse=True)
-    restricted: list[int] = []
-    for i, left, kind in arrows:
-        if kind == LEFT and left < leftmost.get(i, left):
-            while joins and joins[-1][0] < i:
-                insort(restricted, joins.pop()[1])
+    left_in_row = {i: j for i, j, kind in arrows if kind == LEFT}
+
+    def visit(i: int, restricted: list[int]) -> None:
+        left = left_in_row.get(i)
+        if left is not None and left < leftmost.get(i, left):
             stop = bisect_left(restricted, leftmost[i])
             for j in restricted[bisect_left(restricted, left) : stop]:
                 if (i, j) not in one_set:
                     detail = f"cell {_cell(i, j)} is 0 but blocked"
                     bad.append(Violation("zero-with-one-above-and-left", detail))
+
+    _sweep(p.rows, tuple(restricted_from), restricted_from, visit)
     if bad:
         raise ValidationError(bad)
     return p
@@ -581,18 +591,17 @@ class PermTableauStats:
     superfluous_cells: frozenset[tuple[int, int]]
 
 
-def _perm_arrows(p: PermTableau, top: int | None) -> tuple[dict[int, int], list[Arrow]]:
-    """The row of each column's topmost 1 among the rows, and the arrows of
-    :func:`from_perm_tableau` off row ``top``: up arrows on the 1s that are
-    not superfluous, then each row's left arrow.  The 1s are sorted, so a
-    column's first 1 in a row is its topmost; its 0s are restricted below
-    it, so the restricted columns are one sorted list, grown row by row, and
-    a row's left arrow is the first of them right of it that holds no 1."""
+def _perm_arrows(p: PermTableau, top: int | None) -> tuple[dict, dict, list[Arrow]]:
+    """The row of each column's topmost 1 among the rows, the row each column
+    of the shape is restricted from, and the arrows of :func:`from_perm_tableau`
+    off row ``top``: up arrows on the 1s that are not superfluous, then each
+    row's left arrow.  A column's 0s are restricted below its topmost 1, its
+    first in the sorted 1s; a row's left arrow is the first restricted column
+    right of it that holds no 1, as :func:`_sweep` lists them."""
     rows = p.rows
     row_set, col_set = set(rows), set(p.columns)
     ones = set(p.ones)
     topmost: dict[int, int] = {}
-    join_rows, join_cols = [], []  # each column and the row of its topmost 1, by row
     arrows = []
     for i, j in p.ones:
         if i not in row_set:  # off the rows, on a tableau not checked
@@ -602,23 +611,17 @@ def _perm_arrows(p: PermTableau, top: int | None) -> tuple[dict[int, int], list[
             topmost[j] = i
             if i != top:
                 arrows.append(_arrow((i, j, UP)))
-            if j in col_set:
-                join_rows.append(i)
-                join_cols.append(j)
-    restricted: list[int] = []
-    joined = 0
-    for i in rows[1:]:  # no 1 lies above the first row
-        below = bisect_left(join_rows, i)
-        if below > joined:
-            for j in join_cols[joined:below]:
-                insort(restricted, j)
-            joined = below
+
+    def visit(i: int, restricted: list[int]) -> None:
         k = bisect_right(restricted, i)
         while k < len(restricted) and (i, restricted[k]) in ones:
             k += 1
         if k < len(restricted):
             arrows.append(_arrow((i, restricted[k], LEFT)))
-    return topmost, arrows
+
+    restricted_from = {j: r + 1 for j, r in topmost.items() if j in col_set}  # labels are ints
+    _sweep(rows, tuple(restricted_from), restricted_from, visit)
+    return topmost, restricted_from, arrows
 
 
 def perm_tableau_stats(p: PermTableau) -> PermTableauStats:
@@ -626,7 +629,7 @@ def perm_tableau_stats(p: PermTableau) -> PermTableauStats:
     ones = set(p.ones)
     top = min(p.labels) if p.labels else None
     # A 1 is superfluous, and a 0 restricted, when its column has a 1 above it.
-    topmost, arrows = _perm_arrows(p, top)
+    topmost, _, arrows = _perm_arrows(p, top)
     superfluous = frozenset((i, j) for (i, j) in ones if topmost.get(j, i) < i)
     restricted_rows = {i for i, _, kind in arrows if kind == LEFT}
     unrestricted = frozenset(i for i in rows if i not in restricted_rows and i != top)
@@ -646,7 +649,7 @@ def from_perm_tableau(p: PermTableau) -> AltTableau:
         raise DomainError("nothing-to-cut", "permutation tableau has no top row")
     if p.word[0] != "D":
         raise DomainError("bad-top-row", "smallest label does not label a row")
-    _, arrows = _perm_arrows(p, p.labels[0])
+    *_, arrows = _perm_arrows(p, p.labels[0])
     return _assembled(p.labels[1:], p.word[1:], tuple(sorted(arrows)))
 
 
@@ -655,17 +658,14 @@ def to_perm_tableau(t: AltTableau) -> PermTableau:
 
     A new top row (labeled one below the current minimum) gets a 1 over every
     free column; up arrows and free cells become 1s, everything else 0.  Row
-    by row, the 1s below the top row are the cells no arrow points at, less
-    the left arrow's, so they come in order.
+    by row, the 1s are the cells no arrow points at, less the left arrow's,
+    the new row's being the free columns, so they come in order.
     """
     _check_valid(t)
     new = t.labels[0] - 1 if t.labels else 0
     if new < 0:
         raise DomainError("label-order", "no nonnegative label available for the new top row")
-    rows, cols = t.rows, t.columns
-    left_in_row, up_in_col = _arrow_ends(t)
-    ones = [(new, j) for j in cols if j not in up_in_col]
-    ones += _unpointed(rows, cols, left_in_row, up_in_col)
+    ones = _unpointed((new,) + t.rows, t.columns, *_arrow_ends(t))
     return _perm_assembled((new,) + t.labels, "D" + t.word, tuple(ones))
 
 

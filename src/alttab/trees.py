@@ -113,48 +113,6 @@ def _plane_kids(node: PlaneAltTree) -> tuple[PlaneAltTree, ...]:
     return node.children
 
 
-# A tree value's key is the flat list of its nodes in postorder, each node
-# as its fields with its children given by their number (plane trees) or
-# by whether each is there (binary trees): the list describes the tree
-# completely.  ``==`` compares keys; ``hash`` folds the key bottom-up into
-# the hash the dataclass would generate; ``pickle`` and ``copy`` rebuild the
-# tree from it with a stack.  So none of them recurses, at any depth.
-# ``repr`` is the dataclass one, spelled out with a stack.
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class PlaneAltTree:
-    color: str  # WHITE or BLACK
-    label: int
-    children: tuple[PlaneAltTree, ...] = ()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or _plane_key(self) == _plane_key(other)
-
-    def __hash__(self) -> int:
-        return _plane_tree(_plane_key(self), _hashed).value
-
-    def __repr__(self) -> str:
-        def parts(n: PlaneAltTree) -> list:
-            kids = [x for c in n.children for x in (", ", c)][1:]
-            close = ",))" if len(n.children) == 1 else "))"
-            name = type(n).__qualname__
-            return [f"{name}(color={n.color!r}, label={n.label!r}, children=(", *kids, close]
-
-        return _flat_text(self, parts)
-
-    def __reduce__(self) -> tuple:
-        return _plane_tree, (_plane_key(self),)
-
-    def labels(self) -> frozenset[int]:
-        return frozenset(node.label for node in _nodes([self], _plane_kids))
-
-    def size(self) -> int:
-        return len(_nodes([self], _plane_kids))
-
-
 def _plane_node(color: str, label: int, children: tuple[PlaneAltTree, ...]) -> PlaneAltTree:
     """``PlaneAltTree(color, label, children)``, its fields set without the
     dataclass constructor, as ``core._assembled`` sets a tableau's: only for
@@ -181,6 +139,57 @@ def _plane_tree(key: list[tuple[str, int, int]], make: Callable = _plane_node):
         del built[cut:]
         built.append(make(color, label, kids))
     return built.pop()
+
+
+class _TreeValue:
+    """``==``, ``hash``, ``pickle``, ``copy``, ``labels`` and ``size`` of both
+    tree types, read off each class's ``_kids``, ``_key`` and ``_tree``.
+
+    A tree value's key is the flat list of its nodes in postorder, each node
+    as its fields with its children given by their number (plane trees) or
+    by whether each is there (binary trees): the list describes the tree
+    completely.  ``==`` compares keys; ``hash`` folds the key bottom-up into
+    the hash the dataclass would generate; ``pickle`` and ``copy`` rebuild the
+    tree from it with a stack, through ``_tree``.  So none of them recurses,
+    at any depth.  Each class spells out the dataclass ``repr`` with a stack.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return self._tree(self._key(self), _hashed).value
+
+    def __reduce__(self) -> tuple:
+        return self._tree, (self._key(self),)
+
+    def labels(self) -> frozenset[int]:
+        return frozenset(node.label for node in _nodes([self], self._kids))
+
+    def size(self) -> int:
+        return len(_nodes([self], self._kids))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class PlaneAltTree(_TreeValue):
+    color: str  # WHITE or BLACK
+    label: int
+    children: tuple[PlaneAltTree, ...] = ()
+
+    _kids = staticmethod(_plane_kids)
+    _key = staticmethod(_plane_key)
+    _tree = staticmethod(_plane_tree)
+
+    def __repr__(self) -> str:
+        def parts(n: PlaneAltTree) -> list:
+            kids = [x for c in n.children for x in (", ", c)][1:]
+            close = ",))" if len(n.children) == 1 else "))"
+            name = type(n).__qualname__
+            return [f"{name}(color={n.color!r}, label={n.label!r}, children=(", *kids, close]
+
+        return _flat_text(self, parts)
 
 
 @dataclass(frozen=True)
@@ -619,39 +628,6 @@ def out_crossings(d: ArcDiagram) -> frozenset[tuple[int, int]]:
 # Binary alternative trees
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class BinAltTree:
-    label: int
-    left: BinAltTree | None = None
-    right: BinAltTree | None = None
-    kind: str = MIN_ROOTED  # extremality of this node within its subtree
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or _bin_key(self) == _bin_key(other)
-
-    def __hash__(self) -> int:
-        return _bin_tree(_bin_key(self), _hashed).value
-
-    def __repr__(self) -> str:
-        def parts(n: BinAltTree) -> list:
-            left, right = ("None" if c is None else c for c in (n.left, n.right))
-            head = f"{type(n).__qualname__}(label={n.label!r}, left="
-            return [head, left, ", right=", right, f", kind={n.kind!r})"]
-
-        return _flat_text(self, parts)
-
-    def __reduce__(self) -> tuple:
-        return _bin_tree, (_bin_key(self),)
-
-    def labels(self) -> frozenset[int]:
-        return frozenset(node.label for node in _nodes([self], _bin_kids))
-
-    def size(self) -> int:
-        return len(_nodes([self], _bin_kids))
-
-
 def _bin_kids(node: BinAltTree) -> tuple[BinAltTree, ...]:
     left, right = node.left, node.right
     if left is None:
@@ -688,6 +664,26 @@ def _bin_tree(key: list[tuple[int, str, bool, bool]], make: Callable = _bin_node
         left = built.pop() if has_left else None
         built.append(make(label, left, right, kind))
     return built.pop()
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class BinAltTree(_TreeValue):
+    label: int
+    left: BinAltTree | None = None
+    right: BinAltTree | None = None
+    kind: str = MIN_ROOTED  # extremality of this node within its subtree
+
+    _kids = staticmethod(_bin_kids)
+    _key = staticmethod(_bin_key)
+    _tree = staticmethod(_bin_tree)
+
+    def __repr__(self) -> str:
+        def parts(n: BinAltTree) -> list:
+            left, right = ("None" if c is None else c for c in (n.left, n.right))
+            head = f"{type(n).__qualname__}(label={n.label!r}, left="
+            return [head, left, ", right=", right, f", kind={n.kind!r})"]
+
+        return _flat_text(self, parts)
 
 
 def validate_bin_tree(t: BinAltTree | None, kind: str) -> None:
@@ -880,8 +876,9 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
     pos = 0
     for m in _TOKEN_RE.finditer(text):  # the last match is the empty one at the end
-        if text[pos : m.start()].strip():
-            raise ParseError(f"unexpected {_shown(text[pos:m.start()].strip())}", pos)
+        gap = text[pos : m.start()]
+        if gap.strip():  # reported where the junk starts, past the whitespace
+            raise ParseError(f"unexpected {_shown(gap.strip())}", m.start() - len(gap.lstrip()))
         tokens.append((m.group(), m.start()))
         pos = m.end()
     return tokens[:-1]

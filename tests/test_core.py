@@ -926,6 +926,29 @@ def test_no_error_message_shows_a_value_by_its_repr():
     assert found == []
 
 
+def test_one_function_grows_a_sorted_list_of_columns():
+    # ``core._sweep`` states once when a column opens at a row; the free
+    # cells and a permutation tableau's restricted 0s are read through it.
+    calls: dict[str, set] = {}
+    insorts = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                insorts += name in ("insort", "insort_left", "insort_right")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls[f"{path.stem}.{node.name}"] = {
+                    getattr(c.func, "id", getattr(c.func, "attr", None))
+                    for c in ast.walk(node)
+                    if isinstance(c, ast.Call)
+                }
+    growers = [name for name, called in calls.items() if "insort" in called]
+    assert growers == ["core._sweep"] and insorts == 1
+    for reader in ("_unpointed", "_free_counts", "_perm_arrows", "validate_perm_tableau"):
+        assert "_sweep" in calls[f"core.{reader}"], reader
+
+
 def test_the_digit_class_is_written_only_in_core():
     # Every other module builds its numbers on ``core._NUMBER``.
     writers = [path.name for path in sorted(PACKAGE.glob("*.py")) if "[0-9]" in path.read_text()]

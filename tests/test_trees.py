@@ -547,6 +547,16 @@ OLD_PICKLES = {
 }
 
 
+def test_tree_values_pickle_to_the_bytes_older_versions_wrote():
+    # Tree pickles name the rebuild functions ``alttab.trees._plane_tree`` and
+    # ``_bin_tree``; the bytes stay those older versions wrote, so pickles
+    # written before load now, and the other way round.
+    forest = parse_forest("(W 4 (B 9 (W 6 (B 8)) (W 7))) (B 5)")
+    pair = binary_pair(from_forest(forest))
+    assert pickle.dumps(forest.trees[0], 4) == OLD_PICKLES["tree"]
+    assert pickle.dumps(pair, 4) == OLD_PICKLES["pair"]
+
+
 def test_older_pickles_of_tree_values_still_load():
     forest = parse_forest("(W 4 (B 9 (W 6 (B 8)) (W 7))) (B 5)")
     want = {"tree": forest.trees[0], "pair": binary_pair(from_forest(forest)), "forest": forest}
@@ -874,6 +884,8 @@ class TestTextFormats:
             (parse_forest, "(W 1 (B 2 (W", "expected label (at position 12)"),
             (parse_forest, "(W 1 B)", "expected ')' (at position 5)"),
             (parse_forest, "(B 5 (W 3)) (W", "expected label (at position 14)"),
+            (parse_forest, "(W 1   ?? (B 2))", "unexpected '??' (2 characters) (at position 7)"),
+            (parse_forest, "(W 1)   !!", "unexpected '!!' (2 characters) (at position 8)"),
             (parse_bin_pair, "", "expected '(' or '-' (at position 0)"),
             (parse_bin_pair, "(1 L:- R:-)", "expected '(' or '-' (at position 11)"),
             (parse_bin_pair, "(1 R:- L:-) -", "expected '<label> L:' (at position 1)"),
