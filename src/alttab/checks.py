@@ -213,15 +213,24 @@ _BLOCK = 64
 
 def bijection_checks(n_max: int) -> list[FormulaCheck]:
     """Every property of :data:`BIJECTIONS` on every tableau up to ``n_max``
-    (or the property's own bound), in one walk per size; a property stops at
-    its first counterexample in walk order.
+    (or the property's own bound), in one walk per size (:func:`_walk`); a
+    property stops at its first counterexample in walk order."""
+    return _walk(n_max, BIJECTIONS)[0]
+
+
+def _walk(n_max: int, battery: Sequence[tuple]) -> tuple[list[FormulaCheck], list[_Tally]]:
+    """The one walk of every tableau up to ``n_max``, each size once: one
+    check per property of ``battery``, a failing one with its first
+    counterexample, and each size's :class:`_Tally`.
 
     The walk is drawn in blocks of :data:`_BLOCK` tableaux, and each live
     property runs over a whole block before the next one starts: run one
     after another on the same tableau, the properties leave each other's
     code cold.  Only one block is held at a time.  When properties
     raise on different tableaux of one block, the exception that escapes is
-    the first property's in report order, not the first in walk order.
+    the first property's in report order, not the first in walk order.  Each
+    block goes to the tally once every live property has run over it, so the
+    tally reads the statistics and arc diagrams the properties left on it.
 
     The recursive oracles share one memo per size, so each subproblem they
     meet in the walk is solved once.  Its keys are the sub-tableau's fields,
@@ -231,20 +240,13 @@ def bijection_checks(n_max: int) -> list[FormulaCheck]:
     on it, is freed once its block is done.  The memo is emptied when the
     size is done, also when a property raises.
     """
-    return _bijection_checks(n_max, None)
-
-
-def _bijection_checks(n_max: int, tallies: list[_Tally] | None) -> list[FormulaCheck]:
-    """:func:`bijection_checks`, which also appends each size's
-    :class:`_Tally` to ``tallies`` unless it is ``None``.  Each block goes
-    to the tally once every live property has run over it, so the tally
-    reads the statistics and arc diagrams the properties left on it."""
     failed: dict[str, str] = {}
+    tallies = []
     for n in range(n_max + 1):
-        live = [(name, prop) for name, bound, prop in BIJECTIONS if bound is None or n <= bound]
+        live = [(name, prop) for name, bound, prop in battery if bound is None or n <= bound]
         walk = all_tableaux(n)
         memo: dict = {}
-        tally = None if tallies is None else _Tally(n, n_max)
+        tally = _Tally(n, n_max)
         try:
             while block := list(islice(walk, _BLOCK)):
                 for name, prop in live:
@@ -254,15 +256,14 @@ def _bijection_checks(n_max: int, tallies: list[_Tally] | None) -> list[FormulaC
                         if not prop(t, memo):
                             failed[name] = f"fails on {render_tableau(t)}"
                             break
-                if tally is not None:
-                    tally.add(block)
+                tally.add(block)
         finally:
             memo.clear()
-        if tally is not None:
-            tallies.append(tally)
-    return [
-        FormulaCheck(name, name not in failed, failed.get(name, "")) for name, _, _ in BIJECTIONS
+        tallies.append(tally)
+    report = [
+        FormulaCheck(name, name not in failed, failed.get(name, "")) for name, _, _ in battery
     ]
+    return report, tallies
 
 
 def _flat_key(t: AltTableau) -> tuple:
@@ -350,29 +351,16 @@ class _Tally:
         return Poly3(self.by_word[word])
 
 
-def _walked(n_max: int) -> list[_Tally]:
-    """The :class:`_Tally` of each size up to ``n_max``, each size walked once."""
-    tallies = []
-    for n in range(n_max + 1):
-        tally = _Tally(n, n_max)
-        tally.add(all_tableaux(n))
-        tallies.append(tally)
-    return tallies
-
-
 def count_checks(n_max: int) -> list[FormulaCheck]:
     """The counting identities up to ``n_max``, grouped by identity.  Each
     size's tableaux are walked once by each generator: the backtracking
-    walk fills one :class:`_Tally` per size (under :func:`run_suite`'s
-    ``"all"`` the bijection battery's walk does), and every check that
-    reads that walk takes what it needs from the tally."""
-    return _count_checks(n_max, None)
+    walk (:func:`_walk`) fills one :class:`_Tally` per size, and every check
+    that reads that walk takes what it needs from the tally."""
+    return _count_checks(n_max, _walk(n_max, ())[1])
 
 
-def _count_checks(n_max: int, tallies: list[_Tally] | None) -> list[FormulaCheck]:
-    """:func:`count_checks` on the tallies of the walk, walked here when ``None``."""
-    if tallies is None:
-        tallies = _walked(n_max)
+def _count_checks(n_max: int, tallies: list[_Tally]) -> list[FormulaCheck]:
+    """:func:`count_checks` on the tallies of the walk."""
     tables = {n: count_table(n) for n in range(n_max + 1)}
     counts = {n: tables[n].total() for n in range(n_max + 1)}
     totals, by_table, same_sets, perm_counts, catalans, decorated, symmetric = (
@@ -553,16 +541,13 @@ def formula_report(n_max: int = 7) -> FormulaReport:
 def asep_checks(n_max: int) -> list[FormulaCheck]:
     """The exclusion-process identities up to ``n_max``: each shape's weight
     by the bidiagonal pass, by the corner recursion and as the sum over its
-    fillings, which one walk of each size tallies (the bijection battery's
-    under :func:`run_suite`'s ``"all"``), and the stationary law from the
-    weights against the exact chain solve."""
-    return _asep_checks(n_max, None)
+    fillings, which one walk of each size tallies (:func:`_walk`), and the
+    stationary law from the weights against the exact chain solve."""
+    return _asep_checks(n_max, _walk(n_max, ())[1])
 
 
-def _asep_checks(n_max: int, tallies: list[_Tally] | None) -> list[FormulaCheck]:
-    """:func:`asep_checks` on the tallies of the walk, walked here when ``None``."""
-    if tallies is None:
-        tallies = _walked(n_max)
+def _asep_checks(n_max: int, tallies: list[_Tally]) -> list[FormulaCheck]:
+    """:func:`asep_checks` on the tallies of the walk."""
     checks = []
     for n, tally in enumerate(tallies):
         # The q-tracked corner table by code; shape_words lists the codes downwards.
@@ -603,27 +588,20 @@ SUITE_CAPS = {
 }
 
 
-# Each suite as run by :func:`run_suite`: with the list of tallies that the
-# battery fills and the count and asep suites read, or ``None`` for a suite
-# run alone.
-_SUITE_RUNS: dict[str, Callable[[int, list[_Tally] | None], list[FormulaCheck]]] = {
-    "bijections": _bijection_checks,
-    "counts": _count_checks,
-    "series": lambda n_max, _: SUITES["series"](n_max),
-    "asep": _asep_checks,
-}
-
-
 def run_suite(suite: str, n_max: int) -> list[FormulaCheck]:
     """The checks of one suite, or of every suite for ``"all"``.  Under
-    ``"all"`` each size is walked once: the bijection battery tallies its
-    walk for the count and asep suites."""
+    ``"all"`` each size is walked once: the count and asep suites read the
+    tallies of the bijection battery's walk."""
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
         for setting in SUITE_CAPS[name]:
             check_cap(n_max, f"verify suite {name}", setting)
-    tallies: list[_Tally] | None = [] if suite == "all" else None
-    out = []
-    for name in names:
-        out.extend(_SUITE_RUNS[name](n_max, tallies))
-    return out
+    if suite != "all":
+        return SUITES[suite](n_max)
+    battery, tallies = _walk(n_max, BIJECTIONS)
+    return [
+        *battery,
+        *_count_checks(n_max, tallies),
+        *SUITES["series"](n_max),
+        *_asep_checks(n_max, tallies),
+    ]

@@ -556,7 +556,7 @@ def validate_perm_tableau(
         else:
             bad.append(Violation("cell-off-shape", f"1 on nonexistent cell {_cell(i, j, ', ')}"))
     p = _perm_assembled(tuple(labels), word, tuple(kept))
-    topmost, restricted_from, arrows = _perm_arrows(p, None)
+    topmost, restricted_from, arrows = _perm_arrows(p)
     for j in cols:
         if j not in topmost:
             bad.append(Violation("empty-column", f"column {_shown_number(j)} contains no 1"))
@@ -591,13 +591,14 @@ class PermTableauStats:
     superfluous_cells: frozenset[tuple[int, int]]
 
 
-def _perm_arrows(p: PermTableau, top: int | None) -> tuple[dict, dict, list[Arrow]]:
+def _perm_arrows(p: PermTableau) -> tuple[dict, dict, list[Arrow]]:
     """The row of each column's topmost 1 among the rows, the row each column
     of the shape is restricted from, and the arrows of :func:`from_perm_tableau`
-    off row ``top``: up arrows on the 1s that are not superfluous, then each
-    row's left arrow.  A column's 0s are restricted below its topmost 1, its
-    first in the sorted 1s; a row's left arrow is the first restricted column
-    right of it that holds no 1, as :func:`_sweep` lists them."""
+    with those on its top row: up arrows on the 1s that are not superfluous,
+    then each row's left arrow.  A column's 0s are restricted below its
+    topmost 1, its first in the sorted 1s; a row's left arrow is the first
+    restricted column right of it that holds no 1, as :func:`_sweep` lists
+    them, so none lies on the top row."""
     rows = p.rows
     row_set, col_set = set(rows), set(p.columns)
     ones = set(p.ones)
@@ -609,8 +610,7 @@ def _perm_arrows(p: PermTableau, top: int | None) -> tuple[dict, dict, list[Arro
                 arrows.append(_arrow((i, j, UP)))
         elif j not in topmost:
             topmost[j] = i
-            if i != top:
-                arrows.append(_arrow((i, j, UP)))
+            arrows.append(_arrow((i, j, UP)))
 
     def visit(i: int, restricted: list[int]) -> None:
         k = bisect_right(restricted, i)
@@ -629,7 +629,7 @@ def perm_tableau_stats(p: PermTableau) -> PermTableauStats:
     ones = set(p.ones)
     top = min(p.labels) if p.labels else None
     # A 1 is superfluous, and a 0 restricted, when its column has a 1 above it.
-    topmost, _, arrows = _perm_arrows(p, top)
+    topmost, _, arrows = _perm_arrows(p)
     superfluous = frozenset((i, j) for (i, j) in ones if topmost.get(j, i) < i)
     restricted_rows = {i for i, _, kind in arrows if kind == LEFT}
     unrestricted = frozenset(i for i in rows if i not in restricted_rows and i != top)
@@ -649,8 +649,9 @@ def from_perm_tableau(p: PermTableau) -> AltTableau:
         raise DomainError("nothing-to-cut", "permutation tableau has no top row")
     if p.word[0] != "D":
         raise DomainError("bad-top-row", "smallest label does not label a row")
-    *_, arrows = _perm_arrows(p, p.labels[0])
-    return _assembled(p.labels[1:], p.word[1:], tuple(sorted(arrows)))
+    top = p.labels[0]
+    *_, arrows = _perm_arrows(p)
+    return _assembled(p.labels[1:], p.word[1:], tuple(sorted(a for a in arrows if a.row != top)))
 
 
 def to_perm_tableau(t: AltTableau) -> PermTableau:

@@ -279,20 +279,14 @@ def _collision(overlap: Iterable[int]) -> str:
 
 def merge(t: AltTableau, u: AltTableau) -> AltTableau:
     """Interleave two tableaux labeled on disjoint sets; mixed cells stay empty."""
-    overlap = set(t.labels) & set(u.labels)
-    if overlap:
-        raise DomainError("label-collision", _collision(overlap))
-    kind = dict(zip(t.labels, t.word)) | dict(zip(u.labels, u.word))
-    labels = tuple(sorted(kind))
-    word = "".join(kind[l] for l in labels)
-    return _assembled(labels, word, tuple(sorted(t.arrows + u.arrows)))
+    return merge_all((t, u))
 
 
 def merge_all(parts: Iterable[AltTableau]) -> AltTableau:
     """Merge a collection with pairwise disjoint labels; order is irrelevant.
 
-    One pass: a part that shares labels with the parts before it raises the
-    ``label-collision`` error :func:`merge` would raise on the merged ones.
+    One pass: a part that shares labels with the parts before it raises a
+    ``label-collision`` error naming the shared labels.
     """
     kind: dict[int, str] = {}
     arrows: list[Arrow] = []

@@ -17,13 +17,13 @@ Each decoder lists its input once and takes both its check and its output
 from that one listing.  The rules of a plane tree are stated once, in
 :func:`_plane_violations`, and those of a binary tree in
 :func:`_bin_violations`: one bottom-up pass over a listing of the nodes.
-``from_forest`` runs it on its listing of the nodes, unless the forest's pass
-is remembered, and reads the edges off the same listing; ``binary_pair_inv``
-lists both trees once, each node with the kind it must have and its parent
-in the forest; ``arcs_to_forest`` lists the points once, makes the nodes
-bottom-up and runs the pass on the list of nodes it made.
-Only a failing input is listed again, by the public validator, which
-reports its violations.  The builders (``to_forest``, ``binary_pair``,
+``from_tree`` and ``from_forest`` run it on their preorder listing of the
+nodes (a forest only when its pass is not remembered) and read the edges off
+the same listing; ``binary_pair_inv`` lists both trees once, each node with
+the kind it must have and its parent in the forest; ``arcs_to_forest`` lists
+the points once, makes the nodes bottom-up and runs the pass on the list of
+nodes it made.  Only a failing input is listed again, to report its
+violations.  The builders (``to_forest``, ``binary_pair``,
 ``arcs_to_forest``, unpickling) make nodes through :func:`_plane_node` and
 :func:`_bin_node`, which set the fields without the dataclass constructor.
 """
@@ -216,56 +216,49 @@ def validate_tree(t: PlaneAltTree) -> None:
     are not checked.  One preorder listing of the nodes checked, then one
     bottom-up pass over it (:func:`_plane_violations`).
     """
-    order = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if node.children and (node.color == WHITE or node.color == BLACK):
-            stack.extend(node.children[::-1])
-    labels = [node.label for node in order]
+    _tree_edges(t)
+
+
+def _tree_edges(t: PlaneAltTree) -> tuple[dict[int, str], list[tuple[int, int]]]:
+    """Each label's step and the (parent, child) edges of ``t``, read off
+    the listing :func:`validate_tree` checks, once it passes."""
+    order, kinds, edges = _plane_listing((t,))
     repeats: set[int] = set()  # positions, counted from the end of ``order``
-    if len(set(labels)) != len(labels):
+    if len(kinds) != len(order):
         seen: set[int] = set()
-        last = len(labels) - 1
-        for k, label in enumerate(labels):
-            if label in seen:
+        last = len(order) - 1
+        for k, node in enumerate(order):
+            if node.label in seen:
                 repeats.add(last - k)
-            seen.add(label)
+            seen.add(node.label)
     bad = _plane_violations(reversed(order), repeats)
     if bad:
         raise ValidationError(bad)
+    return kinds, edges
 
 
 def validate_forest(f: PlaneAltForest) -> None:
     """Check that the trees share no label and each is valid.
 
     Runs the check once per forest: a pass is remembered in ``f.__dict__``
-    (outside the dataclass field), a failure is not.  The decoders check a
-    forest by the shared pass instead (:func:`_forest_edges`), and call this
-    only to report a forest that fails it.
+    (outside the dataclass field), a failure is not.  The check is the one
+    the decoders run (:func:`_forest_edges`).
     """
-    if _VALID in f.__dict__:
-        return
-    nodes = _nodes(f.trees, _plane_kids)
-    if len({node.label for node in nodes}) != len(nodes):
-        raise ValidationError([Violation("duplicate-label", "trees share labels")])
-    for t in f.trees:
-        validate_tree(t)
-    f.__dict__[_VALID] = True
+    if _VALID not in f.__dict__:
+        _forest_edges(f)
 
 
 def _plane_listing(
-    trees: Iterable[PlaneAltTree],
+    trees: tuple[PlaneAltTree, ...],
 ) -> tuple[list[PlaneAltTree], dict[int, str], list[tuple[int, int]]]:
     """The nodes :func:`validate_tree` checks (none below a node of bad
-    color), each before its subtrees, which are listed last child first; each
-    listed label's step (``D`` white, ``E`` otherwise), so labels repeat when
-    there are fewer steps than nodes; and the (parent, child) edges."""
+    color), in preorder; each listed label's step (``D`` white, ``E``
+    otherwise), so labels repeat when there are fewer steps than nodes; and
+    the (parent, child) edges."""
     order: list[PlaneAltTree] = []
     kinds: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
-    stack = list(trees)
+    stack = list(trees[::-1])
     while stack:
         node = stack.pop()
         order.append(node)
@@ -276,7 +269,7 @@ def _plane_listing(
             kinds[label] = "E"
             if color != BLACK:
                 continue
-        for c in kids:
+        for c in reversed(kids):
             edges.append((label, c.label))
             stack.append(c)
     return order, kinds, edges
@@ -284,14 +277,19 @@ def _plane_listing(
 
 def _forest_edges(f: PlaneAltForest) -> tuple[dict[int, str], list[tuple[int, int]]]:
     """Each label's step and the (parent, child) edges of ``f``, read off one
-    listing of its nodes.  Unless a pass is remembered, the same listing is
-    checked first (distinct labels, then the shared pass), and a pass is
-    remembered; a forest that fails is reported by :func:`validate_forest`."""
+    listing of its nodes: the one statement of the forest rule.  Unless a
+    pass is remembered, the same listing is checked first (distinct labels,
+    then the shared pass), and a pass is remembered.  A forest that fails is
+    listed again only to report it: shared labels, else the violations of
+    its first failing tree."""
     order, kinds, edges = _plane_listing(f.trees)
     if _VALID not in f.__dict__:
         if len(kinds) != len(order) or _plane_violations(reversed(order)):
-            validate_forest(f)
-            raise AssertionError("a forest that fails the shared pass fails validate_forest")
+            nodes = _nodes(f.trees, _plane_kids)
+            if len({node.label for node in nodes}) != len(nodes):
+                raise ValidationError([Violation("duplicate-label", "trees share labels")])
+            for t in f.trees:
+                validate_tree(t)
         f.__dict__[_VALID] = True
     return kinds, edges
 
@@ -300,8 +298,7 @@ def _plane_violations(
     bottom_up: Iterable[PlaneAltTree], repeats: Container[int] = ()
 ) -> list[Violation]:
     """Every violation of the nodes :func:`validate_tree` checks, given as a
-    listing with each node before its subtrees (preorder, or its mirror),
-    reversed; they are reported in the order of that listing.  ``repeats``
+    preorder listing reversed; they are reported in preorder.  ``repeats``
     are the positions in ``bottom_up`` of the labels listed earlier.  The one
     statement of the plane-tree rules: every check of a tree or forest runs
     it, and :func:`arcs_to_forest` runs it on the nodes it has just made.
@@ -402,9 +399,7 @@ def to_tree(t: AltTableau) -> PlaneAltTree:
 
 def from_tree(tree: PlaneAltTree) -> AltTableau:
     """Inverse of :func:`to_tree`: the tree edges become the arrows."""
-    validate_tree(tree)
-    _, kinds, edges = _plane_listing((tree,))
-    return _tableau_from_edges(kinds, edges)
+    return _tableau_from_edges(*_tree_edges(tree))
 
 
 def to_forest(t: AltTableau) -> PlaneAltForest:
@@ -589,11 +584,9 @@ def arcs_to_forest(d: ArcDiagram) -> PlaneAltForest:
         kids = neighbors[p]
         node = built[p] = _plane_node(color[p], p, tuple(map(built.pop, kids)) if kids else ())
         made.append(node)
-    failed = _plane_violations(made)  # the points are distinct labels
     forest = PlaneAltForest(tuple(map(built.pop, roots)))
-    if failed:
+    if _plane_violations(made):  # the points are distinct labels
         validate_forest(forest)
-        raise AssertionError("a forest that fails the shared pass fails validate_forest")
     forest.__dict__[_VALID] = True
     return forest
 
@@ -843,7 +836,6 @@ def _binary_tableau(roots: tuple[tuple[BinAltTree | None, str], ...]) -> AltTabl
     if _bin_violations(reversed(order)):
         for tree, kind in roots:
             validate_bin_tree(tree, kind)
-        raise AssertionError("a listing that fails the shared pass fails its validator")
     if len(kinds) != len(order):
         seen: set[int] = set()
         for node, _, _ in order:

@@ -572,6 +572,19 @@ class TestVerifyOutput:
         assert code == 0 and len(lines) == 96 and lines[-1] == "95/95 checks passed"
         assert all(line.endswith(" PASS") for line in lines[:-1])
 
+    @pytest.mark.parametrize(
+        "suite, n, digest",
+        [
+            ("all", "5", "8ce2fd6721fc2992c1635a036fa82a04abcba26849d39355a7e8ef9d4727b600"),
+            ("counts", "6", "648609d8af59b4442650bc4bd15cbf962289aacd221435e0d9195a4747e0cbf2"),
+        ],
+    )
+    def test_the_report_is_byte_identical(self, capsys, monkeypatch, suite, n, digest):
+        # The sha256 of each report as printed when the count and asep
+        # suites walked each size beside the bijection battery's walk.
+        code, out, _ = run(capsys, monkeypatch, ["verify", "--suite", suite, "--n", n])
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestLongArguments:
     """A huge numeric argument is echoed cut to 20 characters."""

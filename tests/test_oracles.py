@@ -174,10 +174,11 @@ def test_all_gives_the_suites_run_alone(n):
     assert checks.run_suite("all", n) == alone
 
 
-@pytest.mark.parametrize("suite", ["all", "counts", "asep", "series"])
+@pytest.mark.parametrize("suite", ["all", "bijections", "counts", "asep", "series"])
 def test_each_size_is_walked_once_and_its_statistics_worked_out_once(monkeypatch, suite):
     # Under ``all`` the count and asep suites read the battery's walk;
-    # alone, each walks each size once, and the series suite walks none.
+    # alone, each walks each size once and fills the tallies, and the series
+    # suite walks none.
     sizes = [] if suite == "series" else [0, 1, 2, 3, 4]
     walked: list[AltTableau] = []  # keeps every tableau alive, so ids stay distinct
     drawn = []
@@ -206,7 +207,7 @@ def test_each_size_is_walked_once_and_its_statistics_worked_out_once(monkeypatch
 
 
 def test_the_tallied_weights_equal_the_fillings_oracle():
-    for n, tally in enumerate(checks._walked(6)):
+    for n, tally in enumerate(checks._walk(6, ())[1]):
         words = list(shape_words(n))
         assert sorted(tally.by_word) == sorted(words)
         for w in words:
@@ -459,7 +460,6 @@ ASSEMBLERS = {
     ("decomposition", "block"),
     ("decomposition", "restrict"),
     ("decomposition", "_parts"),
-    ("decomposition", "merge"),
     ("decomposition", "merge_all"),
     ("decomposition", "_tableau_from_edges"),
     ("enumeration", "all_tableaux"),
@@ -509,6 +509,27 @@ def test_only_the_listed_builders_skip_the_constructor_checks():
     assert uses == ASSEMBLERS
     assert importers == {"decomposition", "enumeration"}
     assert "_assembled" not in EXPORTS and not hasattr(alttab, "_assembled")
+
+
+def test_only_the_walk_driver_draws_every_tableau():
+    # Every suite of ``checks`` reads the exhaustive walk through ``_walk``.
+    visitor = _Uses("all_tableaux")
+    visitor.visit(ast.parse((PACKAGE / "checks.py").read_text()))
+    assert visitor.found == {"_walk"}
+
+
+def test_no_module_raises_assertion_error():
+    # A validator that reports a failure is the authority on it: no decoder
+    # guards it with an error of its own.
+    raised = [
+        (path.stem, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "AssertionError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    ]
+    assert raised == []
 
 
 def _self_calls(tree: ast.AST) -> set[str]:
