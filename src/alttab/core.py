@@ -95,8 +95,9 @@ class _Shape:
     strictly increasing and ``word`` is the aligned D/E border word.
 
     What is computed once and remembered on an instance (``rows``,
-    ``columns``, and a tableau's passed check, free lines, free statistics,
-    closures, arrow forest, forest, permutation, arc diagram and binary pair)
+    ``columns``, a permutation tableau's passed check and reading, and a
+    tableau's passed check, free lines, free statistics, closures, arrow
+    forest, forest, permutation, arc diagram and binary pair)
     lives in its ``__dict__`` beside the fields, so ``==``, ``hash`` and
     ``repr`` see only the fields.  Being true of the immutable value, it is
     pickled and copied with it; the tree values pickle as a flat list of
@@ -494,16 +495,27 @@ def standardize(t: AltTableau) -> AltTableau:
 
 @dataclass(frozen=True)
 class PermTableau(_Shape):
-    """Labeled shape with a total 0/1 filling; only the 1-cells are stored, each once."""
+    """Labeled shape with a total 0/1 filling; only the 1-cells are stored, each once.
+
+    Construction checks the labels, the word and that each 1-cell is a pair
+    of integers.  The filling is checked, once, by :func:`validate_perm_tableau`
+    or by the first reader of it, in the pass that reads it.
+    """
 
     ones: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         bad = _check_labels_word(self.labels, self.word)
+        ones = tuple(self.ones)
+        bad.extend(
+            Violation("bad-cell", f"1-cell {_shown_value(c)} is not a pair of integers")
+            for c in ones
+            if type(c) is not tuple or len(c) != 2 or not all(map(_integral, c))
+        )
         if bad:
             raise ValidationError(bad)
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "ones", tuple(sorted(set(self.ones))))
+        object.__setattr__(self, "ones", tuple(sorted(set(ones))))
 
 
 def _perm_assembled(
@@ -511,7 +523,8 @@ def _perm_assembled(
 ) -> PermTableau:
     """The permutation tableau with these fields, set without the
     constructor's checks and sort: as :func:`_assembled`, only for data that
-    holds by construction, with ``ones`` a sorted tuple of cells."""
+    holds by construction, with ``ones`` a sorted tuple of cells.  The result
+    is not marked checked."""
     p = object.__new__(PermTableau)
     fields = p.__dict__
     fields["labels"] = labels
@@ -521,64 +534,72 @@ def _perm_assembled(
 
 
 def validate_perm_tableau(
-    labels: Sequence[int],
-    word: str,
-    ones: Sequence[tuple[int, int]],
-    filling: dict[tuple[int, int], int] | None = None,
+    labels: Sequence[int], word: str, ones: Sequence[tuple[int, int]]
 ) -> PermTableau:
-    """Validate candidate permutation-tableau data, reporting all violations.
+    """Check candidate permutation-tableau data and return the tableau, or
+    raise listing every violation; ``ones`` lists the 1-cells (0s implicit)."""
+    p = PermTableau(labels, word, ones)
+    _remembered(p, "_reading", _read_perm_tableau)
+    return p
 
-    ``ones`` lists the 1-cells (0s implicit).  When an explicit ``filling``
-    mapping is given instead, it must cover every cell of the shape.
+
+def _read_perm_tableau(p: PermTableau) -> tuple[dict[int, int], list[Arrow]]:
+    """Check the filling of ``p`` and read it in the same pass, or raise
+    every violation: 1s off the shape, empty columns, blocked 0s.  Every
+    reader goes through ``_remembered(p, "_reading", _read_perm_tableau)``,
+    so a tableau that passes is read once and one that fails is checked
+    again on every call.
+
+    The reading is the row of each column's topmost 1 and the arrows of
+    :func:`from_perm_tableau`, with those on the top row.  One loop over the
+    sorted 1s tests each against the shape; a column's first 1 is its
+    topmost, an up arrow, and the column's 0s below it are restricted.
+    Going down the rows, :func:`_sweep` keeps the columns whose topmost 1 is
+    in the row or above in one sorted list; a row's left arrow is the first
+    of them right of it that holds no 1, so none lies on the top row.  A
+    blocked 0 (restricted, with a 1 left of it) lies between that arrow and
+    the row's leftmost 1: only a row with its left arrow there reads between.
     """
-    bad = _check_labels_word(labels, word)
-    if bad:
-        raise ValidationError(bad)
-    rows = {l for l, c in zip(labels, word) if c == "D"}
-    cols = [l for l, c in zip(labels, word) if c == "E"]
-    if filling is not None:
-        cells = {(i, j) for i in rows for j in cols if i < j}
-        missing = cells - set(filling)
-        for cell in sorted(missing):
-            bad.append(Violation("non-total-filling", f"no value for cell {_cell(*cell, ', ')}"))
-        extra = set(filling) - cells
-        for cell in sorted(extra):
-            detail = f"value on nonexistent cell {_shown_number(cell)}"
-            bad.append(Violation("cell-off-shape", detail))
-        if bad:
-            raise ValidationError(bad)
-        ones = tuple(c for c in sorted(filling) if filling[c] == 1)
-    col_set = set(cols)
-    kept = []  # the 1s on the shape, sorted
-    for i, j in sorted(set(ones)):
-        if i in rows and j in col_set and i < j:
-            kept.append((i, j))
-        else:
-            bad.append(Violation("cell-off-shape", f"1 on nonexistent cell {_cell(i, j, ', ')}"))
-    p = _perm_assembled(tuple(labels), word, tuple(kept))
-    topmost, restricted_from, arrows = _perm_arrows(p)
-    for j in cols:
+    rows = p.rows
+    row_set, col_set = set(rows), set(p.columns)
+    off = []
+    topmost: dict[int, int] = {}
+    arrows = []
+    for cell in p.ones:
+        i, j = cell
+        if i not in row_set or j not in col_set or i >= j:
+            off.append(cell)
+        elif j not in topmost:
+            topmost[j] = i
+            arrows.append(_arrow((i, j, UP)))
+    bad = [Violation("cell-off-shape", f"1 on nonexistent cell {_cell(*c, ', ')}") for c in off]
+    for j in p.columns:
         if j not in topmost:
             bad.append(Violation("empty-column", f"column {_shown_number(j)} contains no 1"))
-    # A blocked 0 (restricted, with a 1 left of it) lies between its row's left
-    # arrow and leftmost 1: only a row with its left arrow there reads between.
-    leftmost = dict(kept)  # each row's 1 in the largest column
-    one_set = set(kept)
-    left_in_row = {i: j for i, j, kind in arrows if kind == LEFT}
+    ones = set(p.ones)  # asked only for cells of the shape
+    kept = sorted(ones.difference(off)) if off else p.ones  # the 1s on the shape, sorted
 
-    def visit(i: int, restricted: list[int]) -> None:
-        left = left_in_row.get(i)
-        if left is not None and left < leftmost.get(i, left):
-            stop = bisect_left(restricted, leftmost[i])
-            for j in restricted[bisect_left(restricted, left) : stop]:
-                if (i, j) not in one_set:
+    def visit(i: int, open_cols: list[int]) -> None:
+        k = bisect_right(open_cols, i)
+        while k < len(open_cols) and (i, open_cols[k]) in ones:
+            k += 1
+        if k == len(open_cols):
+            return
+        left = open_cols[k]
+        arrows.append(_arrow((i, left, LEFT)))
+        # The last 1 before row i + 1, or the very last when none is: the
+        # leftmost 1 of row i if it has one.
+        row, leftmost = kept[bisect_left(kept, (i + 1,)) - 1]
+        if row == i and left < leftmost:
+            for j in open_cols[k : bisect_left(open_cols, leftmost)]:
+                if (i, j) not in ones:
                     detail = f"cell {_cell(i, j)} is 0 but blocked"
                     bad.append(Violation("zero-with-one-above-and-left", detail))
 
-    _sweep(p.rows, tuple(restricted_from), restricted_from, visit)
+    _sweep(rows, tuple(topmost), topmost, visit)
     if bad:
         raise ValidationError(bad)
-    return p
+    return topmost, arrows
 
 
 @dataclass(frozen=True)
@@ -591,49 +612,14 @@ class PermTableauStats:
     superfluous_cells: frozenset[tuple[int, int]]
 
 
-def _perm_arrows(p: PermTableau) -> tuple[dict, dict, list[Arrow]]:
-    """The row of each column's topmost 1 among the rows, the row each column
-    of the shape is restricted from, and the arrows of :func:`from_perm_tableau`
-    with those on its top row: up arrows on the 1s that are not superfluous,
-    then each row's left arrow.  A column's 0s are restricted below its
-    topmost 1, its first in the sorted 1s; a row's left arrow is the first
-    restricted column right of it that holds no 1, as :func:`_sweep` lists
-    them, so none lies on the top row."""
-    rows = p.rows
-    row_set, col_set = set(rows), set(p.columns)
-    ones = set(p.ones)
-    topmost: dict[int, int] = {}
-    arrows = []
-    for i, j in p.ones:
-        if i not in row_set:  # off the rows, on a tableau not checked
-            if not topmost.get(j, i) < i:
-                arrows.append(_arrow((i, j, UP)))
-        elif j not in topmost:
-            topmost[j] = i
-            arrows.append(_arrow((i, j, UP)))
-
-    def visit(i: int, restricted: list[int]) -> None:
-        k = bisect_right(restricted, i)
-        while k < len(restricted) and (i, restricted[k]) in ones:
-            k += 1
-        if k < len(restricted):
-            arrows.append(_arrow((i, restricted[k], LEFT)))
-
-    restricted_from = {j: r + 1 for j, r in topmost.items() if j in col_set}  # labels are ints
-    _sweep(rows, tuple(restricted_from), restricted_from, visit)
-    return topmost, restricted_from, arrows
-
-
 def perm_tableau_stats(p: PermTableau) -> PermTableauStats:
-    rows, cols = p.rows, p.columns
-    ones = set(p.ones)
-    top = min(p.labels) if p.labels else None
     # A 1 is superfluous, and a 0 restricted, when its column has a 1 above it.
-    topmost, _, arrows = _perm_arrows(p)
-    superfluous = frozenset((i, j) for (i, j) in ones if topmost.get(j, i) < i)
+    topmost, arrows = _remembered(p, "_reading", _read_perm_tableau)
+    top = p.labels[0] if p.labels else None
+    superfluous = frozenset((i, j) for i, j in p.ones if topmost[j] < i)
     restricted_rows = {i for i, _, kind in arrows if kind == LEFT}
-    unrestricted = frozenset(i for i in rows if i not in restricted_rows and i != top)
-    top_one = frozenset(j for j in cols if top is not None and (top, j) in ones)
+    unrestricted = frozenset(i for i in p.rows if i not in restricted_rows and i != top)
+    top_one = frozenset(j for i, j in p.ones if i == top)
     return PermTableauStats(unrestricted, top_one, superfluous)
 
 
@@ -643,14 +629,13 @@ def from_perm_tableau(p: PermTableau) -> AltTableau:
     Non-superfluous 1s become up arrows and each row's rightmost restricted 0
     becomes a left arrow; the top row is then removed together with its label.
     A 1 is superfluous, and a 0 restricted, when its column has a 1 in a row
-    above it, that is, when the column's topmost 1 lies higher.
+    above it, that is, when the column's topmost 1 lies higher.  The filling
+    is checked first (once per tableau), so the smallest label labels a row.
     """
+    _, arrows = _remembered(p, "_reading", _read_perm_tableau)
     if not p.labels:
         raise DomainError("nothing-to-cut", "permutation tableau has no top row")
-    if p.word[0] != "D":
-        raise DomainError("bad-top-row", "smallest label does not label a row")
     top = p.labels[0]
-    *_, arrows = _perm_arrows(p)
     return _assembled(p.labels[1:], p.word[1:], tuple(sorted(a for a in arrows if a.row != top)))
 
 

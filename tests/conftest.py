@@ -291,9 +291,9 @@ def from_perm_tableau_by_lists(p: PermTableau) -> AltTableau:
 
 
 def from_perm_tableau_by_cell_probes(p: PermTableau) -> AltTableau:
-    """Reference for ``from_perm_tableau`` on any permutation tableau, checked
-    or not: each row probes its cells one by one, right to left, for its
-    first restricted 0, and a column's topmost 1 counts the 1s in rows only."""
+    """Reference for ``from_perm_tableau`` on a filling that passes the
+    check: each row probes its cells one by one, right to left, for its first
+    restricted 0, and a column's topmost 1 counts the 1s in rows only."""
     if not p.labels:
         raise DomainError("nothing-to-cut", "permutation tableau has no top row")
     top = p.labels[0]
@@ -327,7 +327,7 @@ def record_by_grid(t: AltTableau) -> str:
     return "\n".join(lines)
 
 
-def validate_perm_tableau_by_scan(labels, word, ones, filling=None) -> PermTableau:
+def validate_perm_tableau_by_scan(labels, word, ones) -> PermTableau:
     """Reference for ``validate_perm_tableau``: for every 0, scan the rows
     above it and the columns left of it for a 1."""
     bad = _check_labels_word(labels, word)
@@ -336,16 +336,6 @@ def validate_perm_tableau_by_scan(labels, word, ones, filling=None) -> PermTable
     rows = {l for l, c in zip(labels, word) if c == "D"}
     cols = [l for l, c in zip(labels, word) if c == "E"]
     cells = {(i, j) for i in rows for j in cols if i < j}
-    if filling is not None:
-        missing = cells - set(filling)
-        for cell in sorted(missing):
-            bad.append(Violation("non-total-filling", f"no value for cell {cell}"))
-        extra = set(filling) - cells
-        for cell in sorted(extra):
-            bad.append(Violation("cell-off-shape", f"value on nonexistent cell {cell}"))
-        if bad:
-            raise ValidationError(bad)
-        ones = tuple(c for c in sorted(filling) if filling[c] == 1)
     one_set = set(ones)
     for cell in sorted(one_set - cells):
         bad.append(Violation("cell-off-shape", f"1 on nonexistent cell {cell}"))

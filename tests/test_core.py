@@ -15,6 +15,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import alttab
+from alttab import core
 from alttab.cli import LineError
 from alttab.core import (
     AltTableau,
@@ -102,20 +103,32 @@ def staircase(n: int) -> tuple[tuple[int, ...], str, list[tuple[int, int]]]:
 @st.composite
 def perm_tableau_data(draw):
     """Labels (sorted, sometimes with a repeat or a length mismatch), a word,
-    1-cells on the shape or off it, and sometimes a whole filling instead."""
+    and 1-cells on the shape or off it."""
     labels = sorted(draw(st.lists(st.integers(min_value=0, max_value=9), max_size=8)))
     word = "".join(draw(st.sampled_from("DE")) for _ in labels)
     if draw(st.integers(0, 9)) == 0:
         word += "D"
     cell = st.tuples(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
-    ones = draw(st.lists(cell, max_size=12))
-    filling = None
-    if draw(st.booleans()) and draw(st.booleans()):
-        rows = [l for l, c in zip(labels, word) if c == "D"]
-        cols = [l for l, c in zip(labels, word) if c == "E"]
-        cells = [(i, j) for i in rows for j in cols if i < j] + draw(st.lists(cell, max_size=2))
-        filling = {c: draw(st.sampled_from((0, 1))) for c in cells if draw(st.integers(0, 19))}
-    return tuple(labels), word, ones, filling
+    return tuple(labels), word, draw(st.lists(cell, max_size=12))
+
+
+def check_perm_readers(labels, word, ones) -> None:
+    """``validate_perm_tableau``, and ``from_perm_tableau`` and
+    ``perm_tableau_stats`` of ``PermTableau(labels, word, ones)``, each equal
+    the scan or cell-probe reference, or raise exactly the scan's violations."""
+    want = outcome(validate_perm_tableau_by_scan, labels, word, ones)
+    assert outcome(validate_perm_tableau, labels, word, ones) == want
+    p = outcome(PermTableau, labels, word, ones)
+    if not isinstance(want, PermTableau):
+        if isinstance(p, PermTableau):  # refused for its filling
+            assert outcome(perm_tableau_stats, p) == want
+            assert outcome(from_perm_tableau, p) == want
+        else:
+            assert p == want
+        return
+    assert perm_tableau_stats(p) == perm_tableau_stats_by_scan(p)
+    want = result_or_error(from_perm_tableau_by_cell_probes, p)
+    assert result_or_error(from_perm_tableau, p) == want
 
 
 def naive_free_cells(t: AltTableau) -> set[tuple[int, int]]:
@@ -459,9 +472,9 @@ class TestPermTableauBijection:
 
     @given(raw_perm_tableaux())
     def test_equals_the_cell_probes_on_any_permutation_tableau(self, p):
-        # Off the shape, outside the rows and repeated 1s included.
-        want = result_or_error(from_perm_tableau_by_cell_probes, p)
-        assert result_or_error(from_perm_tableau, p) == want
+        # Off the shape, outside the rows and repeated 1s included: a
+        # refused filling raises the scan's violations.
+        check_perm_readers(p.labels, p.word, p.ones)
 
     @pytest.mark.parametrize("top_row", [False, True], ids=["staircase", "with-a-full-top-row"])
     def test_a_staircase_is_checked_along_its_restricted_columns(self, top_row):
@@ -469,11 +482,8 @@ class TestPermTableauBijection:
         labels, word, ones = staircase(200)
         if top_row:
             ones += [(1, j) for j in range(4, 201, 2)]
-        want = outcome(validate_perm_tableau_by_scan, labels, word, ones)
-        assert outcome(validate_perm_tableau, labels, word, ones) == want
-        p = PermTableau(labels, word, ones)
-        assert perm_tableau_stats(p) == perm_tableau_stats_by_scan(p)
-        assert from_perm_tableau(p) == from_perm_tableau_by_cell_probes(p)
+        assert isinstance(outcome(validate_perm_tableau, labels, word, ones), list) == top_row
+        check_perm_readers(labels, word, ones)
 
     def test_a_large_staircase_is_valid(self):
         # 3 000 rows whose leftmost 1 is 3 000 columns away: a 64 KB text.
@@ -504,26 +514,22 @@ class TestPermTableauBijection:
 
     @pytest.mark.parametrize("n", range(7))
     def test_checks_equal_the_scan_on_every_small_filling(self, n):
-        # Every 0/1 filling of every shape of length n (at most 9 cells).
+        # Every 0/1 filling of every shape of length n (at most 9 cells):
+        # 3 290 in all, 2 416 of them refused.
         labels = tuple(range(1, n + 1))
+        seen = 0
         for word in map("".join, product("DE", repeat=n)):
             rows = [l for l, c in zip(labels, word) if c == "D"]
             cells = [(i, j) for i in rows for j, c in zip(labels, word) if c == "E" and i < j]
             for k in range(len(cells) + 1):
                 for ones in combinations(cells, k):
-                    want = outcome(validate_perm_tableau_by_scan, labels, word, ones)
-                    assert outcome(validate_perm_tableau, labels, word, ones) == want
-                    p = PermTableau(labels, word, ones)
-                    assert perm_tableau_stats(p) == perm_tableau_stats_by_scan(p)
+                    check_perm_readers(labels, word, ones)
+                    seen += 1
+        assert seen == [1, 2, 5, 16, 67, 374, 2825][n]
 
     @given(perm_tableau_data())
     def test_checks_equal_the_scan(self, data):
-        labels, word, ones, filling = data
-        want = outcome(validate_perm_tableau_by_scan, labels, word, ones, filling)
-        assert outcome(validate_perm_tableau, labels, word, ones, filling) == want
-        p = outcome(PermTableau, labels, word, ones)  # built without the filling checks
-        if isinstance(p, PermTableau):
-            assert perm_tableau_stats(p) == perm_tableau_stats_by_scan(p)
+        check_perm_readers(*data)
 
     def test_checks_equal_the_scan_at_large_n(self):
         word = tuple(random.Random(7).sample(range(301), 301))
@@ -548,10 +554,42 @@ class TestPermTableauBijection:
             tracemalloc.stop()
         assert len(p.ones) == n and peak < 5_000_000
 
-    def test_non_total_filling_rejected(self):
-        with pytest.raises(ValidationError) as err:
-            validate_perm_tableau((1, 2), "DE", [], filling={})
-        assert any(v.code == "non-total-filling" for v in err.value.violations)
+    @pytest.mark.parametrize(
+        "cell, shown",
+        [(5, "5"), ((1, 2, 3), "(1, 2, 3)"), ((True, 2), "(True, 2)"), ((1.0, 2), "(1.0, 2)")],
+        ids=["int", "triple", "bool", "float"],
+    )
+    def test_a_one_cell_that_is_not_a_pair_of_integers_is_refused(self, cell, shown):
+        for make in (PermTableau, validate_perm_tableau):
+            with pytest.raises(ValidationError) as err:
+                make((1, 2), "DE", [cell])
+            assert [(v.code, v.detail) for v in err.value.violations] == [
+                ("bad-cell", f"1-cell {shown} is not a pair of integers")
+            ]
+
+    def test_each_permutation_tableau_is_checked_and_read_once(self, monkeypatch):
+        runs = []
+        real = core._read_perm_tableau
+        monkeypatch.setattr(core, "_read_perm_tableau", lambda p: runs.append(p) or real(p))
+        parsed = parse_perm_tableau("DDE|1,3")
+        built = PermTableau((1, 2, 3), "DDE", ((1, 3),))
+        grown = to_perm_tableau(standard_tableau("DE", [(1, 2, "U")]))
+        for p in (parsed, built, grown):
+            for _ in range(2):
+                from_perm_tableau(p)
+                perm_tableau_stats(p)
+        assert list(map(id, runs)) == [id(parsed), id(built), id(grown)]
+
+    def test_a_failed_check_is_not_remembered(self, monkeypatch):
+        runs = []
+        real = core._read_perm_tableau
+        monkeypatch.setattr(core, "_read_perm_tableau", lambda p: runs.append(p) or real(p))
+        p = PermTableau((1, 2, 3, 4), "DDEE", ((1, 3), (1, 4), (2, 4)))  # (2,3) is blocked
+        for read in (from_perm_tableau, perm_tableau_stats, from_perm_tableau):
+            with pytest.raises(ValidationError) as err:
+                read(p)
+            assert [v.code for v in err.value.violations] == ["zero-with-one-above-and-left"]
+        assert len(runs) == 3 and "_reading" not in p.__dict__
 
 
 class TestTextFormats:
@@ -945,7 +983,7 @@ def test_one_function_grows_a_sorted_list_of_columns():
                 }
     growers = [name for name, called in calls.items() if "insort" in called]
     assert growers == ["core._sweep"] and insorts == 1
-    for reader in ("_unpointed", "_free_counts", "_perm_arrows", "validate_perm_tableau"):
+    for reader in ("_unpointed", "_free_counts", "_read_perm_tableau"):
         assert "_sweep" in calls[f"core.{reader}"], reader
 
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import inspect
+import json
 import math
 import sys
 import weakref
@@ -22,6 +24,7 @@ from alttab.core import AltTableau, relabel
 from alttab.enumeration import shape_words
 
 PACKAGE = Path(alttab.__file__).parent
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 # Each reference construction with the module that used to define it.
 MOVED = {
@@ -145,6 +148,32 @@ def test_bijection_battery_builds_each_image_once_per_tableau(monkeypatch):
     assert len(walked) == 873  # (n+1)! tableaux for n <= 5
     for name, sources in built.items():
         assert sorted(sources) == sorted(map(id, walked)), name
+
+
+def test_forests_validate_checks_each_forest_afresh(monkeypatch):
+    # The forest remembered on a tableau is marked checked by the round trip
+    # that decodes it, so the property checks a fresh copy: one run of the
+    # plane-tree rules per tableau.
+    inside, runs = [False], []
+    real = trees._plane_violations
+    monkeypatch.setattr(
+        trees, "_plane_violations", lambda *args: runs.append(inside[0]) or real(*args)
+    )
+
+    def watched(name, prop):
+        def run(t, memo):
+            inside[0] = name == "forests validate"
+            try:
+                return prop(t, memo)
+            finally:
+                inside[0] = False
+
+        return run
+
+    battery = tuple((name, bound, watched(name, prop)) for name, bound, prop in BIJECTIONS)
+    monkeypatch.setattr(checks, "BIJECTIONS", battery)
+    assert all(c.passed for c in bijection_checks(5))
+    assert runs.count(True) == 873  # (n+1)! tableaux for n <= 5
 
 
 def test_count_battery_walks_each_size_once_per_generator(monkeypatch):
@@ -447,6 +476,30 @@ def test_public_names_are_pinned():
     )
     assert names == EXPORTS
     assert all(hasattr(alttab, name) for name in EXPORTS)
+
+
+def test_the_benchmark_traces_public_names_where_they_are_defined():
+    # The benchmark's tracer wraps the public functions and classes each
+    # module defines and its per-layer metrics name them, so a traced name
+    # that moves or turns private makes every traced run raise KeyError.
+    names = [m["name"].split(".") for m in json.loads(BENCHMARK.read_text())["per_layer"]]
+    traced = [name for name in names if name[0] != "trace"]
+    assert len(traced) > 40
+    for layer, *path, stat in traced:
+        module = importlib.import_module(f"alttab.{layer}")
+        if not path:
+            continue  # a whole layer
+        obj = module
+        for part in path:
+            assert not part.startswith("_"), path
+            obj = vars(obj)[part]
+        assert vars(module)[path[0]].__module__ == module.__name__, path
+        if stat == "new":
+            assert inspect.isclass(obj) and "__init__" in vars(obj), path
+        elif stat == "yielded":
+            assert inspect.isgeneratorfunction(obj), path
+        else:
+            assert inspect.isfunction(obj), path
 
 
 # The only functions that may build a tableau without the constructor's
