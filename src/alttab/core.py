@@ -145,12 +145,18 @@ class AltTableau(_Shape):
 
     def __post_init__(self) -> None:
         bad = _check_labels_word(self.labels, self.word)
-        arrows = tuple(Arrow(*a) for a in self.arrows)
-        bad.extend(
-            Violation("bad-arrow-kind", f"{_shown_value(a.kind)} at {_cell(a.row, a.col)}")
-            for a in arrows
-            if a.kind not in (LEFT, UP)
-        )
+        arrows = []
+        for a in _items(self.arrows, "bad-arrow", "arrows", bad):
+            try:
+                arrow = Arrow(*a)
+            except TypeError:
+                detail = f"arrow {_shown_value(a)} is not a (row, col, kind) triple"
+                bad.append(Violation("bad-arrow", detail))
+                continue
+            if arrow.kind not in (LEFT, UP):
+                detail = f"{_shown_value(arrow.kind)} at {_cell(arrow.row, arrow.col)}"
+                bad.append(Violation("bad-arrow-kind", detail))
+            arrows.append(arrow)
         if bad:
             raise ValidationError(bad)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -165,6 +171,16 @@ class AltTableau(_Shape):
 
     def is_standard(self) -> bool:
         return self.labels == tuple(range(1, len(self) + 1))
+
+
+def _items(items: object, code: str, what: str, bad: list[Violation]) -> tuple:
+    """``tuple(items)``, or ``()`` with a ``code`` violation added to ``bad``
+    when ``items`` cannot be iterated."""
+    try:
+        return tuple(items)
+    except TypeError:
+        bad.append(Violation(code, f"{what} {_shown_value(items)} are not a sequence"))
+        return ()
 
 
 def _rows(s: _Shape) -> tuple[int, ...]:
@@ -383,8 +399,15 @@ def _sweep(rows: Sequence[int], cols: Sequence[int], opens: dict, visit: Callabl
     """Call ``visit(i, open_cols)`` for each row ``i`` in order, ``open_cols``
     the sorted columns of ``cols`` open at ``i``: those with no entry in
     ``opens`` or with an entry at most ``i``.  ``visit`` must not change the list."""
-    open_cols = [j for j in cols if j not in opens]
-    joins = sorted([(opens[j], j) for j in cols if j in opens], reverse=True)
+    open_cols = []
+    joins = []
+    for j in cols:
+        at = opens.get(j)
+        if at is None:
+            open_cols.append(j)
+        else:
+            joins.append((at, j))
+    joins.sort(reverse=True)
     for i in rows:
         while joins and joins[-1][0] <= i:
             insort(open_cols, joins.pop()[1])
@@ -461,13 +484,55 @@ def transpose(t: AltTableau) -> AltTableau:
     The label set is kept and the order-reversing permutation is applied
     within it; arrows move to the mirrored cell with left and up swapped.
     """
+    rev = _reversal(t)
+    return _assembled(t.labels, _flipped(t.word), tuple(sorted(_reflected(t.arrows, rev))))
+
+
+def _reversal(t: AltTableau) -> dict[int, int]:
+    """The order-reversing map of ``t``'s labels, after raising
+    ``arrow-off-shape`` for any arrow that names a label outside them."""
     rev = dict(zip(t.labels, reversed(t.labels)))
     _check_arrow_labels(t, rev)
-    word = "".join("D" if c == "E" else "E" for c in reversed(t.word))
-    arrows = sorted(
-        Arrow(rev[a.col], rev[a.row], UP if a.kind == LEFT else LEFT) for a in t.arrows
-    )
-    return _assembled(t.labels, word, tuple(arrows))
+    return rev
+
+
+# D and E swapped: the steps of a word as the transpose reads them.
+_SWAP_STEPS = str.maketrans("DE", "ED")
+
+
+def _flipped(word: str) -> str:
+    """The word of the transpose: reversed, with D and E swapped."""
+    return word[::-1].translate(_SWAP_STEPS)
+
+
+def _reflected(arrows: Sequence[Arrow], image: dict[int, int]) -> Iterator[Arrow]:
+    """Each arrow reflected across the diagonal: the arrow at (i, j) goes to
+    (image[j], image[i]), left and up swapped."""
+    return (_arrow((image[j], image[i], UP if k == LEFT else LEFT)) for i, j, k in arrows)
+
+
+def _is_transpose_fixed(t: AltTableau) -> bool:
+    """``transpose(t) == t``, with its result and its errors, without
+    building the transpose: the same label check, word and arrows."""
+    rev = _reversal(t)
+    return _flipped(t.word) == t.word and sorted(_reflected(t.arrows, rev)) == list(t.arrows)
+
+
+def _mirrored(half: AltTableau, size: int) -> AltTableau:
+    """The transpose-fixed tableau on labels 1..size with ``half`` as one
+    side, ``half``'s labels being one of each pair {l, size + 1 - l}: the
+    same as ``merge(half, relabel(transpose(half), mirror))`` with ``mirror``
+    the other label of each pair.  That mirror takes label l to
+    size + 1 - l, so each arrow of ``half`` is joined by its reflection
+    there, and each step by its swap."""
+    m = size + 1
+    image = {l: m - l for l in half.labels}
+    kinds = dict(zip(half.labels, half.word))
+    kinds.update(zip(image.values(), half.word.translate(_SWAP_STEPS)))
+    word = "".join(map(kinds.__getitem__, range(1, m)))
+    arrows = [*half.arrows, *_reflected(half.arrows, image)]
+    arrows.sort()
+    return _assembled(tuple(range(1, m)), word, tuple(arrows))
 
 
 def relabel(t: AltTableau, new_labels: Sequence[int]) -> AltTableau:
@@ -506,7 +571,7 @@ class PermTableau(_Shape):
 
     def __post_init__(self) -> None:
         bad = _check_labels_word(self.labels, self.word)
-        ones = tuple(self.ones)
+        ones = _items(self.ones, "bad-cell", "1-cells", bad)
         bad.extend(
             Violation("bad-cell", f"1-cell {_shown_value(c)} is not a pair of integers")
             for c in ones
@@ -543,6 +608,13 @@ def validate_perm_tableau(
     return p
 
 
+# A row with at most this many 1s finds its left arrow by testing its open
+# columns one by one; a longer row first compares its 1s with them as one
+# slice.  Measured on the 873 permutation tableaux of n <= 5 and on rows of
+# up to 160 labels.
+_PROBED_ONES = 4
+
+
 def _read_perm_tableau(p: PermTableau) -> tuple[dict[int, int], list[Arrow]]:
     """Check the filling of ``p`` and read it in the same pass, or raise
     every violation: 1s off the shape, empty columns, blocked 0s.  Every
@@ -557,8 +629,14 @@ def _read_perm_tableau(p: PermTableau) -> tuple[dict[int, int], list[Arrow]]:
     Going down the rows, :func:`_sweep` keeps the columns whose topmost 1 is
     in the row or above in one sorted list; a row's left arrow is the first
     of them right of it that holds no 1, so none lies on the top row.  A
-    blocked 0 (restricted, with a 1 left of it) lies between that arrow and
-    the row's leftmost 1: only a row with its left arrow there reads between.
+    cursor into the sorted 1s finds each row's 1s with one bisection.  A row
+    of more than ``_PROBED_ONES`` 1s first compares their columns with the
+    open columns right of it as one slice: when they are the first of them,
+    as in every row that ``to_perm_tableau`` writes, the left arrow is the
+    next; otherwise the row, like a shorter one, tests the open columns one
+    by one.  A blocked 0 (restricted, with a 1 left of it) lies between that
+    arrow and the row's leftmost 1: only a row with its left arrow there
+    reads between.
     """
     rows = p.rows
     row_set, col_set = set(rows), set(p.columns)
@@ -578,19 +656,25 @@ def _read_perm_tableau(p: PermTableau) -> tuple[dict[int, int], list[Arrow]]:
             bad.append(Violation("empty-column", f"column {_shown_number(j)} contains no 1"))
     ones = set(p.ones)  # asked only for cells of the shape
     kept = sorted(ones.difference(off)) if off else p.ones  # the 1s on the shape, sorted
+    at = 0  # where the next row's 1s start in ``kept``
 
     def visit(i: int, open_cols: list[int]) -> None:
+        nonlocal at
+        first = at
+        at = bisect_left(kept, (i + 1,), first)
         k = bisect_right(open_cols, i)
-        while k < len(open_cols) and (i, open_cols[k]) in ones:
-            k += 1
+        count = at - first  # row i's 1s, all in open columns right of i
+        if count > _PROBED_ONES and [j for _, j in kept[first:at]] == open_cols[k : k + count]:
+            k += count
+        else:
+            while k < len(open_cols) and (i, open_cols[k]) in ones:
+                k += 1
         if k == len(open_cols):
             return
         left = open_cols[k]
         arrows.append(_arrow((i, left, LEFT)))
-        # The last 1 before row i + 1, or the very last when none is: the
-        # leftmost 1 of row i if it has one.
-        row, leftmost = kept[bisect_left(kept, (i + 1,)) - 1]
-        if row == i and left < leftmost:
+        leftmost = kept[at - 1][1] if count else left  # row i's leftmost 1, if any
+        if left < leftmost:
             for j in open_cols[k : bisect_left(open_cols, leftmost)]:
                 if (i, j) not in ones:
                     detail = f"cell {_cell(i, j)} is 0 but blocked"

@@ -34,7 +34,17 @@ from itertools import product, repeat
 from numbers import Real
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .core import UP, AltTableau, Arrow, _assembled, free_stats, relabel, transpose
+from .core import (
+    UP,
+    AltTableau,
+    Arrow,
+    _assembled,
+    _is_transpose_fixed,
+    _mirrored,
+    free_stats,
+    relabel,
+    transpose,
+)
 from .decomposition import _parts, _tree_roots, divide, merge
 from .errors import DomainError, _integral, _shown_number, _shown_value, check_cap
 from .permutations import from_permutation
@@ -691,7 +701,8 @@ def symmetric_tableaux(size: int) -> Iterator[AltTableau]:
     """All transpose-fixed tableaux of even length, built constructively.
 
     Pick a tableau with no free columns on half the labels (one from each
-    pair {i, size+1-i}), then merge it with its mirrored transpose.
+    pair {i, size+1-i}), then join it with its mirror: each arrow reflected
+    across the diagonal onto the other label of each pair.
     """
     if not _integral(size) or size < 0 or size % 2:
         shown = _shown_value(size)
@@ -715,11 +726,9 @@ def _mirrored_halves(size: int, halves: Sequence[AltTableau]) -> Iterator[AltTab
     n = size // 2
     for choice in product(*[(i, size + 1 - i) for i in range(1, n + 1)]):
         chosen = sorted(choice)
-        mirror = sorted(size + 1 - l for l in chosen)
         for u in halves:
-            half = relabel(u, chosen)
-            t = merge(half, relabel(transpose(half), mirror))
-            if transpose(t) != t:
+            t = _mirrored(relabel(u, chosen), size)
+            if not _is_transpose_fixed(t):
                 raise DomainError(
                     "not-symmetric", f"tableau built on {chosen} is not transpose-fixed"
                 )

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from numbers import Integral
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .core import (
     LEFT,
@@ -26,21 +26,19 @@ from .core import (
     AltTableau,
     _check_text,
     _check_valid,
+    _is_transpose_fixed,
+    _mirrored,
     _parse_int,
     _remembered,
-    relabel,
-    transpose,
 )
-from .decomposition import _arrow_forest, _tableau_from_edges, merge
+from .decomposition import _arrow_forest, _tableau_from_edges
 from .errors import DomainError, ParseError, _integral, _shown_number, _shown_value
 from .trees import (
     BLACK,
     WHITE,
     PlaneAltForest,
     PlaneAltTree,
-    _colors,
     _plane_kids,
-    _plane_trees,
     _postorder,
     to_forest,
 )
@@ -122,7 +120,11 @@ def tree_word(t: PlaneAltTree) -> Word:
 def forest_word(f: PlaneAltForest, separator: int) -> Word:
     """Word of a forest: black-rooted trees by decreasing root, the separator,
     then white-rooted trees by increasing root."""
-    labels = f.labels()
+    return _forest_word(f, separator, f.labels())
+
+
+def _forest_word(f: PlaneAltForest, separator: int, labels: Collection[int]) -> Word:
+    """:func:`forest_word`, with ``labels`` the labels of ``f``."""
     if separator < 0 or (labels and separator >= min(labels)):
         raise DomainError(
             "bad-separator", f"separator {_shown_number(separator)} not below all labels"
@@ -146,10 +148,11 @@ def to_permutation(t: AltTableau, separator: int = 0) -> Word:
     """Bijection from tableaux labeled by L to permutations of L plus the separator.
 
     The word for the default separator 0 is worked out once and remembered
-    on ``t``."""
+    on ``t``.  The separator is checked against the labels of ``t``, which
+    are those of its forest."""
     if type(separator) is int and separator == 0:
-        return _remembered(t, "_permutation", lambda t: forest_word(to_forest(t), 0))
-    return forest_word(to_forest(t), separator)
+        return _remembered(t, "_permutation", lambda t: _forest_word(to_forest(t), 0, t.labels))
+    return _forest_word(to_forest(t), separator, t.labels)
 
 
 def from_permutation(word: Sequence[int]) -> AltTableau:
@@ -292,14 +295,19 @@ def to_signed_permutation(t: AltTableau) -> SignedPerm:
     """
     if not t.is_standard():
         raise DomainError("non-standard-labels", "symmetric encoding needs labels 1..2n")
-    if len(t) % 2 or transpose(t) != t:
+    if len(t) % 2 or not _is_transpose_fixed(t):
         raise DomainError("not-symmetric", "tableau is not fixed by transposition")
     n = len(t) // 2
-    # The rows half (the free-row components) is the white-rooted trees.
+    # The rows half (the free-row components) is the trees with a row at the
+    # root; its word is theirs in postorder, by increasing root.
     children, roots = _arrow_forest(t)
-    color = _colors(t)
-    half = PlaneAltForest(_plane_trees([r for r in roots if color[r] == WHITE], children, color))
-    word = forest_word(half, 0)[1:]  # drop the leading separator
+    stack = [r for r in roots if t.word[r - 1] == "D"]
+    word = []
+    while stack:  # each label, then its children last first: postorder, reversed
+        label = stack.pop()
+        word.append(label)
+        stack.extend(children[label])
+    word.reverse()
     letters = []
     barred = set()
     for pos, a in enumerate(word):
@@ -317,11 +325,8 @@ def from_signed_permutation(sp: SignedPerm) -> AltTableau:
     unfolded = tuple(
         2 * n + 1 - a if pos in sp.barred else a for pos, a in enumerate(sp.word)
     )
-    half = from_permutation((0,) + unfolded)
-    mirror_labels = sorted(2 * n + 1 - l for l in half.labels)
-    other = relabel(transpose(half), mirror_labels)
-    t = merge(half, other)
-    if transpose(t) != t:
+    t = _mirrored(from_permutation((0,) + unfolded), 2 * n)
+    if not _is_transpose_fixed(t):
         raise DomainError("not-symmetric", "reconstruction failed to be symmetric")
     return t
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from typing import Callable, TypeVar
 
 import pytest
@@ -9,17 +9,30 @@ from hypothesis import strategies as st
 
 from alttab import enumeration
 from alttab.core import (
+    LEFT,
+    UP,
     AltTableau,
     Arrow,
     FreeStats,
     PermTableau,
     PermTableauStats,
+    _arrow,
+    _cell,
     _check_labels_word,
     parse_tableau,
+    relabel,
+    transpose,
 )
 from alttab.decomposition import merge
 from alttab.enumeration import _corner
-from alttab.errors import DomainError, ParseError, ValidationError, Violation, _shown
+from alttab.errors import (
+    DomainError,
+    ParseError,
+    ValidationError,
+    Violation,
+    _shown,
+    _shown_number,
+)
 from alttab.trees import (
     BLACK,
     MAX_ROOTED,
@@ -242,6 +255,64 @@ def alt_violations_by_scan(labels, word, arrows) -> list[Violation]:
     return bad
 
 
+def _sweep_by_comprehensions(rows, cols, opens: dict, visit: Callable) -> None:
+    """``core._sweep`` as it was before it partitioned the columns in one
+    loop, for :func:`read_perm_tableau_by_probes`."""
+    open_cols = [j for j in cols if j not in opens]
+    joins = sorted([(opens[j], j) for j in cols if j in opens], reverse=True)
+    for i in rows:
+        while joins and joins[-1][0] <= i:
+            insort(open_cols, joins.pop()[1])
+        visit(i, open_cols)
+
+
+def read_perm_tableau_by_probes(p: PermTableau) -> tuple[dict[int, int], list[Arrow]]:
+    """Reference for ``core._read_perm_tableau``: the reader as it was before
+    it kept a cursor into the 1s and compared long rows as slices, copied
+    verbatim but for its sweep.  Each row probes its open columns one 1 at a
+    time and finds its leftmost 1 by bisection."""
+    rows = p.rows
+    row_set, col_set = set(rows), set(p.columns)
+    off = []
+    topmost: dict[int, int] = {}
+    arrows = []
+    for cell in p.ones:
+        i, j = cell
+        if i not in row_set or j not in col_set or i >= j:
+            off.append(cell)
+        elif j not in topmost:
+            topmost[j] = i
+            arrows.append(_arrow((i, j, UP)))
+    bad = [Violation("cell-off-shape", f"1 on nonexistent cell {_cell(*c, ', ')}") for c in off]
+    for j in p.columns:
+        if j not in topmost:
+            bad.append(Violation("empty-column", f"column {_shown_number(j)} contains no 1"))
+    ones = set(p.ones)  # asked only for cells of the shape
+    kept = sorted(ones.difference(off)) if off else p.ones  # the 1s on the shape, sorted
+
+    def visit(i: int, open_cols: list[int]) -> None:
+        k = bisect_right(open_cols, i)
+        while k < len(open_cols) and (i, open_cols[k]) in ones:
+            k += 1
+        if k == len(open_cols):
+            return
+        left = open_cols[k]
+        arrows.append(_arrow((i, left, LEFT)))
+        # The last 1 before row i + 1, or the very last when none is: the
+        # leftmost 1 of row i if it has one.
+        row, leftmost = kept[bisect_left(kept, (i + 1,)) - 1]
+        if row == i and left < leftmost:
+            for j in open_cols[k : bisect_left(open_cols, leftmost)]:
+                if (i, j) not in ones:
+                    detail = f"cell {_cell(i, j)} is 0 but blocked"
+                    bad.append(Violation("zero-with-one-above-and-left", detail))
+
+    _sweep_by_comprehensions(rows, tuple(topmost), topmost, visit)
+    if bad:
+        raise ValidationError(bad)
+    return topmost, arrows
+
+
 def perm_ones_by_sorting(t: AltTableau) -> tuple[tuple[int, int], ...]:
     """Reference for the 1-cells of ``to_perm_tableau``: the new top row over
     every free column, the up arrows and the free cells of the grid scan,
@@ -271,6 +342,13 @@ def merge_by_folding(parts) -> AltTableau:
     for part in parts:
         result = merge(result, part)
     return result
+
+
+def mirror_by_merge(half: AltTableau, size: int) -> AltTableau:
+    """Reference for ``core._mirrored``: merge ``half`` with its transpose
+    relabeled onto the other label of each pair {l, size + 1 - l}."""
+    mirror = sorted(size + 1 - l for l in half.labels)
+    return merge(half, relabel(transpose(half), mirror))
 
 
 def from_perm_tableau_by_lists(p: PermTableau) -> AltTableau:

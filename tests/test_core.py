@@ -4,6 +4,7 @@ bijection, and the text formats."""
 from __future__ import annotations
 
 import ast
+import math
 import pickle
 import random
 import tracemalloc
@@ -11,11 +12,11 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import alttab
-from alttab import core
+from alttab import core, enumeration
 from alttab.cli import LineError
 from alttab.core import (
     AltTableau,
@@ -36,7 +37,7 @@ from alttab.core import (
     validate_alt,
     validate_perm_tableau,
 )
-from alttab.enumeration import all_tableaux, weight_poly
+from alttab.enumeration import all_tableaux, symmetric_tableaux, weight_poly
 from alttab.errors import (
     DomainError,
     ParseError,
@@ -54,15 +55,18 @@ from alttab.trees import parse_arcs, parse_bin_pair, parse_forest
 from conftest import (
     T0_COMPACT,
     alt_violations_by_scan,
+    assert_as_public,
     compact_texts,
     free_stats_by_grid,
     from_perm_tableau_by_cell_probes,
     from_perm_tableau_by_lists,
+    mirror_by_merge,
     parse_compact_by_parts,
     perm_ones_by_sorting,
     perm_tableau_stats_by_scan,
     raw_perm_tableaux,
     raw_tableaux,
+    read_perm_tableau_by_probes,
     record_by_grid,
     tableaux,
     validate_perm_tableau_by_scan,
@@ -390,6 +394,46 @@ class TestTranspose:
         a, b = free_stats(t), free_stats(transpose(t))
         assert a.frow == b.fcol and a.fcol == b.frow and a.fcell == b.fcell
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_the_symmetry_test_is_equality_with_the_transpose(self, n):
+        fixed = 0
+        for t in all_tableaux(n):
+            is_fixed = transpose(t) == t
+            assert core._is_transpose_fixed(t) == is_fixed
+            fixed += is_fixed
+        assert fixed == (2 ** (n // 2) * math.factorial(n // 2) if n % 2 == 0 else 0)
+
+    @given(raw_tableaux())
+    def test_the_symmetry_test_raises_what_the_transpose_raises(self, t):
+        want = result_or_error(lambda t: transpose(t) == t, t)
+        assert result_or_error(core._is_transpose_fixed, t) == want
+
+    @pytest.mark.parametrize("size", range(0, 11, 2))
+    def test_the_mirror_is_the_merge_with_the_relabeled_transpose(self, size, monkeypatch):
+        # Every half and label choice ``symmetric_tableaux`` walks.
+        built = []
+
+        def checked(half: AltTableau, size: int) -> AltTableau:
+            t = core._mirrored(half, size)
+            assert t == mirror_by_merge(half, size)
+            assert_as_public(t)
+            built.append(t)
+            return t
+
+        monkeypatch.setattr(enumeration, "_mirrored", checked)
+        n = size // 2
+        assert list(symmetric_tableaux(size)) == built
+        assert len(built) == 2**n * math.factorial(n)
+
+    @given(st.data())
+    def test_the_mirror_of_a_large_half_is_the_merge(self, data):
+        # A half of 10 to 40 labels, one of each pair, in a tableau of 20 to 80.
+        n = data.draw(st.integers(10, 40))
+        chosen = [data.draw(st.sampled_from((i, 2 * n + 1 - i))) for i in range(1, n + 1)]
+        half = from_permutation((0, *data.draw(st.permutations(chosen))))
+        t = core._mirrored(half, 2 * n)
+        assert t == mirror_by_merge(half, 2 * n) and core._is_transpose_fixed(t)
+
 
 class TestRelabel:
     def test_relabel_single_row(self):
@@ -566,6 +610,56 @@ class TestPermTableauBijection:
             assert [(v.code, v.detail) for v in err.value.violations] == [
                 ("bad-cell", f"1-cell {shown} is not a pair of integers")
             ]
+
+    @pytest.mark.parametrize("probed", [0, core._PROBED_ONES], ids=["every-row-sliced", "default"])
+    def test_the_reader_equals_the_probing_reader_on_every_filling(self, probed, monkeypatch):
+        # Every 0/1 filling of every shape up to 5 labels, valid or not; with
+        # no rows probed, every row with a 1 is compared as a slice first.
+        monkeypatch.setattr(core, "_PROBED_ONES", probed)
+        for n in range(6):
+            labels = tuple(range(1, n + 1))
+            for word in map("".join, product("DE", repeat=n)):
+                cells = list(PermTableau(labels, word, ()).cells())
+                for k in range(len(cells) + 1):
+                    for ones in combinations(cells, k):
+                        p = PermTableau(labels, word, ones)
+                        want = outcome(read_perm_tableau_by_probes, p)
+                        assert outcome(core._read_perm_tableau, p) == want
+
+    @settings(deadline=None)
+    @given(st.integers(0, 159).flatmap(lambda n: st.permutations(range(n + 1))), st.data())
+    def test_the_reader_equals_the_probing_reader_on_grown_tableaux(self, word, data):
+        # ``to_perm_tableau`` images of up to 160 labels, and each with one
+        # cell flipped, so long rows meet a 1 or a 0 where a slice differs.
+        p = to_perm_tableau(from_permutation(word))
+        assert core._read_perm_tableau(p) == read_perm_tableau_by_probes(p)
+        cells = list(p.cells())
+        if cells:
+            cell = data.draw(st.sampled_from(cells))
+            q = PermTableau(p.labels, p.word, set(p.ones) ^ {cell})
+            assert outcome(core._read_perm_tableau, q) == outcome(read_perm_tableau_by_probes, q)
+
+    @pytest.mark.parametrize(
+        "make, items, violation",
+        [
+            (AltTableau, None, ("bad-arrow", "arrows None are not a sequence")),
+            (AltTableau, [(1, 2)], ("bad-arrow", "arrow (1, 2) is not a (row, col, kind) triple")),
+            (AltTableau, [5], ("bad-arrow", "arrow 5 is not a (row, col, kind) triple")),
+            (PermTableau, None, ("bad-cell", "1-cells None are not a sequence")),
+        ],
+        ids=["no-arrows", "pair-arrow", "int-arrow", "no-cells"],
+    )
+    def test_malformed_constructor_input_is_a_validation_error(self, make, items, violation):
+        with pytest.raises(ValidationError) as err:
+            make((1, 2), "DE", items)
+        assert [(v.code, v.detail) for v in err.value.violations] == [violation]
+
+    def test_each_malformed_arrow_is_listed_with_the_other_violations(self):
+        with pytest.raises(ValidationError) as err:
+            AltTableau((2, 1), "DE", [(1, 2, "X"), (1,), [1, 2, "L"]])
+        codes = [v.code for v in err.value.violations]
+        assert codes == ["label-order", "bad-arrow-kind", "bad-arrow"]
+        assert AltTableau((1, 2), "DE", [[1, 2, "L"]]).arrows == ((1, 2, "L"),)
 
     def test_each_permutation_tableau_is_checked_and_read_once(self, monkeypatch):
         runs = []
@@ -985,6 +1079,28 @@ def test_one_function_grows_a_sorted_list_of_columns():
     assert growers == ["core._sweep"] and insorts == 1
     for reader in ("_unpointed", "_free_counts", "_read_perm_tableau"):
         assert "_sweep" in calls[f"core.{reader}"], reader
+
+
+def test_one_function_mirrors_a_half():
+    # ``core._mirrored`` is the one construction of a transpose-fixed
+    # tableau from its half; neither caller relabels a transpose itself.
+    def name(node: ast.AST) -> str | None:
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    for module in ("permutations", "enumeration"):
+        calls = [
+            node
+            for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+            if isinstance(node, ast.Call)
+        ]
+        relabeled = [
+            call.lineno
+            for call in calls
+            if name(call.func) == "relabel"
+            and any(isinstance(a, ast.Call) and name(a.func) == "transpose" for a in call.args)
+        ]
+        assert relabeled == [], module
+        assert "_mirrored" in {name(call.func) for call in calls}, module
 
 
 def test_the_digit_class_is_written_only_in_core():

@@ -926,7 +926,7 @@ class TestDecoratedAndSymmetric:
 
     def test_symmetric_construction_checks_symmetry(self, monkeypatch):
         # The check is an explicit raise, so it holds under python -O too.
-        monkeypatch.setattr("alttab.enumeration.merge", lambda half, mirror: half)
+        monkeypatch.setattr("alttab.enumeration._mirrored", lambda half, size: half)
         with pytest.raises(DomainError) as err:
             list(symmetric_tableaux(2))
         assert err.value.code == "not-symmetric"

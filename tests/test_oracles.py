@@ -507,6 +507,7 @@ def test_the_benchmark_traces_public_names_where_they_are_defined():
 ASSEMBLERS = {
     ("core", "validate_alt"),
     ("core", "transpose"),
+    ("core", "_mirrored"),
     ("core", "relabel"),
     ("core", "from_perm_tableau"),
     ("decomposition", "cut"),

@@ -33,7 +33,7 @@ from alttab.permutations import (
     to_signed_permutation,
     tree_word,
 )
-from alttab.trees import BLACK, WHITE, from_forest, to_forest, to_tree
+from alttab.trees import BLACK, WHITE, PlaneAltForest, from_forest, to_forest, to_tree
 
 from conftest import tableaux
 
@@ -258,6 +258,28 @@ class TestTableauBijection:
         with pytest.raises(DomainError):
             to_permutation(t, 2)
 
+    @pytest.mark.parametrize("labels", [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 5, 8)])
+    def test_the_separator_is_checked_as_the_forest_word_checks_it(self, labels):
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except DomainError as err:
+                return err.code, str(err)
+
+        for t in all_tableaux(4):
+            t = relabel(t, labels)
+            for separator in (-1, 0, 1, 2, False, True):
+                want = outcome(forest_word, to_forest(t), separator)
+                assert outcome(to_permutation, t, separator) == want
+
+    def test_the_separator_check_does_not_walk_the_forest(self, monkeypatch):
+        t = relabel(standard_tableau("DEDE", [(1, 2, "L"), (3, 4, "U")]), (2, 3, 4, 5))
+        want = forest_word(to_forest(t), 1)
+        monkeypatch.setattr(PlaneAltForest, "labels", lambda f: pytest.fail("walked the forest"))
+        assert to_permutation(t, 1) == want
+        with pytest.raises(DomainError):
+            to_permutation(t, 2)
+
     def test_words_beyond_the_oracle_bound_round_trip(self):
         # Past the bound of the recursive oracle: the direct pass has none.
         word = tuple(range(202))
@@ -328,6 +350,17 @@ class TestSignedPermutations:
             assert from_signed_permutation(sp) == t
             image.add(sp)
         assert len(image) == 2**n * math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_the_word_is_the_forest_word_of_the_rows_half(self, n):
+        # The word read off the arrows equals the one of the white-rooted
+        # trees of the forest, folded: letters above n are barred.
+        for t in symmetric_tableaux(2 * n):
+            whites = [tree for tree in to_forest(t).trees if tree.color == WHITE]
+            word = forest_word(PlaneAltForest(tuple(whites)), 0)[1:]
+            sp = to_signed_permutation(t)
+            assert sp.word == tuple(a if a <= n else 2 * n + 1 - a for a in word)
+            assert sp.barred == {pos for pos, a in enumerate(word) if a > n}
 
     @pytest.mark.parametrize("n", [150, 200])
     def test_roundtrip_up_to_the_depth_cap(self, n):
