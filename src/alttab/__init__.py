@@ -33,12 +33,17 @@ from .decomposition import (
 from .enumeration import (
     AsepParams,
     CountTable,
+    MarkedTableau,
     all_tableaux,
     all_via_perm,
     asep_distribution,
     chain_stationary,
     count_table,
+    decorated_bijection,
+    decorated_bijection_inv,
     decorated_count,
+    is_decorated,
+    symmetric_tableaux,
     weight_poly,
 )
 from .errors import (
@@ -50,6 +55,7 @@ from .errors import (
 )
 from .permutations import (
     SignedPerm,
+    forest_word,
     from_permutation,
     from_signed_permutation,
     insertion_steps,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from numbers import Real
 from operator import lt
-from typing import Callable, Container, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     DomainError,
@@ -146,17 +146,10 @@ class AltTableau(_Shape):
     def __post_init__(self) -> None:
         bad = _check_labels_word(self.labels, self.word)
         arrows = []
-        for a in _items(self.arrows, "bad-arrow", "arrows", bad):
-            try:
-                arrow = Arrow(*a)
-            except TypeError:
-                detail = f"arrow {_shown_value(a)} is not a (row, col, kind) triple"
-                bad.append(Violation("bad-arrow", detail))
-                continue
-            if arrow.kind not in (LEFT, UP):
-                detail = f"{_shown_value(arrow.kind)} at {_cell(arrow.row, arrow.col)}"
-                bad.append(Violation("bad-arrow-kind", detail))
-            arrows.append(arrow)
+        for i, j, kind in _triples(self.arrows, bad):
+            if kind not in (LEFT, UP):
+                bad.append(Violation("bad-arrow-kind", f"{_shown_value(kind)} at {_cell(i, j)}"))
+            arrows.append(_arrow((i, j, kind)))
         if bad:
             raise ValidationError(bad)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -181,6 +174,21 @@ def _items(items: object, code: str, what: str, bad: list[Violation]) -> tuple:
     except TypeError:
         bad.append(Violation(code, f"{what} {_shown_value(items)} are not a sequence"))
         return ()
+
+
+def _triples(arrows: object, bad: list[Violation]) -> Iterator[tuple]:
+    """The items of ``arrows`` that unpack as (row, col, kind), in order;
+    each other item adds a ``bad-arrow`` violation to ``bad`` where it
+    stands, as ``arrows`` does when it cannot be iterated.  The one rule of
+    an arrow's form, for the constructor and :func:`validate_alt`."""
+    for a in _items(arrows, "bad-arrow", "arrows", bad):
+        try:
+            i, j, kind = a
+        except (TypeError, ValueError):
+            detail = f"arrow {_shown_value(a)} is not a (row, col, kind) triple"
+            bad.append(Violation("bad-arrow", detail))
+            continue
+        yield i, j, kind
 
 
 def _rows(s: _Shape) -> tuple[int, ...]:
@@ -270,19 +278,11 @@ def _alt_violations(
         return bad
     rows = {l for l, c in zip(labels, word) if c == "D"}
     cols = {l for l, c in zip(labels, word) if c == "E"}
-    seen: dict[tuple[int, int], str] = {}
-    for i, j, kind in arrows:
-        if kind not in (LEFT, UP):
-            bad.append(Violation("bad-arrow-kind", f"{_shown_value(kind)} at {_cell(i, j)}"))
-            continue
-        if i not in rows or j not in cols or i >= j:
-            detail = f"{kind} arrow on nonexistent cell {_cell(i, j)}"
-            bad.append(Violation("arrow-off-shape", detail))
-            continue
-        if (i, j) in seen:
-            bad.append(Violation("duplicate-cell", f"two arrows on cell {_cell(i, j)}"))
-            continue
-        seen[(i, j)] = kind
+    try:
+        seen = _arrow_cells(arrows, rows, cols, bad)
+    except (TypeError, ValueError):  # not every item is a triple: read them again
+        bad.clear()
+        seen = _arrow_cells(_triples(arrows, bad), rows, cols, bad)
     # Emptiness: cells pointed at by an arrow must not be occupied.  In
     # row-major order a left arrow points at nothing when the next cell is in
     # another row, and an up arrow when no cell before it is in its column;
@@ -328,6 +328,28 @@ def _alt_violations(
                 )
             )
     return bad
+
+
+def _arrow_cells(
+    arrows: Iterable[tuple[int, int, str]], rows: set[int], cols: set[int], bad: list[Violation]
+) -> dict[tuple[int, int], str]:
+    """The kind of each arrow on a cell of the shape, by cell; an arrow of
+    an unknown kind, off the shape or on a taken cell adds its violation to
+    ``bad`` instead, in arrow order."""
+    seen: dict[tuple[int, int], str] = {}
+    for i, j, kind in arrows:
+        if kind not in (LEFT, UP):
+            bad.append(Violation("bad-arrow-kind", f"{_shown_value(kind)} at {_cell(i, j)}"))
+            continue
+        if i not in rows or j not in cols or i >= j:
+            detail = f"{kind} arrow on nonexistent cell {_cell(i, j)}"
+            bad.append(Violation("arrow-off-shape", detail))
+            continue
+        if (i, j) in seen:
+            bad.append(Violation("duplicate-cell", f"two arrows on cell {_cell(i, j)}"))
+            continue
+        seen[(i, j)] = kind
+    return seen
 
 
 @dataclass(frozen=True)

@@ -115,17 +115,6 @@ def block(t: AltTableau, axis: Axis, label: int) -> AltTableau:
     raise DomainError("bad-axis", f"unknown axis {_shown_value(axis)}")
 
 
-def block_standard(t: AltTableau, axis: Axis) -> AltTableau:
-    """:func:`block` with labels handled automatically: the result carries
-    the standard labels 1..n+1 and the new line takes the extremal one."""
-    from .core import relabel, standardize
-
-    s = standardize(t)
-    if axis == "col":
-        return block(relabel(s, range(2, len(s) + 2)), "col", 1)
-    return block(s, "row", len(s) + 1)
-
-
 def closure(t: AltTableau, k: int) -> frozenset[int]:
     """Smallest label set containing free label ``k`` with arrow endpoints paired.
 

@@ -41,6 +41,7 @@ from .core import (
     _assembled,
     _is_transpose_fixed,
     _mirrored,
+    _reversal,
     free_stats,
     relabel,
     transpose,
@@ -363,7 +364,7 @@ def weight_poly(word: str) -> Poly3:
     Leading E steps and trailing D steps bound no cell and only multiply the
     weight by x and y, so the cap applies to the steps between them.
     """
-    if set(word) - {"D", "E"}:
+    if not isinstance(word, str) or set(word) - {"D", "E"}:
         raise DomainError("bad-word", f"border word {_shown_value(word)} is not over D and E")
     rest = word.lstrip("E")
     core = rest.rstrip("D")
@@ -451,11 +452,6 @@ def _shown_rate(v: Real) -> str:
 def states(n: int) -> Iterator[str]:
     for bits in product((HOLE, PARTICLE), repeat=n):
         yield "".join(bits)
-
-
-def shape_of_state(state: str) -> str:
-    """Particles are row steps, holes are column steps."""
-    return "".join("D" if c == PARTICLE else "E" for c in state)
 
 
 def asep_distribution(p: AsepParams) -> dict[str, Fraction]:
@@ -658,10 +654,6 @@ def is_decorated(mt: MarkedTableau) -> bool:
     return mt.marked <= _non_free_labels(mt.tableau)
 
 
-def _reversal(labels: Sequence[int]) -> dict[int, int]:
-    return {labels[k]: labels[len(labels) - 1 - k] for k in range(len(labels))}
-
-
 def decorated_bijection(mt: MarkedTableau) -> MarkedTableau:
     """Map a decorated tableau to a freely marked tableau with no free rows.
 
@@ -671,7 +663,7 @@ def decorated_bijection(mt: MarkedTableau) -> MarkedTableau:
     if not is_decorated(mt):
         raise DomainError("mark-on-free-line", "decorated tableaux cannot mark free lines")
     p, q = divide(mt.tableau)
-    rev = _reversal(p.labels)
+    rev = _reversal(p)
     p_stats = free_stats(p)
     p_marks = {rev[l] for l in mt.marked if l in rev} | {rev[i] for i in p_stats.free_rows}
     q_marks = {l for l in mt.marked if l in set(q.labels)}
@@ -688,7 +680,7 @@ def decorated_bijection_inv(mt: MarkedTableau) -> MarkedTableau:
     parts = _parts(u, {l: root in mt.marked for l, root in _tree_roots(u).items()})
     empty = AltTableau((), "")
     r, s = parts.get(True, empty), parts.get(False, empty)
-    rev = _reversal(r.labels)
+    rev = _reversal(r)
     r_marks = {rev[l] for l in mt.marked - stats.free_cols if l in rev}
     s_marks = mt.marked & set(s.labels)
     out = MarkedTableau(merge(transpose(r), s), frozenset(r_marks | s_marks))

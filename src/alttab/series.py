@@ -205,11 +205,6 @@ class Series:
             out[n] = -inv0 * acc
         return self._with(out)
 
-    def __truediv__(self, other: Series | int | Fraction) -> Series:
-        if isinstance(other, Series):
-            return self * other.inverse()
-        return self * (1 / Fraction(other))
-
     def derivative(self) -> Series:
         if self.order == 0:
             return Series(0, (Fraction(0),))
@@ -245,16 +240,6 @@ class Series:
     def pow_fraction(self, r: Fraction | int) -> Series:
         """f**r for rational r, as exp(r log f); constant term must be 1."""
         return (self.log() * Fraction(r)).exp()
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Series)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
 
 
 def geometric(order: int) -> Series:

@@ -280,14 +280,16 @@ def _forest_edges(f: PlaneAltForest) -> tuple[dict[int, str], list[tuple[int, in
     listing of its nodes: the one statement of the forest rule.  Unless a
     pass is remembered, the same listing is checked first (distinct labels,
     then the shared pass), and a pass is remembered.  A forest that fails is
-    listed again only to report it: shared labels, else the violations of
-    its first failing tree."""
+    listed again only to report it: a label in two trees, else the
+    violations of its first failing tree."""
     order, kinds, edges = _plane_listing(f.trees)
     if _VALID not in f.__dict__:
         if len(kinds) != len(order) or _plane_violations(reversed(order)):
-            nodes = _nodes(f.trees, _plane_kids)
-            if len({node.label for node in nodes}) != len(nodes):
-                raise ValidationError([Violation("duplicate-label", "trees share labels")])
+            tree_of: dict[int, int] = {}
+            for k, t in enumerate(f.trees):
+                for node in _nodes((t,), _plane_kids):
+                    if tree_of.setdefault(node.label, k) != k:
+                        raise ValidationError([Violation("duplicate-label", "trees share labels")])
             for t in f.trees:
                 validate_tree(t)
         f.__dict__[_VALID] = True
@@ -732,32 +734,6 @@ def _bin_violations(bottom_up: Iterable[tuple[BinAltTree, str, object]]) -> list
             bad.append(Violation("label-order", f"negative label {_shown_number(label)}"))
     bad.reverse()  # each node's violations were found last check first
     return bad
-
-
-def to_binary_tree(t: AltTableau, kind: str) -> BinAltTree | None:
-    """Binary encoding of a tableau with no free columns (min) or rows (max).
-
-    The root takes the extremal label; cutting it off and dividing the rest
-    supplies the right (rows part, min-rooted) and left (columns part,
-    max-rooted) subtrees.
-    """
-    b_min, b_max = binary_pair(t)
-    if kind == MIN_ROOTED and b_max is not None:
-        raise DomainError("wrong-class", "min-rooted encoding needs a tableau with no free columns")
-    if kind == MAX_ROOTED and b_min is not None:
-        raise DomainError("wrong-class", "max-rooted encoding needs a tableau with no free rows")
-    _check_kind(kind)
-    return b_min if kind == MIN_ROOTED else b_max
-
-
-def from_binary_tree(tree: BinAltTree | None, kind: str) -> AltTableau:
-    _check_kind(kind)
-    return _binary_tableau(((tree, kind),))
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in (MIN_ROOTED, MAX_ROOTED):
-        raise DomainError("bad-kind", f"unknown kind {_shown_value(kind)}")
 
 
 def binary_pair(t: AltTableau) -> tuple[BinAltTree | None, BinAltTree | None]:

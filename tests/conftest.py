@@ -467,14 +467,18 @@ def _tableau_of_edges(kinds: dict[int, str], edges) -> AltTableau:
 
 
 def validate_forest_by_trees(f: PlaneAltForest) -> None:
-    """Reference for ``validate_forest``: every node listed for the shared
-    labels, then each tree checked on its own."""
-    nodes, stack = [], list(f.trees)
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(node.children)
-    if len({node.label for node in nodes}) != len(nodes):
+    """Reference for ``validate_forest``: the label set of each tree, which
+    share a label when their union is smaller than their sizes add up to,
+    then each tree checked on its own."""
+    label_sets = []
+    for t in f.trees:
+        nodes, stack = [], [t]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node.children)
+        label_sets.append({node.label for node in nodes})
+    if len(set().union(*label_sets)) != sum(map(len, label_sets)):
         raise ValidationError([Violation("duplicate-label", "trees share labels")])
     for t in f.trees:
         validate_tree(t)

@@ -646,8 +646,19 @@ class TestPermTableauBijection:
             (AltTableau, [(1, 2)], ("bad-arrow", "arrow (1, 2) is not a (row, col, kind) triple")),
             (AltTableau, [5], ("bad-arrow", "arrow 5 is not a (row, col, kind) triple")),
             (PermTableau, None, ("bad-cell", "1-cells None are not a sequence")),
+            (validate_alt, None, ("bad-arrow", "arrows None are not a sequence")),
+            (validate_alt, [(1, 2)], ("bad-arrow", "arrow (1, 2) is not a (row, col, kind) triple")),
+            (validate_alt, [5], ("bad-arrow", "arrow 5 is not a (row, col, kind) triple")),
+            (
+                lambda labels, word, arrows: standard_tableau(word, arrows),
+                [(1, 2)],
+                ("bad-arrow", "arrow (1, 2) is not a (row, col, kind) triple"),
+            ),
         ],
-        ids=["no-arrows", "pair-arrow", "int-arrow", "no-cells"],
+        ids=[
+            "no-arrows", "pair-arrow", "int-arrow", "no-cells",
+            "validate-no-arrows", "validate-pair-arrow", "validate-int-arrow", "standard-pair-arrow",
+        ],
     )
     def test_malformed_constructor_input_is_a_validation_error(self, make, items, violation):
         with pytest.raises(ValidationError) as err:
@@ -660,6 +671,16 @@ class TestPermTableauBijection:
         codes = [v.code for v in err.value.violations]
         assert codes == ["label-order", "bad-arrow-kind", "bad-arrow"]
         assert AltTableau((1, 2), "DE", [[1, 2, "L"]]).arrows == ((1, 2, "L"),)
+
+    def test_the_validator_lists_each_malformed_arrow_in_arrow_order(self, monkeypatch):
+        arrows = [(1, 2, "L"), (3,), (1, 2, "U"), (9, 9, "L"), "ab"]
+        with pytest.raises(ValidationError) as err:
+            validate_alt((1, 2, 3, 4), "DEDE", arrows)
+        codes = [v.code for v in err.value.violations]
+        assert codes == ["bad-arrow", "duplicate-cell", "arrow-off-shape", "bad-arrow"]
+        # Well-formed arrows are read once, without the item check.
+        monkeypatch.setattr(core, "_triples", None)
+        assert validate_alt((1, 2), "DE", [[1, 2, "L"]]).arrows == ((1, 2, "L"),)
 
     def test_each_permutation_tableau_is_checked_and_read_once(self, monkeypatch):
         runs = []

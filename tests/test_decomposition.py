@@ -123,14 +123,16 @@ class TestCutBlock:
             assert cut(block(shifted, "col", 1), "row") == shifted
             assert cut(block(shifted, "row", n + 2), "col") == shifted
 
-    def test_block_standard(self, t0):
+    def test_block_on_standard_labels(self, t0):
+        # The new line takes the extremal label of 1..n+1 once the others
+        # are standardized and shifted clear of it.
         from alttab.core import standardize
-        from alttab.decomposition import block_standard
 
-        out = block_standard(t0, "col")
+        s = standardize(t0)
+        out = block(relabel(s, range(2, len(s) + 2)), "col", 1)
         assert out.labels == tuple(range(1, 15)) and out.word.startswith("D")
         assert standardize(cut(out, "row")) == t0
-        out = block_standard(t0, "row")
+        out = block(s, "row", len(s) + 1)
         assert out.labels == tuple(range(1, 15)) and out.word.endswith("E")
         assert standardize(cut(out, "col")) == t0
 

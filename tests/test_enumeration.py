@@ -24,6 +24,8 @@ from alttab.core import (
 )
 from alttab.enumeration import (
     CHAIN_CAP,
+    HOLE,
+    PARTICLE,
     AsepParams,
     MarkedTableau,
     all_tableaux,
@@ -36,7 +38,6 @@ from alttab.enumeration import (
     decorated_bijection_inv,
     decorated_count,
     product_formula,
-    shape_of_state,
     shape_words,
     solve_stationary,
     states,
@@ -49,6 +50,9 @@ from alttab.oracles import all_perm_tableaux, count_table_by_corners, weight_pol
 from alttab.series import Poly3
 
 from conftest import corner_table_at_every_corner
+
+# The shape of a state: particles are row steps, holes column steps.
+SHAPE = str.maketrans({PARTICLE: "D", HOLE: "E"})
 
 # Weight polynomials by shape, shared by the hypothesis examples.
 _weight = functools.lru_cache(maxsize=None)(weight_poly)
@@ -340,6 +344,14 @@ class TestWeights:
         with pytest.raises(DomainError) as err:
             weight_poly("DX")
         assert err.value.code == "bad-word"
+
+    @pytest.mark.parametrize(
+        "word, shown", [(5, "5"), (["D", "E"], "['D', 'E']"), (None, "None"), (b"DE", "b'DE'")]
+    )
+    def test_rejects_a_word_that_is_not_a_string(self, word, shown):
+        with pytest.raises(DomainError) as err:
+            weight_poly(word)
+        assert str(err.value) == f"bad-word: border word {shown} is not over D and E"
 
     @pytest.mark.parametrize("n", range(8))
     def test_recursion_matches_enumeration(self, n):
@@ -675,7 +687,7 @@ class TestAsep:
     def test_the_law_is_the_normalized_weight_polynomials(self, n, q, alpha, beta):
         # The integer pass over all shapes against the vector-pass polynomial of
         # each shape, evaluated at x = 1/alpha and y = 1/beta.
-        weights = {s: _weight(shape_of_state(s)).evaluate(q, 1 / alpha, 1 / beta) for s in states(n)}
+        weights = {s: _weight(s.translate(SHAPE)).evaluate(q, 1 / alpha, 1 / beta) for s in states(n)}
         z = sum(weights.values())
         want = [(s, w / z) for s, w in weights.items()]
         assert list(asep_distribution(AsepParams(n, q, alpha, beta)).items()) == want

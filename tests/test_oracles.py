@@ -45,18 +45,19 @@ MOVED = {
 
 EXPORTS = [
     "AltTableau", "ArcDiagram", "Arrow", "AsepParams", "BinAltTree", "CountTable",
-    "DomainError", "FreeStats", "ParseError", "PermTableau", "PlaneAltForest",
-    "PlaneAltTree", "ResourceLimitError", "SignedPerm", "TableauError", "ValidationError",
-    "all_tableaux", "all_via_perm", "arc_diagram", "arcs_to_forest", "asep_distribution",
-    "binary_pair", "binary_pair_inv", "block", "chain_stationary", "closure", "count_table",
-    "cut", "decorated_count", "divide", "empty_tableau", "forest_to_arcs", "formula_report",
-    "free_stats", "from_forest", "from_perm_tableau", "from_permutation",
-    "from_signed_permutation", "from_tree", "insertion_steps", "merge", "merge_all",
-    "out_crossings", "packed_class", "parse_tableau", "perm_stats", "relabel",
-    "render_tableau", "restrict", "split", "standard_tableau", "standardize", "to_forest",
-    "to_perm_tableau", "to_permutation", "to_permutation_by_insertion",
-    "to_signed_permutation", "to_tree", "transpose", "validate_alt",
-    "validate_perm_tableau", "weight_poly",
+    "DomainError", "FreeStats", "MarkedTableau", "ParseError", "PermTableau",
+    "PlaneAltForest", "PlaneAltTree", "ResourceLimitError", "SignedPerm", "TableauError",
+    "ValidationError", "all_tableaux", "all_via_perm", "arc_diagram", "arcs_to_forest",
+    "asep_distribution", "binary_pair", "binary_pair_inv", "block", "chain_stationary",
+    "closure", "count_table", "cut", "decorated_bijection", "decorated_bijection_inv",
+    "decorated_count", "divide", "empty_tableau", "forest_to_arcs", "forest_word",
+    "formula_report", "free_stats", "from_forest", "from_perm_tableau", "from_permutation",
+    "from_signed_permutation", "from_tree", "insertion_steps", "is_decorated", "merge",
+    "merge_all", "out_crossings", "packed_class", "parse_tableau", "perm_stats", "relabel",
+    "render_tableau", "restrict", "split", "standard_tableau", "standardize",
+    "symmetric_tableaux", "to_forest", "to_perm_tableau", "to_permutation",
+    "to_permutation_by_insertion", "to_signed_permutation", "to_tree", "transpose",
+    "validate_alt", "validate_perm_tableau", "weight_poly",
 ]
 
 

@@ -58,7 +58,6 @@ from alttab.trees import (
     binary_pair_inv,
     crossings,
     forest_to_arcs,
-    from_binary_tree,
     from_forest,
     from_tree,
     out_crossings,
@@ -69,7 +68,6 @@ from alttab.trees import (
     render_bin_pair,
     render_forest,
     render_tree,
-    to_binary_tree,
     to_forest,
     to_tree,
     validate_arc_diagram,
@@ -179,7 +177,7 @@ def quadratic_validate_tree(t: PlaneAltTree) -> None:
 
 
 def quadratic_validate_forest(f: PlaneAltForest) -> None:
-    if len(f.labels()) != sum(t.size() for t in f.trees):
+    if len(f.labels()) != sum(len(t.labels()) for t in f.trees):
         raise ValidationError([Violation("duplicate-label", "trees share labels")])
     for t in f.trees:
         quadratic_validate_tree(t)
@@ -226,6 +224,15 @@ class TestValidators:
         for t in f.trees:
             assert violations(validate_tree, t) == violations(quadratic_validate_tree, t)
 
+    def test_a_label_repeated_in_one_tree_is_that_trees_violation(self):
+        tree = PlaneAltTree("W", 1, (PlaneAltTree("B", 3, (PlaneAltTree("W", 3),)),))
+        want = violations(validate_tree, tree)
+        assert [v.code for v in want] == ["not-maximal", "duplicate-label"]
+        for check in (validate_forest, from_forest):
+            assert violations(check, PlaneAltForest((tree,))) == want
+            shared = violations(check, PlaneAltForest((tree, PlaneAltTree("B", 3))))
+            assert [str(v) for v in shared] == ["duplicate-label: trees share labels"]
+
     @given(bin_pairs())
     def test_binary_validator_equals_the_quadratic_one(self, pair):
         for tree in pair:
@@ -251,31 +258,15 @@ NEGATIVE_ARCS = ArcDiagram((-2, -1, 0), ((-2, 0), (-1, 0)))
         (from_forest, PlaneAltForest((NEGATIVE_TREE,))),
         (arcs_to_forest, NEGATIVE_ARCS),
         (lambda b: validate_bin_tree(b, MIN_ROOTED), NEGATIVE_BIN),
-        (lambda b: from_binary_tree(b, MIN_ROOTED), NEGATIVE_BIN),
         (binary_pair_inv, (NEGATIVE_BIN, None)),
     ],
     ids=[
         "validate_tree", "from_tree", "validate_forest", "from_forest", "arcs_to_forest",
-        "validate_bin_tree", "from_binary_tree", "binary_pair_inv",
+        "validate_bin_tree", "binary_pair_inv",
     ],
 )
 def test_a_negative_label_is_refused_by_the_tree_validators(entry, arg):
     assert [v.code for v in violations(entry, arg)] == ["label-order"]
-
-
-@pytest.mark.parametrize(
-    "tree",
-    [BinAltTree(1, kind="x"), None, NEGATIVE_BIN],
-    ids=["node-of-that-kind", "no-tree", "bad-tree"],
-)
-def test_an_unknown_kind_is_refused_before_the_tree_is_read(tree):
-    # As to_binary_tree refuses it, whatever the tree holds.
-    with pytest.raises(DomainError) as want:
-        to_binary_tree(empty_tableau(), "x")
-    with pytest.raises(DomainError) as got:
-        from_binary_tree(tree, "x")
-    assert got.value.code == want.value.code == "bad-kind"
-    assert str(got.value) == str(want.value) == "bad-kind: unknown kind 'x'"
 
 
 BIG = 10**5000
@@ -376,16 +367,15 @@ def test_deep_plane_tree_is_refused_by_the_depth_cap(entry):
     "entry",
     [
         lambda b: validate_bin_tree(b, MIN_ROOTED),
-        lambda b: from_binary_tree(b, MIN_ROOTED),
         lambda b: binary_pair_inv((b, None)),
     ],
-    ids=["validate_bin_tree", "from_binary_tree", "binary_pair_inv"],
+    ids=["validate_bin_tree", "binary_pair_inv"],
 )
 def test_deep_binary_tree_is_refused_by_the_depth_cap(entry):
     # Named for the 200-node cap such chains once hit: they now pass and round-trip.
     tree = deep_min_chain(3000)
     entry(tree)
-    t = from_binary_tree(tree, MIN_ROOTED)
+    t = binary_pair_inv((tree, None))
     assert t == standard_tableau("D" * 3000)
     assert binary_pair(t) == parse_bin_pair(render_bin_pair((tree, None))) == (tree, None)
 
@@ -714,30 +704,25 @@ class TestArcDiagrams:
 
 class TestBinaryTrees:
     def test_two_free_rows(self):
-        tree = to_binary_tree(standard_tableau("DD"), MIN_ROOTED)
+        tree = binary_pair(standard_tableau("DD"))[0]
         assert tree == BinAltTree(1, None, BinAltTree(2, kind=MIN_ROOTED), MIN_ROOTED)
 
     def test_up_arrow_goes_left(self):
-        tree = to_binary_tree(standard_tableau("DE", [(1, 2, "U")]), MIN_ROOTED)
+        tree = binary_pair(standard_tableau("DE", [(1, 2, "U")]))[0]
         assert tree == BinAltTree(1, BinAltTree(2, kind=MAX_ROOTED), None, MIN_ROOTED)
 
     def test_pair_of_leaves(self):
         pair = binary_pair(standard_tableau("DE"))
         assert pair == (BinAltTree(1, kind=MIN_ROOTED), BinAltTree(2, kind=MAX_ROOTED))
 
-    def test_wrong_class(self):
-        with pytest.raises(DomainError) as err:
-            to_binary_tree(standard_tableau("E"), MIN_ROOTED)
-        assert err.value.code == "wrong-class"
-
     @pytest.mark.parametrize("k", range(1, 6))
     def test_min_tree_count_is_factorial(self, k):
         trees = set()
         for t in all_tableaux(k):
             if free_stats(t).fcol == 0:
-                tree = to_binary_tree(t, MIN_ROOTED)
+                tree = binary_pair(t)[0]
                 validate_bin_tree(tree, MIN_ROOTED)
-                assert from_binary_tree(tree, MIN_ROOTED) == t
+                assert binary_pair_inv((tree, None)) == t
                 trees.add(tree)
         assert len(trees) == math.factorial(k)
 
