@@ -248,10 +248,15 @@ def validate_alt(
     labels: Sequence[int], word: str, arrows: Sequence[tuple[int, int, str]]
 ) -> AltTableau:
     """Check candidate data and return the tableau, or raise listing every violation."""
-    bad = _alt_violations(labels, word, arrows)
+    # Read once, so an iterator is checked and built from the same items;
+    # ``arrows`` that cannot be read go to the check as they are, which
+    # reports them where it reports the other arrow violations.
+    unread: list[Violation] = []
+    items = _items(arrows, "bad-arrow", "arrows", unread)
+    bad = _alt_violations(labels, word, arrows if unread else items)
     if bad:
         raise ValidationError(bad)
-    t = _assembled(tuple(labels), word, tuple(sorted(_arrow((i, j, k)) for i, j, k in arrows)))
+    t = _assembled(tuple(labels), word, tuple(sorted(_arrow((i, j, k)) for i, j, k in items)))
     t.__dict__[_VALID] = True
     return t
 
@@ -278,11 +283,7 @@ def _alt_violations(
         return bad
     rows = {l for l, c in zip(labels, word) if c == "D"}
     cols = {l for l, c in zip(labels, word) if c == "E"}
-    try:
-        seen = _arrow_cells(arrows, rows, cols, bad)
-    except (TypeError, ValueError):  # not every item is a triple: read them again
-        bad.clear()
-        seen = _arrow_cells(_triples(arrows, bad), rows, cols, bad)
+    seen = _arrow_cells(_triples(arrows, bad), rows, cols, bad)
     # Emptiness: cells pointed at by an arrow must not be occupied.  In
     # row-major order a left arrow points at nothing when the next cell is in
     # another row, and an up arrow when no cell before it is in its column;

@@ -654,10 +654,15 @@ class TestPermTableauBijection:
                 [(1, 2)],
                 ("bad-arrow", "arrow (1, 2) is not a (row, col, kind) triple"),
             ),
+            (
+                lambda labels, word, arrows: validate_alt(labels, word, iter(arrows)),
+                [(1, 2, "L"), (3,)],
+                ("bad-arrow", "arrow (3,) is not a (row, col, kind) triple"),
+            ),
         ],
         ids=[
-            "no-arrows", "pair-arrow", "int-arrow", "no-cells",
-            "validate-no-arrows", "validate-pair-arrow", "validate-int-arrow", "standard-pair-arrow",
+            "no-arrows", "pair-arrow", "int-arrow", "no-cells", "validate-no-arrows",
+            "validate-pair-arrow", "validate-int-arrow", "standard-pair-arrow", "validate-iterator",
         ],
     )
     def test_malformed_constructor_input_is_a_validation_error(self, make, items, violation):
@@ -672,15 +677,17 @@ class TestPermTableauBijection:
         assert codes == ["label-order", "bad-arrow-kind", "bad-arrow"]
         assert AltTableau((1, 2), "DE", [[1, 2, "L"]]).arrows == ((1, 2, "L"),)
 
-    def test_the_validator_lists_each_malformed_arrow_in_arrow_order(self, monkeypatch):
+    def test_the_validator_lists_each_malformed_arrow_in_arrow_order(self):
         arrows = [(1, 2, "L"), (3,), (1, 2, "U"), (9, 9, "L"), "ab"]
         with pytest.raises(ValidationError) as err:
             validate_alt((1, 2, 3, 4), "DEDE", arrows)
         codes = [v.code for v in err.value.violations]
         assert codes == ["bad-arrow", "duplicate-cell", "arrow-off-shape", "bad-arrow"]
-        # Well-formed arrows are read once, without the item check.
-        monkeypatch.setattr(core, "_triples", None)
         assert validate_alt((1, 2), "DE", [[1, 2, "L"]]).arrows == ((1, 2, "L"),)
+
+    def test_the_validator_builds_from_the_arrows_it_checked(self):
+        t = validate_alt((1, 2, 3, 4), "DEDE", iter([(1, 2, "L"), (3, 4, "U")]))
+        assert t.arrows == ((1, 2, "L"), (3, 4, "U"))
 
     def test_each_permutation_tableau_is_checked_and_read_once(self, monkeypatch):
         runs = []
