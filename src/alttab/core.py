@@ -177,18 +177,23 @@ def _items(items: object, code: str, what: str, bad: list[Violation]) -> tuple:
 
 
 def _triples(arrows: object, bad: list[Violation]) -> Iterator[tuple]:
-    """The items of ``arrows`` that unpack as (row, col, kind), in order;
-    each other item adds a ``bad-arrow`` violation to ``bad`` where it
-    stands, as ``arrows`` does when it cannot be iterated.  The one rule of
-    an arrow's form, for the constructor and :func:`validate_alt`."""
+    """The items of ``arrows`` that unpack as (row, col, kind) with an integer
+    row and column, in order; each other item adds a ``bad-arrow`` violation
+    to ``bad`` where it stands, as ``arrows`` does when it cannot be
+    iterated.  The one rule of an arrow's form, for the constructor and
+    :func:`validate_alt`."""
     for a in _items(arrows, "bad-arrow", "arrows", bad):
         try:
             i, j, kind = a
         except (TypeError, ValueError):
-            detail = f"arrow {_shown_value(a)} is not a (row, col, kind) triple"
-            bad.append(Violation("bad-arrow", detail))
-            continue
-        yield i, j, kind
+            detail = "is not a (row, col, kind) triple"
+        else:
+            # ``type(i) is int`` first: the ABC test is slow, and nearly every line is an int.
+            if (type(i) is int or _integral(i)) and (type(j) is int or _integral(j)):
+                yield i, j, kind
+                continue
+            detail = "has a row or column that is not an integer"
+        bad.append(Violation("bad-arrow", f"arrow {_shown_value(a)} {detail}"))
 
 
 def _rows(s: _Shape) -> tuple[int, ...]:
@@ -532,13 +537,6 @@ def _reflected(arrows: Sequence[Arrow], image: dict[int, int]) -> Iterator[Arrow
     """Each arrow reflected across the diagonal: the arrow at (i, j) goes to
     (image[j], image[i]), left and up swapped."""
     return (_arrow((image[j], image[i], UP if k == LEFT else LEFT)) for i, j, k in arrows)
-
-
-def _is_transpose_fixed(t: AltTableau) -> bool:
-    """``transpose(t) == t``, with its result and its errors, without
-    building the transpose: the same label check, word and arrows."""
-    rev = _reversal(t)
-    return _flipped(t.word) == t.word and sorted(_reflected(t.arrows, rev)) == list(t.arrows)
 
 
 def _mirrored(half: AltTableau, size: int) -> AltTableau:

@@ -34,8 +34,9 @@ from .core import (
     _check_valid,
     _remembered,
     free_lines,
+    render_tableau,
 )
-from .errors import DomainError, ValidationError, Violation, _shown_number, _shown_value
+from .errors import DomainError, ValidationError, Violation, _integral, _shown_number, _shown_value
 
 ROW_PACKED = "row"
 COL_PACKED = "col"
@@ -98,6 +99,8 @@ def block(t: AltTableau, axis: Axis, label: int) -> AltTableau:
     free row.  Either way ``cut`` on the dual axis restores ``t``.
     """
     free_rows, free_cols = free_lines(t)
+    if type(label) is not int and not _integral(label):
+        raise DomainError("bad-label", f"label {_shown_value(label)} is not an integer")
     if axis == "col":
         if label < 0 or (t.labels and label >= t.labels[0]):
             raise DomainError(
@@ -301,8 +304,6 @@ def divide(t: AltTableau) -> tuple[AltTableau, AltTableau]:
 
 def format_split(parts: Iterable[AltTableau]) -> str:
     """One component per line: ``<label-set> :: <compact>``, ascending minimum label."""
-    from .core import render_tableau
-
     lines = []
     for p in sorted(parts, key=lambda p: p.labels[0]):
         labelset = "{" + ",".join(str(l) for l in p.labels) + "}"

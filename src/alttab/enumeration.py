@@ -39,7 +39,6 @@ from .core import (
     AltTableau,
     Arrow,
     _assembled,
-    _is_transpose_fixed,
     _mirrored,
     _reversal,
     free_stats,
@@ -720,7 +719,7 @@ def _mirrored_halves(size: int, halves: Sequence[AltTableau]) -> Iterator[AltTab
         chosen = sorted(choice)
         for u in halves:
             t = _mirrored(relabel(u, chosen), size)
-            if not _is_transpose_fixed(t):
+            if transpose(t) != t:
                 raise DomainError(
                     "not-symmetric", f"tableau built on {chosen} is not transpose-fixed"
                 )

@@ -195,7 +195,7 @@ def _from_bin_rec(tree: BinAltTree | None, kind: str) -> AltTableau:
 
 
 def word_to_tree(word: Sequence[int], color: str) -> PlaneAltTree:
-    """Inverse of ``tree_word`` for a given root color.
+    """Inverse of a tree's postorder word, for a given root color.
 
     A black-rooted word ends with its maximum and splits before the root at
     the right-to-left minima; white-rooted words end with their minimum and

@@ -1,10 +1,10 @@
 """Bijections between alternative tableaux and permutations.
 
-Permutations here are repeat-free words of nonnegative integers.  A packed
-tableau's tree reads off as its postorder word; a whole tableau becomes the
-concatenation of its black-rooted tree words (decreasing roots), a separator
-``x`` below every label, then the white-rooted words (increasing roots).
-An equivalent column-by-column insertion algorithm produces the same word and
+Permutations here are repeat-free words of nonnegative integers.  A tableau's
+word is its black-rooted trees by decreasing root, a separator ``x`` below
+every label, then its white-rooted trees by increasing root, each tree read
+in postorder straight off the arrows (``decomposition._arrow_forest``).  An
+equivalent column-by-column insertion algorithm produces the same word and
 exposes its intermediate steps.  Statistics travel: rows are ascent letters,
 columns descent letters, free rows right-to-left minima and free columns
 shifted right-to-left maxima.
@@ -16,8 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from numbers import Integral
-from operator import attrgetter
-from typing import Collection, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     LEFT,
@@ -26,22 +25,14 @@ from .core import (
     AltTableau,
     _check_text,
     _check_valid,
-    _is_transpose_fixed,
     _mirrored,
     _parse_int,
     _remembered,
+    transpose,
 )
 from .decomposition import _arrow_forest, _tableau_from_edges
 from .errors import DomainError, ParseError, _integral, _shown_number, _shown_value
-from .trees import (
-    BLACK,
-    WHITE,
-    PlaneAltForest,
-    PlaneAltTree,
-    _plane_kids,
-    _postorder,
-    to_forest,
-)
+from .trees import BLACK, WHITE, PlaneAltForest, from_forest
 
 Word = tuple[int, ...]
 
@@ -109,50 +100,52 @@ def perm_stats(word: Sequence[int]) -> PermStats:
 
 
 # ---------------------------------------------------------------------------
-# Postorder words of trees and forests
-
-
-def tree_word(t: PlaneAltTree) -> Word:
-    """Postorder traversal: children's words left to right, then the root."""
-    return tuple(_postorder(t, _plane_kids, attrgetter("label")))
+# Tableaux to permutations
 
 
 def forest_word(f: PlaneAltForest, separator: int) -> Word:
     """Word of a forest: black-rooted trees by decreasing root, the separator,
-    then white-rooted trees by increasing root."""
-    return _forest_word(f, separator, f.labels())
-
-
-def _forest_word(f: PlaneAltForest, separator: int, labels: Collection[int]) -> Word:
-    """:func:`forest_word`, with ``labels`` the labels of ``f``."""
-    if separator < 0 or (labels and separator >= min(labels)):
-        raise DomainError(
-            "bad-separator", f"separator {_shown_number(separator)} not below all labels"
-        )
-    blacks = sorted((t for t in f.trees if t.color == BLACK), key=lambda t: -t.label)
-    whites = sorted((t for t in f.trees if t.color == WHITE), key=lambda t: t.label)
-    out: list[int] = []
-    for t in blacks:
-        out.extend(tree_word(t))
-    out.append(separator)
-    for t in whites:
-        out.extend(tree_word(t))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Tableaux to permutations
+    then white-rooted trees by increasing root; each tree in postorder."""
+    return to_permutation(from_forest(f), separator)
 
 
 def to_permutation(t: AltTableau, separator: int = 0) -> Word:
     """Bijection from tableaux labeled by L to permutations of L plus the separator.
 
-    The word for the default separator 0 is worked out once and remembered
-    on ``t``.  The separator is checked against the labels of ``t``, which
-    are those of its forest."""
+    The word is :func:`forest_word` of the tableau's forest, read straight
+    off its arrows.  The word for the default separator 0 is worked out once
+    and remembered on ``t``."""
     if type(separator) is int and separator == 0:
-        return _remembered(t, "_permutation", lambda t: _forest_word(to_forest(t), 0, t.labels))
-    return _forest_word(to_forest(t), separator, t.labels)
+        return _remembered(t, "_permutation", lambda t: _word(t, 0))
+    return _word(t, separator)
+
+
+def _word(t: AltTableau, separator: int) -> Word:
+    """The word of :func:`to_permutation`, once ``t`` and the separator pass their checks."""
+    children, roots = _arrow_forest(t)
+    if type(separator) is not int and not _integral(separator):
+        raise DomainError("bad-separator", f"separator {_shown_value(separator)} is not an integer")
+    if separator < 0 or (t.labels and separator >= t.labels[0]):
+        raise DomainError(
+            "bad-separator", f"separator {_shown_number(separator)} not below all labels"
+        )
+    kinds = t.kind_of
+    word = _postorder_word([r for r in reversed(roots) if kinds[r] == "E"], children)
+    word.append(separator)
+    word += _postorder_word([r for r in roots if kinds[r] == "D"], children)
+    return tuple(word)
+
+
+def _postorder_word(roots: Iterable[int], children: Mapping[int, list[int]]) -> list[int]:
+    """The labels of the trees of the arrow forest ``children`` below
+    ``roots``, tree after tree in the order of ``roots``, each in postorder."""
+    stack = list(roots)
+    word = []
+    while stack:  # each label, then its children last first: postorder, reversed
+        label = stack.pop()
+        word.append(label)
+        stack.extend(children[label])
+    return word[::-1]
 
 
 def from_permutation(word: Sequence[int]) -> AltTableau:
@@ -295,19 +288,13 @@ def to_signed_permutation(t: AltTableau) -> SignedPerm:
     """
     if not t.is_standard():
         raise DomainError("non-standard-labels", "symmetric encoding needs labels 1..2n")
-    if len(t) % 2 or not _is_transpose_fixed(t):
+    if len(t) % 2 or transpose(t) != t:
         raise DomainError("not-symmetric", "tableau is not fixed by transposition")
     n = len(t) // 2
     # The rows half (the free-row components) is the trees with a row at the
     # root; its word is theirs in postorder, by increasing root.
     children, roots = _arrow_forest(t)
-    stack = [r for r in roots if t.word[r - 1] == "D"]
-    word = []
-    while stack:  # each label, then its children last first: postorder, reversed
-        label = stack.pop()
-        word.append(label)
-        stack.extend(children[label])
-    word.reverse()
+    word = _postorder_word([r for r in roots if t.word[r - 1] == "D"], children)
     letters = []
     barred = set()
     for pos, a in enumerate(word):
@@ -326,7 +313,7 @@ def from_signed_permutation(sp: SignedPerm) -> AltTableau:
         2 * n + 1 - a if pos in sp.barred else a for pos, a in enumerate(sp.word)
     )
     t = _mirrored(from_permutation((0,) + unfolded), 2 * n)
-    if not _is_transpose_fixed(t):
+    if transpose(t) != t:
         raise DomainError("not-symmetric", "reconstruction failed to be symmetric")
     return t
 

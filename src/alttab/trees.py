@@ -17,15 +17,16 @@ Each decoder lists its input once and takes both its check and its output
 from that one listing.  The rules of a plane tree are stated once, in
 :func:`_plane_violations`, and those of a binary tree in
 :func:`_bin_violations`: one bottom-up pass over a listing of the nodes.
-``from_tree`` and ``from_forest`` run it on their preorder listing of the
-nodes (a forest only when its pass is not remembered) and read the edges off
-the same listing; ``binary_pair_inv`` lists both trees once, each node with
-the kind it must have and its parent in the forest; ``arcs_to_forest`` lists
-the points once, makes the nodes bottom-up and runs the pass on the list of
-nodes it made.  Only a failing input is listed again, to report its
-violations.  The builders (``to_forest``, ``binary_pair``,
-``arcs_to_forest``, unpickling) make nodes through :func:`_plane_node` and
-:func:`_bin_node`, which set the fields without the dataclass constructor.
+``from_forest`` runs it on its preorder listing of the nodes (only when the
+forest's pass is not remembered) and reads the edges off the same listing,
+and ``from_tree`` is ``from_forest`` of the one-tree forest;
+``binary_pair_inv`` lists both trees once, each node with the kind it must
+have and its parent in the forest; ``arcs_to_forest`` lists the points once,
+makes the nodes bottom-up and runs the pass on the list of nodes it made.
+Only a failing input is listed again, to report its violations.  The
+builders (``to_forest``, ``binary_pair``, ``arcs_to_forest``, unpickling)
+make nodes through :func:`_plane_node` and :func:`_bin_node`, which set the
+fields without the dataclass constructor.
 """
 
 from __future__ import annotations
@@ -216,13 +217,7 @@ def validate_tree(t: PlaneAltTree) -> None:
     are not checked.  One preorder listing of the nodes checked, then one
     bottom-up pass over it (:func:`_plane_violations`).
     """
-    _tree_edges(t)
-
-
-def _tree_edges(t: PlaneAltTree) -> tuple[dict[int, str], list[tuple[int, int]]]:
-    """Each label's step and the (parent, child) edges of ``t``, read off
-    the listing :func:`validate_tree` checks, once it passes."""
-    order, kinds, edges = _plane_listing((t,))
+    order, kinds, _ = _plane_listing((t,))
     repeats: set[int] = set()  # positions, counted from the end of ``order``
     if len(kinds) != len(order):
         seen: set[int] = set()
@@ -234,7 +229,6 @@ def _tree_edges(t: PlaneAltTree) -> tuple[dict[int, str], list[tuple[int, int]]]
     bad = _plane_violations(reversed(order), repeats)
     if bad:
         raise ValidationError(bad)
-    return kinds, edges
 
 
 def validate_forest(f: PlaneAltForest) -> None:
@@ -400,8 +394,8 @@ def to_tree(t: AltTableau) -> PlaneAltTree:
 
 
 def from_tree(tree: PlaneAltTree) -> AltTableau:
-    """Inverse of :func:`to_tree`: the tree edges become the arrows."""
-    return _tableau_from_edges(*_tree_edges(tree))
+    """Inverse of :func:`to_tree`: :func:`from_forest` of the one-tree forest."""
+    return from_forest(PlaneAltForest((tree,)))
 
 
 def to_forest(t: AltTableau) -> PlaneAltForest:

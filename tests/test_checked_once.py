@@ -25,9 +25,14 @@ from alttab.core import (
 )
 from alttab.cli import main
 from alttab.decomposition import _tableau_from_edges, merge_all, split
-from alttab.enumeration import all_tableaux
+from alttab.enumeration import all_tableaux, symmetric_tableaux
 from alttab.errors import ValidationError
-from alttab.permutations import from_permutation, to_permutation, to_permutation_by_insertion
+from alttab.permutations import (
+    from_permutation,
+    to_permutation,
+    to_permutation_by_insertion,
+    to_signed_permutation,
+)
 from alttab.trees import (
     ArcDiagram,
     PlaneAltForest,
@@ -171,6 +176,17 @@ def test_the_arrow_forest_is_built_once_per_tableau(monkeypatch):
             fn(t)
         assert t.__dict__["_arrow_forest"] == build(t)
     assert [args[0] for args in builds] == tableaux
+
+
+def test_the_words_are_read_off_the_arrows_without_the_plane_forest():
+    # ``to_permutation`` and ``to_signed_permutation`` walk the arrow forest;
+    # neither builds the plane forest.
+    for t in [parse_tableau(T0_COMPACT), *all_tableaux(4)]:
+        to_permutation(t)
+        assert "_forest" not in t.__dict__
+    for t in symmetric_tableaux(6):
+        to_signed_permutation(t)
+        assert "_forest" not in t.__dict__
 
 
 def test_images_are_not_marked_checked_until_they_are(monkeypatch):

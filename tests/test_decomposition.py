@@ -116,6 +116,16 @@ class TestCutBlock:
             block(standard_tableau("D"), "col", 1)
         assert err.value.code == "label-not-extremal"
 
+    @pytest.mark.parametrize("label", [1.5, True, "x", None], ids=["float", "bool", "str", "none"])
+    @pytest.mark.parametrize("axis", ["col", "row"])
+    def test_block_label_not_an_integer(self, axis, label):
+        # A label equal to an integer is refused too: the tableau is
+        # assembled without the constructor's label check.
+        with pytest.raises(DomainError) as err:
+            block(relabel(standard_tableau("DE"), (2, 3)), axis, label)
+        assert err.value.code == "bad-label"
+        assert str(err.value) == f"bad-label: label {label!r} is not an integer"
+
     @pytest.mark.parametrize("n", range(6))
     def test_block_then_cut_roundtrip(self, n):
         for t in all_tableaux(n):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from alttab.core import AltTableau, free_stats, relabel, standard_tableau
 from alttab.decomposition import restrict
 from alttab.enumeration import all_tableaux, symmetric_tableaux
-from alttab.errors import DomainError, ParseError
+from alttab.errors import DomainError, ParseError, ValidationError
 from alttab.oracles import word_to_forest, word_to_tree
 from alttab.permutations import (
     SignedPerm,
@@ -31,7 +31,6 @@ from alttab.permutations import (
     to_permutation,
     to_permutation_by_insertion,
     to_signed_permutation,
-    tree_word,
 )
 from alttab.trees import BLACK, WHITE, PlaneAltForest, from_forest, to_forest, to_tree
 
@@ -133,13 +132,13 @@ class TestPermStats:
 class TestTreeWords:
     def test_corpus_component_postorder(self, t0):
         tree = to_tree(restrict(t0, {4, 6, 7, 8, 9}))
-        assert tree_word(tree) == (8, 6, 7, 9, 4)
+        assert forest_word(PlaneAltForest((tree,)), 0) == (0, 8, 6, 7, 9, 4)
         assert word_to_tree((8, 6, 7, 9, 4), WHITE) == tree
 
     def test_leaf(self):
         from alttab.trees import PlaneAltTree
 
-        assert tree_word(PlaneAltTree(WHITE, 7)) == (7,)
+        assert forest_word(PlaneAltForest((PlaneAltTree(WHITE, 7),)), 0) == (0, 7)
 
     def test_bad_terminal(self):
         with pytest.raises(DomainError) as err:
@@ -153,7 +152,7 @@ class TestTreeWords:
             trees = {word_to_tree(w, BLACK) for w in words}
             assert len(trees) == math.factorial(n - 1)
             for w in words:
-                assert tree_word(word_to_tree(w, BLACK)) == w
+                assert forest_word(PlaneAltForest((word_to_tree(w, BLACK),)), 0) == w + (0,)
 
 
 class TestForestWords:
@@ -171,6 +170,14 @@ class TestForestWords:
         with pytest.raises(DomainError) as err:
             forest_word(to_forest(t0), 1)
         assert err.value.code == "bad-separator"
+
+    def test_an_invalid_forest_has_no_word(self):
+        from alttab.trees import PlaneAltTree
+
+        forest = PlaneAltForest((PlaneAltTree(WHITE, 2, (PlaneAltTree(BLACK, 1),)),))
+        with pytest.raises(ValidationError) as err:
+            forest_word(forest, 0)
+        assert [v.code for v in err.value.violations] == ["not-minimal"]
 
     @given(st.permutations(list(range(8))))
     def test_total_on_permutations(self, word):
@@ -251,12 +258,33 @@ class TestTableauBijection:
 
     def test_another_separator_is_never_served_from_memory(self):
         t = relabel(standard_tableau("DEDE", [(1, 2, "L"), (3, 4, "U")]), (2, 3, 4, 5))
-        assert to_permutation(t) == forest_word(to_forest(t), 0)
+        word = to_permutation(t)
+        assert word == forest_word(to_forest(t), 0)
         assert to_permutation(t, 1) == forest_word(to_forest(t), 1) != to_permutation(t)
-        # An equal separator of another type is not the default either.
-        assert [type(a) for a in to_permutation(t, False)].count(bool) == 1
+        # An equal separator of another type is not the default either: it is refused.
+        with pytest.raises(DomainError) as err:
+            to_permutation(t, False)
+        assert err.value.code == "bad-separator"
+        assert to_permutation(t) is word == (2, 3, 0, 5, 4)
         with pytest.raises(DomainError):
             to_permutation(t, 2)
+
+    @pytest.mark.parametrize(
+        "separator", [1.5, True, False, "1", None, [0]],
+        ids=["float", "true", "false", "str", "none", "list"],
+    )
+    def test_a_separator_that_is_not_an_integer_is_refused(self, separator):
+        t = relabel(standard_tableau("DEDE", [(1, 2, "L"), (3, 4, "U")]), (2, 3, 4, 5))
+        with pytest.raises(DomainError) as err:
+            to_permutation(t, separator)
+        assert err.value.code == "bad-separator" and "is not an integer" in str(err.value)
+
+    @pytest.mark.parametrize("labels", [(1, 2, 3, 4), (3, 4, 6, 9)])
+    def test_every_separator_below_the_labels_round_trips(self, labels):
+        for t in all_tableaux(4):
+            t = relabel(t, labels)
+            for separator in range(labels[0]):
+                assert from_permutation(to_permutation(t, separator)) == t
 
     @pytest.mark.parametrize("labels", [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 5, 8)])
     def test_the_separator_is_checked_as_the_forest_word_checks_it(self, labels):
