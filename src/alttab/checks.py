@@ -1,10 +1,10 @@
 """Every verification of the paper's identities, behind ``alttab verify``
-and the acceptance tests: the named batteries, the data they share (the
+and the acceptance tests: the suites, the data they share (the
 exclusion-process and refined-series points, the refined closed form) and
-the report.  Each suite checks its identities up to the requested size and
-returns one named :class:`FormulaCheck` per identity, written as one
-``<name> PASS`` or ``<name> FAIL <detail>`` line.  Everything is exact, so
-there are no tolerances anywhere.
+the report.  :func:`run_suite` runs one suite of :data:`SUITES`, or all of
+them, down one path: every cap, then at most one walk of each size, then
+each suite's checks, one :class:`FormulaCheck` per identity and one
+``<name> PASS`` or ``<name> FAIL <detail>`` line each.  All of it is exact.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .enumeration import (
     shape_words,
     weight_poly,
 )
-from .errors import check_cap
+from .errors import DomainError, _shown_value, check_cap
 from .oracles import (
     binary_pair_by_divide,
     count_table_by_corners,
@@ -214,13 +214,6 @@ BIJECTIONS: tuple[tuple[str, int | None, Callable[[AltTableau, dict], bool]], ..
 _BLOCK = 64
 
 
-def bijection_checks(n_max: int) -> list[FormulaCheck]:
-    """Every property of :data:`BIJECTIONS` on every tableau up to ``n_max``
-    (or the property's own bound), in one walk per size (:func:`_walk`); a
-    property stops at its first counterexample in walk order."""
-    return _walk(n_max, BIJECTIONS)[0]
-
-
 def _walk(n_max: int, battery: Sequence[tuple]) -> tuple[list[FormulaCheck], list[_Tally]]:
     """The one walk of every tableau up to ``n_max``, each size once: one
     check per property of ``battery``, a failing one with its first
@@ -354,16 +347,11 @@ class _Tally:
         return Poly3(self.by_word[word])
 
 
-def count_checks(n_max: int) -> list[FormulaCheck]:
-    """The counting identities up to ``n_max``, grouped by identity.  Each
-    size's tableaux are walked once by each generator: the backtracking
-    walk (:func:`_walk`) fills one :class:`_Tally` per size, and every check
-    that reads that walk takes what it needs from the tally."""
-    return _count_checks(n_max, _walk(n_max, ())[1])
-
-
-def _count_checks(n_max: int, tallies: list[_Tally]) -> list[FormulaCheck]:
-    """:func:`count_checks` on the tallies of the walk."""
+def _count_checks(n_max: int, _battery, tallies: list[_Tally]) -> list[FormulaCheck]:
+    """The counting identities up to ``n_max``, grouped by identity.  Every
+    check that reads the backtracking walk takes what it needs from that
+    size's :class:`_Tally`; the permutation generator draws each size once
+    more."""
     tables = {n: count_table(n) for n in range(n_max + 1)}
     counts = {n: tables[n].total() for n in range(n_max + 1)}
     totals, by_table, same_sets, perm_counts, catalans, decorated, symmetric = (
@@ -371,13 +359,7 @@ def _count_checks(n_max: int, tallies: list[_Tally]) -> list[FormulaCheck]:
     )
     for n, tally in enumerate(tallies):
         want = math.factorial(n + 1)
-        totals.append(
-            FormulaCheck(
-                f"A({n})={counts[n]}",
-                counts[n] == want,
-                "" if counts[n] == want else f"expected {want}",
-            )
-        )
+        totals.append(_all_hold(f"A({n})={counts[n]}", [(counts[n] == want, f"expected {want}")]))
         by_table.append(
             FormulaCheck(
                 f"count table equals enumeration and the corner recursion at n={n}",
@@ -396,10 +378,9 @@ def _count_checks(n_max: int, tallies: list[_Tally]) -> list[FormulaCheck]:
             same_sets.append(FormulaCheck(f"generator sets agree at n={n}", tally.listed == via))
         distinct = len(pairs)
         perm_counts.append(
-            FormulaCheck(
+            _all_hold(
                 f"permutation generator count at n={n}",
-                distinct == counts[n],
-                "" if distinct == counts[n] else f"{distinct} != {counts[n]}",
+                [(distinct == counts[n], f"{distinct} != {counts[n]}")],
             )
         )
         want = catalan(n + 1)
@@ -541,16 +522,11 @@ def formula_report(n_max: int = 7) -> FormulaReport:
     return FormulaReport(tuple(checks))
 
 
-def asep_checks(n_max: int) -> list[FormulaCheck]:
+def _asep_checks(n_max: int, _battery, tallies: list[_Tally]) -> list[FormulaCheck]:
     """The exclusion-process identities up to ``n_max``: each shape's weight
     by the bidiagonal pass, by the corner recursion and as the sum over its
-    fillings, which one walk of each size tallies (:func:`_walk`), and the
-    stationary law from the weights against the exact chain solve."""
-    return _asep_checks(n_max, _walk(n_max, ())[1])
-
-
-def _asep_checks(n_max: int, tallies: list[_Tally]) -> list[FormulaCheck]:
-    """:func:`asep_checks` on the tallies of the walk."""
+    fillings, which the walk of each size tallies, and the stationary law
+    from the weights against the exact chain solve."""
     checks = []
     for n, tally in enumerate(tallies):
         # The q-tracked corner table by code; shape_words lists the codes downwards.
@@ -574,37 +550,30 @@ def _asep_checks(n_max: int, tallies: list[_Tally]) -> list[FormulaCheck]:
     return checks
 
 
+# Each suite by name, in report order: the caps it runs into, and its checks
+# as a function of the size, the battery's checks and each size's tallies
+# (:func:`_walk`).  The walk is what runs into the enumeration cap, so a
+# suite reads it exactly when its caps hold that cap.
 SUITES = {
-    "bijections": bijection_checks,
-    "counts": count_checks,
-    "series": lambda n_max: list(formula_report(n_max).checks),
-    "asep": asep_checks,
-}
-
-# The caps each suite runs into, all checked before any suite starts, so an
-# oversized size is refused at once instead of after every smaller one.
-SUITE_CAPS = {
-    "bijections": (ENUMERATION_CAP,),
-    "counts": (ENUMERATION_CAP, WEIGHT_CAP, COUNT_CAP),
-    "series": (COUNT_CAP,),
-    "asep": (ENUMERATION_CAP, WEIGHT_CAP, CHAIN_CAP),
+    "bijections": ((ENUMERATION_CAP,), lambda n, battery, _: battery),
+    "counts": ((ENUMERATION_CAP, WEIGHT_CAP, COUNT_CAP), _count_checks),
+    "series": ((COUNT_CAP,), lambda n, *_: list(formula_report(n).checks)),
+    "asep": ((ENUMERATION_CAP, WEIGHT_CAP, CHAIN_CAP), _asep_checks),
 }
 
 
 def run_suite(suite: str, n_max: int) -> list[FormulaCheck]:
-    """The checks of one suite, or of every suite for ``"all"``.  Under
-    ``"all"`` each size is walked once: the count and asep suites read the
-    tallies of the bijection battery's walk."""
+    """The checks of one suite, or of every suite in table order for ``"all"``:
+    every cap first, then one walk of each size if a requested suite reads it,
+    with the bijection battery only when its suite is requested."""
     names = list(SUITES) if suite == "all" else [suite]
+    if not isinstance(suite, str) or names[0] not in SUITES:
+        known = ", ".join([*SUITES, "all"])
+        raise DomainError("bad-suite", f"unknown suite {_shown_value(suite)}, not one of {known}")
     for name in names:
-        for setting in SUITE_CAPS[name]:
+        for setting in SUITES[name][0]:
             check_cap(n_max, f"verify suite {name}", setting)
-    if suite != "all":
-        return SUITES[suite](n_max)
-    battery, tallies = _walk(n_max, BIJECTIONS)
-    return [
-        *battery,
-        *_count_checks(n_max, tallies),
-        *SUITES["series"](n_max),
-        *_asep_checks(n_max, tallies),
-    ]
+    walked: tuple[list, list] = ([], [])
+    if any(ENUMERATION_CAP in SUITES[name][0] for name in names):
+        walked = _walk(n_max, BIJECTIONS if "bijections" in names else ())
+    return [c for name in names for c in SUITES[name][1](n_max, *walked)]

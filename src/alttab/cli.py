@@ -301,7 +301,21 @@ def _number(pattern: str, read: Callable[[str], object], what: str) -> Callable[
 
 
 _integer = _number(rf"-?{_NUMBER}", int, "an integer")
-_rate = _number(rf"{_NUMBER}(?:[/.]{_NUMBER})?", Fraction, "a rational number")  # p, p/q or p.d
+_fraction = _number(rf"{_NUMBER}(?:[/.]{_NUMBER})?", Fraction, "a rational number")  # p, p/q or p.d
+
+# The most digits a rate's text may have.  The law's time grows with them:
+# ``asep --n 12`` with three rates of 32 digits each takes about 0.9 s and
+# prints 12 MB (a whole process, on a 2-CPU Linux machine with Python 3.11).
+RATE_DIGITS = 32
+
+
+def _rate(text: str) -> Fraction:
+    digits = sum(c.isdigit() for c in text)
+    if digits > RATE_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"a rate has at most {RATE_DIGITS} digits, not {digits}: {_shown(text)}"
+        )
+    return _fraction(text)
 
 
 def _size(text: str) -> int:

@@ -304,8 +304,9 @@ def count_table(n: int) -> CountTable:
     (its arrow in one of the k old rows).  Summed over k the weights give the
     factor (x+y+m) of the rising product; summed over i and j they give the
     Eulerian recurrence of permutation tableaux by rows (Williams 2005).
-    The identity is what is checked, not the reading: ``checks.count_checks``
-    ties every table to enumeration and to the corner recursion.
+    The identity is what is checked, not the reading: the ``counts`` suite of
+    ``checks.run_suite`` ties every table to enumeration and to the corner
+    recursion.
 
     The last table built is kept and extended when a table at least as long
     is asked for, so an ascending sweep n = 0..N runs N steps, not

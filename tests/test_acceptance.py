@@ -21,10 +21,8 @@ from alttab.checks import (
     REFINED_POINTS,
     ROW_POINTS,
     FormulaCheck,
-    asep_checks,
-    bijection_checks,
-    count_checks,
     formula_report,
+    run_suite,
 )
 from alttab.core import free_stats, render_tableau, transpose
 from alttab.decomposition import closure
@@ -77,7 +75,7 @@ def report(
 
 @pytest.fixture(scope="module")
 def counts() -> list[FormulaCheck]:
-    return count_checks(MAX_N)
+    return run_suite("counts", MAX_N)
 
 
 @pytest.fixture(scope="module")
@@ -87,12 +85,12 @@ def series() -> tuple[FormulaCheck, ...]:
 
 @pytest.fixture(scope="module")
 def bijections() -> list[FormulaCheck]:
-    return bijection_checks(ROUND_TRIP_N)
+    return run_suite("bijections", ROUND_TRIP_N)
 
 
 @pytest.fixture(scope="module")
 def asep() -> list[FormulaCheck]:
-    return asep_checks(CHAIN_N)
+    return run_suite("asep", CHAIN_N)
 
 
 def test_01_cardinality(counts):

@@ -457,6 +457,7 @@ class TestVerify:
         (
             ("counts", "10", "ALTAB_MAX_N"),
             ("all", "10", "ALTAB_MAX_N"),
+            ("all", "7", "ALTAB_MAX_CHAIN_N"),
             ("asep", "7", "ALTAB_MAX_CHAIN_N"),
             ("series", "25", "ALTAB_MAX_COUNT_N"),
         ),
@@ -598,13 +599,14 @@ class TestLongArguments:
             ["asep", "--n", "1", "--q", "x" + HUGE],
             ["asep", "--n", "1", "--alpha", HUGE + "/0"],
             ["asep", "--n", "1", "--beta", "x" + HUGE],
+            ["asep", "--n", "1", "--q", HUGE[:3000]],
             ["verify", "--suite", "all", "--n", "x" + HUGE],
             ["verify", "--suite", "all", "--n", "-" + HUGE[:3000]],
             ["convert", "--from", "perm", "--to", "perm", "--separator", "x" + HUGE],
         ],
         ids=[
             "count-n", "enumerate-n", "asep-n", "asep-q", "asep-alpha", "asep-beta",
-            "verify-n", "verify-negative-n", "convert-separator",
+            "asep-q-digits", "verify-n", "verify-negative-n", "convert-separator",
         ],
     )
     def test_usage_error_line_is_short(self, capsys, monkeypatch, argv):
@@ -621,8 +623,8 @@ class TestLongArguments:
             ["enumerate", "--n", HUGE[:3000]],
             ["asep", "--n", HUGE[:3000]],
             ["asep", "--n", "-" + HUGE[:3000]],
-            ["asep", "--n", "1", "--q", HUGE[:3000]],
-            ["asep", "--n", "1", "--alpha", HUGE[:3000] + "/7"],
+            ["asep", "--n", "1", "--q", HUGE[:32]],  # as many digits as a rate may have
+            ["asep", "--n", "1", "--alpha", HUGE[:31] + "/7"],
             ["verify", "--suite", "all", "--n", HUGE[:3000]],
             ["convert", "--from", "perm", "--to", "perm", "--separator", HUGE[:3000]],
         ],
@@ -721,12 +723,32 @@ class TestAsepRender:
         )
 
     def test_a_probability_too_long_to_print_is_an_error(self, capsys, monkeypatch):
-        # The rate passes its range check, but the weights it makes have more
-        # digits than the interpreter converts to text.
-        argv = ["asep", "--n", "2", "--beta", "1/" + "1" * 3000]
-        code, out, err = run(capsys, monkeypatch, argv)
+        # The rates pass their digit bound and range check, but the weights
+        # they make have more digits than the interpreter converts to text
+        # at its lowest limit, 640, which PYTHONINTMAXSTRDIGITS may set.
+        ones = "1" * 30
+        argv = ["asep", "--n", "8", "--q", f"1/{ones}3", "--alpha", f"1/{ones}7"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, monkeypatch, [*argv, "--beta", f"1/{ones}9"])
+        finally:
+            sys.set_int_max_str_digits(limit)
         assert code == 1 and out == ""
-        assert err.startswith("error:") and "state oo" in err and len(err.encode()) < 200
+        assert err.startswith("error:") and "state oooooooo" in err and len(err.encode()) < 200
+
+    @pytest.mark.parametrize("flag", ("--q", "--alpha", "--beta"))
+    def test_a_rate_has_at_most_the_bound_of_digits(self, capsys, monkeypatch, flag):
+        # 32 digits, which the law at 12 sites takes about a second over.
+        at_bound = ("0." + "1" * 31, "1" * 16 + "/" + "3" * 16)
+        for rate in at_bound:
+            code, out, _ = run(capsys, monkeypatch, ["asep", "--n", "2", flag, rate])
+            assert code == 0 and len(out.splitlines()) == 4
+        for rate in ("0." + "1" * 32, "1" * 16 + "/" + "3" * 17, "0." + "1" * 2000):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, monkeypatch, ["asep", "--n", "8", flag, rate])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2 and f"{flag[2:]}: a rate has at most 32 digits" in err
 
     @pytest.mark.parametrize("flag", ("--q", "--alpha", "--beta"))
     def test_asep_bad_rate_is_a_usage_error(self, capsys, monkeypatch, flag):

@@ -18,10 +18,11 @@ import pytest
 
 import alttab
 from alttab import checks, core, enumeration, oracles, trees
-from alttab.checks import BIJECTIONS, bijection_checks, count_checks
+from alttab.checks import BIJECTIONS
 from alttab.cli import main
 from alttab.core import AltTableau, relabel
 from alttab.enumeration import shape_words
+from alttab.errors import _shown_value
 
 PACKAGE = Path(alttab.__file__).parent
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
@@ -123,7 +124,7 @@ def test_bijection_battery_walks_each_size_once(monkeypatch):
 
     real = checks.all_tableaux
     monkeypatch.setattr(checks, "all_tableaux", counting)
-    results = bijection_checks(4)
+    results = checks.run_suite("bijections", 4)
     assert walked == [0, 1, 2, 3, 4]
     assert [c.name for c in results] == [name for name, _, _ in BIJECTIONS]
     assert all(c.passed for c in results)
@@ -145,7 +146,7 @@ def test_bijection_battery_builds_each_image_once_per_tableau(monkeypatch):
         monkeypatch.setattr(
             trees, name, lambda t, real=real, sources=sources: sources.append(id(t)) or real(t)
         )
-    assert all(c.passed for c in bijection_checks(5))
+    assert all(c.passed for c in checks.run_suite("bijections", 5))
     assert len(walked) == 873  # (n+1)! tableaux for n <= 5
     for name, sources in built.items():
         assert sorted(sources) == sorted(map(id, walked)), name
@@ -173,7 +174,7 @@ def test_forests_validate_checks_each_forest_afresh(monkeypatch):
 
     battery = tuple((name, bound, watched(name, prop)) for name, bound, prop in BIJECTIONS)
     monkeypatch.setattr(checks, "BIJECTIONS", battery)
-    assert all(c.passed for c in bijection_checks(5))
+    assert all(c.passed for c in checks.run_suite("bijections", 5))
     assert runs.count(True) == 873  # (n+1)! tableaux for n <= 5
 
 
@@ -191,7 +192,7 @@ def test_count_battery_walks_each_size_once_per_generator(monkeypatch):
     counting = lambda word: filled.append(word) or real_fillings(word)  # noqa: E731
     monkeypatch.setattr(enumeration, "fillings", counting)
     monkeypatch.setattr(oracles, "fillings", counting)
-    results = count_checks(5)
+    results = checks.run_suite("counts", 5)
     assert walked == {"all_tableaux": [0, 1, 2, 3, 4, 5], "all_via_perm": [0, 1, 2, 3, 4, 5]}
     assert sorted(filled) == sorted(w for n in range(6) for w in shape_words(n))
     assert len(filled) == 63
@@ -200,16 +201,22 @@ def test_count_battery_walks_each_size_once_per_generator(monkeypatch):
 
 @pytest.mark.parametrize("n", range(6))
 def test_all_gives_the_suites_run_alone(n):
-    alone = [c for suite in checks.SUITES.values() for c in suite(n)]
+    alone = [c for name in checks.SUITES for c in checks.run_suite(name, n)]
     assert checks.run_suite("all", n) == alone
 
 
 @pytest.mark.parametrize("suite", ["all", "bijections", "counts", "asep", "series"])
 def test_each_size_is_walked_once_and_its_statistics_worked_out_once(monkeypatch, suite):
-    # Under ``all`` the count and asep suites read the battery's walk;
-    # alone, each walks each size once and fills the tallies, and the series
-    # suite walks none.
+    # Every suite that reads the walk, alone or under ``all``, shares one
+    # walk of each size that fills the tallies; the series suite walks none,
+    # and the walk carries the battery only when its suite is asked for.
     sizes = [] if suite == "series" else [0, 1, 2, 3, 4]
+    tested = []
+    battery = tuple(
+        (name, bound, lambda t, memo, prop=prop: tested.append(t) or prop(t, memo))
+        for name, bound, prop in BIJECTIONS
+    )
+    monkeypatch.setattr(checks, "BIJECTIONS", battery)
     walked: list[AltTableau] = []  # keeps every tableau alive, so ids stay distinct
     drawn = []
     real_walk = checks.all_tableaux
@@ -234,6 +241,22 @@ def test_each_size_is_walked_once_and_its_statistics_worked_out_once(monkeypatch
     assert drawn == sizes
     assert len(walked) == sum(math.factorial(n + 1) for n in sizes)
     assert all(worked_out.get(id(t)) == 1 for t in walked)
+    assert bool(tested) == (suite in ("all", "bijections"))
+
+
+@pytest.mark.parametrize(
+    "suite",
+    ["nope", None, "All", ["counts"], 3, "x" * 100],
+    ids=["name", "none", "case", "list", "int", "long"],
+)
+def test_an_unknown_suite_is_refused_before_any_cap_or_walk(monkeypatch, suite):
+    monkeypatch.setattr(checks, "check_cap", lambda *args: pytest.fail("checked a cap"))
+    monkeypatch.setattr(checks, "_walk", lambda *args: pytest.fail("walked"))
+    with pytest.raises(alttab.DomainError) as err:
+        checks.run_suite(suite, 10**6)
+    assert err.value.code == "bad-suite"
+    known = "bijections, counts, series, asep, all"
+    assert err.value.message == f"unknown suite {_shown_value(suite)}, not one of {known}"
 
 
 def test_the_tallied_weights_equal_the_fillings_oracle():
@@ -247,8 +270,8 @@ def test_the_tallied_weights_equal_the_fillings_oracle():
 def test_a_failing_battery_leaves_every_count_and_asep_line(monkeypatch):
     # Every property fails on the first tableau, so the battery runs none
     # after it and the tallies work out every statistic themselves.
-    expected = [c.line() for c in [*count_checks(4), *checks.formula_report(4).checks]]
-    expected += [c.line() for c in checks.asep_checks(4)]
+    suites = ("counts", "series", "asep")
+    expected = [c.line() for name in suites for c in checks.run_suite(name, 4)]
     battery = tuple((name, bound, lambda t, memo: False) for name, bound, _ in BIJECTIONS)
     monkeypatch.setattr(checks, "BIJECTIONS", battery)
     lines = [c.line() for c in checks.run_suite("all", 4)]
@@ -315,7 +338,7 @@ def test_the_generator_sets_compare_labels(monkeypatch):
         yield from walk
 
     monkeypatch.setattr(checks, "all_via_perm", shifted)
-    failed = [c.line() for c in count_checks(4) if not c.passed]
+    failed = [c.line() for c in checks.run_suite("counts", 4) if not c.passed]
     assert failed == ["generator sets agree at n=3 FAIL"]
 
 
@@ -379,9 +402,9 @@ def test_the_battery_empties_each_memo_after_its_size(monkeypatch, raises):
     monkeypatch.setattr(checks, "to_forest_by_cut", recording)
     if raises:
         with pytest.raises(RuntimeError):
-            bijection_checks(4)
+            checks.run_suite("bijections", 4)
     else:
-        assert all(c.passed for c in bijection_checks(4))
+        assert all(c.passed for c in checks.run_suite("bijections", 4))
     assert len(memos) == (4 if raises else 5)  # one per size, sizes 0..3 or 0..4
     assert max(largest.values()) > 0
     assert all(not memo for memo in memos.values())
@@ -401,7 +424,7 @@ def test_bijection_battery_reports_each_first_counterexample(monkeypatch):
     broken = lambda t: alttab.empty_tableau() if len(t.arrows) >= 2 else real(t)  # noqa: E731
     monkeypatch.setattr(checks, "transpose", broken)
     first = next(t for n in range(5) for t in alttab.all_tableaux(n) if len(t.arrows) >= 2)
-    failed = [c for c in bijection_checks(4) if not c.passed]
+    failed = [c for c in checks.run_suite("bijections", 4) if not c.passed]
     assert [(c.name, c.detail) for c in failed] == [
         ("transposition is an involution", f"fails on {alttab.render_tableau(first)}")
     ]
@@ -430,7 +453,7 @@ def test_the_battery_draws_at_most_one_block_ahead(monkeypatch):
     battery = tuple((name, bound, watched(prop)) for name, bound, prop in BIJECTIONS)
     monkeypatch.setattr(checks, "all_tableaux", counting)
     monkeypatch.setattr(checks, "BIJECTIONS", battery)
-    assert all(c.passed for c in bijection_checks(5))
+    assert all(c.passed for c in checks.run_suite("bijections", 5))
     assert drawn[0] == 873 and len(ahead) == 16 * 873
     assert 0 <= min(ahead) and max(ahead) == checks._BLOCK - 1
 
@@ -457,7 +480,7 @@ def test_each_property_reports_its_first_failure_across_blocks(monkeypatch):
 
     battery = tuple((name, bound, failing_on(name, prop)) for name, bound, prop in BIJECTIONS)
     monkeypatch.setattr(checks, "BIJECTIONS", battery)
-    failed = [(c.name, c.detail) for c in bijection_checks(5) if not c.passed]
+    failed = [(c.name, c.detail) for c in checks.run_suite("bijections", 5) if not c.passed]
     assert failed == [
         ("transposition is an involution", f"fails on {alttab.render_tableau(walk[10])}"),
         ("forests validate", f"fails on {alttab.render_tableau(walk[100])}"),
@@ -571,6 +594,23 @@ def test_only_the_walk_driver_draws_every_tableau():
     visitor = _Uses("all_tableaux")
     visitor.visit(ast.parse((PACKAGE / "checks.py").read_text()))
     assert visitor.found == {"_walk"}
+
+
+def test_one_path_runs_every_suite():
+    # Only ``run_suite`` walks, and ``SUITES`` is the one table keyed by
+    # suite name, so a suite run alone and under ``all`` take one path.
+    tree = ast.parse((PACKAGE / "checks.py").read_text())
+    visitor = _Uses("_walk")
+    visitor.visit(tree)
+    assert visitor.found == {"run_suite"}
+    keyed = [
+        ast.unparse(stmt.targets[0] if isinstance(stmt, ast.Assign) else stmt.target)
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        and isinstance(stmt.value, ast.Dict)
+        and any(isinstance(k, ast.Constant) and k.value in checks.SUITES for k in stmt.value.keys)
+    ]
+    assert keyed == ["SUITES"]
 
 
 def test_no_module_raises_assertion_error():

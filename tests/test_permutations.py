@@ -254,13 +254,16 @@ class TestTableauBijection:
         for t in all_tableaux(n):
             word = to_permutation(t)
             assert to_permutation(t) is word
-            assert word == forest_word(to_forest(AltTableau(t.labels, t.word, t.arrows)), 0)
+            fresh = AltTableau(t.labels, t.word, t.arrows)
+            assert word_to_forest(word) == to_forest(fresh) and min(word) == 0
 
     def test_another_separator_is_never_served_from_memory(self):
         t = relabel(standard_tableau("DEDE", [(1, 2, "L"), (3, 4, "U")]), (2, 3, 4, 5))
         word = to_permutation(t)
-        assert word == forest_word(to_forest(t), 0)
-        assert to_permutation(t, 1) == forest_word(to_forest(t), 1) != to_permutation(t)
+        assert word_to_forest(word) == to_forest(t) and min(word) == 0
+        other = to_permutation(t, 1)
+        assert word_to_forest(other) == to_forest(t) and min(other) == 1
+        assert other != to_permutation(t)
         # An equal separator of another type is not the default either: it is refused.
         with pytest.raises(DomainError) as err:
             to_permutation(t, False)
@@ -288,25 +291,29 @@ class TestTableauBijection:
 
     @pytest.mark.parametrize("labels", [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 5, 8)])
     def test_the_separator_is_checked_as_the_forest_word_checks_it(self, labels):
-        def outcome(fn, *args):
-            try:
-                return fn(*args)
-            except DomainError as err:
-                return err.code, str(err)
-
+        # The rule: an int that is not a bool, at least 0 and below the
+        # smallest label.
         for t in all_tableaux(4):
             t = relabel(t, labels)
             for separator in (-1, 0, 1, 2, False, True):
-                want = outcome(forest_word, to_forest(t), separator)
-                assert outcome(to_permutation, t, separator) == want
+                integer = isinstance(separator, int) and not isinstance(separator, bool)
+                if integer and 0 <= separator < labels[0]:
+                    word = to_permutation(t, separator)
+                    assert word_to_forest(word) == to_forest(t) and min(word) == separator
+                    continue
+                with pytest.raises(DomainError) as err:
+                    to_permutation(t, separator)
+                why = "not below all labels" if integer else "is not an integer"
+                assert str(err.value) == f"bad-separator: separator {separator} {why}"
 
     def test_the_separator_check_does_not_walk_the_forest(self, monkeypatch):
         t = relabel(standard_tableau("DEDE", [(1, 2, "L"), (3, 4, "U")]), (2, 3, 4, 5))
-        want = forest_word(to_forest(t), 1)
         monkeypatch.setattr(PlaneAltForest, "labels", lambda f: pytest.fail("walked the forest"))
-        assert to_permutation(t, 1) == want
+        word = to_permutation(t, 1)
         with pytest.raises(DomainError):
             to_permutation(t, 2)
+        monkeypatch.undo()
+        assert word_to_forest(word) == to_forest(t) and min(word) == 1
 
     def test_words_beyond_the_oracle_bound_round_trip(self):
         # Past the bound of the recursive oracle: the direct pass has none.
