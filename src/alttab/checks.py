@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .core import (
     AltTableau,
+    _flipped,
     free_stats,
     from_perm_tableau,
     parse_tableau,
@@ -293,11 +294,8 @@ class _Tally:
         self.decorations = 0
         self.fixed = 0
         self.halves: list[AltTableau] | None = [] if 2 * n <= n_max else None
-        # A transpose has the word reversed with D and E swapped, so only
-        # tableaux on a word equal to its own mirror can be transpose-fixed.
-        self._mirrored = {
-            w for w in shape_words(n) if all(a != b for a, b in zip(w, reversed(w)))
-        }
+        # Only tableaux on a word equal to its transpose's can be transpose-fixed.
+        self._mirrored = {w for w in shape_words(n) if _flipped(w) == w}
 
     def add(self, walk: Iterable[AltTableau]) -> None:
         by_word, listed, halves, mirrored = self.by_word, self.listed, self.halves, self._mirrored

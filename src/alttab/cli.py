@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-from .checks import FormulaReport, run_suite
+from .checks import SUITES, FormulaReport, run_suite
 from .core import (
     _NUMBER,
     AltTableau,
@@ -369,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_integer, required=True)
 
     p = add("verify", cmd_verify, help="run a verification suite")
-    p.add_argument("--suite", choices=("bijections", "counts", "series", "asep", "all"),
-                   required=True)
+    p.add_argument("--suite", choices=(*SUITES, "all"), required=True)
     p.add_argument("--n", type=_size, required=True)
 
     p = add("asep", cmd_asep, help="exact stationary distribution on n sites")

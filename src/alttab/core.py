@@ -74,7 +74,7 @@ def _check_labels_word(labels: Sequence[int], word: str) -> list[Violation]:
 
 def _labels_word_violations(labels: Sequence[int], word: str) -> list[Violation]:
     bad = []
-    if not all(type(l) is int for l in labels) and not all(map(_integral, labels)):
+    if not all(map(_integral, labels)):
         shown = _shown_number(labels)
         bad.append(Violation("bad-label", f"labels {shown} are not all integers"))
     if len(labels) != len(word):
@@ -145,11 +145,7 @@ class AltTableau(_Shape):
 
     def __post_init__(self) -> None:
         bad = _check_labels_word(self.labels, self.word)
-        arrows = []
-        for i, j, kind in _triples(self.arrows, bad):
-            if kind not in (LEFT, UP):
-                bad.append(Violation("bad-arrow-kind", f"{_shown_value(kind)} at {_cell(i, j)}"))
-            arrows.append(_arrow((i, j, kind)))
+        arrows = [_arrow(a) for a in _triples(self.arrows, bad)]
         if bad:
             raise ValidationError(bad)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -178,19 +174,22 @@ def _items(items: object, code: str, what: str, bad: list[Violation]) -> tuple:
 
 def _triples(arrows: object, bad: list[Violation]) -> Iterator[tuple]:
     """The items of ``arrows`` that unpack as (row, col, kind) with an integer
-    row and column, in order; each other item adds a ``bad-arrow`` violation
-    to ``bad`` where it stands, as ``arrows`` does when it cannot be
-    iterated.  The one rule of an arrow's form, for the constructor and
-    :func:`validate_alt`."""
+    row and column and a kind L or U, in order; each other item adds its
+    ``bad-arrow`` or ``bad-arrow-kind`` violation to ``bad`` where it stands,
+    as ``arrows`` does when it cannot be iterated.  The one rule of an arrow
+    item, for the constructor and :func:`validate_alt`."""
     for a in _items(arrows, "bad-arrow", "arrows", bad):
         try:
             i, j, kind = a
         except (TypeError, ValueError):
             detail = "is not a (row, col, kind) triple"
         else:
-            # ``type(i) is int`` first: the ABC test is slow, and nearly every line is an int.
-            if (type(i) is int or _integral(i)) and (type(j) is int or _integral(j)):
-                yield i, j, kind
+            if _integral(i) and _integral(j):
+                if kind in (LEFT, UP):
+                    yield i, j, kind
+                else:
+                    detail = f"{_shown_value(kind)} at {_cell(i, j)}"
+                    bad.append(Violation("bad-arrow-kind", detail))
                 continue
             detail = "has a row or column that is not an integer"
         bad.append(Violation("bad-arrow", f"arrow {_shown_value(a)} {detail}"))
@@ -339,14 +338,11 @@ def _alt_violations(
 def _arrow_cells(
     arrows: Iterable[tuple[int, int, str]], rows: set[int], cols: set[int], bad: list[Violation]
 ) -> dict[tuple[int, int], str]:
-    """The kind of each arrow on a cell of the shape, by cell; an arrow of
-    an unknown kind, off the shape or on a taken cell adds its violation to
-    ``bad`` instead, in arrow order."""
+    """The kind of each arrow on a cell of the shape, by cell; an arrow off
+    the shape or on a taken cell adds its violation to ``bad`` instead, in
+    arrow order."""
     seen: dict[tuple[int, int], str] = {}
     for i, j, kind in arrows:
-        if kind not in (LEFT, UP):
-            bad.append(Violation("bad-arrow-kind", f"{_shown_value(kind)} at {_cell(i, j)}"))
-            continue
         if i not in rows or j not in cols or i >= j:
             detail = f"{kind} arrow on nonexistent cell {_cell(i, j)}"
             bad.append(Violation("arrow-off-shape", detail))

@@ -22,7 +22,7 @@ once and assembles the part, since any part of a valid tableau is valid.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Literal, Mapping
+from typing import Callable, Hashable, Iterable, Literal, Mapping, TypeVar
 
 from .core import (
     LEFT,
@@ -43,6 +43,8 @@ COL_PACKED = "col"
 NOT_PACKED = "none"
 
 Axis = Literal["row", "col"]
+
+Node = TypeVar("Node")
 
 
 def packed_class(t: AltTableau) -> str:
@@ -99,7 +101,7 @@ def block(t: AltTableau, axis: Axis, label: int) -> AltTableau:
     free row.  Either way ``cut`` on the dual axis restores ``t``.
     """
     free_rows, free_cols = free_lines(t)
-    if type(label) is not int and not _integral(label):
+    if not _integral(label):
         raise DomainError("bad-label", f"label {_shown_value(label)} is not an integer")
     if axis == "col":
         if label < 0 or (t.labels and label >= t.labels[0]):
@@ -225,17 +227,24 @@ def _tableau_from_edges(kinds: Mapping[int, str], edges: Iterable[tuple[int, int
     return _assembled(labels, "".join(kinds[l] for l in labels), tuple(arrows))
 
 
+def _postorder(roots: Iterable[Node], kids: Callable[[Node], Iterable[Node]]) -> list[Node]:
+    """The nodes below ``roots``, tree after tree in the order of ``roots``,
+    each child subtree before its parent and in order: the one walk of a
+    forest, on a stack, not the call stack.  A shared subtree is listed twice."""
+    stack = list(roots)
+    out = []
+    while stack:  # each node, then its subtrees last first: postorder, reversed
+        node = stack.pop()
+        out.append(node)
+        stack.extend(kids(node))
+    out.reverse()
+    return out
+
+
 def _tree_roots(t: AltTableau) -> dict[int, int]:
     """The root of the tree each label belongs to (validates ``t``)."""
     children, roots = _arrow_forest(t)
-    root_of: dict[int, int] = {}
-    for r in roots:
-        stack = [r]
-        while stack:
-            label = stack.pop()
-            root_of[label] = r
-            stack.extend(children[label])
-    return root_of
+    return {label: r for r in roots for label in _postorder((r,), children.__getitem__)}
 
 
 def _parts(t: AltTableau, part_of: Mapping[int, Hashable]) -> dict[Hashable, AltTableau]:

@@ -16,7 +16,8 @@ import math
 import re
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import gt, lt
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     LEFT,
@@ -30,7 +31,7 @@ from .core import (
     _remembered,
     transpose,
 )
-from .decomposition import _arrow_forest, _tableau_from_edges
+from .decomposition import _arrow_forest, _postorder, _tableau_from_edges
 from .errors import DomainError, ParseError, _integral, _shown_number, _shown_value
 from .trees import BLACK, WHITE, PlaneAltForest, from_forest
 
@@ -39,8 +40,7 @@ Word = tuple[int, ...]
 
 def check_word(word: Sequence[int]) -> Word:
     w = tuple(word)
-    # ``type(a) is int`` first: the ABC test is slow, and nearly every letter is an int.
-    odd = [a for a in w if type(a) is not int and not _integral(a)]
+    odd = [a for a in w if not _integral(a)]
     if odd:
         raise DomainError("bad-letter", f"letter {_shown_number(odd[0])} is not an integer")
     if len(set(w)) != len(w):
@@ -61,22 +61,22 @@ class PermStats:
 
 def rl_minima(word: Sequence[int]) -> list[int]:
     """Letters smaller than everything to their right, left to right."""
-    out: list[int] = []
-    low = None
-    for a in reversed(word):
-        if low is None or a < low:
-            out.append(a)
-            low = a
-    return out[::-1]
+    return _rl_extrema(word, lt)
 
 
 def rl_maxima(word: Sequence[int]) -> list[int]:
+    """Letters larger than everything to their right, left to right."""
+    return _rl_extrema(word, gt)
+
+
+def _rl_extrema(word: Sequence[int], beats: Callable[[int, int], bool]) -> list[int]:
+    """Letters that ``beats`` everything to their right, left to right."""
     out: list[int] = []
-    high = None
+    best = None
     for a in reversed(word):
-        if high is None or a > high:
+        if best is None or beats(a, best):
             out.append(a)
-            high = a
+            best = a
     return out[::-1]
 
 
@@ -115,7 +115,7 @@ def to_permutation(t: AltTableau, separator: int = 0) -> Word:
     The word is :func:`forest_word` of the tableau's forest, read straight
     off its arrows.  The word for the default separator 0 is worked out once
     and remembered on ``t``."""
-    if type(separator) is int and separator == 0:
+    if _integral(separator) and separator == 0:
         return _remembered(t, "_permutation", lambda t: _word(t, 0))
     return _word(t, separator)
 
@@ -123,29 +123,17 @@ def to_permutation(t: AltTableau, separator: int = 0) -> Word:
 def _word(t: AltTableau, separator: int) -> Word:
     """The word of :func:`to_permutation`, once ``t`` and the separator pass their checks."""
     children, roots = _arrow_forest(t)
-    if type(separator) is not int and not _integral(separator):
+    if not _integral(separator):
         raise DomainError("bad-separator", f"separator {_shown_value(separator)} is not an integer")
     if separator < 0 or (t.labels and separator >= t.labels[0]):
         raise DomainError(
             "bad-separator", f"separator {_shown_number(separator)} not below all labels"
         )
     kinds = t.kind_of
-    word = _postorder_word([r for r in reversed(roots) if kinds[r] == "E"], children)
+    word = _postorder([r for r in reversed(roots) if kinds[r] == "E"], children.__getitem__)
     word.append(separator)
-    word += _postorder_word([r for r in roots if kinds[r] == "D"], children)
+    word += _postorder([r for r in roots if kinds[r] == "D"], children.__getitem__)
     return tuple(word)
-
-
-def _postorder_word(roots: Iterable[int], children: Mapping[int, list[int]]) -> list[int]:
-    """The labels of the trees of the arrow forest ``children`` below
-    ``roots``, tree after tree in the order of ``roots``, each in postorder."""
-    stack = list(roots)
-    word = []
-    while stack:  # each label, then its children last first: postorder, reversed
-        label = stack.pop()
-        word.append(label)
-        stack.extend(children[label])
-    return word[::-1]
 
 
 def from_permutation(word: Sequence[int]) -> AltTableau:
@@ -294,7 +282,7 @@ def to_signed_permutation(t: AltTableau) -> SignedPerm:
     # The rows half (the free-row components) is the trees with a row at the
     # root; its word is theirs in postorder, by increasing root.
     children, roots = _arrow_forest(t)
-    word = _postorder_word([r for r in roots if t.word[r - 1] == "D"], children)
+    word = _postorder([r for r in roots if t.word[r - 1] == "D"], children.__getitem__)
     letters = []
     barred = set()
     for pos, a in enumerate(word):

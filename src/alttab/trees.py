@@ -34,10 +34,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import lt
-from typing import Callable, Container, Iterable, Mapping, TypeVar
+from typing import Callable, Container, Iterable, Mapping
 
 from .core import _NUMBER, _NUMBER_RE, _VALID, AltTableau, _check_text, _parse_int, _remembered, _shown
-from .decomposition import _arrow_forest, _tableau_from_edges
+from .decomposition import Node, _arrow_forest, _postorder, _tableau_from_edges
 from .errors import DomainError, ParseError, ValidationError, Violation, _shown_number, _shown_value
 
 WHITE = "W"
@@ -46,20 +46,8 @@ BLACK = "B"
 MIN_ROOTED = "min"
 MAX_ROOTED = "max"
 
-Node = TypeVar("Node")
-T = TypeVar("T")
-
 _new = object.__new__
 _set = object.__setattr__
-
-
-def _nodes(roots: Iterable[Node], kids: Callable[[Node], Iterable[Node]]) -> list[Node]:
-    """Every node below ``roots``, roots included, breadth first (every parent
-    before its children); a subtree shared by two parents is listed twice."""
-    order = list(roots)
-    for node in order:
-        order.extend(kids(node))
-    return order
 
 
 def _flat_text(root: object, parts: Callable[[Node], list]) -> str:
@@ -95,21 +83,6 @@ def _hashed(*fields: object) -> _Hashed:
     return _Hashed(hash(fields))
 
 
-def _postorder(
-    root: Node, kids: Callable[[Node], Iterable[Node]], head: Callable[[Node], T]
-) -> list[T]:
-    """``head(node)`` for every node below ``root``, each child subtree
-    before its parent and in order."""
-    out = []
-    stack = [root]
-    while stack:  # each node, then its subtrees last first: postorder, reversed
-        node = stack.pop()
-        out.append(head(node))
-        stack.extend(kids(node))
-    out.reverse()
-    return out
-
-
 def _plane_kids(node: PlaneAltTree) -> tuple[PlaneAltTree, ...]:
     return node.children
 
@@ -127,7 +100,7 @@ def _plane_node(color: str, label: int, children: tuple[PlaneAltTree, ...]) -> P
 
 def _plane_key(t: PlaneAltTree) -> list[tuple[str, int, int]]:
     """The (color, label, number of children) of every node, in postorder."""
-    return _postorder(t, _plane_kids, lambda n: (n.color, n.label, len(n.children)))
+    return [(n.color, n.label, len(n.children)) for n in _postorder((t,), _plane_kids)]
 
 
 def _plane_tree(key: list[tuple[str, int, int]], make: Callable = _plane_node):
@@ -167,10 +140,10 @@ class _TreeValue:
         return self._tree, (self._key(self),)
 
     def labels(self) -> frozenset[int]:
-        return frozenset(node.label for node in _nodes([self], self._kids))
+        return frozenset(node.label for node in _postorder((self,), self._kids))
 
     def size(self) -> int:
-        return len(_nodes([self], self._kids))
+        return len(_postorder((self,), self._kids))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -203,10 +176,10 @@ class PlaneAltForest:
         object.__setattr__(self, "trees", tuple(sorted(self.trees, key=lambda t: t.label)))
 
     def labels(self) -> frozenset[int]:
-        return frozenset(node.label for node in _nodes(self.trees, _plane_kids))
+        return frozenset(node.label for node in _postorder(self.trees, _plane_kids))
 
     def size(self) -> int:
-        return len(_nodes(self.trees, _plane_kids))
+        return len(_postorder(self.trees, _plane_kids))
 
 
 def validate_tree(t: PlaneAltTree) -> None:
@@ -281,7 +254,7 @@ def _forest_edges(f: PlaneAltForest) -> tuple[dict[int, str], list[tuple[int, in
         if len(kinds) != len(order) or _plane_violations(reversed(order)):
             tree_of: dict[int, int] = {}
             for k, t in enumerate(f.trees):
-                for node in _nodes((t,), _plane_kids):
+                for node in _postorder((t,), _plane_kids):
                     if tree_of.setdefault(node.label, k) != k:
                         raise ValidationError([Violation("duplicate-label", "trees share labels")])
             for t in f.trees:
@@ -316,7 +289,7 @@ def _plane_violations(
         lo = hi = label
         if color != WHITE and color != BLACK:
             bad("bad-color", f"color {_shown_value(color)} at ")
-            for below in _nodes(kids, _plane_kids):
+            for below in _postorder(kids, _plane_kids):
                 lo, hi = min(lo, below.label), max(hi, below.label)
         elif kids:
             kid_lo, kid_hi = spans.pop()
@@ -368,14 +341,11 @@ def _colors(t: AltTableau) -> dict[int, str]:
 
 
 def _plane_trees(
-    roots: Iterable[int], children: Mapping[int, list[int]], color: Mapping[int, str]
+    roots: list[int], children: Mapping[int, list[int]], color: Mapping[int, str]
 ) -> tuple[PlaneAltTree, ...]:
-    """Build the trees below ``roots`` bottom-up, without recursion."""
-    order = list(roots)
-    for label in order:  # breadth first: every parent before its children
-        order.extend(children[label])
+    """Build the trees below ``roots`` bottom-up, in the forest's postorder."""
     built: dict[int, PlaneAltTree] = {}
-    for label in reversed(order):
+    for label in _postorder(roots, children.__getitem__):
         kids = children[label]
         built[label] = _plane_node(color[label], label, tuple(map(built.pop, kids)) if kids else ())
     return tuple(built[r] for r in roots)
@@ -639,9 +609,8 @@ def _bin_node(
 
 def _bin_key(t: BinAltTree) -> list[tuple[int, str, bool, bool]]:
     """The (label, kind, has left, has right) of every node, in postorder."""
-    return _postorder(
-        t, _bin_kids, lambda n: (n.label, n.kind, n.left is not None, n.right is not None)
-    )
+    walk = _postorder((t,), _bin_kids)
+    return [(n.label, n.kind, n.left is not None, n.right is not None) for n in walk]
 
 
 def _bin_tree(key: list[tuple[int, str, bool, bool]], make: Callable = _bin_node):

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alttab.cli import REPS, main
+from alttab import checks
+from alttab.cli import REPS, build_parser, main
 from alttab.core import render_tableau
 from alttab.enumeration import all_tableaux
 
@@ -451,6 +452,15 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run(capsys, monkeypatch, ["verify", "--suite", "all", "--n", "-1"])
         assert exc.value.code == 2
+
+    def test_the_suite_choices_are_the_suite_table_and_all(self, monkeypatch):
+        def choices():
+            verbs = build_parser()._subparsers._group_actions[0].choices
+            return next(a for a in verbs["verify"]._actions if a.dest == "suite").choices
+
+        assert choices() == ("bijections", "counts", "series", "asep", "all")
+        monkeypatch.setitem(checks.SUITES, "new", ((), lambda n, *_: []))
+        assert choices() == ("bijections", "counts", "series", "asep", "new", "all")
 
     @pytest.mark.parametrize(
         "suite, n, var",

@@ -440,6 +440,20 @@ class TestRelabel:
             relabel(standard_tableau("D"), [1, 2])
         assert err.value.code == "size-mismatch"
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ((2, 1), "label-order: labels not strictly increasing: (2, 1)"),
+            ((-1, 2), "label-order: negative label in (-1, 2)"),
+        ],
+        ids=["decreasing", "negative"],
+    )
+    def test_new_labels_out_of_order_are_a_validation_error(self, labels, message):
+        with pytest.raises(ValidationError) as err:
+            relabel(standard_tableau("DE"), labels)
+        assert [v.code for v in err.value.violations] == ["label-order"]
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("op", [standardize, transpose])
     def test_arrow_outside_the_labels_is_a_validation_error(self, op):
         t = AltTableau((5, 7), "DE", ((1, 2, "L"),))  # built without validation
@@ -453,6 +467,11 @@ class TestPermTableauBijection:
         p = to_perm_tableau(t0)
         assert p.labels == tuple(range(14))
         assert from_perm_tableau(p) == t0
+
+    def test_a_tableau_with_label_0_has_no_label_for_the_new_row(self):
+        with pytest.raises(DomainError) as err:
+            to_perm_tableau(validate_alt((0, 1), "DE", []))
+        assert str(err.value) == "label-order: no nonnegative label available for the new top row"
 
     def test_corpus_statistics(self, t0):
         stats = perm_tableau_stats(to_perm_tableau(t0))
@@ -803,6 +822,12 @@ class TestTextFormats:
             parse_tableau("DE|X1,2")
         assert err.value.position == 3
 
+    def test_a_labels_prefix_without_its_bar_is_a_parse_error_at_its_end(self):
+        with pytest.raises(ParseError) as err:
+            parse_tableau("labels=1,2")
+        assert err.value.position == 10
+        assert str(err.value) == "labels prefix missing '|' (at position 10)"
+
     @pytest.mark.parametrize(
         "text, position",
         [
@@ -1056,6 +1081,13 @@ def test_a_cap_setting_is_shown_cut(monkeypatch):
         cap_limit(("ALTAB_MAX_N", 9))
     assert str(err.value) == (
         "ALTAB_MAX_N='XXXXXXXXXXXXXXXXXXXX...' (100 characters) is not a non-negative integer"
+    )
+    # More digits than the interpreter converts to an int.
+    monkeypatch.setenv("ALTAB_MAX_N", "1" * 5000)
+    with pytest.raises(ResourceLimitError) as err:
+        cap_limit(("ALTAB_MAX_N", 9))
+    assert str(err.value) == (
+        "ALTAB_MAX_N='11111111111111111111...' (5000 characters) is not a non-negative integer"
     )
 
 

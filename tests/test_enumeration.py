@@ -916,6 +916,11 @@ class TestDecoratedAndSymmetric:
                 count += 1
         assert count == len(image) == 2**n * math.factorial(n)
 
+    def test_an_image_has_no_free_row(self):
+        with pytest.raises(DomainError) as err:
+            decorated_bijection_inv(MarkedTableau(standard_tableau("D")))
+        assert str(err.value) == "wrong-class: image tableaux have no free rows"
+
     @pytest.mark.parametrize("size", (0, 2, 4, 6, 8))
     def test_symmetric_counts(self, size):
         n = size // 2

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import alttab
-from alttab import checks, core, enumeration, oracles, trees
+from alttab import checks, core, decomposition, enumeration, oracles, trees
 from alttab.checks import BIJECTIONS
 from alttab.cli import main
 from alttab.core import AltTableau, relabel
@@ -342,6 +342,35 @@ def test_the_generator_sets_compare_labels(monkeypatch):
     assert failed == ["generator sets agree at n=3 FAIL"]
 
 
+def test_a_wrong_total_fails_its_count_line(monkeypatch):
+    real = checks.count_table
+
+    def padded(n):
+        table = real(n)
+        return alttab.CountTable(n, {**table.counts, (9, 9, 9): 1}) if n == 2 else table
+
+    monkeypatch.setattr(checks, "count_table", padded)
+    lines = [c.line() for c in checks.run_suite("counts", 3)]
+    assert "A(2)=7 FAIL expected 6" in lines
+    assert "A(3)=24 PASS" in lines
+
+
+def test_a_crossing_fails_the_crossing_line_on_the_first_free_cell_free_tableau(monkeypatch):
+    # Every diagram of four or more points crosses: the first tableau of the
+    # walk of length 2 or more with no free cell is the counterexample.
+    real = checks.crossings
+    monkeypatch.setattr(
+        checks, "crossings", lambda d: frozenset({(1, 2)}) if len(d.points) > 3 else real(d)
+    )
+    first = next(
+        t for n in range(2, 4) for t in alttab.all_tableaux(n) if not alttab.free_stats(t).fcell
+    )
+    lines = [c.line() for c in checks.run_suite("counts", 3) if not c.passed]
+    assert lines == [
+        f"free-cell-free diagrams have no crossings FAIL fails on {alttab.render_tableau(first)}"
+    ]
+
+
 @pytest.mark.parametrize(
     "rec, name, roots, kids",
     [
@@ -375,7 +404,7 @@ def test_a_wrong_root_label_still_fails_the_battery(monkeypatch, capsys, rec, na
         t
         for n in range(5)
         for t in alttab.all_tableaux(n)
-        if any(node.size() == 2 for node in trees._nodes(roots(t), kids))
+        if any(node.size() == 2 for node in decomposition._postorder(roots(t), kids))
     )
     assert main(["verify", "--suite", "bijections", "--n", "4"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -613,6 +642,79 @@ def test_one_path_runs_every_suite():
     assert keyed == ["SUITES"]
 
 
+def _scopes(tree: ast.AST) -> dict[str, list[ast.AST]]:
+    """The nodes of each function of a module by qualified name, ``""`` for
+    the module's own code; a function's nodes leave out those of the
+    functions defined in it."""
+    scopes: dict[str, list[ast.AST]] = {}
+
+    def visit(node: ast.AST, scope: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                inner = name if not isinstance(child, ast.ClassDef) else scope
+                visit(child, inner, name + ".")
+            else:
+                scopes.setdefault(scope, []).append(child)
+                visit(child, scope, prefix)
+
+    visit(tree, "", "")
+    return scopes
+
+
+def _sites(found) -> set[tuple[str, str]]:
+    """Each (module, function) of the package with a node for which
+    ``found(node, nodes of its function)`` holds."""
+    return {
+        (path.stem, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, nodes in _scopes(ast.parse(path.read_text())).items()
+        if any(found(node, nodes) for node in nodes)
+    }
+
+
+def test_one_integer_test():
+    # ``errors._integral`` is the integer test; ``SignedPerm`` keeps its own,
+    # which accepts ``bool``.
+    def type_is_int(node, _) -> bool:
+        return (
+            isinstance(node, ast.Compare)
+            and ast.unparse(node.left).startswith("type(")
+            and any(ast.unparse(c) == "int" for c in node.comparators)
+        )
+
+    assert _sites(type_is_int) == {
+        ("errors", "_integral"),
+        ("permutations", "SignedPerm.__post_init__"),
+    }
+
+
+def test_one_postorder_walk():
+    # The walk that fills a list on a stack and reverses it is written once.
+    def filled_in_a_while_loop(nodes) -> set[str]:
+        return {
+            call.func.value.id
+            for loop in nodes
+            if isinstance(loop, ast.While)
+            for call in ast.walk(loop)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("append", "extend")
+            and isinstance(call.func.value, ast.Name)
+        }
+
+    def reverses_a_filled_list(node, nodes) -> bool:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = ast.unparse(node.func.value) if node.func.attr == "reverse" else None
+        elif isinstance(node, ast.Subscript) and ast.unparse(node.slice) == "::-1":
+            name = ast.unparse(node.value)
+        else:
+            return False
+        return name in filled_in_a_while_loop(nodes)
+
+    assert _sites(reverses_a_filled_list) == {("decomposition", "_postorder")}
+
+
 def test_no_module_raises_assertion_error():
     # A validator that reports a failure is the authority on it: no decoder
     # guards it with an error of its own.
@@ -680,6 +782,12 @@ def test_a_big_terminal_letter_is_a_domain_error(color):
         oracles.word_to_tree(word, color)
     assert err.value.code == "bad-terminal-letter"
     assert "<a number too long to print>" in str(err.value)
+
+
+def test_the_empty_word_encodes_no_tree():
+    with pytest.raises(alttab.DomainError) as err:
+        oracles.word_to_tree((), "W")
+    assert str(err.value) == "bad-terminal-letter: empty word encodes no tree"
 
 
 def test_recursive_oracles_refuse_beyond_their_bound():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alttab.core import AltTableau, free_stats, relabel, standard_tableau
+from alttab.core import AltTableau, free_stats, relabel, standard_tableau, validate_alt
 from alttab.decomposition import restrict
 from alttab.enumeration import all_tableaux, symmetric_tableaux
 from alttab.errors import DomainError, ParseError, ValidationError
@@ -84,6 +85,10 @@ class TestPermStats:
         with pytest.raises(DomainError) as err:
             perm_stats((1, 1))
         assert err.value.code == "repeated-letter"
+
+    def test_the_empty_word_has_empty_statistics(self):
+        stats = perm_stats(())
+        assert dataclasses.astuple(stats) == (frozenset(),) * 5
 
     @pytest.mark.parametrize(
         "make",
@@ -371,6 +376,12 @@ class TestSignedPermutations:
         sp = to_signed_permutation(standard_tableau("ED"))
         assert sp == SignedPerm((1,), frozenset({0}))
         assert render_signed(sp) == "1'"
+
+    def test_non_standard_labels_rejected(self):
+        t = validate_alt((2, 3), "DE", [(2, 3, "U")])
+        with pytest.raises(DomainError) as err:
+            to_signed_permutation(t)
+        assert str(err.value) == "non-standard-labels: symmetric encoding needs labels 1..2n"
 
     def test_not_symmetric(self, t0):
         with pytest.raises(DomainError) as err:

@@ -22,6 +22,9 @@ class TestPoly3:
         assert p == Poly3({(1, 1, 1): 1, (0, 1, 0): 1, (0, 0, 1): 1})
         assert p - p == Poly3()
         assert repr(p) == "y + x + q*x*y"
+        assert repr(Poly3()) == "0"
+        assert repr(x * x) == "x^2"
+        assert Poly3.constant(3) == 3
 
     def test_product_expansion(self):
         x, y = Poly3.var("x"), Poly3.var("y")
@@ -61,9 +64,13 @@ class TestSeries:
         one_minus_z = Series.from_coeffs([1, -1], 8)
         assert one_minus_z.inverse() == geometric(8)
         assert one_minus_z * geometric(8) == Series.one(8)
+        with pytest.raises(DomainError) as err:
+            Series.from_coeffs([0, 1], 3).inverse()
+        assert str(err.value) == "non-unit: series with zero constant term has no inverse"
 
     def test_derivative(self):
         assert geometric(6).derivative() == (geometric(7) * geometric(7)).truncate(5)
+        assert Series.from_coeffs([5], 0).derivative() == Series.zero(0)
 
     def test_pow_fraction(self):
         # (1-z)^(-2) via the rational power route.
@@ -84,6 +91,9 @@ class TestSeries:
             geometric(3).coefficient(4)
         with pytest.raises(DomainError):
             geometric(3).truncate(5)
+        with pytest.raises(DomainError) as err:
+            Series(2, (1,))
+        assert str(err.value) == "truncation-too-small: coefficient count does not match order"
 
     @pytest.mark.parametrize(
         "run",

@@ -685,7 +685,10 @@ class TestArcDiagrams:
         assert out_crossings(arc_diagram(t0)) == {(4, 5), (4, 12), (7, 8), (11, 12)}
 
     def test_single_free_cell_out_crossing(self):
-        assert out_crossings(arc_diagram(standard_tableau("DE"))) == {(1, 2)}
+        d = arc_diagram(standard_tableau("DE"))
+        assert out_crossings(d) == {(1, 2)}
+        # The free row's arc (1, 3) crosses the free column's (0, 2).
+        assert crossings(d) == {(1, 2)} and crossings(d) >= out_crossings(d)
 
     def test_no_out_crossings_single_row(self):
         assert out_crossings(arc_diagram(standard_tableau("D"))) == frozenset()
